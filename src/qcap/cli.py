@@ -50,6 +50,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
 EXIT_GEOMETRY = 4
+# Exit code of each error a command may raise.
+EXIT_CODES = {
+    DomainError: EXIT_VALIDATION,
+    WindowError: EXIT_VALIDATION,
+    GeometryError: EXIT_GEOMETRY,
+    EmptySetError: EXIT_GEOMETRY,
+    DegenerateError: EXIT_GEOMETRY,
+    SingularityError: EXIT_NONCONVERGED,
+}
 
 
 def _grid_desc(grid) -> dict:
@@ -281,22 +290,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(seed)
     try:
         result, csvs, ok = _RUNNERS[command](resolved, rng)
-    except (DomainError, WindowError) as exc:
-        code = EXIT_VALIDATION
-        report = make_report(
-            command, resolved, error={"code": code, "type": type(exc).__name__, "message": str(exc)}
-        )
-        _emit(args.out, command, report)
-        return code
-    except (GeometryError, EmptySetError, DegenerateError) as exc:
-        code = EXIT_GEOMETRY
-        report = make_report(
-            command, resolved, error={"code": code, "type": type(exc).__name__, "message": str(exc)}
-        )
-        _emit(args.out, command, report)
-        return code
-    except SingularityError as exc:
-        code = EXIT_NONCONVERGED
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         report = make_report(
             command, resolved, error={"code": code, "type": type(exc).__name__, "message": str(exc)}
         )

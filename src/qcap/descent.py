@@ -5,7 +5,8 @@ operator.  Steps are projected gradient steps x -> P(x - alpha * g) with the
 spectral (BB1) step length, safeguarded by Armijo backtracking along the
 projection arc, so the iteration is monotone.  Termination is by relative
 decrease of the objective over a trailing window, which is robust for the
-flat valleys near a p-Dirichlet minimizer.
+flat valleys near a p-Dirichlet minimizer.  The modulus program is its one
+caller; capacities are solved by CG and Newton in the capacity module.
 """
 
 from __future__ import annotations

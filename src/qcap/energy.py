@@ -120,6 +120,87 @@ def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np
     return np.bincount(b, weights=coef, minlength=m) - np.bincount(a, weights=coef, minlength=m)
 
 
+def _free_faces(grid: GridDomain, free: np.ndarray):
+    """The faces with an end in ``free``, in local cell numbering.
+
+    Returns (la, lb, w, cells): the face ends as positions in ``cells``,
+    which lists ``free`` first and then the other cells on those faces, and
+    the face weights.
+    """
+    a, b = grid.face_pairs
+    m = grid.inside_count
+    is_free = np.zeros(m, dtype=bool)
+    is_free[free] = True
+    sel = np.flatnonzero(is_free[a] | is_free[b])
+    w = np.ones(sel.size)
+    faces, weights = grid.cut_faces
+    hit = is_free[a[faces]] | is_free[b[faces]]
+    w[np.searchsorted(sel, faces[hit])] = weights[hit]
+    near = np.zeros(m, dtype=bool)
+    near[a[sel]] = True
+    near[b[sel]] = True
+    near[free] = False
+    cells = np.concatenate([free, np.flatnonzero(near)])
+    local = np.empty(m, dtype=np.intp)
+    local[cells] = np.arange(cells.size)
+    return local[a[sel]], local[b[sel]], w, cells
+
+
+def energy_hessian(u: np.ndarray, grid: GridDomain, params: EnergyParams, free: np.ndarray):
+    """Hessian of ``energy_value`` at u on the cells ``free``, matrix-free.
+
+    Returns (apply, diagonal): apply(v) is (H v)[free] for a v that lives on
+    ``free`` (zero on every other cell), and diagonal is H's diagonal there.
+    With phi(g) = (g + eps^2)^(p/2), d and dv the face difference quotients
+    of u and v, and s_c = sum_{faces f at c} w_f d_f dv_f,
+
+        H v = h^(n-1) scatter_f[ w_f ((phi'_a + phi'_b) dv_f + (phi''_a s_a + phi''_b s_b) d_f) ]
+
+    with the b-minus-a scatter of ``energy_gradient``.  Only the faces with
+    a free end and the cells on them are kept.  The energy is convex for
+    p > 1, so H is positive semidefinite even where phi'' < 0 (p < 2).
+    """
+    p, h, n = params.p, grid.h, grid.n
+    la, lb, w, cells = _free_faces(grid, free)
+    g = cell_gradient_sq(u, grid)[cells] + params.eps**2
+    d1 = (p / 2) * g ** ((p - 2) / 2)
+    d2 = ((p - 2) / 2) * d1 / g
+    uc = u[cells]
+    wd = w * (uc[lb] - uc[la]) / h
+    k1 = h ** (n - 2) * w * (d1[la] + d1[lb])
+    # wdh = h^(n-1) w d makes s carry h^(n-1) as well; d2h divides it back out.
+    wdh = h ** (n - 1) * wd
+    d2h = d2 / h**n
+    k, nf = cells.size, free.size
+    ext = np.zeros(k)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        ext[:nf] = v
+        dv = ext[lb]
+        dv -= ext[la]
+        t = wdh * dv
+        s = np.bincount(la, weights=t, minlength=k)
+        s += np.bincount(lb, weights=t, minlength=k)
+        s *= d2h
+        t = s[la]
+        t += s[lb]
+        t *= wdh
+        dv *= k1
+        t += dv
+        out = np.bincount(lb, weights=t, minlength=k)[:nf]
+        out -= np.bincount(la, weights=t, minlength=k)[:nf]
+        return out
+
+    # diag_j = h^(n-2) [sum_f w_f (phi'_a + phi'_b)
+    #                   + phi''_j (sum_f +-w_f d_f)^2 + sum_f phi''_other (w_f d_f)^2]
+    own = np.bincount(lb, weights=wd, minlength=k) - np.bincount(la, weights=wd, minlength=k)
+    wd2 = wd * wd
+    diag = np.bincount(la, weights=k1 + h ** (n - 2) * d2[lb] * wd2, minlength=k)
+    diag += np.bincount(lb, weights=k1 + h ** (n - 2) * d2[la] * wd2, minlength=k)
+    diag += h ** (n - 2) * d2 * own**2
+    return apply, diag[:nf]
+
+
 def quadratic_diagonal(grid: GridDomain) -> np.ndarray:
     """Diagonal of the p = 2 energy's Hessian: 2 h^(n-2) times each cell's summed face weights."""
     a, b = grid.face_pairs

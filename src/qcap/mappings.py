@@ -22,7 +22,6 @@ and counted, and too many flagged cells fail the computation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,22 +54,6 @@ class DistortionCoefficient:
     integrand_integral: float | None
     mode: str  # "integral" (q < p) or "ess_sup" (q = p)
     flagged_cells: int = 0
-
-
-def _sym_eig_max(m: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric 2x2 or 3x3 matrix, in closed form."""
-    if m.shape == (2, 2):
-        a, b, c = m[0, 0], m[0, 1], m[1, 1]
-        return 0.5 * (a + c + math.hypot(a - c, 2 * b))
-    # 3x3: trigonometric solution of the characteristic cubic
-    tr = (m[0, 0] + m[1, 1] + m[2, 2]) / 3.0
-    d = m - tr * np.eye(3)
-    q = np.sum(d * d) / 6.0
-    if q <= 0:
-        return float(tr)
-    r = float(np.linalg.det(d)) / 2.0
-    cos_arg = min(1.0, max(-1.0, r / q**1.5))
-    return float(tr + 2.0 * math.sqrt(q) * math.cos(math.acos(cos_arg) / 3.0))
 
 
 @dataclass(frozen=True)
@@ -120,7 +103,7 @@ class Affine:
         m = self.matrix
         if m.shape != (n, n):
             raise DomainError(f"affine map is {m.shape[0]}-dimensional, requested n={n}")
-        op = math.sqrt(_sym_eig_max(m.T @ m))
+        op = float(np.linalg.norm(m, 2))
         det = float(np.linalg.det(m))
         shape = np.shape(pts)[:-1]
         return JacobianData(np.full(shape, op), np.full(shape, det))

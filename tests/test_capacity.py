@@ -21,7 +21,9 @@ from qcap import (
     solve_capacity,
     solve_ring,
 )
+import qcap.capacity
 from qcap.capacity import _distance_init
+from qcap.descent import DescentOptions, minimize_projected
 from qcap.energy import EnergyParams, energy_gradient, energy_value
 from qcap.grid import Complement
 
@@ -266,6 +268,85 @@ def test_p2_solve_matches_direct_solve():
     assert res.converged
     assert res.final_eps == 1e-4
     assert res.value == pytest.approx(energy_value(u, grid, params), rel=1e-10)
+
+
+def bb_capacity(cond, p, opts=TIGHT):
+    """Projected-BB reference: descent through the eps schedule on the same energy."""
+    grid = cond.domain
+    fixed = np.zeros(grid.inside_count, dtype=bool)
+    fixed[cond.e_indices] = True
+    fixed[cond.f_indices] = True
+    free = np.flatnonzero(~fixed)
+    u = _distance_init(cond)
+
+    def assemble(x):
+        out = u.copy()
+        out[free] = x
+        return out
+
+    for eps in opts.eps_schedule:
+        params = EnergyParams(p, eps)
+        res = minimize_projected(
+            lambda x: energy_value(assemble(x), grid, params),
+            lambda x: energy_gradient(assemble(x), grid, params)[free],
+            lambda x: np.clip(x, 0.0, 1.0),
+            u[free],
+            DescentOptions(max_iter=100000, rel_tol=opts.rel_tol),
+        )
+        assert res.converged
+        u = assemble(res.x)
+    return res.value
+
+
+@pytest.mark.parametrize(
+    "n,p,cells",
+    [(2, 1.5, 32), (3, 3.0, 14)],
+)
+def test_newton_matches_projected_bb(n, p, cells):
+    # the Newton value is the BB value at the final eps, and never above it
+    # by more than rounding (on the 3D ring both reach the same minimum)
+    g = GridDomain.box(n, (-2.5,) * n, (cells,) * n, 5.0 / cells)
+    cond = make_ring_condenser((0.0,) * n, 1.0, 2.0, g)
+    res = solve_capacity(cond, p)
+    assert res.converged
+    assert res.final_eps == 1e-4
+    bb = bb_capacity(cond, p)
+    assert res.value <= bb * (1 + 4 * np.finfo(float).eps)
+    assert res.value == pytest.approx(bb, rel=1e-8)
+
+
+def test_newton_budget_reports_nonconvergence():
+    g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
+    cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+    res = solve_capacity(cond, 1.5, SolverOptions(max_iterations=3))
+    assert not res.converged
+    assert res.iterations == 3
+    assert math.isfinite(res.value)
+    assert len(res.energy_history) == 4
+
+
+@pytest.mark.parametrize("p", [1.05, 10.0])
+def test_newton_hard_exponents(p, monkeypatch):
+    # every field the solver evaluates lies in [0, 1], the last one is the
+    # final field, and each stage's energy trace is monotone
+    fields = []
+
+    def recording(u, grid, params):
+        fields.append(u.copy())
+        return energy_value(u, grid, params)
+
+    monkeypatch.setattr(qcap.capacity, "energy_value", recording)
+    g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
+    cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+    res = solve_capacity(cond, p)
+    assert res.converged
+    assert math.isfinite(res.value) and res.value > 0
+    assert all(u.min() >= 0.0 and u.max() <= 1.0 for u in fields)
+    assert energy_value(fields[-1], cond.domain, EnergyParams(p, res.final_eps)) == res.value
+    hist = np.asarray(res.energy_history)
+    eps = np.asarray(res.history_eps)
+    for stage in np.unique(eps):
+        assert (np.diff(hist[eps == stage]) <= 0).all()
 
 
 def test_ring_benchmark_validation():

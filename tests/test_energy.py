@@ -11,11 +11,13 @@ from qcap import (
     GridDomain,
     ScalarField,
     SingularityError,
+    make_ring_condenser,
     p_energy,
     p_energy_gradient,
     project_admissible,
     rasterize,
 )
+from qcap.energy import energy_gradient, energy_hessian
 from qcap.grid import Complement
 
 
@@ -152,6 +154,46 @@ def test_gradient_matches_finite_differences(masked_grid, p):
         ) / (2 * step)
         denom = max(abs(fd), abs(grad[c]), 1e-8)
         assert abs(fd - grad[c]) / denom < 1e-5
+
+
+def hessian_case(name, rng):
+    """A grid and the cells the Hessian is restricted to."""
+    if name == "ring":
+        cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, GridDomain.box(2, (-2.5, -2.5), (24, 24), 5.0 / 24))
+        grid = cond.domain
+        assert grid.cut_faces[0].size > 0
+        plates = np.zeros(grid.inside_count, dtype=bool)
+        plates[cond.e_indices] = True
+        plates[cond.f_indices] = True
+        return grid, np.flatnonzero(~plates)
+    if name == "masked":
+        grid = GridDomain.box(2, (-1.0, -1.0), (12, 12), 2.0 / 12, Ball((0.0, 0.0), 0.95))
+    else:
+        grid = GridDomain.box(3, (0.0, 0.0, 0.0), (6, 5, 4), 0.2)
+    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_hessian_matches_gradient_differences(case, p):
+    # H v on the restricted cells against central differences of the
+    # gradient along v, and the returned diagonal against H e_j
+    rng = np.random.default_rng(11)
+    grid, free = hessian_case(case, rng)
+    params = EnergyParams(p, 1e-2)
+    u = rng.uniform(0.0, 1.0, grid.inside_count)
+    v = np.zeros(grid.inside_count)
+    v[free] = rng.normal(size=free.size)
+    apply, diag = energy_hessian(u, grid, params, free)
+    step = 1e-5
+    fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
+    fd /= 2 * step
+    assert np.linalg.norm(apply(v[free]) - fd) <= 1e-6 * np.linalg.norm(fd)
+    for j in rng.choice(free.size, 8, replace=False):
+        unit = np.zeros(free.size)
+        unit[j] = 1.0
+        assert diag[j] == pytest.approx(apply(unit)[j], rel=1e-12)
+        assert diag[j] > 0
 
 
 def test_quadratic_gradient_is_scaled_laplacian():
