@@ -69,15 +69,12 @@ class SolverOptions:
     stage ends once half its Newton decrement is at most rel_tol |E|, for
     p = 2 once the energy drops by at most rel_tol |E| over 10 steps.
     ``eps_schedule`` must be strictly decreasing and positive, and p = 2
-    solves at its last entry only.  ``step_rule`` keeps its one accepted
-    value, "bb-armijo", which names the monotone Armijo backtracking of the
-    p != 2 Newton line search.
+    solves at its last entry only.
     """
 
     max_iterations: int = 40000
     rel_tol: float = 1e-9
     eps_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    step_rule: str = "bb-armijo"
 
     def __post_init__(self):
         object.__setattr__(self, "eps_schedule", tuple(float(e) for e in self.eps_schedule))
@@ -88,8 +85,6 @@ class SolverOptions:
         sched = self.eps_schedule
         if not sched or any(e <= 0 for e in sched) or any(a >= b for a, b in zip(sched[1:], sched)):
             raise DomainError("eps_schedule must be strictly decreasing and positive")
-        if self.step_rule != "bb-armijo":
-            raise DomainError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner.
 
-    qcap <command> --config <path> [--out <dir>] [--seed <u64>] [--threads <k>]
+    qcap <command> --config <path> [--out <dir>] [--seed <u64>]
 
 Commands: cap, ring, kcoef, distort, dual, modulus, access, cluster,
 calibrate.  Every run writes ``<command>_report.json`` into the output
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=".", help="directory for reports (default: current)")
         cmd.add_argument("--seed", type=int, default=None, help="sampling seed (overrides config)")
-        cmd.add_argument("--threads", type=int, default=1, help="worker hint, recorded in the report")
     return parser
 
 
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
 
     diagnostics = validate(cfg, command)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    resolved = {**cfg, "command": command, "seed": seed, "threads": args.threads}
+    resolved = {**cfg, "command": command, "seed": seed}
     if diagnostics:
         report = make_report(
             command,

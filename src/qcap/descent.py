@@ -18,27 +18,25 @@ import numpy as np
 from .exceptions import DomainError
 
 
+# Stagnation window (iterations), Armijo sufficient-decrease constant,
+# backtracking factor, and the clamp on the BB step length.
+STALL_WINDOW = 10
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+STEP_MIN = 1e-14
+STEP_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class DescentOptions:
     max_iter: int = 20000
     rel_tol: float = 1e-9
-    stall_window: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    step_min: float = 1e-14
-    step_max: float = 1e12
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if self.rel_tol < 0:
             raise DomainError("rel_tol must be nonnegative")
-        if self.stall_window < 1:
-            raise DomainError("stall_window must be at least 1")
-        if not (0 < self.backtrack < 1):
-            raise DomainError("backtrack factor must lie in (0, 1)")
-        if not (0 < self.armijo_c1 < 1):
-            raise DomainError("armijo_c1 must lie in (0, 1)")
 
 
 @dataclass
@@ -65,7 +63,7 @@ def minimize_projected(f, grad, project, x0, options: DescentOptions | None = No
     g = grad(x)
     history = [fx]
     alpha = 1.0 / max(float(np.linalg.norm(g, np.inf)), 1e-12)
-    alpha = min(max(alpha, opts.step_min), opts.step_max)
+    alpha = min(max(alpha, STEP_MIN), STEP_MAX)
     converged = False
     it = 0
     for it in range(1, opts.max_iter + 1):
@@ -81,10 +79,10 @@ def minimize_projected(f, grad, project, x0, options: DescentOptions | None = No
                 f_new = fx
                 break
             f_new = f(x_new)
-            if f_new <= fx + opts.armijo_c1 * slope:
+            if f_new <= fx + ARMIJO_C1 * slope:
                 break
-            step *= opts.backtrack
-            if step < opts.step_min:
+            step *= BACKTRACK
+            if step < STEP_MIN:
                 x_new = x
                 f_new = fx
                 break
@@ -98,13 +96,12 @@ def minimize_projected(f, grad, project, x0, options: DescentOptions | None = No
         if sy > 0:
             alpha = float(np.dot(s, s)) / sy
         else:
-            alpha = step / opts.backtrack
-        alpha = min(max(alpha, opts.step_min), opts.step_max)
+            alpha = step / BACKTRACK
+        alpha = min(max(alpha, STEP_MIN), STEP_MAX)
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
-        w = opts.stall_window
-        if len(history) > w:
-            drop = history[-w - 1] - history[-1]
+        if len(history) > STALL_WINDOW:
+            drop = history[-STALL_WINDOW - 1] - history[-1]
             if drop <= opts.rel_tol * max(abs(history[-1]), 1e-300):
                 converged = True
                 break

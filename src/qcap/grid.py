@@ -14,6 +14,12 @@ weights that face by 1/theta (Shortley & Weller 1938, in the symmetric form
 of Gibou, Fedkiw, Cheng & Kang, J. Comput. Phys. 176, 2002).  theta comes
 from bisection on the plate's recorded region predicate; a plate without
 one keeps theta = 1, the cell-center staircase.
+
+Cells are face-adjacent (4 neighbors in 2D, 6 in 3D), the stencil of the
+energy.  It is built in one place, ``_face_pairs``, which gives both the
+energy's face list (``GridDomain.face_pairs``) and the graph that
+``graph_distance`` searches; ``connected`` labels components with the same
+face structuring element.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy import ndimage
+from scipy.sparse.csgraph import dijkstra
 
 from .exceptions import DomainError, EmptySetError, GeometryError
-
-# Cells are face-adjacent (4-neighbor in 2D, 6-neighbor in 3D), matching the
-# gradient stencil of the energy module.
-
 
 # Bisection steps locating a plate boundary on a cut face, and the smallest
 # theta kept (a boundary closer to a free center is placed at this fraction,
@@ -54,31 +59,40 @@ def dilate_faces(cells: np.ndarray) -> np.ndarray:
     return out
 
 
+def _face_pairs(mask: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``index`` values (a, b) of all face-adjacent pairs of ``mask`` cells.
+
+    Faces are listed axis by axis in row-major order, so the order (and with
+    it every reduction over faces) is deterministic.
+    """
+    a_parts = []
+    b_parts = []
+    for axis in range(mask.ndim):
+        lo, hi = _shift_slices(mask.ndim, axis)
+        both = mask[lo] & mask[hi]
+        a_parts.append(index[lo][both])
+        b_parts.append(index[hi][both])
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
 def connected(cells: np.ndarray) -> bool:
     """True iff the cell set is empty or forms one face-connected component."""
-    count = int(cells.sum())
-    if count == 0:
-        return True
-    seed = np.unravel_index(int(np.flatnonzero(cells.ravel())[0]), cells.shape)
-    visited = np.zeros_like(cells)
-    frontier = np.zeros_like(cells)
-    frontier[seed] = True
-    while frontier.any():
-        visited |= frontier
-        frontier = dilate_faces(frontier) & cells & ~visited
-    return int(visited.sum()) == count
+    _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
+    return count <= 1
 
 
 def graph_distance(mask: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Multi-source BFS hop count within ``mask``; -1 where unreachable."""
     dist = np.full(mask.shape, -1, dtype=np.int32)
-    frontier = sources & mask
-    d = 0
-    while frontier.any():
-        dist[frontier] = d
-        visited = dist >= 0
-        frontier = dilate_faces(frontier) & mask & ~visited
-        d += 1
+    starts = np.flatnonzero(sources[mask])
+    count = int(mask.sum())
+    index = np.full(mask.shape, -1, dtype=np.int32)
+    index[mask] = np.arange(count, dtype=np.int32)
+    a, b = _face_pairs(mask, index)
+    faces = sp.csr_array((np.ones(a.size), (a, b)), shape=(count, count))
+    del index, a, b  # free before the search, whose copies of the graph set the peak memory
+    hops = dijkstra(faces, directed=False, indices=starts, unweighted=True, min_only=True)
+    dist[mask] = np.where(np.isfinite(hops), hops, -1)
     return dist
 
 
@@ -208,6 +222,12 @@ class Intersection:
 # ---------------------------------------------------------------------------
 
 
+def _cell_centers(origin, cells, h: float) -> np.ndarray:
+    """Centers of all cells of the grid with that origin, cells and h, shape (*cells, n)."""
+    axes = [float(o) + (np.arange(c) + 0.5) * h for o, c in zip(origin, cells)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Uniform grid over an axis-aligned box with an inside mask.
@@ -256,8 +276,7 @@ class GridDomain:
         if region is None:
             mask = np.ones(cells, dtype=bool)
         else:
-            grid = cls(n, tuple(origin), cells, h, np.ones(cells, dtype=bool))
-            mask = region.contains(grid.all_centers())
+            mask = region.contains(_cell_centers(origin, cells, h))
         return cls(n, tuple(origin), cells, h, mask)
 
     @property
@@ -273,8 +292,7 @@ class GridDomain:
 
     def all_centers(self) -> np.ndarray:
         """Centers of all cells, shape (*cells, n)."""
-        axes = [self.axis_centers(k) for k in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return _cell_centers(self.origin, self.cells, self.h)
 
     @cached_property
     def inside_index(self) -> np.ndarray:
@@ -293,21 +311,8 @@ class GridDomain:
 
     @cached_property
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inside-enumeration indices (a, b) of all face-adjacent inside pairs.
-
-        Faces are listed axis by axis in row-major order, so the assembly
-        order (and with it every reduction) is deterministic.
-        """
-        a_parts = []
-        b_parts = []
-        idx = self.inside_index
-        for axis in range(self.n):
-            lo, hi = _shift_slices(self.n, axis)
-            both = self.mask[lo] & self.mask[hi]
-            a_parts.append(idx[lo][both])
-            b_parts.append(idx[hi][both])
-        a = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64)
-        b = np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64)
+        """Inside-enumeration indices (a, b) of all face-adjacent inside pairs."""
+        a, b = _face_pairs(self.mask, self.inside_index)
         a.setflags(write=False)
         b.setflags(write=False)
         return a, b

@@ -30,6 +30,10 @@ from .descent import DescentOptions, minimize_projected
 from .exceptions import DomainError, GeometryError
 from .grid import Annulus, Ball, Complement, Condenser, GridDomain
 
+# Penalty weights of the successive descents, and the budget of each.
+MU_SCHEDULE = (10.0, 100.0, 1000.0)
+PENALTY_DESCENT = DescentOptions(max_iter=30000, rel_tol=1e-11)
+
 
 @dataclass(frozen=True)
 class CurveFamily:
@@ -164,14 +168,7 @@ def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def modulus_lower_bound(
-    fam: CurveFamily,
-    p: float,
-    grid: GridDomain,
-    mu_schedule: tuple = (10.0, 100.0, 1000.0),
-    rel_tol: float = 1e-11,
-    max_iter: int = 30000,
-) -> ModulusResult:
+def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> ModulusResult:
     """Solve the sampled modulus program; the result is admissible by construction.
 
     An empty family has modulus 0 (the zero density is admissible).
@@ -189,7 +186,7 @@ def modulus_lower_bound(
     rho[covered] = 1.0 / row_sums.min()
 
     total_iters = 0
-    for mu in mu_schedule:
+    for mu in MU_SCHEDULE:
 
         def objective(x, mu=mu):
             shortfall = np.maximum(0.0, 1.0 - a @ x)
@@ -204,7 +201,7 @@ def modulus_lower_bound(
             gradient,
             lambda x: np.maximum(x, 0.0),
             rho,
-            DescentOptions(max_iter=max_iter, rel_tol=rel_tol, stall_window=10),
+            PENALTY_DESCENT,
         )
         rho = res.x
         total_iters += res.iterations

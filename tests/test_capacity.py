@@ -42,8 +42,6 @@ def test_solver_options_validation():
         SolverOptions(eps_schedule=(1e-2, -1e-3))
     with pytest.raises(DomainError):
         SolverOptions(eps_schedule=())
-    with pytest.raises(DomainError):
-        SolverOptions(step_rule="newton")
 
 
 def quad_ring_capacity(n, p, r1, r2):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcap import (
     Annulus,
@@ -125,6 +128,52 @@ def test_graph_distance_and_helpers():
     assert connected(mask)
     grown = dilate_faces(src)
     assert grown.sum() == 3
+
+
+def reference_graph_distance(mask, sources):
+    """Frontier BFS: one face dilation per hop, O(cells * diameter)."""
+    dist = np.full(mask.shape, -1, dtype=np.int32)
+    frontier = sources & mask
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        frontier = dilate_faces(frontier) & mask & (dist < 0)
+        d += 1
+    return dist
+
+
+def reference_connected(cells):
+    seed = np.zeros_like(cells)
+    seed.flat[np.flatnonzero(cells)[:1]] = True
+    return bool((reference_graph_distance(cells, seed)[cells] >= 0).all())
+
+
+def _mask_pairs():
+    shape = st.lists(st.integers(1, 7), min_size=2, max_size=3).map(tuple)
+    return shape.flatmap(lambda s: st.tuples(arrays(bool, s), arrays(bool, s)))
+
+
+def _cells(shape, *where):
+    out = np.zeros(shape, dtype=bool)
+    for idx in where:
+        out[idx] = True
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_pairs())
+@example((np.zeros((4, 5), dtype=bool), np.zeros((4, 5), dtype=bool)))  # empty set
+@example((_cells((3, 3, 3), (1, 1, 1)), _cells((3, 3, 3), (1, 1, 1))))  # single cell
+@example((_cells((1, 5), (0, 0), (0, 4)), _cells((1, 5), (0, 0))))  # disconnected 2D
+@example((_cells((2, 2, 3), (0, 0, 0), (1, 1, 2)), _cells((2, 2, 3), (1, 1, 2))))  # disconnected 3D
+@example((_cells((3, 3), (0, 0), (0, 1), (1, 1)), _cells((3, 3), (0, 1), (2, 2))))  # sources partly outside
+def test_connectivity_matches_frontier_bfs(pair):
+    mask, sources = pair
+    assert connected(mask) == reference_connected(mask)
+    assert connected(sources) == reference_connected(sources)
+    d = graph_distance(mask, sources)
+    assert d.dtype == np.int32 and d.shape == mask.shape
+    np.testing.assert_array_equal(d, reference_graph_distance(mask, sources))
 
 
 def test_condenser_validation():
