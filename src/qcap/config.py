@@ -25,15 +25,21 @@ REGION is {"type": "ball" | "annulus" | "box" | "sphere_shell" |
 ("of" for complement, "parts" for union/intersection).
 
 ``validate`` returns human-readable diagnostics naming the offending
-fields and never raises; builders assume a validated config.
+fields and never raises.  It checks structure itself and leaves ranges to
+the constructors: it builds the regions, mappings, solver options and ring
+benchmarks (never grids or condensers) and reports their ``DomainError``s.
+Builders assume a validated config.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 
 from .capacity import RingBenchmark, SolverOptions
+from .exceptions import DomainError
 from .grid import (
     Annulus,
     Ball,
@@ -70,11 +76,54 @@ def load_config(path) -> dict:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that converts to a float; booleans are not numbers."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
+def _is_int(x, lo=-math.inf) -> bool:
+    """A JSON integer, not a boolean, of at least ``lo``."""
+    return type(x) is int and _is_num(x) and x >= lo
 
 
 def _is_point(x, n=None) -> bool:
     return isinstance(x, list) and all(_is_num(v) for v in x) and (n is None or len(x) == n)
+
+
+def _is_matrix(x) -> bool:
+    """Rows of numbers, all of one length."""
+    return isinstance(x, list) and all(_is_point(row) for row in x) and len({len(r) for r in x}) <= 1
+
+
+# The fields a region type or mapping family needs before its constructor can
+# run, as (coordinate lists, numbers).  The constructors check the ranges.
+_REGION_FIELDS = {
+    "ball": (("center",), ("r",)),
+    "sphere_shell": (("center",), ("r", "thickness")),
+    "annulus": (("center",), ("r1", "r2")),
+    "box": (("lo", "hi"), ()),
+}
+_MAPPING_FIELDS = {
+    "identity": ((), ()),
+    "affine": (("shift",), ()),
+    "radial_power": (("center",), ("alpha",)),
+}
+
+
+def _has_fields(spec: dict, fields, where: str, out: list) -> bool:
+    points, numbers = fields
+    bad = [f"{where}.{k} must be a coordinate list" for k in points if not _is_point(spec.get(k))]
+    bad += [f"{where}.{k} must be a number" for k in numbers if not _is_num(spec.get(k))]
+    out.extend(bad)
+    return not bad
+
+
+def _built(build, spec, where: str, out: list):
+    """``build(spec)``, or None after reporting its DomainError as ``where: message``."""
+    try:
+        return build(spec)
+    except DomainError as exc:
+        out.append(f"{where}: {exc}")
+        return None
 
 
 def _check_region(spec, where: str, out: list) -> None:
@@ -82,31 +131,7 @@ def _check_region(spec, where: str, out: list) -> None:
         out.append(f"{where} must be an object with a 'type' field")
         return
     t = spec["type"]
-    if t == "ball":
-        if not _is_point(spec.get("center")):
-            out.append(f"{where}.center must be a coordinate list")
-        if not (_is_num(spec.get("r")) and spec["r"] >= 0):
-            out.append(f"{where}.r must be a nonnegative number")
-    elif t == "sphere_shell":
-        if not _is_point(spec.get("center")):
-            out.append(f"{where}.center must be a coordinate list")
-        if not (_is_num(spec.get("r")) and spec["r"] >= 0):
-            out.append(f"{where}.r must be a nonnegative number")
-        if not (_is_num(spec.get("thickness")) and spec["thickness"] >= 0):
-            out.append(f"{where}.thickness must be a nonnegative number")
-    elif t == "annulus":
-        r1, r2 = spec.get("r1"), spec.get("r2")
-        if not _is_point(spec.get("center")):
-            out.append(f"{where}.center must be a coordinate list")
-        if not (_is_num(r1) and _is_num(r2) and 0 <= r1 < r2):
-            out.append(f"{where} requires 0 <= r1 < r2")
-    elif t == "box":
-        lo, hi = spec.get("lo"), spec.get("hi")
-        if not (_is_point(lo) and _is_point(hi) and len(lo) == len(hi)):
-            out.append(f"{where}.lo and {where}.hi must be coordinate lists of equal length")
-        elif any(a > b for a, b in zip(lo, hi)):
-            out.append(f"{where} requires lo <= hi componentwise")
-    elif t == "complement":
+    if t == "complement":
         if "of" not in spec:
             out.append(f"{where}.of is required for a complement")
         else:
@@ -118,18 +143,21 @@ def _check_region(spec, where: str, out: list) -> None:
         else:
             for i, part in enumerate(parts):
                 _check_region(part, f"{where}.parts[{i}]", out)
-    else:
+    elif not (isinstance(t, str) and t in _REGION_FIELDS):
         out.append(f"{where}.type {t!r} is not a known region type")
+    elif _has_fields(spec, _REGION_FIELDS[t], where, out):
+        _built(build_region, spec, where, out)
 
 
-def _check_grid(spec, where: str, out: list) -> None:
+def _check_grid(spec, where: str, out: list):
+    """Check one grid section; its dimension if that is 2 or 3, else None."""
     if not isinstance(spec, dict):
         out.append(f"{where} must be an object")
-        return
+        return None
     n = spec.get("n")
-    if n not in (2, 3):
+    if not (_is_int(n, 2) and n <= 3):
         out.append(f"{where}.n must be 2 or 3")
-        return
+        return None
     box = spec.get("box")
     if box is None:
         out.append(f"{where}.box is required ([[lo, hi], ...] per axis)")
@@ -144,21 +172,20 @@ def _check_grid(spec, where: str, out: list) -> None:
     if cells is None and res is None:
         out.append(f"{where} needs 'cells' or 'resolution'")
     if cells is not None and (
-        not isinstance(cells, list)
-        or len(cells) != n
-        or not all(isinstance(c, int) and c >= 1 for c in cells)
+        not isinstance(cells, list) or len(cells) != n or not all(_is_int(c, 1) for c in cells)
     ):
         out.append(f"{where}.cells must be {n} positive integers")
-    if res is not None and not (isinstance(res, int) and res >= 1):
+    if res is not None and not _is_int(res, 1):
         out.append(f"{where}.resolution must be a positive integer")
-    if isinstance(box, list) and all(_is_point(ax, 2) for ax in box):
-        counts = cells if isinstance(cells, list) else [res] * n if isinstance(res, int) else None
-        if counts and len(counts) == n and all(isinstance(c, int) and c >= 1 for c in counts):
-            spans = [(hi - lo) / c for (lo, hi), c in zip(box, counts)]
+    if isinstance(box, list) and len(box) == n and all(_is_point(ax, 2) for ax in box):
+        counts = cells if isinstance(cells, list) else [res] * n
+        if len(counts) == n and all(_is_int(c, 1) for c in counts):
+            spans = [(float(hi) - lo) / c for (lo, hi), c in zip(box, counts)]
             if max(spans) - min(spans) > 1e-9 * max(spans):
                 out.append(f"{where} cell size must be uniform across axes (adjust box or cells)")
     if "region" in spec:
         _check_region(spec["region"], f"{where}.region", out)
+    return n
 
 
 def _check_mapping(spec, where: str, n, out: list) -> None:
@@ -166,32 +193,69 @@ def _check_mapping(spec, where: str, n, out: list) -> None:
         out.append(f"{where} must be an object with a 'family' field")
         return
     fam = spec["family"]
-    if fam == "identity":
-        return
-    if fam == "affine":
-        mat = spec.get("matrix")
-        ok = (
-            isinstance(mat, list)
-            and len(mat) in (2, 3)
-            and all(_is_point(row, len(mat)) for row in mat)
-        )
-        if not ok:
-            out.append(f"{where}.matrix must be a square 2x2 or 3x3 number matrix")
-        if not _is_point(spec.get("shift")):
-            out.append(f"{where}.shift must be a coordinate list")
-        if ok and n is not None and len(mat) != n:
-            out.append(f"{where}.matrix must be {n}x{n} to act on the grid")
-    elif fam == "radial_power":
-        if not (_is_num(spec.get("alpha")) and spec["alpha"] > 0):
-            out.append(f"{where}.alpha must be a positive number")
-        if not _is_point(spec.get("center")):
-            out.append(f"{where}.center must be a coordinate list")
-    else:
+    if not (isinstance(fam, str) and fam in _MAPPING_FIELDS):
         out.append(f"{where}.family {fam!r} is not a known mapping family")
+        return
+    ok = _has_fields(spec, _MAPPING_FIELDS[fam], where, out)
+    if fam == "affine" and not _is_matrix(spec.get("matrix")):
+        out.append(f"{where}.matrix must be a list of number rows of equal length")
+        ok = False
+    mapping = _built(build_mapping, spec, where, out) if ok else None
+    if isinstance(mapping, Affine) and n is not None and mapping.matrix.shape[0] != n:
+        out.append(f"{where}.matrix must be {n}x{n} to act on the grid")
+
+
+# The optional solver fields: (key, structural check, what it asks for).
+_SOLVER_FIELDS = (
+    ("max_iterations", _is_int, "an integer"),
+    ("rel_tol", _is_num, "a number"),
+    ("eps_schedule", _is_point, "a list of numbers"),
+)
+
+
+def _check_solver(spec, out: list) -> None:
+    if not isinstance(spec, dict):
+        out.append("solver must be an object")
+        return
+    bad = [f"solver.{k} must be {what}" for k, ok, what in _SOLVER_FIELDS if k in spec and not ok(spec[k])]
+    out.extend(bad)
+    if not bad:
+        _built(build_solver, spec, "solver", out)
+
+
+def _check_ring(spec, where: str, out: list, benchmark: bool = False) -> None:
+    """The ``ring`` section or, with ``benchmark``, one calibration benchmark."""
+    if not isinstance(spec, dict):
+        out.append(f"{where} must be an object")
+        return
+    n, p, r1, r2 = (spec.get(k) for k in ("n", "p", "r1", "r2"))
+    if not (_is_int(n, 2) and n <= 3):
+        out.append(f"{where}.n must be 2 or 3")
+    if not (_is_num(p) and p > 1):
+        out.append(f"{where}.p must exceed 1")
+    if not (_is_num(r1) and _is_num(r2) and 0 < r1 < r2):
+        out.append(f"{where} requires 0 < r1 < r2")
+    if not benchmark:
+        return
+    has_half = _is_num(spec.get("half"))
+    if not has_half:
+        out.append(f"{where}.half must be a number")
+    resolutions = spec.get("resolutions")
+    if not (isinstance(resolutions, list) and resolutions and all(_is_int(r, 2) for r in resolutions)):
+        out.append(f"{where}.resolutions must be integers >= 2")
+    elif has_half and _is_num(r2):
+        _built(_build_benchmark, spec, where, out)
 
 
 def validate(config, command: str) -> list:
-    """All schema and range diagnostics for ``command``, without running anything."""
+    """All schema and range diagnostics for ``command``, without running anything.
+
+    Structural checks (types, required fields) are made here.  Ranges are
+    checked by building each region, mapping, solver option set and ring
+    benchmark with the same builders the commands use; each built object
+    reports its first constructor error as ``"<field path>: <message>"``.
+    Grids and condensers are not built.
+    """
     out: list = []
     if command not in COMMANDS:
         return [f"unknown command {command!r}"]
@@ -204,14 +268,10 @@ def validate(config, command: str) -> list:
         return out
 
     grid_n = None
-    if "grid" in config:
-        _check_grid(config["grid"], "grid", out)
-        if isinstance(config["grid"], dict) and config["grid"].get("n") in (2, 3):
-            grid_n = config["grid"]["n"]
-    if "image_grid" in config:
-        _check_grid(config["image_grid"], "image_grid", out)
-        if grid_n is None and isinstance(config["image_grid"], dict):
-            grid_n = config["image_grid"].get("n")
+    for key in ("grid", "image_grid"):
+        if key in config:
+            n = _check_grid(config[key], key, out)
+            grid_n = grid_n or n
 
     if "exponents" in config:
         exp = config["exponents"]
@@ -238,10 +298,9 @@ def validate(config, command: str) -> list:
             r1, r2 = cond.get("r1"), cond.get("r2")
             if not _is_point(cond.get("center")):
                 out.append("condenser.center must be a coordinate list")
-            if not (_is_num(r1) and r1 > 0):
-                out.append("condenser.r1 must be a positive number")
-            if not (_is_num(r2) and r2 > 0):
-                out.append("condenser.r2 must be a positive number")
+            for key, r in (("r1", r1), ("r2", r2)):
+                if not (_is_num(r) and r > 0):
+                    out.append(f"condenser.{key} must be a positive number")
             if _is_num(r1) and _is_num(r2) and r1 >= r2:
                 out.append("condenser.r1 must be smaller than condenser.r2")
         else:
@@ -255,45 +314,14 @@ def validate(config, command: str) -> list:
         _check_mapping(config["mapping"], "mapping", grid_n, out)
 
     if "solver" in config:
-        sol = config["solver"]
-        if not isinstance(sol, dict):
-            out.append("solver must be an object")
-        else:
-            if "max_iterations" in sol and not (
-                isinstance(sol["max_iterations"], int) and sol["max_iterations"] >= 1
-            ):
-                out.append("solver.max_iterations must be a positive integer")
-            if "rel_tol" in sol and not (_is_num(sol["rel_tol"]) and sol["rel_tol"] > 0):
-                out.append("solver.rel_tol must be positive")
-            if "eps_schedule" in sol:
-                sched = sol["eps_schedule"]
-                ok = (
-                    isinstance(sched, list)
-                    and sched
-                    and all(_is_num(e) and e > 0 for e in sched)
-                    and all(a > b for a, b in zip(sched, sched[1:]))
-                )
-                if not ok:
-                    out.append("solver.eps_schedule must be a strictly decreasing positive list")
+        _check_solver(config["solver"], out)
 
     if command == "ring":
-        ring = config["ring"]
-        if not isinstance(ring, dict):
-            out.append("ring must be an object")
-        else:
-            if ring.get("n") not in (2, 3):
-                out.append("ring.n must be 2 or 3")
-            if not (_is_num(ring.get("p")) and ring["p"] > 1):
-                out.append("ring.p must exceed 1")
-            r1, r2 = ring.get("r1"), ring.get("r2")
-            if not (_is_num(r1) and _is_num(r2) and 0 < r1 < r2):
-                out.append("ring requires 0 < r1 < r2")
+        _check_ring(config["ring"], "ring", out)
 
     if command == "modulus":
         mod = config["modulus"]
-        if not isinstance(mod, dict) or not (
-            isinstance(mod.get("curve_count"), int) and mod["curve_count"] >= 1
-        ):
+        if not isinstance(mod, dict) or not _is_int(mod.get("curve_count"), 1):
             out.append("modulus.curve_count must be a positive integer")
 
     if command == "access":
@@ -310,7 +338,7 @@ def validate(config, command: str) -> list:
                 out.append("probe.e_region is required")
             else:
                 _check_region(probe["e_region"], "probe.e_region", out)
-            if not (isinstance(probe.get("count"), int) and probe["count"] >= 1):
+            if not _is_int(probe.get("count"), 1):
                 out.append("probe.count must be a positive integer")
             if "constant" in probe and not (_is_num(probe["constant"]) and probe["constant"] > 0):
                 out.append("probe.constant must be positive")
@@ -324,7 +352,7 @@ def validate(config, command: str) -> list:
             if not isinstance(pts, list) or not pts or not all(_is_point(p) for p in pts):
                 out.append("cluster.points must be a nonempty list of coordinate lists")
             for key in ("sequences", "depth"):
-                if not (isinstance(clu.get(key), int) and clu[key] >= 1):
+                if not _is_int(clu.get(key), 1):
                     out.append(f"cluster.{key} must be a positive integer")
 
     if command == "calibrate" and "calibration" in config:
@@ -335,30 +363,11 @@ def validate(config, command: str) -> list:
                 out.append("calibration.benchmarks must be a nonempty list")
             else:
                 for i, b in enumerate(benches):
-                    where = f"calibration.benchmarks[{i}]"
-                    if not isinstance(b, dict):
-                        out.append(f"{where} must be an object")
-                        continue
-                    if b.get("n") not in (2, 3):
-                        out.append(f"{where}.n must be 2 or 3")
-                    if not (_is_num(b.get("p")) and b["p"] > 1):
-                        out.append(f"{where}.p must exceed 1")
-                    r1, r2, half = b.get("r1"), b.get("r2"), b.get("half")
-                    if not (_is_num(r1) and _is_num(r2) and 0 < r1 < r2):
-                        out.append(f"{where} requires 0 < r1 < r2")
-                    if not (_is_num(half) and _is_num(r2) and half > r2):
-                        out.append(f"{where}.half must exceed r2")
-                    resolutions = b.get("resolutions")
-                    if not (
-                        isinstance(resolutions, list)
-                        and resolutions
-                        and all(isinstance(r, int) and r >= 2 for r in resolutions)
-                    ):
-                        out.append(f"{where}.resolutions must be integers >= 2")
+                    _check_ring(b, f"calibration.benchmarks[{i}]", out, benchmark=True)
 
     if "tau" in config and not (_is_num(config["tau"]) and config["tau"] > 0):
         out.append("tau must be a positive number")
-    if "seed" in config and not (isinstance(config["seed"], int) and config["seed"] >= 0):
+    if "seed" in config and not _is_int(config["seed"], 0):
         out.append("seed must be a nonnegative integer")
     return out
 
@@ -414,14 +423,12 @@ def build_condenser(spec: dict, grid: GridDomain) -> Condenser:
 
 def build_solver(spec: dict | None) -> SolverOptions:
     spec = spec or {}
-    kwargs = {}
-    if "max_iterations" in spec:
-        kwargs["max_iterations"] = spec["max_iterations"]
-    if "rel_tol" in spec:
-        kwargs["rel_tol"] = spec["rel_tol"]
-    if "eps_schedule" in spec:
-        kwargs["eps_schedule"] = tuple(spec["eps_schedule"])
-    return SolverOptions(**kwargs)
+    return SolverOptions(**{key: spec[key] for key, _, _ in _SOLVER_FIELDS if key in spec})
+
+
+def _build_benchmark(spec: dict) -> RingBenchmark:
+    scalars = {k: spec[k] for k in ("n", "p", "r1", "r2", "half")}
+    return RingBenchmark(**scalars, resolutions=tuple(spec["resolutions"]))
 
 
 def build_benchmarks(config: dict):
@@ -429,14 +436,4 @@ def build_benchmarks(config: dict):
     benches = cal.get("benchmarks")
     if not benches:
         return None
-    return tuple(
-        RingBenchmark(
-            n=b["n"],
-            p=b["p"],
-            r1=b["r1"],
-            r2=b["r2"],
-            half=b["half"],
-            resolutions=tuple(b["resolutions"]),
-        )
-        for b in benches
-    )
+    return tuple(_build_benchmark(b) for b in benches)

@@ -79,8 +79,7 @@ def verify_capacity_inequality(
     The image grid is the condenser's own domain; ``source_grid`` hosts the
     pulled-back condenser and the distortion quadrature.
     """
-    if not 1 < q <= p:
-        raise DomainError(f"exponents must satisfy 1 < q <= p, got p={p}, q={q}")
+    ExponentPair(source_grid.n, p, q)  # DomainError unless 1 < q <= p
     if source_grid.n != c_image.domain.n:
         raise DomainError("source and image grids must share the dimension")
     c_source = pullback_condenser(m, c_image, source_grid)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, GeometryError
+from .exponents import ExponentPair
 from .grid import Condenser, GridDomain, rasterize
 
 J_MIN = 1e-12  # below this |J| a cell counts as degenerate, not just small
@@ -190,8 +191,7 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
     Raises DegenerateError when flagged cells (|J| ~ 0 with |Dphi| > 0)
     exceed 1% of the domain volume.
     """
-    if not 1 < q <= p:
-        raise DomainError(f"distortion exponents must satisfy 1 < q <= p, got p={p}, q={q}")
+    ExponentPair(dom.n, p, q)  # DomainError unless 1 < q <= p
     jd = m.jacobian(dom.inside_centers, dom.n)
     op = np.asarray(jd.op_norm, dtype=float)
     det = np.abs(np.asarray(jd.jac_det, dtype=float))
