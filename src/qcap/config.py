@@ -109,9 +109,10 @@ _MAPPING_FIELDS = {
 }
 
 
-def _has_fields(spec: dict, fields, where: str, out: list) -> bool:
+def _has_fields(spec: dict, fields, where: str, out: list, n=None) -> bool:
     points, numbers = fields
-    bad = [f"{where}.{k} must be a coordinate list" for k in points if not _is_point(spec.get(k))]
+    shape = f" of length {n}" if n else ""
+    bad = [f"{where}.{k} must be a coordinate list{shape}" for k in points if not _is_point(spec.get(k), n)]
     bad += [f"{where}.{k} must be a number" for k in numbers if not _is_num(spec.get(k))]
     out.extend(bad)
     return not bad
@@ -126,7 +127,7 @@ def _built(build, spec, where: str, out: list):
         return None
 
 
-def _check_region(spec, where: str, out: list) -> None:
+def _check_region(spec, where: str, out: list, n=None) -> None:
     if not isinstance(spec, dict) or "type" not in spec:
         out.append(f"{where} must be an object with a 'type' field")
         return
@@ -135,17 +136,17 @@ def _check_region(spec, where: str, out: list) -> None:
         if "of" not in spec:
             out.append(f"{where}.of is required for a complement")
         else:
-            _check_region(spec["of"], f"{where}.of", out)
+            _check_region(spec["of"], f"{where}.of", out, n)
     elif t in ("union", "intersection"):
         parts = spec.get("parts")
         if not isinstance(parts, list) or not parts:
             out.append(f"{where}.parts must be a nonempty list of regions")
         else:
             for i, part in enumerate(parts):
-                _check_region(part, f"{where}.parts[{i}]", out)
+                _check_region(part, f"{where}.parts[{i}]", out, n)
     elif not (isinstance(t, str) and t in _REGION_FIELDS):
         out.append(f"{where}.type {t!r} is not a known region type")
-    elif _has_fields(spec, _REGION_FIELDS[t], where, out):
+    elif _has_fields(spec, _REGION_FIELDS[t], where, out, n):
         _built(build_region, spec, where, out)
 
 
@@ -184,7 +185,7 @@ def _check_grid(spec, where: str, out: list):
             if max(spans) - min(spans) > 1e-9 * max(spans):
                 out.append(f"{where} cell size must be uniform across axes (adjust box or cells)")
     if "region" in spec:
-        _check_region(spec["region"], f"{where}.region", out)
+        _check_region(spec["region"], f"{where}.region", out, n)
     return n
 
 
@@ -196,7 +197,8 @@ def _check_mapping(spec, where: str, n, out: list) -> None:
     if not (isinstance(fam, str) and fam in _MAPPING_FIELDS):
         out.append(f"{where}.family {fam!r} is not a known mapping family")
         return
-    ok = _has_fields(spec, _MAPPING_FIELDS[fam], where, out)
+    # An affine shift is sized by its matrix, and the matrix by the grid (below).
+    ok = _has_fields(spec, _MAPPING_FIELDS[fam], where, out, None if fam == "affine" else n)
     if fam == "affine" and not _is_matrix(spec.get("matrix")):
         out.append(f"{where}.matrix must be a list of number rows of equal length")
         ok = False
@@ -296,8 +298,7 @@ def validate(config, command: str) -> list:
             out.append("condenser.type must be 'ring' or 'regions'")
         elif cond["type"] == "ring":
             r1, r2 = cond.get("r1"), cond.get("r2")
-            if not _is_point(cond.get("center")):
-                out.append("condenser.center must be a coordinate list")
+            _has_fields(cond, (("center",), ()), "condenser", out, grid_n)
             for key, r in (("r1", r1), ("r2", r2)):
                 if not (_is_num(r) and r > 0):
                     out.append(f"condenser.{key} must be a positive number")
@@ -308,7 +309,7 @@ def validate(config, command: str) -> list:
                 if key not in cond:
                     out.append(f"condenser.{key} region is required")
                 else:
-                    _check_region(cond[key], f"condenser.{key}", out)
+                    _check_region(cond[key], f"condenser.{key}", out, grid_n)
 
     if "mapping" in config:
         _check_mapping(config["mapping"], "mapping", grid_n, out)
@@ -329,15 +330,14 @@ def validate(config, command: str) -> list:
         if not isinstance(probe, dict):
             out.append("probe must be an object")
         else:
-            if not _is_point(probe.get("x0")):
-                out.append("probe.x0 must be a coordinate list")
+            _has_fields(probe, (("x0",), ()), "probe", out, grid_n)
             r_u, r_v = probe.get("r_u"), probe.get("r_v")
             if not (_is_num(r_u) and _is_num(r_v) and 0 < r_v < r_u):
                 out.append("probe requires 0 < r_v < r_u")
             if "e_region" not in probe:
                 out.append("probe.e_region is required")
             else:
-                _check_region(probe["e_region"], "probe.e_region", out)
+                _check_region(probe["e_region"], "probe.e_region", out, grid_n)
             if not _is_int(probe.get("count"), 1):
                 out.append("probe.count must be a positive integer")
             if "constant" in probe and not (_is_num(probe["constant"]) and probe["constant"] > 0):

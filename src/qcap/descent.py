@@ -4,14 +4,14 @@ Minimizes a smooth function over a convex set given by a projection
 operator.  Steps are projected gradient steps x -> P(x - alpha * g) with the
 spectral (BB1) step length, safeguarded by Armijo backtracking along the
 projection arc, so the iteration is monotone.  Termination is by relative
-decrease of the objective over a trailing window, which is robust for the
-flat valleys near a p-Dirichlet minimizer.  The modulus program is its one
-caller; capacities are solved by CG and Newton in the capacity module.
+decrease of the objective over a trailing window.  Its one caller in the
+package is the Lagrange dual of the sampled modulus program (``modulus``);
+capacities are solved by CG and Newton in the capacity module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class DescentResult:
     value: float
     iterations: int
     converged: bool
-    history: list = field(repr=False, default_factory=list)
 
 
 def minimize_projected(f, grad, project, x0, options: DescentOptions | None = None) -> DescentResult:
@@ -105,4 +104,4 @@ def minimize_projected(f, grad, project, x0, options: DescentOptions | None = No
             if drop <= opts.rel_tol * max(abs(history[-1]), 1e-300):
                 converged = True
                 break
-    return DescentResult(x=x, value=fx, iterations=it, converged=converged, history=history)
+    return DescentResult(x=x, value=fx, iterations=it, converged=converged)

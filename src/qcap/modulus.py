@@ -8,13 +8,16 @@ Discretely, for a finite family of polylines,
     s.t.      sum_{segments of gamma} rho(cell at segment midpoint) * len >= 1
               for every curve gamma, and rho >= 0.
 
-The program is solved by projected BB descent on a quadratic-penalty form
-with an increasing penalty schedule, then the density is scaled so every
-constraint holds exactly; the scaled objective is therefore a certified
-upper bound for the sampled program.  For the family of ALL curves joining
-condenser plates the modulus equals the capacity (Hesse, Shlyk), so a
-sampled subfamily gives a value sandwiched between 0 and the discrete
-capacity, approaching it as sampling and resolution grow.
+The program is solved through its Lagrange dual, one variable per curve:
+minimize (p-1) h^n sum_c rho(lam)^p - sum_i lam_i over lam >= 0, with
+rho(lam) = ((A^T lam)_+ / (p h^n))^(1/(p-1)) and A the curve-by-cell matrix
+of segment lengths, by projected BB descent from lam = 1.  Minus its value
+is a certified lower bound; rho(lam), scaled so its tightest constraint
+holds exactly, is admissible, and its energy is a certified upper bound
+(Albin, Poggi-Corradini, J. Anal. 24 (2016)).  For the family of ALL
+curves joining condenser plates the modulus equals the capacity (Hesse,
+Shlyk), so a sampled subfamily gives a value sandwiched between 0 and the
+discrete capacity, approaching it as sampling and resolution grow.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .descent import DescentOptions, minimize_projected
 from .exceptions import DomainError, GeometryError
 from .grid import Annulus, Ball, Complement, Condenser, GridDomain
 
-# Penalty weights of the successive descents, and the budget of each.
-MU_SCHEDULE = (10.0, 100.0, 1000.0)
-PENALTY_DESCENT = DescentOptions(max_iter=30000, rel_tol=1e-11)
+# Budget of the dual descent, and the largest relative gap between the
+# admissible value and the dual bound that counts as converged.
+DUAL_DESCENT = DescentOptions(max_iter=20000, rel_tol=1e-14)
+GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,25 +81,23 @@ class DensityField:
 @dataclass
 class ModulusResult:
     value: float
+    lower: float
     admissible_ok: bool
+    converged: bool
     iterations: int
     density: DensityField
 
 
-def _fibonacci_directions(count: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit vectors on the 2-sphere."""
+def _directions(n: int, count: int) -> np.ndarray:
+    """Equispaced angles in 2D; deterministic Fibonacci-sphere unit vectors in 3D."""
     i = np.arange(count)
+    if n == 2:
+        theta = 2 * math.pi * i / count
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     z = 1.0 - (2 * i + 1.0) / count
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     return np.stack([rho * np.cos(i * golden), rho * np.sin(i * golden), z], axis=1)
-
-
-def _directions(n: int, count: int) -> np.ndarray:
-    if n == 2:
-        theta = 2 * math.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return _fibonacci_directions(count)
 
 
 def _plate_reach(x0: np.ndarray, r_target: float, direction: np.ndarray, grid: GridDomain, outward: bool) -> float:
@@ -169,52 +171,45 @@ def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
 
 
 def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> ModulusResult:
-    """Solve the sampled modulus program; the result is admissible by construction.
+    """Bracket the sampled modulus program: lower <= optimum <= value.
 
-    An empty family has modulus 0 (the zero density is admissible).
+    ``value`` is the energy of an admissible density, ``lower`` the dual
+    value; the program itself is a lower estimate of the capacity.
+    ``converged``: the descent stopped and value - lower <= GAP_TOL * value.
+    An empty family has modulus 0.
     """
     if not p > 1:
         raise DomainError(f"modulus exponent must satisfy p > 1, got {p}")
     if len(fam) == 0:
-        return ModulusResult(0.0, True, 0, DensityField(grid, np.zeros(grid.inside_count)))
+        return ModulusResult(0.0, 0.0, True, True, 0, DensityField(grid, np.zeros(grid.inside_count)))
     a = _constraint_matrix(fam, grid)
-    at = a.T.tocsr()
     hn = grid.h**grid.n
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    rho = np.zeros(grid.inside_count)
-    covered = np.asarray((a != 0).sum(axis=0)).ravel() > 0
-    rho[covered] = 1.0 / row_sums.min()
 
-    total_iters = 0
-    for mu in MU_SCHEDULE:
+    def density(lam):
+        return (np.maximum(a.T @ lam, 0.0) / (p * hn)) ** (1.0 / (p - 1.0))
 
-        def objective(x, mu=mu):
-            shortfall = np.maximum(0.0, 1.0 - a @ x)
-            return hn * float(np.sum(x**p)) + mu * float(np.sum(shortfall**2))
+    def negated_dual(lam):
+        return (p - 1.0) * hn * float(np.sum(density(lam) ** p)) - float(np.sum(lam))
 
-        def gradient(x, mu=mu):
-            shortfall = np.maximum(0.0, 1.0 - a @ x)
-            return p * hn * x ** (p - 1.0) - 2.0 * mu * (at @ shortfall)
-
-        res = minimize_projected(
-            objective,
-            gradient,
-            lambda x: np.maximum(x, 0.0),
-            rho,
-            PENALTY_DESCENT,
-        )
-        rho = res.x
-        total_iters += res.iterations
-
+    res = minimize_projected(
+        negated_dual,
+        lambda lam: a @ density(lam) - 1.0,
+        lambda lam: np.maximum(lam, 0.0),
+        np.ones(len(fam)),
+        DUAL_DESCENT,
+    )
+    lower = -res.value
+    rho = density(res.x)
     # Feasibility repair: scale so the tightest constraint holds exactly.
     margins = a @ rho
     worst = float(margins.min())
     if worst <= 0:
-        return ModulusResult(math.inf, False, total_iters, DensityField(grid, rho))
+        return ModulusResult(math.inf, lower, False, False, res.iterations, DensityField(grid, rho))
     rho = rho * ((1.0 + 1e-12) / worst)
     admissible = bool((a @ rho).min() >= 1.0)
     value = hn * float(np.sum(rho**p))
-    return ModulusResult(value, admissible, total_iters, DensityField(grid, rho))
+    converged = res.converged and value - lower <= GAP_TOL * value
+    return ModulusResult(value, lower, admissible, converged, res.iterations, DensityField(grid, rho))
 
 
 def _ring_radii(c: Condenser) -> tuple[np.ndarray, float, float]:
@@ -241,7 +236,8 @@ def check_hesse_shlyk(
 
     The continuum statement is equality; discretely the sampled modulus must
     stay in (0, capacity * (1 + tau)] and grow toward the capacity with the
-    curve count.
+    curve count.  ``lower`` and ``gap`` give the modulus bracket; ``converged``
+    also requires that bracket to be certified.
     """
     center, r1, r2 = _ring_radii(c)
     if not np.array_equal(grid.mask, c.domain.mask) or grid.cells != c.domain.cells:
@@ -251,10 +247,12 @@ def check_hesse_shlyk(
     cap = solve_capacity(c, p, opts)
     return {
         "modulus": mod.value,
+        "lower": mod.lower,
+        "gap": (mod.value - mod.lower) / mod.value,
         "capacity": cap.value,
         "ratio": mod.value / cap.value,
         "curve_count": curve_count,
         "admissible_ok": mod.admissible_ok,
-        "converged": cap.converged,
+        "converged": cap.converged and mod.converged,
         "density": mod.density,
     }

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qcap.modulus
 from qcap import Annulus, Ball, Box, Identity, RadialPower, ring_capacity_exact
 from qcap.capacity import RingBenchmark
 from qcap.cli import main
@@ -248,6 +249,26 @@ def test_cli_reports_are_reproducible(tmp_path):
     first = path_a.read_bytes()
     _, _, path_b = run_cli(tmp_path, "cap", cfg)
     assert path_b.read_bytes() == first
+
+
+def test_cli_modulus_report_carries_a_certified_bracket(tmp_path, capsys, monkeypatch):
+    cfg = cap_config(modulus={"curve_count": 48})
+    code, report, path = run_cli(tmp_path, "modulus", cfg)
+    assert code == 0
+    res = report["result"]
+    assert res["converged"] and res["admissible_ok"]
+    assert 0.0 < res["lower"] <= res["modulus"] <= 1.05 * res["capacity"]
+    assert res["gap"] == pytest.approx((res["modulus"] - res["lower"]) / res["modulus"], rel=1e-12)
+    assert res["gap"] <= 1e-6
+    first = path.read_bytes()
+    run_cli(tmp_path, "modulus", cfg)
+    assert path.read_bytes() == first
+    # a bracket wider than the gap tolerance is a non-convergence that keeps the numbers
+    monkeypatch.setattr(qcap.modulus, "GAP_TOL", 0.0)
+    code, report, _ = run_cli(tmp_path, "modulus", cfg)
+    assert code == 3
+    assert report["result"]["lower"] == res["lower"] and not report["result"]["converged"]
+    capsys.readouterr()
 
 
 def test_cli_seed_flag_overrides_config(tmp_path):

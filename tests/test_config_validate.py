@@ -150,6 +150,28 @@ def test_affine_dimension_must_match_the_grid():
     assert diags == ["mapping.matrix must be 2x2 to act on the grid"]
 
 
+def test_points_must_match_the_grid_dimension(tmp_path, capsys):
+    point3 = [0.0, 0.0, 0.0]
+    cases = [
+        ("cap", "grid", dict(GRID2, region={"type": "ball", "center": point3, "r": 2.4}), "grid.region.center"),
+        ("cap", "condenser", {"type": "ring", "center": point3, "r1": 1.0, "r2": 2.0}, "condenser.center"),
+        ("kcoef", "mapping", {"family": "radial_power", "alpha": 2.0, "center": point3}, "mapping.center"),
+        ("access", "probe", dict(BASE["access"]["probe"], x0=point3), "probe.x0"),
+    ]
+    for command, section, value, where in cases:
+        cfg = with_section(command, section, value)
+        assert validate(cfg, command) == [f"{where} must be a coordinate list of length 2"], where
+    # the CLI stops at validation with exit 2 instead of failing inside numpy
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(with_section(*cases[0][:3])), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cap", "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads((out / "cap_report.json").read_text())["error"]
+    assert error["type"] == "validation"
+    assert error["diagnostics"] == ["grid.region.center must be a coordinate list of length 2"]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------- validate never raises
 
 NAMES = (

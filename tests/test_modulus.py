@@ -17,6 +17,7 @@ from qcap import (
     sample_radial_curves,
     solve_capacity,
 )
+from qcap.modulus import GAP_TOL
 
 
 def segment(x0, x1, k=40):
@@ -64,7 +65,8 @@ def test_empty_family_has_zero_modulus():
     g = GridDomain.box(2, (0.0, 0.0), (8, 8), 0.125)
     res = modulus_lower_bound(CurveFamily(()), 2.0, g)
     assert res.value == 0.0
-    assert res.admissible_ok
+    assert res.lower == 0.0
+    assert res.admissible_ok and res.converged
     np.testing.assert_array_equal(res.density.values, 0.0)
 
 
@@ -79,16 +81,27 @@ def test_modulus_matches_closed_form_on_disjoint_segments(p):
         )
     )
     res = modulus_lower_bound(fam, p, g)
-    assert res.admissible_ok
+    assert res.admissible_ok and res.converged
     want = closed_form_modulus(fam, p, g)
-    # the repaired density is admissible, so its energy can only sit above
-    # the exact family optimum, and the gap stays small
-    assert want * (1 - 1e-12) <= res.value <= want * (1 + 2e-4)
+    # the dual value and the repaired admissible density bracket the exact
+    # family optimum up to rounding, and the bracket is tight
+    assert res.lower <= want * (1 + 1e-12)
+    assert want * (1 - 1e-12) <= res.value <= want * (1 + 1e-6)
     # the reported density satisfies every constraint
     from qcap.modulus import _constraint_matrix
 
     mat = _constraint_matrix(fam, g)
     assert (mat @ res.density.values >= 1.0 - 1e-12).all()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_modulus_bracket_in_3d(p):
+    g = GridDomain.box(3, (-2.5,) * 3, (40,) * 3, 5.0 / 40)
+    fam = sample_radial_curves(Annulus((0.0, 0.0, 0.0), 1.0, 2.0), 200, g)
+    res = modulus_lower_bound(fam, p, g)
+    assert res.admissible_ok and res.converged
+    assert 0.0 < res.lower <= res.value
+    assert res.value - res.lower <= GAP_TOL * res.value
 
 
 def test_modulus_monotone_in_subfamilies():
