@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
 from .exceptions import DomainError, EmptySetError, GeometryError
@@ -57,9 +58,7 @@ class ClusterSetEstimate:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if len(pts) == 0:
             raise EmptySetError("cluster-set estimate needs at least one point")
-        diam = 0.0
-        for i in range(len(pts) - 1):
-            diam = max(diam, float(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1).max()))
+        diam = float(np.linalg.norm(pts[:, None] - pts[None], axis=-1).max())
         return cls(tuple(map(tuple, pts.tolist())), diam)
 
 
@@ -110,7 +109,7 @@ def sample_shell_continua(
         if grid.n == 2:
             direction = np.array([math.cos(t), math.sin(t)])
         else:
-            z = 1.0 - (2 * (i % candidates) + 1.0) / candidates
+            z = 1.0 - (2 * i + 1.0) / candidates
             rho = math.sqrt(max(0.0, 1 - z * z))
             direction = np.array([rho * math.cos(t), rho * math.sin(t), z])
         tube = _tube(x0 + radii[:, None] * direction, grid) & grid.mask
@@ -259,22 +258,13 @@ def estimate_cluster_set(
 
 
 def _merge_points(pts: np.ndarray, radius: float) -> ClusterSetEstimate:
-    """Union-find merge of points at the given radius; centroids survive."""
+    """Merge points joined by chains of steps at most ``radius``; group centroids survive.
+
+    The groups are the connected components of the radius graph, labelled
+    in order of their lowest point index, so the centroids keep that order.
+    """
     pts = np.atleast_2d(pts)
-    parent = list(range(len(pts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) <= radius:
-                parent[find(j)] = find(i)
-    groups: dict = {}
-    for i in range(len(pts)):
-        groups.setdefault(find(i), []).append(pts[i])
-    reps = np.array([np.mean(g, axis=0) for g in groups.values()])
+    near = np.linalg.norm(pts[:, None] - pts[None], axis=-1) <= radius
+    count, labels = connected_components(near, directed=False)
+    reps = np.array([pts[labels == k].mean(axis=0) for k in range(count)])
     return ClusterSetEstimate.from_points(reps)

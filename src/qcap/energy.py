@@ -159,58 +159,57 @@ def energy_hessian(u: np.ndarray, grid: GridDomain, params: EnergyParams, free: 
     with the b-minus-a scatter of ``energy_gradient``.  Only the faces with
     a free end and the cells on them are kept.  The energy is convex for
     p > 1, so H is positive semidefinite even where phi'' < 0 (p < 2).
+    At p = 2, phi'' = 0 for every eps and phi' = 1, so H is the constant
+    weighted graph Laplacian 2 h^(n-1) scatter_f[w_f dv_f]; the phi'' terms
+    are skipped there, which keeps H finite at eps = 0 where g vanishes.
     """
     p, h, n = params.p, grid.h, grid.n
     la, lb, w, cells = _free_faces(grid, free)
     g = cell_gradient_sq(u, grid)[cells] + params.eps**2
     d1 = (p / 2) * g ** ((p - 2) / 2)
-    d2 = ((p - 2) / 2) * d1 / g
-    uc = u[cells]
-    wd = w * (uc[lb] - uc[la]) / h
     k1 = h ** (n - 2) * w * (d1[la] + d1[lb])
-    # wdh = h^(n-1) w d makes s carry h^(n-1) as well; d2h divides it back out.
-    wdh = h ** (n - 1) * wd
-    d2h = d2 / h**n
     k, nf = cells.size, free.size
     ext = np.zeros(k)
+    if p == 2:
+        diag = np.bincount(la, weights=k1, minlength=k)
+        diag += np.bincount(lb, weights=k1, minlength=k)
+    else:
+        d2 = ((p - 2) / 2) * d1 / g
+        uc = u[cells]
+        wd = w * (uc[lb] - uc[la]) / h
+        # wdh = h^(n-1) w d makes s carry h^(n-1) as well; d2h divides it back out.
+        wdh = h ** (n - 1) * wd
+        d2h = d2 / h**n
+        # diag_j = h^(n-2) [sum_f w_f (phi'_a + phi'_b)
+        #                   + phi''_j (sum_f +-w_f d_f)^2 + sum_f phi''_other (w_f d_f)^2]
+        own = np.bincount(lb, weights=wd, minlength=k) - np.bincount(la, weights=wd, minlength=k)
+        wd2 = wd * wd
+        diag = np.bincount(la, weights=k1 + h ** (n - 2) * d2[lb] * wd2, minlength=k)
+        diag += np.bincount(lb, weights=k1 + h ** (n - 2) * d2[la] * wd2, minlength=k)
+        diag += h ** (n - 2) * d2 * own**2
 
     def apply(v: np.ndarray) -> np.ndarray:
         ext[:nf] = v
         dv = ext[lb]
         dv -= ext[la]
-        t = wdh * dv
-        s = np.bincount(la, weights=t, minlength=k)
-        s += np.bincount(lb, weights=t, minlength=k)
-        s *= d2h
-        t = s[la]
-        t += s[lb]
-        t *= wdh
-        dv *= k1
-        t += dv
+        if p == 2:
+            dv *= k1
+            t = dv
+        else:
+            t = wdh * dv
+            s = np.bincount(la, weights=t, minlength=k)
+            s += np.bincount(lb, weights=t, minlength=k)
+            s *= d2h
+            t = s[la]
+            t += s[lb]
+            t *= wdh
+            dv *= k1
+            t += dv
         out = np.bincount(lb, weights=t, minlength=k)[:nf]
         out -= np.bincount(la, weights=t, minlength=k)[:nf]
         return out
 
-    # diag_j = h^(n-2) [sum_f w_f (phi'_a + phi'_b)
-    #                   + phi''_j (sum_f +-w_f d_f)^2 + sum_f phi''_other (w_f d_f)^2]
-    own = np.bincount(lb, weights=wd, minlength=k) - np.bincount(la, weights=wd, minlength=k)
-    wd2 = wd * wd
-    diag = np.bincount(la, weights=k1 + h ** (n - 2) * d2[lb] * wd2, minlength=k)
-    diag += np.bincount(lb, weights=k1 + h ** (n - 2) * d2[la] * wd2, minlength=k)
-    diag += h ** (n - 2) * d2 * own**2
     return apply, diag[:nf]
-
-
-def quadratic_diagonal(grid: GridDomain) -> np.ndarray:
-    """Diagonal of the p = 2 energy's Hessian: 2 h^(n-2) times each cell's summed face weights."""
-    a, b = grid.face_pairs
-    m = grid.inside_count
-    total = np.bincount(a, minlength=m).astype(float)
-    total += np.bincount(b, minlength=m)
-    faces, weights = grid.cut_faces
-    np.add.at(total, a[faces], weights - 1.0)
-    np.add.at(total, b[faces], weights - 1.0)
-    return 2.0 * grid.h ** (grid.n - 2) * total
 
 
 # Field-level interface.

@@ -148,26 +148,19 @@ def sample_radial_curves(ring: Annulus, count: int, grid: GridDomain) -> CurveFa
 
 def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
     """Sparse curve-by-cell matrix of segment lengths at midpoint cells."""
-    rows = []
-    cols = []
-    vals = []
-    for i, curve in enumerate(fam.curves):
-        mids = 0.5 * (curve[1:] + curve[:-1])
-        lens = np.linalg.norm(np.diff(curve, axis=0), axis=1)
-        keep = lens > 0
-        mids, lens = mids[keep], lens[keep]
-        idx, valid = grid.locate(mids)
-        cells = grid.inside_index[tuple(np.moveaxis(idx, -1, 0))]
-        if not valid.all() or np.any(cells < 0):
-            raise GeometryError(f"curve {i} leaves the domain")
-        rows.append(np.full(len(lens), i))
-        cols.append(cells)
-        vals.append(lens)
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(fam), grid.inside_count),
-    )
-    return m.tocsr()
+    pts = np.concatenate(fam.curves)
+    ids = np.repeat(np.arange(len(fam)), [len(c) for c in fam.curves])
+    mids = 0.5 * (pts[1:] + pts[:-1])
+    lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    # Keep the segments inside one curve, and of positive length.
+    keep = (ids[1:] == ids[:-1]) & (lens > 0)
+    rows, mids, lens = ids[1:][keep], mids[keep], lens[keep]
+    idx, valid = grid.locate(mids)
+    cells = grid.inside_index[tuple(np.moveaxis(idx, -1, 0))]
+    out = ~valid | (cells < 0)
+    if out.any():
+        raise GeometryError(f"curve {rows[out.argmax()]} leaves the domain")
+    return sp.coo_matrix((lens, (rows, cells)), shape=(len(fam), grid.inside_count)).tocsr()
 
 
 def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> ModulusResult:

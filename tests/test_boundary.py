@@ -21,6 +21,7 @@ from qcap import (
     rasterize,
     sample_shell_continua,
 )
+from qcap.boundary import _merge_points
 from qcap.grid import connected
 
 
@@ -47,6 +48,16 @@ def test_cluster_estimate_from_points():
     assert pair.diameter == pytest.approx(5.0)
     with pytest.raises(EmptySetError):
         ClusterSetEstimate.from_points(np.zeros((0, 2)))
+
+
+def test_merge_points_chains_and_keeps_first_member_order():
+    # 0 and 1.8 are farther apart than the radius but chain through 0.9;
+    # the far point has the lowest index, so its group comes first
+    pts = np.array([[10.0, 0.0], [0.0, 0.0], [1.8, 0.0], [0.9, 0.0]])
+    est = _merge_points(pts, 1.0)
+    np.testing.assert_allclose(est.points, [[10.0, 0.0], [0.9, 0.0]], rtol=1e-15)
+    assert est.diameter == pytest.approx(9.1)
+    assert len(_merge_points(pts, 0.5).points) == 4
 
 
 def test_sample_shell_continua_basic():

@@ -173,15 +173,20 @@ def hessian_case(name, rng):
     return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7)
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize(
+    "p, eps", [(1.5, 1e-2), (3.0, 1e-2), (2.0, 1e-2), (2.0, 0.0)], ids=["1.5", "3.0", "2.0", "2.0-eps0"]
+)
 @pytest.mark.parametrize("case", ["ring", "masked", "3d"])
-def test_hessian_matches_gradient_differences(case, p):
+def test_hessian_matches_gradient_differences(case, p, eps):
     # H v on the restricted cells against central differences of the
     # gradient along v, and the returned diagonal against H e_j
     rng = np.random.default_rng(11)
     grid, free = hessian_case(case, rng)
-    params = EnergyParams(p, 1e-2)
+    params = EnergyParams(p, eps)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
+    if eps == 0:
+        # flat on the first half of the cells, so g = 0 on many of them
+        u[: u.size // 2] = 0.5
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
     apply, diag = energy_hessian(u, grid, params, free)

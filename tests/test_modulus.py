@@ -138,6 +138,10 @@ def test_curve_leaving_domain_raises():
     fam = CurveFamily((segment((-0.7, 0.0), (0.7, 0.0)),))  # crosses the hole
     with pytest.raises(GeometryError):
         modulus_lower_bound(fam, 2.0, g)
+    # only the second curve of two crosses the hole, and the error names it
+    fam = CurveFamily((segment((0.4, 0.0), (0.9, 0.0)), segment((0.0, -0.7), (0.0, 0.7))))
+    with pytest.raises(GeometryError, match="curve 1 "):
+        modulus_lower_bound(fam, 2.0, g)
 
 
 def test_sample_radial_curves_geometry():
