@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,7 @@ def _grid_desc(grid) -> dict:
 
 
 def _report_distortion(rep, p, q, tau) -> dict:
-    return {
-        "lhs": rep.lhs,
-        "rhs_K": rep.rhs_K,
-        "rhs_cap": rep.rhs_cap,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "passed": rep.passed,
-        "discretization_budget": rep.discretization_budget,
-        "converged": rep.converged,
-        "p": p,
-        "q": q,
-        "tau": tau,
-    }
+    return {**asdict(rep), "rhs": rep.rhs, "p": p, "q": q, "tau": tau}
 
 
 def _run_cap(cfg, rng):
@@ -136,27 +125,18 @@ def _run_kcoef(cfg, rng):
     return result, [], True
 
 
-def _run_distort(cfg, rng):
+def _run_inequality(cfg, rng):
+    """``distort`` checks an image condenser's pullback to the source grid;
+    ``dual`` checks a source condenser's image under the inverse mapping."""
+    dual = cfg["command"] == "dual"
     source = build_grid(cfg["grid"])
     image = build_grid(cfg["image_grid"])
-    c_image = build_condenser(cfg["condenser"], image)
+    host, other = (source, image) if dual else (image, source)
+    verify = verify_dual_inequality if dual else verify_capacity_inequality
+    cond = build_condenser(cfg["condenser"], host)
     p, q = cfg["exponents"]["p"], cfg["exponents"]["q"]
     tau = cfg.get("tau", DEFAULT_TAU)
-    rep = verify_capacity_inequality(
-        build_mapping(cfg["mapping"]), c_image, p, q, source, build_solver(cfg.get("solver")), tau
-    )
-    return _report_distortion(rep, p, q, tau), [], rep.converged
-
-
-def _run_dual(cfg, rng):
-    source = build_grid(cfg["grid"])
-    image = build_grid(cfg["image_grid"])
-    c_source = build_condenser(cfg["condenser"], source)
-    p, q = cfg["exponents"]["p"], cfg["exponents"]["q"]
-    tau = cfg.get("tau", DEFAULT_TAU)
-    rep = verify_dual_inequality(
-        build_mapping(cfg["mapping"]), c_source, p, q, image, build_solver(cfg.get("solver")), tau
-    )
+    rep = verify(build_mapping(cfg["mapping"]), cond, p, q, other, build_solver(cfg.get("solver")), tau)
     return _report_distortion(rep, p, q, tau), [], rep.converged
 
 
@@ -234,8 +214,8 @@ _RUNNERS = {
     "cap": _run_cap,
     "ring": _run_ring,
     "kcoef": _run_kcoef,
-    "distort": _run_distort,
-    "dual": _run_dual,
+    "distort": _run_inequality,
+    "dual": _run_inequality,
     "modulus": _run_modulus,
     "access": _run_access,
     "cluster": _run_cluster,
@@ -260,42 +240,37 @@ def _emit(out_dir: str, command: str, report: dict) -> None:
     sys.stdout.write(path.read_text(encoding="utf-8"))
 
 
+def _fail(args, config, code: int, kind: str, **detail) -> int:
+    """Emit an error report without a result and return its exit code."""
+    report = make_report(args.command, config, error={"code": code, "type": kind, **detail})
+    _emit(args.out, args.command, report)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
         cfg = load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
-        report = make_report(
-            command,
-            {"config_path": str(args.config)},
-            error={"code": EXIT_VALIDATION, "type": type(exc).__name__, "message": str(exc)},
-        )
-        _emit(args.out, command, report)
-        return EXIT_VALIDATION
+        config = {"config_path": str(args.config)}
+        return _fail(args, config, EXIT_VALIDATION, type(exc).__name__, message=str(exc))
 
-    diagnostics = validate(cfg, command)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    resolved = {**cfg, "command": command, "seed": seed}
+    # The seed is validated as resolved; a non-object config is reported as loaded.
+    resolved = cfg
+    if isinstance(cfg, dict):
+        seed = cfg.get("seed", 0) if args.seed is None else args.seed
+        resolved = {**cfg, "command": command, "seed": seed}
+    diagnostics = validate(resolved, command)
     if diagnostics:
-        report = make_report(
-            command,
-            resolved,
-            error={"code": EXIT_VALIDATION, "type": "validation", "diagnostics": diagnostics},
-        )
-        _emit(args.out, command, report)
-        return EXIT_VALIDATION
+        return _fail(args, resolved, EXIT_VALIDATION, "validation", diagnostics=diagnostics)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(resolved["seed"])
     try:
         result, csvs, ok = _RUNNERS[command](resolved, rng)
     except tuple(EXIT_CODES) as exc:
         code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
-        report = make_report(
-            command, resolved, error={"code": code, "type": type(exc).__name__, "message": str(exc)}
-        )
-        _emit(args.out, command, report)
-        return code
+        return _fail(args, resolved, code, type(exc).__name__, message=str(exc))
 
     error = None
     code = EXIT_OK

@@ -8,9 +8,13 @@ image,
 
 Dual inequality: inside the exponent window n < q <= p < (n-1)^2/(n-2) the
 inverse mapping is weakly (q', p')-quasiconformal for the dual exponents
-p' = p/(p-n+1), q' = q/(q-n+1), giving for source condensers (F0, F1)
+p' = p/(p-n+1), q' = q/(q-n+1), so the direct inequality applied to
+phi^{-1} at the exponents (q', p') gives for source condensers (F0, F1)
 
     cp_{p'}^{1/p'}(phi F0, phi F1; image)  <=  K_{q',p'}(phi^{-1}; image) * cp_{q'}^{1/q'}(F0, F1; Omega).
+
+The dual check is therefore the direct check of phi^{-1}, run after the
+window test.
 
 Both sides carry independent discretization error, so a verification passes
 when slack = rhs - lhs >= -budget with budget = tau * (lhs + rhs).  The
@@ -22,13 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .capacity import SolverOptions, solve_capacity
 from .exceptions import DomainError, WindowError
-from .exponents import ExponentPair, dual_exponents, super_window_upper_bound
+from .exponents import ExponentPair, WindowClass, classify_window, dual_exponents
 from .grid import Condenser, GridDomain
-from .mappings import distortion_coefficient, inverse, pullback_condenser
+from .mappings import distortion_coefficient, pullback_condenser
 
 DEFAULT_TAU = 0.05
 
@@ -104,31 +106,16 @@ def verify_dual_inequality(
     opts: SolverOptions | None = None,
     tau: float = DEFAULT_TAU,
 ) -> DistortionReport:
-    """Check the dual inequality via the inverse mapping and dual exponents.
+    """Check the dual inequality: the direct check of ``m.inverse()`` with
+    ``c_source`` as the image condenser, ``image_grid`` as its source grid and
+    the dual exponents (q', p') in the roles of (p, q).
 
-    Raises WindowError unless n < q <= p < (n-1)^2/(n-2); at n = 2 the
-    window is empty.
+    Raises DomainError unless 1 < q <= p, and WindowError unless
+    n < q <= p < (n-1)^2/(n-2); at n = 2 the window is empty.
     """
     n = c_source.domain.n
-    if image_grid.n != n:
-        raise DomainError("source and image grids must share the dimension")
-    bound = super_window_upper_bound(n)
-    if bound is None:
-        raise WindowError(f"the dual-exponent window is empty at n={n}")
-    if not (n < q <= p < bound):
-        raise WindowError(
-            f"need n < q <= p < (n-1)^2/(n-2) = {bound:g}, got n={n}, p={p}, q={q}"
-        )
-    p_dual, q_dual = dual_exponents(ExponentPair(n, p, q))
-    m_inv = inverse(m)
-    c_forward = pullback_condenser(m_inv, c_source, image_grid)
-    lhs_res = solve_capacity(c_forward, p_dual, opts)
-    rhs_res = solve_capacity(c_source, q_dual, opts)
-    k = distortion_coefficient(m_inv, image_grid, q_dual, p_dual)
-    return _assemble(
-        lhs_res.value ** (1.0 / p_dual),
-        k.value,
-        rhs_res.value ** (1.0 / q_dual),
-        tau,
-        lhs_res.converged and rhs_res.converged,
-    )
+    pair = ExponentPair(n, p, q)
+    if classify_window(pair) is not WindowClass.SUPER_DIMENSIONAL:
+        raise WindowError(f"need n < q <= p < (n-1)^2/(n-2), empty at n = 2; got n={n}, p={p}, q={q}")
+    p_dual, q_dual = dual_exponents(pair)
+    return verify_capacity_inequality(m.inverse(), c_source, q_dual, p_dual, image_grid, opts, tau)

@@ -195,7 +195,7 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
     jd = m.jacobian(dom.inside_centers, dom.n)
     op = np.asarray(jd.op_norm, dtype=float)
     det = np.abs(np.asarray(jd.jac_det, dtype=float))
-    flagged = (det < J_MIN) & (op >= J_MIN)
+    flagged = jd.degenerate
     zero = (det < J_MIN) & ~flagged
     n_flagged = int(flagged.sum())
     if n_flagged > 0.01 * dom.inside_count:
@@ -216,7 +216,9 @@ def pullback_condenser(m, c_image: Condenser, source_grid: GridDomain) -> Conden
 
     Uses the analytic plate regions when the image condenser records them;
     otherwise falls back to membership of the forward-mapped cell centers in
-    the image cell sets.
+    the image cell sets.  On that fallback a source cell whose image center
+    leaves the image grid belongs to no plate, so the image grid must cover
+    the image of every source cell that should land in a plate.
     """
     plates = []
     regions = []

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import qcap.modulus
-from qcap import Annulus, Ball, Box, Identity, RadialPower, ring_capacity_exact
+from qcap import (
+    Annulus,
+    Ball,
+    Box,
+    Identity,
+    RadialPower,
+    ring_capacity_exact,
+    verify_capacity_inequality,
+    verify_dual_inequality,
+)
 from qcap.capacity import RingBenchmark
 from qcap.cli import main
 from qcap.config import (
@@ -271,6 +280,26 @@ def test_cli_modulus_report_carries_a_certified_bracket(tmp_path, capsys, monkey
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("loaded", [[1, 2], "text"], ids=["list", "string"])
+def test_cli_non_object_config_is_a_validation_error(tmp_path, capsys, loaded):
+    code, report, _ = run_cli(tmp_path, "cap", loaded)
+    assert code == 2
+    assert report["error"]["type"] == "validation"
+    assert report["error"]["diagnostics"] == ["config must be a JSON object"]
+    assert report["config"] == loaded
+    capsys.readouterr()
+
+
+def test_cli_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
+    cfg = {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0}}
+    code, report, _ = run_cli(tmp_path, "ring", cfg, "--seed", "-1")
+    assert code == 2
+    assert report["error"]["type"] == "validation"
+    assert report["error"]["diagnostics"] == ["seed must be a nonnegative integer"]
+    assert report["config"]["seed"] == -1
+    capsys.readouterr()
+
+
 def test_cli_seed_flag_overrides_config(tmp_path):
     cfg = {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0}, "seed": 7}
     code, report, _ = run_cli(tmp_path, "ring", cfg)
@@ -375,3 +404,111 @@ def test_cli_version(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith("qcap ")
+
+
+# ------------------------------------------------------- runner coverage
+
+ORIGIN3 = [0.0, 0.0, 0.0]
+
+
+def box_spec(n, half, cells):
+    return {"n": n, "box": [[-half, half]] * n, "cells": [cells] * n}
+
+
+def run_cli_twice(tmp_path, command, cfg):
+    """Exit code 0 and byte-identical reruns; returns the result section."""
+    code, report, path = run_cli(tmp_path, command, cfg)
+    assert code == 0, report.get("error")
+    first = path.read_bytes()
+    assert run_cli(tmp_path, command, cfg)[0] == 0
+    assert path.read_bytes() == first
+    return report["result"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (
+            "distort",
+            {
+                "grid": box_spec(2, 2.5, 24),
+                "image_grid": box_spec(2, 4.5, 24),
+                "condenser": {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 4.0},
+                "mapping": {"family": "radial_power", "alpha": 2.0, "center": [0.0, 0.0]},
+                "exponents": {"p": 2.0, "q": 2.0},
+            },
+        ),
+        (
+            "dual",
+            {
+                "grid": box_spec(3, 2.5, 10),
+                "image_grid": box_spec(3, 2.5, 10),
+                "condenser": {"type": "ring", "center": ORIGIN3, "r1": 0.8, "r2": 1.8},
+                "mapping": {"family": "radial_power", "alpha": 1.1, "center": ORIGIN3},
+                "exponents": {"p": 3.5, "q": 3.2},
+            },
+        ),
+    ],
+)
+def test_cli_inequality_reports_match_the_library(tmp_path, capsys, command, cfg):
+    res = run_cli_twice(tmp_path, command, cfg)
+    fields = {"lhs", "rhs_K", "rhs_cap", "rhs", "slack", "passed", "discretization_budget", "converged"}
+    assert set(res) == fields | {"p", "q", "tau"}
+    source, image = build_grid(cfg["grid"]), build_grid(cfg["image_grid"])
+    m, p, q = build_mapping(cfg["mapping"]), cfg["exponents"]["p"], cfg["exponents"]["q"]
+    opts = build_solver(None)
+    if command == "dual":
+        rep = verify_dual_inequality(m, build_condenser(cfg["condenser"], source), p, q, image, opts)
+    else:
+        rep = verify_capacity_inequality(m, build_condenser(cfg["condenser"], image), p, q, source, opts)
+    for key in ("lhs", "rhs_K", "rhs_cap", "slack"):
+        assert res[key] == getattr(rep, key)
+    assert res["rhs"] == rep.rhs
+    assert res["passed"] is rep.passed and res["converged"] is rep.converged
+    assert (res["p"], res["q"], res["tau"]) == (p, q, 0.05)
+    capsys.readouterr()
+
+
+def test_cli_access_runner(tmp_path, capsys):
+    b = 1.9 / math.sqrt(2)
+    cfg = {
+        "grid": {**box_spec(2, 2.2, 32), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}},
+        "exponents": {"p": 2.0},
+        "probe": {
+            "x0": [b, b],
+            "r_u": 0.9,
+            "r_v": 0.3,
+            "e_region": {"type": "ball", "center": [0.0, 0.0], "r": 0.5, "closed": True},
+            "count": 3,
+        },
+        "seed": 5,
+    }
+    res = run_cli_twice(tmp_path, "access", cfg)
+    assert {"delta_hat", "converged", "grid", "count"} <= set(res)
+    assert res["count"] == 3 and res["converged"] and res["delta_hat"] > 0
+    capsys.readouterr()
+
+
+def test_cli_cluster_runner(tmp_path, capsys):
+    cfg = {
+        "image_grid": {
+            **box_spec(2, 2.2, 64),
+            "region": {"type": "annulus", "center": [0.0, 0.0], "r1": 0.5, "r2": 2.0},
+        },
+        "mapping": {"family": "radial_power", "alpha": 2.0, "center": [0.0, 0.0]},
+        "cluster": {"points": [[2.0, 0.0], [0.0, -0.5]], "sequences": 3, "depth": 6},
+    }
+    res = run_cli_twice(tmp_path, "cluster", cfg)
+    assert set(res) == {"estimates", "max_diameter", "merge_radius", "grid"}
+    assert [e["at"] for e in res["estimates"]] == cfg["cluster"]["points"]
+    assert res["merge_radius"] == 2 * 4.4 / 64
+    capsys.readouterr()
+
+
+def test_cli_calibrate_runner(tmp_path, capsys):
+    bench = {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0, "half": 2.5, "resolutions": [16, 32]}
+    res = run_cli_twice(tmp_path, "calibrate", {"calibration": {"benchmarks": [bench]}})
+    assert set(res) == {"runs", "refinement_ratios", "tau_disc"}
+    assert [run["resolution"] for run in res["runs"]] == [16, 32]
+    assert res["tau_disc"] == max(run["rel_error"] for run in res["runs"])
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 """Composition inequalities for capacities under mappings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from qcap import (
     DomainError,
+    ExponentPair,
     GridDomain,
     Identity,
     RadialPower,
     SolverOptions,
     WindowError,
+    dual_exponents,
     make_ring_condenser,
     verify_capacity_inequality,
     verify_dual_inequality,
@@ -94,6 +97,8 @@ def test_dual_inequality_window_errors():
         verify_dual_inequality(Identity(), c3, 4.2, 3.5, g3, OPTS)  # p beyond 4
     with pytest.raises(WindowError):
         verify_dual_inequality(Identity(), c3, 3.5, 2.9, g3, OPTS)  # q not above n
+    with pytest.raises(DomainError):
+        verify_dual_inequality(Identity(), c3, 3.2, 3.5, g3, OPTS)  # q above p
 
 
 def test_dual_inequality_identity_runs():
@@ -119,3 +124,17 @@ def test_dual_inequality_radial_runs():
     )
     assert rep.converged
     assert rep.slack >= -rep.discretization_budget
+
+
+def test_dual_inequality_is_the_direct_check_of_the_inverse():
+    # the dual check at (p, q) is the direct check of the inverse at (q', p')
+    image = GridDomain.box(3, (-4.5,) * 3, (12,) * 3, 9.0 / 12)
+    source = grid3(2.5, 12)
+    c_source = make_ring_condenser((0.0, 0.0, 0.0), 1.0, 2.0, source)
+    m = RadialPower(2.0, (0.0, 0.0, 0.0))
+    p, q = 3.5, 3.2
+    dual = verify_dual_inequality(m, c_source, p, q, image, OPTS)
+    p_dual, q_dual = dual_exponents(ExponentPair(3, p, q))
+    direct = verify_capacity_inequality(m.inverse(), c_source, q_dual, p_dual, image, OPTS)
+    assert dataclasses.asdict(dual) == dataclasses.asdict(direct)
+    assert dual.converged

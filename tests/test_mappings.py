@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from qcap import (
     Affine,
     Annulus,
     Ball,
+    Condenser,
     DegenerateError,
     DomainError,
     GridDomain,
@@ -215,3 +217,32 @@ def test_pullback_condenser_identity_roundtrip():
     pulled = pullback_condenser(Identity(), c, image)
     np.testing.assert_array_equal(pulled.E, c.E)
     np.testing.assert_array_equal(pulled.F, c.F)
+
+
+def test_pullback_condenser_without_regions():
+    # an image condenser that records no regions is pulled back cell by cell
+    image = GridDomain.box(2, (-4.5, -4.5), (96, 96), 9.0 / 96)
+    ring = make_ring_condenser((0.0, 0.0), 0.5, 1.9, image)
+    bare = Condenser(ring.E, ring.F, image)
+    same = pullback_condenser(Identity(), bare, image)
+    np.testing.assert_array_equal(same.E, ring.E)
+    np.testing.assert_array_equal(same.F, ring.F)
+    assert same.region_e is None and same.region_f is None
+
+    # away from the plate boundaries the cell path agrees with the region path
+    m = RadialPower(2.0, (0.0, 0.0))
+    source = GridDomain.box(2, (-1.45, -1.45), (64, 64), 2.9 / 64)
+    exact = pullback_condenser(m, ring, source)
+    cellwise = pullback_condenser(m, bare, source)
+    for want, got in ((exact.E, cellwise.E), (exact.F, cellwise.F)):
+        band = ndimage.binary_dilation(want) & ~ndimage.binary_erosion(want)
+        diff = want ^ got
+        assert not (diff & ~band).any()
+        assert diff.sum() <= 0.05 * want.sum()
+
+    # a source cell whose image leaves the image grid belongs to no plate
+    wide = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
+    _, landed = image.locate(m.evaluate(wide.all_centers()))
+    cellwise = pullback_condenser(m, bare, wide)
+    assert not (cellwise.E | cellwise.F)[~landed].any()
+    assert (pullback_condenser(m, ring, wide).F & ~landed).any()
