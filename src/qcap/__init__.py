@@ -66,9 +66,6 @@ from .mappings import (
     MappedRegion,
     RadialPower,
     distortion_coefficient,
-    evaluate,
-    inverse,
-    jacobian,
     pullback_condenser,
 )
 from .modulus import (

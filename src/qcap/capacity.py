@@ -4,27 +4,27 @@ cp_p(E, F; Omega) is the infimum of the p-Dirichlet energy over fields that
 are 0 on E and 1 on F.  The discrete version minimizes the regularized
 energy of the energy module over the free cells, with the plate boundaries
 placed on the faces they cut (see the grid module); the reported value is
-the raw regularized energy at the final eps (the recorded ``final_eps``
+the raw regularized energy at the solver's eps (the recorded ``final_eps``
 lets callers judge the leftover inflation).
 
-For p != 2 the minimizer is a damped inexact Newton method, one stage per
-entry of a continuation schedule driving the smoothing eps down, each stage
-warm-started from the last.  A Newton step solves the Hessian system of the
-energy module (matrix-free, restricted to the free cells) by
-Jacobi-preconditioned CG to a forcing tolerance, then backtracks from the
-full step until the Armijo condition holds for the field clipped to [0, 1].
-A stage ends when half the Newton decrement, -grad.s / 2, is at most
-``rel_tol`` times the energy: the remaining suboptimality, to second order.
-There ``iterations`` counts Newton steps and ``energy_history`` holds each
-stage's start energy and the energy after each of its steps.
+For p != 2 the minimizer is a damped inexact Newton method at the one
+smoothing eps of the solver options, started from the normalized grid
+distance field.  A Newton step solves the Hessian system of the energy
+module (matrix-free, restricted to the free cells) by Jacobi-preconditioned
+CG to a forcing tolerance, then backtracks from the full step until the
+Armijo condition holds for the field clipped to [0, 1].  The solve ends
+when half the Newton decrement, -grad.s / 2, is at most ``rel_tol`` times
+the energy: the remaining suboptimality, to second order.  There
+``iterations`` counts Newton steps and ``energy_history`` holds the start
+energy and the energy after each step.
 For p = 2 eps only adds the constant eps^2 h^n per cell, so the energy is
 one quadratic whose minimizer lies in [0, 1] by the discrete maximum
-principle: one exact Newton step from the plate field at the final eps,
-with the same Hessian operator and CG as the p != 2 steps, the CG run to
-convergence instead of to a forcing tolerance.  There ``iterations``
-counts CG steps and ``energy_history`` holds the energy after each, which
-CG decreases monotonically; the stopping rule is the relative decrease
-over a 10-step window.
+principle: one exact Newton step from the plate field, with the same
+Hessian operator and CG as the p != 2 steps, the CG run to convergence
+instead of to a forcing tolerance.  There ``iterations`` counts CG steps
+and ``energy_history`` holds the energy after each, which CG decreases
+monotonically; the stopping rule is the relative decrease over a 10-step
+window.
 
 Closed-form capacities of spherical rings A(x0, r1, r2) serve as oracles:
 
@@ -63,51 +63,51 @@ NEWTON_CG_STEPS = 1000
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Budget and schedule of the capacity solve.
+    """Budget, stopping threshold and smoothing of the capacity solve.
 
-    ``max_iterations`` caps the total across all eps stages: Newton steps
-    for p != 2 (each one inner CG solve, capped internally), CG steps for
-    p = 2.  ``rel_tol`` is the per-stage stopping threshold: for p != 2 a
-    stage ends once half its Newton decrement is at most rel_tol |E|, for
-    p = 2 once the energy drops by at most rel_tol |E| over 10 steps.
-    ``eps_schedule`` must be strictly decreasing and positive, and p = 2
-    solves at its last entry only.
+    ``max_iterations`` caps the Newton steps for p != 2 (each one inner CG
+    solve, capped internally) and the CG steps for p = 2.  ``rel_tol`` is
+    the stopping threshold: for p != 2 the solve ends once half the Newton
+    decrement is at most rel_tol |E|, for p = 2 once the energy drops by at
+    most rel_tol |E| over 10 steps.  ``eps`` is the smoothing of the
+    regularized energy, positive and finite.
     """
 
     max_iterations: int = 40000
     rel_tol: float = 1e-9
-    eps_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+    eps: float = 1e-4
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_schedule", tuple(float(e) for e in self.eps_schedule))
+        object.__setattr__(self, "eps", float(self.eps))
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        sched = self.eps_schedule
-        if not sched or any(e <= 0 for e in sched) or any(a >= b for a, b in zip(sched[1:], sched)):
-            raise DomainError("eps_schedule must be strictly decreasing and positive")
+        if not 0 < self.eps < math.inf:
+            raise DomainError("eps must be positive and finite")
 
 
 @dataclass
 class CapacityResult:
     """Capacity value (units length^(n-p)) with solve diagnostics.
 
-    ``energy_history`` concatenates the per-stage monotone energy traces,
-    each a start value plus one entry per Newton step (p != 2) or CG step
-    (p = 2, one stage at the final eps); ``history_eps`` records the
-    smoothing eps in force at each entry.  ``iterations`` is the total
-    number of those steps.  ``converged`` means that for p != 2 every stage
-    ended on its Newton decrement test, and for p = 2 that the CG stall
-    test fired, each within ``max_iterations``.
+    ``energy_history`` is the monotone energy trace of the solve: a start
+    value plus one entry per Newton step (p != 2) or CG step (p = 2), all
+    at ``final_eps``, the smoothing eps of the solve; ``history_eps`` lists
+    that eps once per entry.  ``iterations`` is the number of those steps.
+    ``converged`` means that for p != 2 the Newton decrement test held, and
+    for p = 2 that the CG stall test fired, each within ``max_iterations``.
     """
 
     value: float
     iterations: int
     final_eps: float
     energy_history: list = field(repr=False)
-    history_eps: list = field(repr=False)
     converged: bool
+
+    @property
+    def history_eps(self) -> list:
+        return [self.final_eps] * len(self.energy_history)
 
 
 def _distance_init(cond: Condenser) -> np.ndarray:
@@ -126,11 +126,10 @@ def _distance_init(cond: Condenser) -> np.ndarray:
 def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None) -> CapacityResult:
     """Minimize the regularized p-energy over fields pinned to 0/1 on the plates.
 
-    For p != 2 runs one damped Newton stage per eps in the schedule,
-    warm-starting each from the last, and reports the final stage's energy;
-    for p = 2 solves the quadratic once at the final eps.  ``converged`` is
-    False when the total iteration budget ran out first, or when a Newton
-    line search found no decrease before the stage's decrement test held.
+    For p != 2 runs damped Newton from the distance field, for p = 2 solves
+    the quadratic once, both at ``opts.eps``.  ``converged`` is False when
+    the iteration budget ran out first, or when a Newton line search found
+    no decrease before the decrement test held.
     """
     if not p > 1:
         raise DomainError(f"capacity exponent must satisfy p > 1, got {p}")
@@ -144,8 +143,8 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     base = np.zeros(m)
     base[cond.f_indices] = 1.0
     if free.size == 0:
-        history = [energy_value(base, grid, EnergyParams(p, eps)) for eps in opts.eps_schedule]
-        return CapacityResult(history[-1], 0, opts.eps_schedule[-1], history, list(opts.eps_schedule), True)
+        energy = energy_value(base, grid, EnergyParams(p, opts.eps))
+        return CapacityResult(energy, 0, opts.eps, [energy], True)
     if p == 2:
         return _solve_quadratic(grid, free, base, opts)
     return _solve_newton(grid, free, _distance_init(cond), p, opts)
@@ -202,7 +201,7 @@ def _newton_step(
 
 
 def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
-    """p = 2: one exact Newton step from the plate field at the final eps.
+    """p = 2: one exact Newton step from the plate field.
 
     The energy is quadratic, so the Hessian of ``energy_hessian`` is
     constant and base + s minimizes it for the s solving H s = -grad.  The
@@ -210,8 +209,7 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
     alpha (r.z)/2; the history tracks it that way, the CG runs until that
     drop stalls, and the value is the energy of the final field.
     """
-    eps = opts.eps_schedule[-1]
-    params = EnergyParams(2.0, eps)
+    params = EnergyParams(2.0, opts.eps)
     energy = energy_value(base, grid, params)
     history = [energy]
 
@@ -229,76 +227,49 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
     step, it, converged = _newton_step(base, grad, grid, params, free, opts.max_iterations, stop)
     u = base.copy()
     u[free] += step
-    return CapacityResult(
-        value=energy_value(u, grid, params),
-        iterations=it,
-        final_eps=eps,
-        energy_history=history,
-        history_eps=[eps] * len(history),
-        converged=converged,
-    )
+    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged)
 
 
 def _solve_newton(
     grid: GridDomain, free: np.ndarray, u: np.ndarray, p: float, opts: SolverOptions
 ) -> CapacityResult:
-    """p != 2: one damped inexact Newton stage per eps, warm-started from the last.
+    """p != 2: damped inexact Newton at ``opts.eps``, started from u.
 
-    Each step solves H s = -grad to the forcing tolerance min(0.1,
-    sqrt|grad|) |grad| by Jacobi-preconditioned CG, then backtracks from the
-    full step until the Armijo condition holds for the field clipped to
-    [0, 1] (clipping never raises the energy, since it shrinks every face
-    difference).  A stage ends once half the Newton decrement, -grad.s / 2,
-    is at most rel_tol |E|; its last step is still taken.
+    Each step solves H s = -grad to the forcing tolerance min(0.1, |grad|)
+    |grad| by Jacobi-preconditioned CG, which keeps the local convergence
+    quadratic, then backtracks from the full step until the Armijo
+    condition holds for the field clipped to [0, 1] (clipping never raises
+    the energy, since it shrinks every face difference).  The solve ends
+    once half the Newton decrement, -grad.s / 2, is at most rel_tol |E|;
+    its last step is still taken.
     """
-    history: list = []
-    history_eps: list = []
-    total = 0
-    converged = True
-    for eps in opts.eps_schedule:
-        params = EnergyParams(p, eps)
-        energy = energy_value(u, grid, params)
-        history.append(energy)
-        history_eps.append(eps)
-        done = False
-        while not done:
-            if total >= opts.max_iterations:
-                converged = False
+    params = EnergyParams(p, opts.eps)
+    energy = energy_value(u, grid, params)
+    history = [energy]
+    converged = False
+    while not converged and len(history) <= opts.max_iterations:
+        grad = energy_gradient(u, grid, params)[free]
+        norm = float(np.linalg.norm(grad))
+        tol = min(0.1, norm) * norm
+        step, _, _ = _newton_step(
+            u, grad, grid, params, free, NEWTON_CG_STEPS, lambda _a, _rz, r: np.linalg.norm(r) <= tol
+        )
+        slope = float(grad @ step)
+        converged = -slope / 2 <= opts.rel_tol * abs(energy)
+        t = 1.0
+        while slope < 0 and t >= MIN_STEP:
+            trial = u.copy()
+            trial[free] = np.clip(u[free] + t * step, 0.0, 1.0)
+            trial_energy = energy_value(trial, grid, params)
+            if trial_energy <= energy + ARMIJO_C1 * t * slope:
+                u, energy = trial, trial_energy
+                history.append(energy)
                 break
-            grad = energy_gradient(u, grid, params)[free]
-            norm = float(np.linalg.norm(grad))
-            tol = min(0.1, math.sqrt(norm)) * norm
-            step, _, _ = _newton_step(
-                u, grad, grid, params, free, NEWTON_CG_STEPS, lambda _a, _rz, r: np.linalg.norm(r) <= tol
-            )
-            slope = float(grad @ step)
-            done = -slope / 2 <= opts.rel_tol * abs(energy)
-            t = 1.0
-            while slope < 0 and t >= MIN_STEP:
-                trial = u.copy()
-                trial[free] = np.clip(u[free] + t * step, 0.0, 1.0)
-                trial_energy = energy_value(trial, grid, params)
-                if trial_energy <= energy + ARMIJO_C1 * t * slope:
-                    u, energy = trial, trial_energy
-                    total += 1
-                    history.append(energy)
-                    history_eps.append(eps)
-                    break
-                t *= 0.5
-            else:
-                # No measurable decrease along the Newton direction.
-                converged = converged and done
-                done = True
-        if not converged:
+            t *= 0.5
+        else:
+            # No measurable decrease along the Newton direction.
             break
-    return CapacityResult(
-        value=energy,
-        iterations=total,
-        final_eps=history_eps[-1],
-        energy_history=history,
-        history_eps=history_eps,
-        converged=converged,
-    )
+    return CapacityResult(energy, len(history) - 1, opts.eps, history, converged)
 
 
 def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:

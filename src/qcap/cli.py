@@ -43,7 +43,7 @@ from .exceptions import (
     WindowError,
 )
 from .grid import Ball, rasterize
-from .mappings import distortion_coefficient, inverse
+from .mappings import distortion_coefficient
 from .modulus import check_hesse_shlyk
 from .report import make_report, write_csv, write_json
 
@@ -186,7 +186,7 @@ def _run_access(cfg, rng):
 
 def _run_cluster(cfg, rng):
     image = build_grid(cfg["image_grid"])
-    m_inv = inverse(build_mapping(cfg["mapping"]))
+    m_inv = build_mapping(cfg["mapping"]).inverse()
     clu = cfg["cluster"]
     estimates = []
     worst = 0.0

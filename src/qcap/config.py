@@ -11,7 +11,7 @@ A config is a JSON object whose sections feed the numeric modules:
                 {"family": "affine", "matrix", "shift"} |
                 {"family": "radial_power", "alpha", "center"}
     exponents   {"p", optional "q"}
-    solver      optional {"max_iterations", "rel_tol", "eps_schedule"}
+    solver      optional {"max_iterations", "rel_tol", "eps"}
     modulus     {"curve_count"}
     probe       {"x0", "r_u", "r_v", "e_region": REGION, "count",
                  optional "constant"}
@@ -28,6 +28,9 @@ REGION is {"type": "ball" | "annulus" | "box" | "sphere_shell" |
 fields and never raises.  It checks structure itself and leaves ranges to
 the constructors: it builds the regions, mappings, solver options and ring
 benchmarks (never grids or condensers) and reports their ``DomainError``s.
+A number is a finite JSON number: ``json`` reads the literals ``NaN`` and
+``Infinity``, and validation rejects them.  An unknown ``solver`` key is
+an error, so a misspelled or retired option never runs at its default.
 Builders assume a validated config.
 """
 
@@ -76,8 +79,8 @@ def load_config(path) -> dict:
 
 
 def _is_num(x) -> bool:
-    """A JSON number that converts to a float; booleans are not numbers."""
-    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+    """A JSON number that converts to a finite float; booleans are not numbers."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x, lo=-math.inf) -> bool:
@@ -211,7 +214,7 @@ def _check_mapping(spec, where: str, n, out: list) -> None:
 _SOLVER_FIELDS = (
     ("max_iterations", _is_int, "an integer"),
     ("rel_tol", _is_num, "a number"),
-    ("eps_schedule", _is_point, "a list of numbers"),
+    ("eps", _is_num, "a number"),
 )
 
 
@@ -219,7 +222,9 @@ def _check_solver(spec, out: list) -> None:
     if not isinstance(spec, dict):
         out.append("solver must be an object")
         return
-    bad = [f"solver.{k} must be {what}" for k, ok, what in _SOLVER_FIELDS if k in spec and not ok(spec[k])]
+    known = [k for k, _, _ in _SOLVER_FIELDS]
+    bad = [f"solver.{k} is not a solver option (known: {', '.join(known)})" for k in spec if k not in known]
+    bad += [f"solver.{k} must be {what}" for k, ok, what in _SOLVER_FIELDS if k in spec and not ok(spec[k])]
     out.extend(bad)
     if not bad:
         _built(build_solver, spec, "solver", out)

@@ -170,21 +170,6 @@ class MappedRegion:
         return self.region.contains(self.mapping.evaluate(pts))
 
 
-# Free-function spellings of the mapping operations.
-
-
-def evaluate(m, pts: np.ndarray) -> np.ndarray:
-    return m.evaluate(pts)
-
-
-def jacobian(m, pts: np.ndarray, n: int) -> JacobianData:
-    return m.jacobian(pts, n)
-
-
-def inverse(m):
-    return m.inverse()
-
-
 def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> DistortionCoefficient:
     """K_{p,q}(m; dom) by midpoint quadrature (q < p) or cell-center maximum (q = p).
 

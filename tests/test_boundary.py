@@ -16,7 +16,6 @@ from qcap import (
     RadialPower,
     boundary_layer,
     estimate_cluster_set,
-    inverse,
     probe_strong_accessibility,
     rasterize,
     sample_shell_continua,
@@ -188,7 +187,7 @@ def test_estimate_cluster_set_radial_preimage():
     g = GridDomain.box(
         2, (-2.2, -2.2), (128, 128), 4.4 / 128, Annulus((0.0, 0.0), 0.5, 2.0)
     )
-    m_inv = inverse(RadialPower(2.0, (0.0, 0.0)))
+    m_inv = RadialPower(2.0, (0.0, 0.0)).inverse()
     b = (0.5 * np.cos(1.1), 0.5 * np.sin(1.1))  # inner boundary circle
     est = estimate_cluster_set(m_inv, b, sequences=5, depth=10, grid=g)
     assert est.diameter < 3 * g.h

@@ -36,12 +36,10 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(DomainError):
         SolverOptions(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SolverOptions(eps_schedule=(1e-2, 1e-1))
-    with pytest.raises(DomainError):
-        SolverOptions(eps_schedule=(1e-2, -1e-3))
-    with pytest.raises(DomainError):
-        SolverOptions(eps_schedule=())
+    assert SolverOptions(eps=1).eps == 1.0
+    for eps in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SolverOptions(eps=eps)
 
 
 def quad_ring_capacity(n, p, r1, r2):
@@ -268,8 +266,12 @@ def test_p2_solve_matches_direct_solve():
     assert res.value == pytest.approx(energy_value(u, grid, params), rel=1e-10)
 
 
+# The reference's own continuation: each stage warm-starts the next.
+BB_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
 def bb_capacity(cond, p, opts=TIGHT):
-    """Projected-BB reference: descent through the eps schedule on the same energy."""
+    """Projected-BB reference: descent through ``BB_EPS_SCHEDULE`` on the same energy."""
     grid = cond.domain
     fixed = np.zeros(grid.inside_count, dtype=bool)
     fixed[cond.e_indices] = True
@@ -282,7 +284,7 @@ def bb_capacity(cond, p, opts=TIGHT):
         out[free] = x
         return out
 
-    for eps in opts.eps_schedule:
+    for eps in BB_EPS_SCHEDULE:
         params = EnergyParams(p, eps)
         res = minimize_projected(
             lambda x: energy_value(assemble(x), grid, params),
@@ -311,6 +313,37 @@ def test_newton_matches_projected_bb(n, p, cells):
     bb = bb_capacity(cond, p)
     assert res.value <= bb * (1 + 4 * np.finfo(float).eps)
     assert res.value == pytest.approx(bb, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_solver_eps_is_the_solve_eps(p, monkeypatch):
+    # every entry of the history and the value are at the one eps set
+    fields = []
+
+    def recording(u, grid, params):
+        fields.append(u.copy())
+        return energy_value(u, grid, params)
+
+    monkeypatch.setattr(qcap.capacity, "energy_value", recording)
+    g = GridDomain.box(2, (-2.5, -2.5), (24, 24), 5.0 / 24)
+    cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+    res = solve_capacity(cond, p, SolverOptions(eps=1e-3))
+    assert res.converged
+    assert res.final_eps == 1e-3
+    assert res.history_eps == [1e-3] * len(res.energy_history)
+    assert res.value == energy_value(fields[-1], cond.domain, EnergyParams(p, 1e-3))
+
+
+def test_all_plate_condenser_takes_no_steps():
+    g = GridDomain.box(2, (0.0, 0.0), (2, 3), 1.0)
+    e = np.zeros(g.cells, dtype=bool)
+    e[0, :] = True
+    cond = Condenser(e, ~e, g)
+    for p in (1.5, 2.0):
+        res = solve_capacity(cond, p, SolverOptions(eps=1e-3))
+        assert res.converged and res.iterations == 0
+        assert res.energy_history == [res.value] and res.history_eps == [1e-3]
+        assert res.value == energy_value(cond.F[g.mask].astype(float), g, EnergyParams(p, 1e-3))
 
 
 def test_newton_budget_reports_nonconvergence():

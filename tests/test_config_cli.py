@@ -105,8 +105,22 @@ def test_validate_grid_spec():
 def test_validate_solver_spec():
     bad = cap_config(solver={"max_iterations": 0})
     assert any("max_iterations" in d for d in validate(bad, "cap"))
-    bad = cap_config(solver={"eps_schedule": [1e-4, 1e-1]})
-    assert any("strictly decreasing" in d for d in validate(bad, "cap"))
+    bad = cap_config(solver={"eps": 0.0})
+    assert validate(bad, "cap") == ["solver: eps must be positive and finite"]
+    bad = cap_config(solver={"eps": [1e-3]})
+    assert validate(bad, "cap") == ["solver.eps must be a number"]
+
+
+def test_validate_rejects_unknown_solver_keys(tmp_path, capsys):
+    # the retired continuation schedule must not run silently at the default eps
+    cfg = cap_config(solver={"eps_schedule": [1e-1, 1e-4], "rel_tol": 1e-8})
+    diagnostic = "solver.eps_schedule is not a solver option (known: max_iterations, rel_tol, eps)"
+    assert validate(cfg, "cap") == [diagnostic]
+    code, report, _ = run_cli(tmp_path, "cap", cfg)
+    assert code == 2
+    assert report["error"]["diagnostics"] == [diagnostic]
+    assert "result" not in report
+    capsys.readouterr()
 
 
 def test_validate_ring_command():
@@ -202,11 +216,11 @@ def test_build_condenser_regions():
 
 def test_build_solver_defaults_and_overrides():
     opts = build_solver(None)
-    assert opts.max_iterations >= 1000 and opts.eps_schedule[0] > opts.eps_schedule[-1]
-    opts = build_solver({"max_iterations": 7, "rel_tol": 1e-6, "eps_schedule": [0.1, 0.01]})
+    assert opts.max_iterations >= 1000 and opts.eps == 1e-4
+    opts = build_solver({"max_iterations": 7, "rel_tol": 1e-6, "eps": 1e-3})
     assert opts.max_iterations == 7
     assert opts.rel_tol == 1e-6
-    assert opts.eps_schedule == (0.1, 0.01)
+    assert opts.eps == 1e-3
 
 
 def test_build_benchmarks():
@@ -511,4 +525,42 @@ def test_cli_calibrate_runner(tmp_path, capsys):
     assert set(res) == {"runs", "refinement_ratios", "tau_disc"}
     assert [run["resolution"] for run in res["runs"]] == [16, 32]
     assert res["tau_disc"] == max(run["rel_error"] for run in res["runs"])
+    capsys.readouterr()
+
+
+# ``json`` reads the literals NaN and Infinity; each one is a validation error.
+NON_FINITE = [
+    (
+        "distort",
+        {
+            "grid": box_spec(2, 2.5, 8),
+            "image_grid": box_spec(2, 4.5, 8),
+            "condenser": {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 4.0},
+            "mapping": {"family": "identity"},
+            "exponents": {"p": 2.0, "q": 2.0},
+            "tau": math.inf,
+        },
+        "tau must be a positive number",
+    ),
+    ("ring", {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": math.inf}}, "ring requires 0 < r1 < r2"),
+    (
+        "cap",
+        cap_config(grid={"n": 2, "box": [[-math.inf, 3.0], [-2.5, 2.5]], "cells": [32, 32]}),
+        "grid.box must be 2 pairs [lo, hi] with lo < hi",
+    ),
+    ("cap", cap_config(exponents={"p": math.nan}), "exponents.p must be a number"),
+    ("cap", cap_config(solver={"eps": math.nan}), "solver.eps must be a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, diagnostic", NON_FINITE, ids=["tau-inf", "ring-r2-inf", "box-lo-inf", "p-nan", "eps-nan"]
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, cfg, diagnostic):
+    code, report, _ = run_cli(tmp_path, command, cfg)
+    text = (tmp_path / f"{command}.json").read_text()
+    assert "Infinity" in text or "NaN" in text
+    assert code == 2
+    assert report["error"]["type"] == "validation"
+    assert report["error"]["diagnostics"] == [diagnostic]
     capsys.readouterr()

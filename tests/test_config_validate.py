@@ -249,7 +249,7 @@ SECTIONS = {
         obj(family="affine", matrix=shaped(st.lists(points, max_size=3)), shift=points),
         obj(family="radial_power", alpha=numbers, center=points),
     ),
-    "solver": obj(max_iterations=small_ints, rel_tol=numbers, eps_schedule=points),
+    "solver": obj(max_iterations=small_ints, rel_tol=numbers, eps=numbers),
     "probe": obj(x0=points, r_u=numbers, r_v=numbers, e_region=regions, count=small_ints),
     "cluster": obj(points=shaped(st.lists(points, max_size=3)), sequences=small_ints, depth=small_ints),
     "calibration": obj(benchmarks=shaped(st.lists(benchmarks, max_size=2))),
