@@ -10,13 +10,13 @@ lets callers judge the leftover inflation).
 For p != 2 the minimizer is a damped inexact Newton method at the one
 smoothing eps of the solver options, started from the normalized grid
 distance field.  A Newton step solves the Hessian system of the energy
-module (matrix-free, restricted to the free cells) by Jacobi-preconditioned
-CG to a forcing tolerance, then backtracks from the full step until the
-Armijo condition holds for the field clipped to [0, 1].  The solve ends
-when half the Newton decrement, -grad.s / 2, is at most ``rel_tol`` times
-the energy: the remaining suboptimality, to second order.  There
-``iterations`` counts Newton steps and ``energy_history`` holds the start
-energy and the energy after each step.
+module (sparse matrices on one pattern of the free cells, built once per
+solve) by Jacobi-preconditioned CG to a forcing tolerance, then backtracks
+from the full step until the Armijo condition holds for the field clipped
+to [0, 1].  The solve ends when half the Newton decrement, -grad.s / 2, is
+at most ``rel_tol`` times the energy: the remaining suboptimality, to
+second order.  There ``iterations`` counts Newton steps and
+``energy_history`` holds the start energy and the energy after each step.
 For p = 2 eps only adds the constant eps^2 h^n per cell, so the energy is
 one quadratic whose minimizer lies in [0, 1] by the discrete maximum
 principle: one exact Newton step from the plate field, with the same
@@ -47,7 +47,7 @@ import numpy as np
 
 # Unused here; kept as a module name because the benchmark's tracer patches it.
 from .descent import minimize_projected  # noqa: F401
-from .energy import EnergyParams, energy_gradient, energy_hessian, energy_value
+from .energy import EnergyParams, HessianPattern, energy_gradient, energy_hessian, energy_value, hessian_pattern
 from .exceptions import DomainError
 from .grid import Condenser, GridDomain, graph_distance, make_ring_condenser
 
@@ -150,6 +150,15 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     return _solve_newton(grid, free, _distance_init(cond), p, opts)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x.y summed by numpy's own loop, not BLAS.
+
+    The CG reductions are short vectors where a threaded BLAS dot gains
+    nothing and, on a loaded machine, waits for its worker threads.
+    """
+    return float(np.einsum("i,i->", x, y))
+
+
 def _pcg(apply, rhs: np.ndarray, inv_diag: np.ndarray, max_steps: int, stop):
     """Jacobi-preconditioned CG for apply(x) = rhs, started from x = 0.
 
@@ -163,13 +172,13 @@ def _pcg(apply, rhs: np.ndarray, inv_diag: np.ndarray, max_steps: int, stop):
     r = rhs.copy()
     z = inv_diag * r
     d = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     it = 0
     while it < max_steps:
         if rz <= 0.0:
             return x, it, True
         q = apply(d)
-        dq = float(d @ q)
+        dq = _dot(d, q)
         if dq <= 0.0:
             return x, it, True
         alpha = rz / dq
@@ -179,7 +188,7 @@ def _pcg(apply, rhs: np.ndarray, inv_diag: np.ndarray, max_steps: int, stop):
         if stop(alpha, rz, r):
             return x, it, True
         z = inv_diag * r
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         d *= rz_new / rz
         d += z
         rz = rz_new
@@ -187,27 +196,29 @@ def _pcg(apply, rhs: np.ndarray, inv_diag: np.ndarray, max_steps: int, stop):
 
 
 def _newton_step(
-    u: np.ndarray, grad: np.ndarray, grid: GridDomain, params: EnergyParams, free: np.ndarray, max_steps: int, stop
+    u: np.ndarray, grad: np.ndarray, grid: GridDomain, params: EnergyParams, pattern: HessianPattern, max_steps, stop
 ):
     """Newton step on the free cells: H s = -grad by Jacobi-preconditioned CG on ``energy_hessian`` at u.
 
     Returns ``_pcg``'s (s, steps, stopped) for at most ``max_steps`` steps
     and the test ``stop``: a forcing tolerance for the inexact p != 2 steps,
-    the energy stall test for the exact p = 2 step.  The Hessian's face
-    arrays live only for this call, so a solve holds one Hessian at a time.
+    the energy stall test for the exact p = 2 step.  ``pattern`` is the
+    solve's one Hessian pattern; the matrix values filled on it live only
+    for this call, so a solve holds one Hessian at a time.
     """
-    apply, diag = energy_hessian(u, grid, params, free)
+    apply, diag = energy_hessian(u, grid, params, pattern)
     return _pcg(apply, -grad, 1.0 / diag, max_steps, stop)
 
 
 def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
     """p = 2: one exact Newton step from the plate field.
 
-    The energy is quadratic, so the Hessian of ``energy_hessian`` is
-    constant and base + s minimizes it for the s solving H s = -grad.  The
-    energy of base + x is E0 + grad.x + x.Hx/2, so each CG step lowers it by
-    alpha (r.z)/2; the history tracks it that way, the CG runs until that
-    drop stalls, and the value is the energy of the final field.
+    The energy is quadratic, so the Hessian of ``energy_hessian`` is the
+    constant sparse graph Laplacian H1, filled once, and base + s minimizes
+    it for the s solving H s = -grad.  The energy of base + x is
+    E0 + grad.x + x.Hx/2, so each CG step lowers it by alpha (r.z)/2; the
+    history tracks it that way, the CG runs until that drop stalls, and the
+    value is the energy of the final field.
     """
     params = EnergyParams(2.0, opts.eps)
     energy = energy_value(base, grid, params)
@@ -224,7 +235,10 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
         )
 
     grad = energy_gradient(base, grid, params)[free]
-    step, it, converged = _newton_step(base, grad, grid, params, free, opts.max_iterations, stop)
+    # Built inline so that it is freed with the Hessian, before the final full-grid energy.
+    step, it, converged = _newton_step(
+        base, grad, grid, params, hessian_pattern(grid, free), opts.max_iterations, stop
+    )
     u = base.copy()
     u[free] += step
     return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged)
@@ -244,6 +258,7 @@ def _solve_newton(
     its last step is still taken.
     """
     params = EnergyParams(p, opts.eps)
+    pattern = hessian_pattern(grid, free)
     energy = energy_value(u, grid, params)
     history = [energy]
     converged = False
@@ -252,7 +267,7 @@ def _solve_newton(
         norm = float(np.linalg.norm(grad))
         tol = min(0.1, norm) * norm
         step, _, _ = _newton_step(
-            u, grad, grid, params, free, NEWTON_CG_STEPS, lambda _a, _rz, r: np.linalg.norm(r) <= tol
+            u, grad, grid, params, pattern, NEWTON_CG_STEPS, lambda _a, _rz, r: _dot(r, r) <= tol * tol
         )
         slope = float(grad @ step)
         converged = -slope / 2 <= opts.rel_tol * abs(energy)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import DomainError, SingularityError
 from .grid import Condenser, GridDomain
@@ -120,12 +121,43 @@ def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np
     return np.bincount(b, weights=coef, minlength=m) - np.bincount(a, weights=coef, minlength=m)
 
 
-def _free_faces(grid: GridDomain, free: np.ndarray):
-    """The faces with an end in ``free``, in local cell numbering.
+@dataclass(frozen=True)
+class HessianPattern:
+    """Sparsity of the energy Hessian on a fixed set of free cells.
 
-    Returns (la, lb, w, cells): the face ends as positions in ``cells``,
-    which lists ``free`` first and then the other cells on those faces, and
-    the face weights.
+    Local cell numbering lists the ``nf`` free cells first and then the
+    other cells on a face with a free end; ``cells`` maps it to the inside
+    enumeration.  ``la``, ``lb`` and ``w`` are those faces' ends in local
+    numbering and their weights.  The CSR pattern (``indptr``, ``indices``)
+    has one row per local cell and one column per free cell, and one slot
+    per free face end (row the face's other end, column the free end) plus
+    one per free cell's diagonal; its first ``nf`` rows are the free block.
+    Slot s takes its value from [x | y | diagonal][source[s]], for a
+    per-face array x read where the column is the face's b end, one y read
+    where it is the a end, and a per-free-cell diagonal.
+    """
+
+    nf: int
+    cells: np.ndarray
+    la: np.ndarray
+    lb: np.ndarray
+    w: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+
+    def matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
+        """The first ``rows`` rows of the pattern, filled from x, y and diag."""
+        end = self.indptr[rows]
+        data = np.concatenate([x, y, diag])[self.source[:end]]
+        return sp.csr_array((data, self.indices[:end], self.indptr[: rows + 1]), shape=(rows, self.nf))
+
+
+def hessian_pattern(grid: GridDomain, free: np.ndarray) -> HessianPattern:
+    """The ``HessianPattern`` of the faces with an end in ``free``.
+
+    Built once per solve: the free set, and with it every index array,
+    stays the same for all the Hessians of one solve.
     """
     a, b = grid.face_pairs
     m = grid.inside_count
@@ -141,75 +173,70 @@ def _free_faces(grid: GridDomain, free: np.ndarray):
     near[b[sel]] = True
     near[free] = False
     cells = np.concatenate([free, np.flatnonzero(near)])
-    local = np.empty(m, dtype=np.intp)
-    local[cells] = np.arange(cells.size)
-    return local[a[sel]], local[b[sel]], w, cells
+    local = np.empty(m, dtype=np.int32)
+    local[cells] = np.arange(cells.size, dtype=np.int32)
+    la, lb = local[a[sel]], local[b[sel]]
+    nf, nface = free.size, sel.size
+    slot_face = np.arange(nface, dtype=np.int32)
+    up, down = lb < nf, la < nf
+    diag = np.arange(nf, dtype=np.int32)
+    rows = np.concatenate([la[up], lb[down], diag])
+    cols = np.concatenate([lb[up], la[down], diag])
+    source = np.concatenate([slot_face[up], nface + slot_face[down], 2 * nface + diag])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(cells.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=cells.size), out=indptr[1:])
+    return HessianPattern(nf, cells, la, lb, w, indptr, cols[order], source[order])
 
 
-def energy_hessian(u: np.ndarray, grid: GridDomain, params: EnergyParams, free: np.ndarray):
-    """Hessian of ``energy_value`` at u on the cells ``free``, matrix-free.
+def energy_hessian(u: np.ndarray, grid: GridDomain, params: EnergyParams, pattern: HessianPattern):
+    """Hessian of ``energy_value`` at u on the free cells of ``pattern``.
 
-    Returns (apply, diagonal): apply(v) is (H v)[free] for a v that lives on
-    ``free`` (zero on every other cell), and diagonal is H's diagonal there.
-    With phi(g) = (g + eps^2)^(p/2), d and dv the face difference quotients
-    of u and v, and s_c = sum_{faces f at c} w_f d_f dv_f,
+    Returns (apply, diagonal): apply(v) is (H v)[free] for a v that lives
+    on the free cells (zero on every other cell), and diagonal is H's
+    diagonal there.  With phi(g) = (g + eps^2)^(p/2), d and dv the face
+    difference quotients of u and v, and s_c = sum_{faces f at c} w_f d_f dv_f,
 
         H v = h^(n-1) scatter_f[ w_f ((phi'_a + phi'_b) dv_f + (phi''_a s_a + phi''_b s_b) d_f) ]
 
-    with the b-minus-a scatter of ``energy_gradient``.  Only the faces with
-    a free end and the cells on them are kept.  The energy is convex for
+    with the b-minus-a scatter of ``energy_gradient``.  Both terms are
+    sparse matrices on the pattern: H1, the graph Laplacian with face
+    weights h^(n-2) w_f (phi'_a + phi'_b), on the free block, and M, the
+    map from v to the sums s_c (scaled by h^(n-1)) on every local cell, so
+    that H v = H1 v + M^T ((phi'' / h^n) M v).  The energy is convex for
     p > 1, so H is positive semidefinite even where phi'' < 0 (p < 2).
-    At p = 2, phi'' = 0 for every eps and phi' = 1, so H is the constant
-    weighted graph Laplacian 2 h^(n-1) scatter_f[w_f dv_f]; the phi'' terms
-    are skipped there, which keeps H finite at eps = 0 where g vanishes.
+    At p = 2, phi'' = 0 for every eps and phi' = 1, so H = H1 is the
+    constant weighted graph Laplacian; M is not built there, which keeps H
+    finite at eps = 0 where g vanishes.
     """
     p, h, n = params.p, grid.h, grid.n
-    la, lb, w, cells = _free_faces(grid, free)
-    g = cell_gradient_sq(u, grid)[cells] + params.eps**2
+    la, lb, nf, k = pattern.la, pattern.lb, pattern.nf, pattern.cells.size
+    g = cell_gradient_sq(u, grid)[pattern.cells] + params.eps**2
     d1 = (p / 2) * g ** ((p - 2) / 2)
-    k1 = h ** (n - 2) * w * (d1[la] + d1[lb])
-    k, nf = cells.size, free.size
-    ext = np.zeros(k)
+    k1 = h ** (n - 2) * pattern.w * (d1[la] + d1[lb])
+    diag = np.bincount(la, weights=k1, minlength=k)[:nf]
+    diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
+    h1 = pattern.matrix(-k1, -k1, diag, nf)
     if p == 2:
-        diag = np.bincount(la, weights=k1, minlength=k)
-        diag += np.bincount(lb, weights=k1, minlength=k)
-    else:
-        d2 = ((p - 2) / 2) * d1 / g
-        uc = u[cells]
-        wd = w * (uc[lb] - uc[la]) / h
-        # wdh = h^(n-1) w d makes s carry h^(n-1) as well; d2h divides it back out.
-        wdh = h ** (n - 1) * wd
-        d2h = d2 / h**n
-        # diag_j = h^(n-2) [sum_f w_f (phi'_a + phi'_b)
-        #                   + phi''_j (sum_f +-w_f d_f)^2 + sum_f phi''_other (w_f d_f)^2]
-        own = np.bincount(lb, weights=wd, minlength=k) - np.bincount(la, weights=wd, minlength=k)
-        wd2 = wd * wd
-        diag = np.bincount(la, weights=k1 + h ** (n - 2) * d2[lb] * wd2, minlength=k)
-        diag += np.bincount(lb, weights=k1 + h ** (n - 2) * d2[la] * wd2, minlength=k)
-        diag += h ** (n - 2) * d2 * own**2
+        return h1.dot, diag
+    uc = u[pattern.cells]
+    wdh = h ** (n - 2) * pattern.w * (uc[lb] - uc[la])
+    own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
+    own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
+    mv = pattern.matrix(wdh, -wdh, own, k)
+    d2h = ((p - 2) / 2) * d1 / g / h**n
+    mt = mv.T
+    # diag_j = H1_jj + sum_c d2h_c M_cj^2
+    diag = diag + sp.csr_array((mv.data**2, mv.indices, mv.indptr), shape=mv.shape).T @ d2h
 
     def apply(v: np.ndarray) -> np.ndarray:
-        ext[:nf] = v
-        dv = ext[lb]
-        dv -= ext[la]
-        if p == 2:
-            dv *= k1
-            t = dv
-        else:
-            t = wdh * dv
-            s = np.bincount(la, weights=t, minlength=k)
-            s += np.bincount(lb, weights=t, minlength=k)
-            s *= d2h
-            t = s[la]
-            t += s[lb]
-            t *= wdh
-            dv *= k1
-            t += dv
-        out = np.bincount(lb, weights=t, minlength=k)[:nf]
-        out -= np.bincount(la, weights=t, minlength=k)[:nf]
+        s = mv @ v
+        s *= d2h
+        out = h1 @ v
+        out += mt @ s
         return out
 
-    return apply, diag[:nf]
+    return apply, diag
 
 
 # Field-level interface.

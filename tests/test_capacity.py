@@ -24,7 +24,7 @@ from qcap import (
 import qcap.capacity
 from qcap.capacity import _distance_init
 from qcap.descent import DescentOptions, minimize_projected
-from qcap.energy import EnergyParams, energy_gradient, energy_value
+from qcap.energy import EnergyParams, energy_gradient, energy_value, hessian_pattern
 from qcap.grid import Complement
 
 TIGHT = SolverOptions(rel_tol=1e-13)
@@ -378,6 +378,35 @@ def test_newton_hard_exponents(p, monkeypatch):
     eps = np.asarray(res.history_eps)
     for stage in np.unique(eps):
         assert (np.diff(hist[eps == stage]) <= 0).all()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
+    # every Hessian of one solve is filled on the same free-cell pattern
+    calls = []
+
+    def counting(grid, free):
+        calls.append(free.size)
+        return hessian_pattern(grid, free)
+
+    monkeypatch.setattr(qcap.capacity, "hessian_pattern", counting)
+    g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
+    res = solve_capacity(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), p)
+    assert res.converged and res.iterations > 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "n, p, cells, value, steps",
+    [(2, 1.5, 48, 9.107293745254049, 7), (3, 3.0, 12, 21.511638045715973, 7)],
+)
+def test_newton_reproduces_recorded_values(n, p, cells, value, steps):
+    # values and Newton step counts recorded from the face-scatter Hessian
+    # products that the sparse-matrix products replaced
+    res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
+    assert res.converged
+    assert res.iterations == steps
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 def test_ring_benchmark_validation():

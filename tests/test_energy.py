@@ -17,7 +17,7 @@ from qcap import (
     project_admissible,
     rasterize,
 )
-from qcap.energy import energy_gradient, energy_hessian
+from qcap.energy import energy_gradient, energy_hessian, hessian_pattern
 from qcap.grid import Complement
 
 
@@ -189,7 +189,7 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         u[: u.size // 2] = 0.5
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
-    apply, diag = energy_hessian(u, grid, params, free)
+    apply, diag = energy_hessian(u, grid, params, hessian_pattern(grid, free))
     step = 1e-5
     fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
     fd /= 2 * step
@@ -199,6 +199,30 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         unit[j] = 1.0
         assert diag[j] == pytest.approx(apply(unit)[j], rel=1e-12)
         assert diag[j] > 0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_hessian_is_symmetric(case, p):
+    # w.Hv = v.Hw for the assembled H1 + M^T D M product
+    rng = np.random.default_rng(12)
+    grid, free = hessian_case(case, rng)
+    u = rng.uniform(0.0, 1.0, grid.inside_count)
+    apply, _ = energy_hessian(u, grid, EnergyParams(p, 1e-2), hessian_pattern(grid, free))
+    v, w = rng.normal(size=(2, free.size))
+    assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_hessian_diagonal_is_every_unit_product(p):
+    # the whole returned Jacobi diagonal, not a sample of it, against H e_j
+    rng = np.random.default_rng(13)
+    grid, free = hessian_case("masked", rng)
+    u = rng.uniform(0.0, 1.0, grid.inside_count)
+    apply, diag = energy_hessian(u, grid, EnergyParams(p, 1e-2), hessian_pattern(grid, free))
+    columns = np.array([apply(unit) for unit in np.eye(free.size)])
+    np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
+    assert (diag > 0).all()
 
 
 def test_quadratic_gradient_is_scaled_laplacian():

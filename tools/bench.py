@@ -1,0 +1,116 @@
+"""Run the benchmark's workloads and summarise them as ``BENCH_<label>.json``.
+
+    python3 tools/bench.py --label NAME [--parent DIR] [--runs N] [--seed S] [--root DIR]
+
+Each run is one untraced ``perfbench/run.py`` process of the length that
+``BENCHMARK.json`` sets, started in the checkout under test (``--root``, by
+default the one holding this script); its last two stdout lines are the
+record and the result.  For each workload of ``BENCHMARK.json``, run i
+uses seed S + i.  With ``--parent DIR`` every run is a pair: the same
+workload and seed in the parent checkout and in ``--root``, the side that
+goes first alternating from pair to pair, so that slow drift of the
+machine falls on both sides alike.
+
+The file lists, per workload and end-to-end metric, each side's samples,
+median and quartiles (sides ``change`` and ``parent``, or ``runs`` alone
+without a parent) and, with a parent, the number of pairs each side won
+(lower is better for every end-to-end metric; ties count for neither
+side), plus each side's fail fraction and the machine facts of its first
+run.  Run one bench at a time: the runs are timed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced benchmark run in ``root``: (record, result)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=root,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    record_line, result_line = proc.stdout.splitlines()[-2:]
+    return json.loads(record_line)["record"], json.loads(result_line)
+
+
+def summary(samples: list) -> dict:
+    if len(samples) == 1:
+        q1 = median = q3 = samples[0]
+    else:
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "samples": samples}
+
+
+def bench_workload(roots: dict, workload: str, runs: int, seed: int, seconds: float, metrics: list) -> dict:
+    samples = {side: {name: [] for name in metrics} for side in roots}
+    failed = {side: [0, 0] for side in roots}
+    machine = {}
+    sides = list(roots)
+    for i in range(runs):
+        for side in sides if i % 2 == 0 else sides[::-1]:
+            record, result = run_once(roots[side], workload, seed + i, seconds)
+            for name in metrics:
+                samples[side][name].append(result["metrics"][name]["value"])
+            failed[side][0] += result["failed"]
+            failed[side][1] += result["attempted"]
+            machine.setdefault(side, record["machine"])
+            print(workload, side, seed + i, {k: v[-1] for k, v in samples[side].items()}, file=sys.stderr, flush=True)
+    out = {"seeds": [seed + i for i in range(runs)], "metrics": {}}
+    for name in metrics:
+        entry = {side: summary(samples[side][name]) for side in sides}
+        if "parent" in roots:
+            entry["change_wins"] = sum(c < p for c, p in zip(samples["change"][name], samples["parent"][name]))
+            entry["parent_wins"] = sum(p < c for c, p in zip(samples["change"][name], samples["parent"][name]))
+        out["metrics"][name] = entry
+    out["fail_frac"] = {side: f / a for side, (f, a) in failed.items()}
+    out["machine"] = machine
+    return out
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout under test")
+    parser.add_argument("--parent", type=Path, help="parent checkout, run in alternating pairs with --root")
+    parser.add_argument("--runs", type=int, default=3, help="runs (or pairs) per workload")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first run; run i uses seed + i")
+    args = parser.parse_args(argv)
+    if args.runs < 1 or args.seed < 0:
+        parser.error("--runs must be at least 1 and --seed nonnegative")
+    if args.parent:
+        roots = {"change": args.root.resolve(), "parent": args.parent.resolve()}
+    else:
+        roots = {"runs": args.root.resolve()}
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    report = {
+        "label": args.label,
+        "seconds": bench["run_seconds"],
+        "runs": args.runs,
+        "paired": args.parent is not None,
+        "workloads": {
+            w["name"]: bench_workload(roots, w["name"], args.runs, args.seed, bench["run_seconds"], metrics)
+            for w in bench["workloads"]
+        },
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(out.name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
