@@ -9,9 +9,10 @@ property; the probe samples finitely many crossing continua and reports
     delta_hat = min over sampled continua of cp_p(E, F; Omega),
 
 a one-sided empirical estimate, together with the diagnostic geometric
-bound min(diam E, diam F) / (C * R^(1+p-n)) valid on domains enclosed in a
-ball of radius R (C is an unknown constant, so the bound is logged for
-comparison, never asserted).
+bound min(diam E, diam F) / R^(1+p-n) for domains enclosed in a ball of
+radius R.  The bound holds up to a constant C that theory does not pin
+down; it is reported at C = 1 for comparison, never asserted, and is null
+outside n-1 < p <= n, where it does not apply.
 
 The cluster set of an inverse mapping at an image boundary point b collects
 all limits of phi^{-1}(x_k) over sequences x_k -> b inside the image.  The
@@ -31,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
 from .exceptions import DomainError, EmptySetError, GeometryError
-from .grid import Condenser, GridDomain, connected, diameter, dilate_faces, rasterize
+from .grid import Condenser, GridDomain, connected, diameter, dilate_faces, directions, rasterize
 
 
 @dataclass
@@ -76,6 +77,18 @@ def _tube(points: np.ndarray, grid: GridDomain) -> np.ndarray:
     return dilate_faces(cells)
 
 
+def check_shell_radii(r_v: float, r_u: float) -> None:
+    """DomainError unless 0 < r_v < r_u: the radii of the shell the probe's continua cross."""
+    if not 0 < r_v < r_u:
+        raise DomainError(f"shell radii must satisfy 0 < r_v < r_u, got {r_v}, {r_u}")
+
+
+def _spread_order(count: int) -> list:
+    """0, ..., count - 1 in bit-reversed order, so that every prefix spreads over the range."""
+    bits = max(1, (count - 1).bit_length())
+    return sorted(range(count), key=lambda i: int(f"{i:0{bits}b}"[::-1], 2))
+
+
 def sample_shell_continua(
     x0,
     r_u: float,
@@ -86,13 +99,13 @@ def sample_shell_continua(
 ) -> list:
     """Thickened radial tubes crossing the shell between radii r_v and r_u.
 
-    Directions spread around x0 with a seeded random phase; directions whose
-    tube leaves the domain or fails to stay connected are skipped, and
-    candidates are drawn until ``count`` valid continua exist (GeometryError
-    when the domain admits too few).
+    The max(4 count, 16) candidate directions are ``grid.directions`` turned
+    by a seeded random phase, visited in bit-reversed order so that the
+    accepted ones spread around x0.  A direction whose tube misses the
+    domain or fails to stay connected is skipped; the first ``count`` valid
+    tubes are kept (GeometryError when the domain admits too few).
     """
-    if not 0 < r_v < r_u:
-        raise DomainError(f"shell radii must satisfy 0 < r_v < r_u, got {r_v}, {r_u}")
+    check_shell_radii(r_v, r_u)
     if count < 1:
         raise DomainError("need at least one continuum")
     rng = rng or np.random.default_rng(0)
@@ -101,18 +114,11 @@ def sample_shell_continua(
     h = grid.h
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
     out: list = []
-    candidates = max(4 * count, 16)
-    for i in range(candidates):
+    candidates = directions(grid.n, max(4 * count, 16), phase)
+    for i in _spread_order(len(candidates)):
         if len(out) == count:
             break
-        t = 2 * math.pi * i / candidates + phase
-        if grid.n == 2:
-            direction = np.array([math.cos(t), math.sin(t)])
-        else:
-            z = 1.0 - (2 * i + 1.0) / candidates
-            rho = math.sqrt(max(0.0, 1 - z * z))
-            direction = np.array([rho * math.cos(t), rho * math.sin(t), z])
-        tube = _tube(x0 + radii[:, None] * direction, grid) & grid.mask
+        tube = _tube(x0 + radii[:, None] * candidates[i], grid) & grid.mask
         if tube.any() and connected(tube):
             out.append(tube)
     if len(out) < count:
@@ -124,13 +130,13 @@ def probe_strong_accessibility(
     probe: AccessibilityProbe,
     grid: GridDomain,
     opts: SolverOptions | None = None,
-    C: float = 1.0,
 ) -> dict:
     """Capacity of (E, F) against every sampled crossing continuum F.
 
     Validates the probe geometry at cell level (V strictly inside U, each
     continuum connected and meeting both boundary layers), then reports the
-    minimum capacity delta_hat and the diagnostic geometric bound.
+    minimum capacity delta_hat and the diagnostic geometric bound at C = 1,
+    or None for p outside (n-1, n].
     """
     ras_u = rasterize(probe.U, grid)
     ras_v = rasterize(probe.V, grid)
@@ -166,7 +172,8 @@ def probe_strong_accessibility(
         delta_hat = min(delta_hat, res.value)
         min_diam_f = min(min_diam_f, d)
         all_converged = all_converged and res.converged
-    bound = accessibility_lower_bound(diam_e, min_diam_f, R, probe.p, grid.n, C)
+    applies = grid.n - 1 < probe.p <= grid.n
+    bound = accessibility_lower_bound(diam_e, min_diam_f, R, probe.p, grid.n) if applies else None
     return {
         "delta_hat": delta_hat,
         "geometric_bound": bound,

@@ -33,9 +33,10 @@ Closed-form capacities of spherical rings A(x0, r1, r2) serve as oracles:
             t = (p-n)/(p-1),
 
 positive on both sides of p = n and continuous across it.  A separate
-diagnostic bound min(diam E, diam F) / (C * R^{1+p-n}) estimates capacities
-from the plate geometry alone; its constant C is a free parameter, so the
-bound is reported for comparison, never asserted.
+diagnostic bound min(diam E, diam F) / R^{1+p-n} estimates capacities from
+the plate geometry alone.  It holds up to a constant C that theory does not
+pin down, so it is computed at C = 1 and reported for comparison, never
+asserted.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from .descent import minimize_projected  # noqa: F401
 from .energy import EnergyParams, HessianPattern, energy_gradient, energy_hessian, energy_value, hessian_pattern
 from .exceptions import DomainError
-from .grid import Condenser, GridDomain, graph_distance, make_ring_condenser
+from .grid import Condenser, GridDomain, check_ring_radii, graph_distance, make_ring_condenser
 
 SPHERE_MEASURE = {2: 2 * math.pi, 3: 4 * math.pi}
 # Iterations over which the relative energy decrease is compared with rel_tol.
@@ -131,8 +132,7 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     the iteration budget ran out first, or when a Newton line search found
     no decrease before the decrement test held.
     """
-    if not p > 1:
-        raise DomainError(f"capacity exponent must satisfy p > 1, got {p}")
+    EnergyParams(p)  # DomainError unless p > 1
     opts = opts or SolverOptions()
     grid = cond.domain
     m = grid.inside_count
@@ -295,10 +295,8 @@ def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
     """
     if n not in SPHERE_MEASURE:
         raise DomainError(f"only dimensions 2 and 3 are supported, got n={n}")
-    if not (0 < r1 < r2):
-        raise DomainError(f"ring radii must satisfy 0 < r1 < r2, got r1={r1}, r2={r2}")
-    if not p > 1:
-        raise DomainError(f"ring capacity requires p > 1, got {p}")
+    check_ring_radii(r1, r2)
+    EnergyParams(p)  # DomainError unless p > 1
     omega = SPHERE_MEASURE[n]
     ratio = math.log(r2 / r1)
     if p == n:
@@ -307,19 +305,18 @@ def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
     return omega * (t / (r1**t * math.expm1(t * ratio))) ** (p - 1)
 
 
-def accessibility_lower_bound(
-    diam_e: float, diam_f: float, R: float, p: float, n: int, C: float = 1.0
-) -> float:
-    """Diagnostic capacity lower bound min(diam E, diam F) / (C * R^(1+p-n)).
+def accessibility_lower_bound(diam_e: float, diam_f: float, R: float, p: float, n: int) -> float:
+    """Diagnostic capacity lower bound min(diam E, diam F) / R^(1+p-n), for p in (n-1, n].
 
-    The constant C is not pinned down by theory; results are for comparison
-    against computed capacities, not ground truth.
+    The bound holds up to a constant C that theory does not pin down; it is
+    given at C = 1, for comparison against computed capacities, not as
+    ground truth.
     """
-    if min(diam_e, diam_f, R, C) <= 0:
-        raise DomainError("diameters, radius and constant must all be positive")
+    if min(diam_e, diam_f, R) <= 0:
+        raise DomainError("diameters and radius must all be positive")
     if not n - 1 < p <= n:
         raise DomainError(f"the bound applies for p in (n-1, n], got p={p}, n={n}")
-    return min(diam_e, diam_f) / (C * R ** (1 + p - n))
+    return min(diam_e, diam_f) / R ** (1 + p - n)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +326,7 @@ def accessibility_lower_bound(
 
 @dataclass(frozen=True)
 class RingBenchmark:
-    """One concentric-ring solve in the box [-half, half]^n at several resolutions."""
+    """One concentric-ring solve in the box [-half, half]^n at several resolutions (p > 1, 0 < r1 < r2 < half)."""
 
     n: int
     p: float
@@ -340,6 +337,8 @@ class RingBenchmark:
 
     def __post_init__(self):
         object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
+        EnergyParams(self.p)
+        check_ring_radii(self.r1, self.r2)
         if self.half <= self.r2:
             raise DomainError("benchmark box must contain the outer sphere")
 

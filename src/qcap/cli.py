@@ -176,9 +176,7 @@ def _run_access(cfg, rng):
         p=cfg["exponents"]["p"],
         sampled_continua=continua,
     )
-    rep = probe_strong_accessibility(
-        probe, grid, build_solver(cfg.get("solver")), C=probe_cfg.get("constant", 1.0)
-    )
+    rep = probe_strong_accessibility(probe, grid, build_solver(cfg.get("solver")))
     rep["grid"] = _grid_desc(grid)
     rep["count"] = probe_cfg["count"]
     return rep, [], rep["converged"]

@@ -1,10 +1,10 @@
-"""Experiment configuration: JSON schema validation and object builders.
+"""Experiment configuration: one schema table, its validating walk, and the builders.
 
 A config is a JSON object whose sections feed the numeric modules:
 
     grid        {"n", "box": [[lo, hi], ...], "cells" | "resolution",
                  optional "region"}
-    image_grid  same shape as grid (distort, dual, cluster)
+    image_grid  same shape and same n as grid (distort, dual, cluster)
     condenser   {"type": "ring", "center", "r1", "r2"} or
                 {"type": "regions", "e": REGION, "f": REGION}
     mapping     {"family": "identity"} |
@@ -13,25 +13,36 @@ A config is a JSON object whose sections feed the numeric modules:
     exponents   {"p", optional "q"}
     solver      optional {"max_iterations", "rel_tol", "eps"}
     modulus     {"curve_count"}
-    probe       {"x0", "r_u", "r_v", "e_region": REGION, "count",
-                 optional "constant"}
+    probe       {"x0", "r_u", "r_v", "e_region": REGION, "count"}
     cluster     {"points": [[...], ...], "sequences", "depth"}
     ring        {"n", "p", "r1", "r2"}
     calibration optional {"benchmarks": [{"n","p","r1","r2","half","resolutions"}]}
-    tau, seed   optional scalars
+    tau, seed, csv  optional scalars
 
 REGION is {"type": "ball" | "annulus" | "box" | "sphere_shell" |
-"complement" | "union" | "intersection", ...} with the obvious parameters
-("of" for complement, "parts" for union/intersection).
+"complement" | "union" | "intersection", ...}.  ``_SCHEMA`` declares each
+field of each object once, with its kind, and the builders construct
+regions, mappings, solver options and benchmarks from the same entries.
 
-``validate`` returns human-readable diagnostics naming the offending
-fields and never raises.  It checks structure itself and leaves ranges to
-the constructors: it builds the regions, mappings, solver options and ring
-benchmarks (never grids or condensers) and reports their ``DomainError``s.
-A number is a finite JSON number: ``json`` reads the literals ``NaN`` and
-``Infinity``, and validation rejects them.  An unknown ``solver`` key is
-an error, so a misspelled or retired option never runs at its default.
-Builders assume a validated config.
+``validate`` walks a config against ``_SCHEMA`` and returns human-readable
+diagnostics with field paths; it never raises.  Every object reports a
+missing required field, a field of the wrong kind and a key it does not
+know (``<path>.<key> is not a <name> option (known: ...)``), so a
+misspelled or retired option never runs at its default.  A section that
+one command alone reads (ring, modulus, probe, cluster, calibration) is
+checked only for that command.  Its own rules are the field kinds and the
+grid's box and cell-size rules: a number is a finite JSON number (``json``
+reads the literals ``NaN`` and ``Infinity``), an integer is not a boolean,
+and every coordinate list has the config's one dimension n, which
+``image_grid`` shares with ``grid``.  Every other range is checked by the
+library function the run calls, reported as
+``"<field path>: <message>"``: ``EnergyParams`` (p > 1), ``ExponentPair``
+(1 < q <= p), ``check_dual_window`` (the ``dual`` window),
+``check_ring_radii`` (0 < r1 < r2 in the ring section, ring condensers and
+benchmarks), ``check_shell_radii`` (0 < r_v < r_u), and the constructors
+of the regions, mappings, solver options and benchmarks.  Grids and
+condensers are built only when a command runs, so their geometry errors
+exit with code 4.  Builders assume a validated config.
 """
 
 from __future__ import annotations
@@ -40,9 +51,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+from .boundary import check_shell_radii
 from .capacity import RingBenchmark, SolverOptions
-from .exceptions import DomainError
+from .energy import EnergyParams
+from .exceptions import DomainError, WindowError
+from .exponents import ExponentPair, check_dual_window
 from .grid import (
     Annulus,
     Ball,
@@ -53,6 +68,7 @@ from .grid import (
     Intersection,
     SphereShell,
     Union,
+    check_ring_radii,
     make_ring_condenser,
     rasterize,
 )
@@ -71,6 +87,8 @@ _REQUIRED = {
     "cluster": ("image_grid", "mapping", "cluster"),
     "calibrate": (),
 }
+# The sections that one command alone reads.
+_OWNER = {"ring": "ring", "modulus": "modulus", "probe": "access", "cluster": "cluster", "calibration": "calibrate"}
 
 
 def load_config(path) -> dict:
@@ -92,288 +110,260 @@ def _is_point(x, n=None) -> bool:
     return isinstance(x, list) and all(_is_num(v) for v in x) and (n is None or len(x) == n)
 
 
-def _is_matrix(x) -> bool:
-    """Rows of numbers, all of one length."""
-    return isinstance(x, list) and all(_is_point(row) for row in x) and len({len(r) for r in x}) <= 1
+# ---------------------------------------------------------------------------
+# Field kinds.  kind(value, n) is None for a good value, else what the value
+# must be; n is the config's one dimension, or None when no grid gives it.
+# ---------------------------------------------------------------------------
 
 
-# The fields a region type or mapping family needs before its constructor can
-# run, as (coordinate lists, numbers).  The constructors check the ranges.
-_REGION_FIELDS = {
-    "ball": (("center",), ("r",)),
-    "sphere_shell": (("center",), ("r", "thickness")),
-    "annulus": (("center",), ("r1", "r2")),
-    "box": (("lo", "hi"), ()),
-}
-_MAPPING_FIELDS = {
-    "identity": ((), ()),
-    "affine": (("shift",), ()),
-    "radial_power": (("center",), ("alpha",)),
-}
+def _kind(test, what):
+    """A kind from test(value, n) and ``what``: a function of n, or a format of n and ``length``."""
+
+    def kind(x, n):
+        if test(x, n):
+            return None
+        return what(n) if callable(what) else what.format(n=n, length=f" of length {n}" if n else "")
+
+    return kind
 
 
-def _has_fields(spec: dict, fields, where: str, out: list, n=None) -> bool:
-    points, numbers = fields
-    shape = f" of length {n}" if n else ""
-    bad = [f"{where}.{k} must be a coordinate list{shape}" for k in points if not _is_point(spec.get(k), n)]
-    bad += [f"{where}.{k} must be a number" for k in numbers if not _is_num(spec.get(k))]
-    out.extend(bad)
-    return not bad
+def _all(x, test, size=None) -> bool:
+    """A list of ``size`` items (nonempty without a size), each passing ``test``."""
+    return isinstance(x, list) and (len(x) == size if size else bool(x)) and all(test(v) for v in x)
 
 
-def _built(build, spec, where: str, out: list):
-    """``build(spec)``, or None after reporting its DomainError as ``where: message``."""
-    try:
-        return build(spec)
-    except DomainError as exc:
-        out.append(f"{where}: {exc}")
-        return None
-
-
-def _check_region(spec, where: str, out: list, n=None) -> None:
-    if not isinstance(spec, dict) or "type" not in spec:
-        out.append(f"{where} must be an object with a 'type' field")
-        return
-    t = spec["type"]
-    if t == "complement":
-        if "of" not in spec:
-            out.append(f"{where}.of is required for a complement")
-        else:
-            _check_region(spec["of"], f"{where}.of", out, n)
-    elif t in ("union", "intersection"):
-        parts = spec.get("parts")
-        if not isinstance(parts, list) or not parts:
-            out.append(f"{where}.parts must be a nonempty list of regions")
-        else:
-            for i, part in enumerate(parts):
-                _check_region(part, f"{where}.parts[{i}]", out, n)
-    elif not (isinstance(t, str) and t in _REGION_FIELDS):
-        out.append(f"{where}.type {t!r} is not a known region type")
-    elif _has_fields(spec, _REGION_FIELDS[t], where, out, n):
-        _built(build_region, spec, where, out)
-
-
-def _check_grid(spec, where: str, out: list):
-    """Check one grid section; its dimension if that is 2 or 3, else None."""
-    if not isinstance(spec, dict):
-        out.append(f"{where} must be an object")
-        return None
-    n = spec.get("n")
-    if not (_is_int(n, 2) and n <= 3):
-        out.append(f"{where}.n must be 2 or 3")
-        return None
-    box = spec.get("box")
-    if box is None:
-        out.append(f"{where}.box is required ([[lo, hi], ...] per axis)")
-    elif (
-        not isinstance(box, list)
-        or len(box) != n
-        or not all(_is_point(ax, 2) and ax[0] < ax[1] for ax in box)
-    ):
-        out.append(f"{where}.box must be {n} pairs [lo, hi] with lo < hi")
-    cells = spec.get("cells")
-    res = spec.get("resolution")
-    if cells is None and res is None:
-        out.append(f"{where} needs 'cells' or 'resolution'")
-    if cells is not None and (
-        not isinstance(cells, list) or len(cells) != n or not all(_is_int(c, 1) for c in cells)
-    ):
-        out.append(f"{where}.cells must be {n} positive integers")
-    if res is not None and not _is_int(res, 1):
-        out.append(f"{where}.resolution must be a positive integer")
-    if isinstance(box, list) and len(box) == n and all(_is_point(ax, 2) for ax in box):
-        counts = cells if isinstance(cells, list) else [res] * n
-        if len(counts) == n and all(_is_int(c, 1) for c in counts):
-            spans = [(float(hi) - lo) / c for (lo, hi), c in zip(box, counts)]
-            if max(spans) - min(spans) > 1e-9 * max(spans):
-                out.append(f"{where} cell size must be uniform across axes (adjust box or cells)")
-    if "region" in spec:
-        _check_region(spec["region"], f"{where}.region", out, n)
-    return n
-
-
-def _check_mapping(spec, where: str, n, out: list) -> None:
-    if not isinstance(spec, dict) or "family" not in spec:
-        out.append(f"{where} must be an object with a 'family' field")
-        return
-    fam = spec["family"]
-    if not (isinstance(fam, str) and fam in _MAPPING_FIELDS):
-        out.append(f"{where}.family {fam!r} is not a known mapping family")
-        return
-    # An affine shift is sized by its matrix, and the matrix by the grid (below).
-    ok = _has_fields(spec, _MAPPING_FIELDS[fam], where, out, None if fam == "affine" else n)
-    if fam == "affine" and not _is_matrix(spec.get("matrix")):
-        out.append(f"{where}.matrix must be a list of number rows of equal length")
-        ok = False
-    mapping = _built(build_mapping, spec, where, out) if ok else None
-    if isinstance(mapping, Affine) and n is not None and mapping.matrix.shape[0] != n:
-        out.append(f"{where}.matrix must be {n}x{n} to act on the grid")
-
-
-# The optional solver fields: (key, structural check, what it asks for).
-_SOLVER_FIELDS = (
-    ("max_iterations", _is_int, "an integer"),
-    ("rel_tol", _is_num, "a number"),
-    ("eps", _is_num, "a number"),
+_NUMBER = _kind(lambda x, n: _is_num(x), "a number")
+_POSITIVE = _kind(lambda x, n: _is_num(x) and x > 0, "a positive number")
+_INTEGER = _kind(lambda x, n: _is_int(x), "an integer")
+_COUNT = _kind(lambda x, n: _is_int(x, 1), "a positive integer")
+_SEED = _kind(lambda x, n: _is_int(x, 0), "a nonnegative integer")
+_FLAG = _kind(lambda x, n: type(x) is bool, "true or false")
+_TEXT = _kind(lambda x, n: isinstance(x, str), "a string")
+_DIMENSION = _kind(lambda x, n: _is_int(x, 2) and x <= 3, "2 or 3")
+_POINT = _kind(_is_point, "a coordinate list{length}")
+_SHIFT = _kind(lambda x, n: _is_point(x), "a coordinate list")  # sized by its matrix, which the grid sizes
+_POINTS = _kind(lambda x, n: _all(x, lambda v: _is_point(v, n)), "a nonempty list of coordinate lists{length}")
+_MATRIX = _kind(
+    lambda x, n: isinstance(x, list) and _all(x, lambda row: _is_point(row, len(x)), n or len(x)),
+    lambda n: f"{n}x{n} to act on the grid" if n else "a square matrix",
 )
+_BOX = _kind(lambda x, n: _all(x, lambda ax: _is_point(ax, 2) and ax[0] < ax[1], n), "{n} pairs [lo, hi] with lo < hi")
+_CELLS = _kind(lambda x, n: _all(x, lambda c: _is_int(c, 1), n), "{n} positive integers")
+_RESOLUTIONS = _kind(lambda x, n: _all(x, lambda r: _is_int(r, 2)), "integers >= 2")
 
 
-def _check_solver(spec, out: list) -> None:
-    if not isinstance(spec, dict):
-        out.append("solver must be an object")
-        return
-    known = [k for k, _, _ in _SOLVER_FIELDS]
-    bad = [f"solver.{k} is not a solver option (known: {', '.join(known)})" for k in spec if k not in known]
-    bad += [f"solver.{k} must be {what}" for k, ok, what in _SOLVER_FIELDS if k in spec and not ok(spec[k])]
-    out.extend(bad)
-    if not bad:
-        _built(build_solver, spec, "solver", out)
+def _grid_n(x, n):
+    return _DIMENSION(x, n) or (None if n in (None, x) else f"{n} like grid.n")
 
 
-def _check_ring(spec, where: str, out: list, benchmark: bool = False) -> None:
-    """The ``ring`` section or, with ``benchmark``, one calibration benchmark."""
-    if not isinstance(spec, dict):
+# ---------------------------------------------------------------------------
+# The schema.  A field's kind is a kind above, the key of a nested entry, or
+# [key] for a nonempty list of such objects.
+# ---------------------------------------------------------------------------
+
+
+class _Context(NamedTuple):
+    command: str
+    n: int | None
+
+
+class _Entry(NamedTuple):
+    """One object: its fields, the checks validate runs on it, and its constructor.
+
+    A check (path suffix, fields it reads or None for all, check(spec,
+    context)) runs once the fields it reads are present and passed their
+    kinds and every earlier check on them; validate reports its DomainError
+    or WindowError.  ``make`` takes the fields as keywords, and validate
+    builds the object too once every field passed.  A bad ``gate`` field
+    ends the object's walk.
+    """
+
+    required: dict
+    optional: dict = {}
+    checks: tuple = ()
+    make: Callable | None = None
+    gate: str | None = None
+
+    @property
+    def fields(self) -> dict:
+        return {**self.required, **self.optional}
+
+
+class _Union(NamedTuple):
+    """An object whose ``tag`` field picks the entry that describes it."""
+
+    tag: str
+    variants: dict
+
+
+def _counts(spec: dict) -> list:
+    return spec.get("cells") or [spec["resolution"]] * spec["n"]
+
+
+def _grid_rules(spec: dict, ctx: _Context) -> None:
+    if "cells" not in spec and "resolution" not in spec:
+        raise DomainError("needs 'cells' or 'resolution'")
+    spans = [(float(hi) - lo) / c for (lo, hi), c in zip(spec["box"], _counts(spec))]
+    if max(spans) - min(spans) > 1e-9 * max(spans):
+        raise DomainError("cell size must be uniform across axes (adjust box or cells)")
+
+
+# Without the config's dimension, the grid's own diagnostic stands in for these two.
+def _exponent_pair(spec: dict, ctx: _Context) -> None:
+    if ctx.n:
+        ExponentPair(ctx.n, spec["p"], spec["q"])
+
+
+def _dual_window(spec: dict, ctx: _Context) -> None:
+    if ctx.n and ctx.command == "dual":
+        check_dual_window(ExponentPair(ctx.n, spec["p"], spec["q"]))
+
+
+_P_ABOVE_1 = (".p", ("p",), lambda spec, ctx: EnergyParams(spec["p"]))
+_RING_RADII = ("", ("r1", "r2"), lambda spec, ctx: check_ring_radii(spec["r1"], spec["r2"]))
+_RING = {"n": _DIMENSION, "p": _NUMBER, "r1": _NUMBER, "r2": _NUMBER}
+
+_SCHEMA = {
+    "config": _Entry({}, {
+        "command": _TEXT, "grid": "grid", "image_grid": "grid", "condenser": "condenser", "mapping": "mapping",
+        "exponents": "exponents", "solver": "solver", "modulus": "modulus", "probe": "probe", "cluster": "cluster",
+        "ring": "ring", "calibration": "calibration", "tau": _POSITIVE, "seed": _SEED, "csv": _FLAG,
+    }),
+    "grid": _Entry(
+        {"n": _grid_n, "box": _BOX},
+        {"cells": _CELLS, "resolution": _COUNT, "region": "region"},
+        checks=(("", None, _grid_rules),),
+        gate="n",
+    ),
+    "region": _Union("type", {
+        "ball": _Entry({"center": _POINT, "r": _NUMBER}, {"closed": _FLAG}, make=Ball),
+        "sphere_shell": _Entry({"center": _POINT, "r": _NUMBER, "thickness": _NUMBER}, make=SphereShell),
+        "annulus": _Entry({"center": _POINT, "r1": _NUMBER, "r2": _NUMBER}, make=Annulus),
+        "box": _Entry({"lo": _POINT, "hi": _POINT}, make=Box),
+        "complement": _Entry({"of": "region"}, make=lambda of: Complement(of)),
+        "union": _Entry({"parts": ["region"]}, make=lambda parts: Union(parts)),
+        "intersection": _Entry({"parts": ["region"]}, make=lambda parts: Intersection(parts)),
+    }),
+    "condenser": _Union("type", {
+        "ring": _Entry({"center": _POINT, "r1": _NUMBER, "r2": _NUMBER}, checks=(_RING_RADII,)),
+        "regions": _Entry({"e": "region", "f": "region"}),
+    }),
+    "mapping": _Union("family", {
+        "identity": _Entry({}, make=Identity),
+        "affine": _Entry({"matrix": _MATRIX, "shift": _SHIFT}, make=lambda matrix, shift: Affine(matrix, shift)),
+        "radial_power": _Entry({"alpha": _NUMBER, "center": _POINT}, make=RadialPower),
+    }),
+    "exponents": _Entry(
+        {"p": _NUMBER}, {"q": _NUMBER}, (_P_ABOVE_1, (".q", ("p", "q"), _exponent_pair), ("", ("p", "q"), _dual_window))
+    ),
+    "solver": _Entry({}, {"max_iterations": _INTEGER, "rel_tol": _NUMBER, "eps": _NUMBER}, make=SolverOptions),
+    "modulus": _Entry({"curve_count": _COUNT}),
+    "probe": _Entry(
+        {"x0": _POINT, "r_u": _NUMBER, "r_v": _NUMBER, "e_region": "region", "count": _COUNT},
+        checks=(("", ("r_u", "r_v"), lambda spec, ctx: check_shell_radii(spec["r_v"], spec["r_u"])),),
+    ),
+    "cluster": _Entry({"points": _POINTS, "sequences": _COUNT, "depth": _COUNT}),
+    "ring": _Entry(_RING, checks=(_P_ABOVE_1, _RING_RADII)),
+    "calibration": _Entry({}, {"benchmarks": ["benchmark"]}),
+    "benchmark": _Entry(
+        {**_RING, "half": _NUMBER, "resolutions": _RESOLUTIONS}, checks=(_P_ABOVE_1, _RING_RADII), make=RingBenchmark
+    ),
+}  # fmt: skip
+
+
+# ---------------------------------------------------------------------------
+# The walk
+# ---------------------------------------------------------------------------
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _built(check, where: str, out: list) -> bool:
+    """Run ``check()``; False after reporting its DomainError or WindowError as ``where: message``."""
+    try:
+        check()
+    except (DomainError, WindowError) as exc:
+        out.append(f"{where}: {exc}")
+        return False
+    return True
+
+
+def _field(value, kind, where: str, ctx: _Context, out: list) -> bool:
+    """Check one field against its kind; True when that adds no diagnostic."""
+    if isinstance(kind, str):
+        return _walk(value, kind, where, ctx, out)
+    if isinstance(kind, list):
+        if not (isinstance(value, list) and value):
+            out.append(f"{where} must be a nonempty list of {kind[0]}s")
+            return False
+        return all([_walk(item, kind[0], f"{where}[{i}]", ctx, out) for i, item in enumerate(value)])
+    what = kind(value, ctx.n)
+    if what:
+        out.append(f"{where} must be {what}")
+    return not what
+
+
+def _walk(spec, key: str, where: str, ctx: _Context, out: list) -> bool:
+    """Check ``spec`` against ``_SCHEMA[key]``; True when that adds no diagnostic."""
+    start = len(out)
+    entry, name, known = _SCHEMA[key], key, []
+    if isinstance(entry, _Union):
+        if not isinstance(spec, dict) or entry.tag not in spec:
+            out.append(f"{where} must be an object with a '{entry.tag}' field")
+            return False
+        tag = spec[entry.tag]
+        if not (isinstance(tag, str) and tag in entry.variants):
+            out.append(f"{_at(where, entry.tag)} must be {' or '.join(map(repr, entry.variants))}")
+            return False
+        entry, name, known = entry.variants[tag], f"{tag} {key}", [entry.tag]
+    elif not isinstance(spec, dict):
         out.append(f"{where} must be an object")
-        return
-    n, p, r1, r2 = (spec.get(k) for k in ("n", "p", "r1", "r2"))
-    if not (_is_int(n, 2) and n <= 3):
-        out.append(f"{where}.n must be 2 or 3")
-    if not (_is_num(p) and p > 1):
-        out.append(f"{where}.p must exceed 1")
-    if not (_is_num(r1) and _is_num(r2) and 0 < r1 < r2):
-        out.append(f"{where} requires 0 < r1 < r2")
-    if not benchmark:
-        return
-    has_half = _is_num(spec.get("half"))
-    if not has_half:
-        out.append(f"{where}.half must be a number")
-    resolutions = spec.get("resolutions")
-    if not (isinstance(resolutions, list) and resolutions and all(_is_int(r, 2) for r in resolutions)):
-        out.append(f"{where}.resolutions must be integers >= 2")
-    elif has_half and _is_num(r2):
-        _built(_build_benchmark, spec, where, out)
+        return False
+    fields = entry.fields
+    known += fields
+    article = "an" if name[0] in "aeio" else "a"
+    options = f"{article} {name} option (known: {', '.join(known)})"
+    out.extend(f"{_at(where, k)} is not {options}" for k in spec if k not in known)
+    bad = set()
+    for k, kind in fields.items():
+        if k not in spec:
+            if k in entry.required:
+                out.append(f"{_at(where, k)} is required")
+                bad.add(k)
+        elif not _field(spec[k], kind, _at(where, k), ctx, out):
+            bad.add(k)
+            if k == entry.gate:
+                return False
+    made = (("", None, lambda spec, ctx: _make(spec, entry)),) if entry.make else ()
+    for suffix, reads, check in entry.checks + made:
+        ready = not bad if reads is None else set(reads) <= spec.keys() - bad
+        if ready and not _built(lambda: check(spec, ctx), where + suffix, out):
+            bad |= set(fields if reads is None else reads)
+    return len(out) == start
 
 
 def validate(config, command: str) -> list:
     """All schema and range diagnostics for ``command``, without running anything.
 
-    Structural checks (types, required fields) are made here.  Ranges are
-    checked by building each region, mapping, solver option set and ring
-    benchmark with the same builders the commands use; each built object
-    reports its first constructor error as ``"<field path>: <message>"``.
-    Grids and condensers are not built.
+    The walk over ``_SCHEMA`` reports structure and field kinds, and the
+    library's own checks report ranges.  Grids and condensers are not built.
     """
-    out: list = []
     if command not in COMMANDS:
         return [f"unknown command {command!r}"]
     if not isinstance(config, dict):
         return ["config must be a JSON object"]
-    for section in _REQUIRED[command]:
-        if section not in config:
-            out.append(f"section '{section}' is required for command '{command}'")
+    out = [f"section '{s}' is required for command '{command}'" for s in _REQUIRED[command] if s not in config]
     if out:
         return out
-
-    grid_n = None
-    for key in ("grid", "image_grid"):
-        if key in config:
-            n = _check_grid(config[key], key, out)
-            grid_n = grid_n or n
-
-    if "exponents" in config:
-        exp = config["exponents"]
-        if not isinstance(exp, dict) or not _is_num(exp.get("p")):
-            out.append("exponents.p must be a number")
-        else:
-            p = exp["p"]
-            if p <= 1:
-                out.append("exponents.p must exceed 1")
-            q = exp.get("q")
-            if q is not None:
-                if not _is_num(q) or q <= 1:
-                    out.append("exponents.q must exceed 1")
-                elif q > p:
-                    out.append("exponents.q must not exceed exponents.p (need 1 < q <= p)")
-            elif command in ("kcoef", "distort", "dual"):
-                out.append(f"exponents.q is required for command '{command}'")
-
-    if "condenser" in config:
-        cond = config["condenser"]
-        if not isinstance(cond, dict) or cond.get("type") not in ("ring", "regions"):
-            out.append("condenser.type must be 'ring' or 'regions'")
-        elif cond["type"] == "ring":
-            r1, r2 = cond.get("r1"), cond.get("r2")
-            _has_fields(cond, (("center",), ()), "condenser", out, grid_n)
-            for key, r in (("r1", r1), ("r2", r2)):
-                if not (_is_num(r) and r > 0):
-                    out.append(f"condenser.{key} must be a positive number")
-            if _is_num(r1) and _is_num(r2) and r1 >= r2:
-                out.append("condenser.r1 must be smaller than condenser.r2")
-        else:
-            for key in ("e", "f"):
-                if key not in cond:
-                    out.append(f"condenser.{key} region is required")
-                else:
-                    _check_region(cond[key], f"condenser.{key}", out, grid_n)
-
-    if "mapping" in config:
-        _check_mapping(config["mapping"], "mapping", grid_n, out)
-
-    if "solver" in config:
-        _check_solver(config["solver"], out)
-
-    if command == "ring":
-        _check_ring(config["ring"], "ring", out)
-
-    if command == "modulus":
-        mod = config["modulus"]
-        if not isinstance(mod, dict) or not _is_int(mod.get("curve_count"), 1):
-            out.append("modulus.curve_count must be a positive integer")
-
-    if command == "access":
-        probe = config["probe"]
-        if not isinstance(probe, dict):
-            out.append("probe must be an object")
-        else:
-            _has_fields(probe, (("x0",), ()), "probe", out, grid_n)
-            r_u, r_v = probe.get("r_u"), probe.get("r_v")
-            if not (_is_num(r_u) and _is_num(r_v) and 0 < r_v < r_u):
-                out.append("probe requires 0 < r_v < r_u")
-            if "e_region" not in probe:
-                out.append("probe.e_region is required")
-            else:
-                _check_region(probe["e_region"], "probe.e_region", out, grid_n)
-            if not _is_int(probe.get("count"), 1):
-                out.append("probe.count must be a positive integer")
-            if "constant" in probe and not (_is_num(probe["constant"]) and probe["constant"] > 0):
-                out.append("probe.constant must be positive")
-
-    if command == "cluster":
-        clu = config["cluster"]
-        if not isinstance(clu, dict):
-            out.append("cluster must be an object")
-        else:
-            pts = clu.get("points")
-            if not isinstance(pts, list) or not pts or not all(_is_point(p) for p in pts):
-                out.append("cluster.points must be a nonempty list of coordinate lists")
-            for key in ("sequences", "depth"):
-                if not _is_int(clu.get(key), 1):
-                    out.append(f"cluster.{key} must be a positive integer")
-
-    if command == "calibrate" and "calibration" in config:
-        cal = config["calibration"]
-        benches = cal.get("benchmarks") if isinstance(cal, dict) else None
-        if benches is not None:
-            if not isinstance(benches, list) or not benches:
-                out.append("calibration.benchmarks must be a nonempty list")
-            else:
-                for i, b in enumerate(benches):
-                    _check_ring(b, f"calibration.benchmarks[{i}]", out, benchmark=True)
-
-    if "tau" in config and not (_is_num(config["tau"]) and config["tau"] > 0):
-        out.append("tau must be a positive number")
-    if "seed" in config and not _is_int(config["seed"], 0):
-        out.append("seed must be a nonnegative integer")
+    grids = [config.get(key) for key in ("grid", "image_grid")]
+    n = next((g["n"] for g in grids if isinstance(g, dict) and not _DIMENSION(g.get("n"), None)), None)
+    read = {key: value for key, value in config.items() if _OWNER.get(key, command) == command}
+    _walk(read, "config", "", _Context(command, n), out)
+    exponents = config.get("exponents")
+    if command in ("kcoef", "distort", "dual") and isinstance(exponents, dict) and "q" not in exponents:
+        out.append(f"exponents.q is required for command '{command}'")
     return out
 
 
@@ -382,40 +372,34 @@ def validate(config, command: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _make(spec: dict, entry: _Entry):
+    """``entry.make`` on the fields of ``spec``, nested regions built first."""
+    args = {}
+    for key, kind in entry.fields.items():
+        if key in spec:
+            value = spec[key]
+            if kind == "region":
+                value = build_region(value)
+            elif kind == ["region"]:
+                value = tuple(map(build_region, value))
+            args[key] = value
+    return entry.make(**args)
+
+
 def build_region(spec: dict):
-    t = spec["type"]
-    if t == "ball":
-        return Ball(tuple(spec["center"]), spec["r"], bool(spec.get("closed", False)))
-    if t == "sphere_shell":
-        return SphereShell(tuple(spec["center"]), spec["r"], spec["thickness"])
-    if t == "annulus":
-        return Annulus(tuple(spec["center"]), spec["r1"], spec["r2"])
-    if t == "box":
-        return Box(tuple(spec["lo"]), tuple(spec["hi"]))
-    if t == "complement":
-        return Complement(build_region(spec["of"]))
-    if t == "union":
-        return Union(tuple(build_region(s) for s in spec["parts"]))
-    return Intersection(tuple(build_region(s) for s in spec["parts"]))
+    return _make(spec, _SCHEMA["region"].variants[spec["type"]])
 
 
 def build_grid(spec: dict) -> GridDomain:
-    n = spec["n"]
+    cells = _counts(spec)
     box = spec["box"]
-    cells = spec.get("cells") or [spec["resolution"]] * n
-    origin = tuple(lo for lo, _ in box)
     h = (box[0][1] - box[0][0]) / cells[0]
     region = build_region(spec["region"]) if "region" in spec else None
-    return GridDomain.box(n, origin, tuple(cells), h, region)
+    return GridDomain.box(spec["n"], tuple(lo for lo, _ in box), tuple(cells), h, region)
 
 
 def build_mapping(spec: dict):
-    fam = spec["family"]
-    if fam == "identity":
-        return Identity()
-    if fam == "affine":
-        return Affine(tuple(map(tuple, spec["matrix"])), tuple(spec["shift"]))
-    return RadialPower(spec["alpha"], tuple(spec["center"]))
+    return _make(spec, _SCHEMA["mapping"].variants[spec["family"]])
 
 
 def build_condenser(spec: dict, grid: GridDomain) -> Condenser:
@@ -427,18 +411,9 @@ def build_condenser(spec: dict, grid: GridDomain) -> Condenser:
 
 
 def build_solver(spec: dict | None) -> SolverOptions:
-    spec = spec or {}
-    return SolverOptions(**{key: spec[key] for key, _, _ in _SOLVER_FIELDS if key in spec})
-
-
-def _build_benchmark(spec: dict) -> RingBenchmark:
-    scalars = {k: spec[k] for k in ("n", "p", "r1", "r2", "half")}
-    return RingBenchmark(**scalars, resolutions=tuple(spec["resolutions"]))
+    return _make(spec or {}, _SCHEMA["solver"])
 
 
 def build_benchmarks(config: dict):
-    cal = config.get("calibration") or {}
-    benches = cal.get("benchmarks")
-    if not benches:
-        return None
-    return tuple(_build_benchmark(b) for b in benches)
+    benches = (config.get("calibration") or {}).get("benchmarks")
+    return tuple(_make(b, _SCHEMA["benchmark"]) for b in benches) if benches else None

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import SolverOptions, solve_capacity
-from .exceptions import DomainError, WindowError
-from .exponents import ExponentPair, WindowClass, classify_window, dual_exponents
+from .exceptions import DomainError
+from .exponents import ExponentPair, check_dual_window, dual_exponents
 from .grid import Condenser, GridDomain
 from .mappings import distortion_coefficient, pullback_condenser
 
@@ -113,9 +113,7 @@ def verify_dual_inequality(
     Raises DomainError unless 1 < q <= p, and WindowError unless
     n < q <= p < (n-1)^2/(n-2); at n = 2 the window is empty.
     """
-    n = c_source.domain.n
-    pair = ExponentPair(n, p, q)
-    if classify_window(pair) is not WindowClass.SUPER_DIMENSIONAL:
-        raise WindowError(f"need n < q <= p < (n-1)^2/(n-2), empty at n = 2; got n={n}, p={p}, q={q}")
+    pair = ExponentPair(c_source.domain.n, p, q)
+    check_dual_window(pair)
     p_dual, q_dual = dual_exponents(pair)
     return verify_capacity_inequality(m.inverse(), c_source, q_dual, p_dual, image_grid, opts, tau)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import DomainError
+from .exceptions import DomainError, WindowError
 
 
 class WindowClass(Enum):
@@ -70,6 +70,12 @@ def classify_window(e: ExponentPair) -> WindowClass:
     if bound is not None and n < q <= p < bound:
         return WindowClass.SUPER_DIMENSIONAL
     return WindowClass.OUT_OF_WINDOW
+
+
+def check_dual_window(e: ExponentPair) -> None:
+    """WindowError unless n < q <= p < (n-1)^2/(n-2), the window of the dual inequality."""
+    if classify_window(e) is not WindowClass.SUPER_DIMENSIONAL:
+        raise WindowError(f"need n < q <= p < (n-1)^2/(n-2), empty at n = 2; got n={e.n}, p={e.p}, q={e.q}")
 
 
 def dual_exponent(n: int, t: float) -> float:

@@ -108,6 +108,22 @@ def _as_point(x, n: int) -> np.ndarray:
     return pt
 
 
+def directions(n: int, count: int, phase: float = 0.0) -> np.ndarray:
+    """``count`` unit vectors spread over the sphere, turned by ``phase`` about the last axis.
+
+    Equispaced angles 2 pi i / count + phase in 2D; in 3D a Fibonacci sphere,
+    heights 1 - (2i + 1) / count at azimuths i times the golden angle plus phase.
+    """
+    i = np.arange(count)
+    if n == 2:
+        theta = 2 * math.pi * i / count + phase
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    z = 1.0 - (2 * i + 1.0) / count
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    azimuth = i * (math.pi * (3.0 - math.sqrt(5.0))) + phase
+    return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball around ``center``; open by default, closed if requested."""
@@ -466,17 +482,22 @@ class Condenser:
         return Condenser(self.F, self.E, self.domain, self.region_f, self.region_e)
 
 
+def check_ring_radii(r1: float, r2: float) -> None:
+    """DomainError unless 0 < r1 < r2: the radii of every ring (condenser, closed form, benchmark)."""
+    if not (0 < r1 < r2):
+        raise DomainError(f"ring radii must satisfy 0 < r1 < r2, got r1={r1}, r2={r2}")
+
+
 def make_ring_condenser(x0, r1: float, r2: float, grid: GridDomain) -> Condenser:
     """Ring condenser: E the closed ball of radius r1, F everything at
     distance >= r2, both around x0 and clipped to the inside cells.
 
-    Raises GeometryError when the closed ball of radius r2 does not fit in
-    the grid box, when a plate rasterizes empty, or when the plates touch
-    (gap below the resolution h).
+    Raises DomainError unless 0 < r1 < r2, and GeometryError when the closed
+    ball of radius r2 does not fit in the grid box, when a plate rasterizes
+    empty, or when the plates touch (gap below the resolution h).
     """
     x0 = _as_point(x0, grid.n)
-    if not (0 < r1 < r2):
-        raise GeometryError(f"ring radii must satisfy 0 < r1 < r2, got r1={r1}, r2={r2}")
+    check_ring_radii(r1, r2)
     lo = np.asarray(grid.origin)
     hi = lo + np.asarray(grid.extent)
     if np.any(x0 - r2 < lo) or np.any(x0 + r2 > hi):

@@ -31,7 +31,8 @@ import scipy.sparse as sp
 from .capacity import SolverOptions, solve_capacity
 from .descent import DescentOptions, minimize_projected
 from .exceptions import DomainError, GeometryError
-from .grid import Annulus, Ball, Complement, Condenser, GridDomain
+from .energy import EnergyParams
+from .grid import Annulus, Ball, Complement, Condenser, GridDomain, directions
 
 # Budget of the dual descent, and the largest relative gap between the
 # admissible value and the dual bound that counts as converged.
@@ -88,18 +89,6 @@ class ModulusResult:
     density: DensityField
 
 
-def _directions(n: int, count: int) -> np.ndarray:
-    """Equispaced angles in 2D; deterministic Fibonacci-sphere unit vectors in 3D."""
-    i = np.arange(count)
-    if n == 2:
-        theta = 2 * math.pi * i / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    z = 1.0 - (2 * i + 1.0) / count
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([rho * np.cos(i * golden), rho * np.sin(i * golden), z], axis=1)
-
-
 def _plate_reach(x0: np.ndarray, r_target: float, direction: np.ndarray, grid: GridDomain, outward: bool) -> float:
     """Radius along ``direction`` whose cell center lies on the plate side of
     ``r_target`` (center-rule membership), nudged in quarter-cell steps."""
@@ -137,7 +126,7 @@ def sample_radial_curves(ring: Annulus, count: int, grid: GridDomain) -> CurveFa
         raise GeometryError("annulus (plus a one-cell margin) exits the grid")
     step = grid.h / 2
     curves = []
-    for direction in _directions(grid.n, count):
+    for direction in directions(grid.n, count):
         r_in = _plate_reach(x0, ring.r1, direction, grid, outward=False)
         r_out = _plate_reach(x0, ring.r2, direction, grid, outward=True)
         radii = np.arange(r_in, r_out, step)
@@ -171,8 +160,7 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
     ``converged``: the descent stopped and value - lower <= GAP_TOL * value.
     An empty family has modulus 0.
     """
-    if not p > 1:
-        raise DomainError(f"modulus exponent must satisfy p > 1, got {p}")
+    EnergyParams(p)  # DomainError unless p > 1
     if len(fam) == 0:
         return ModulusResult(0.0, 0.0, True, True, 0, DensityField(grid, np.zeros(grid.inside_count)))
     a = _constraint_matrix(fam, grid)

@@ -102,8 +102,6 @@ def test_ring_capacity_domain_errors():
 def test_accessibility_lower_bound():
     val = accessibility_lower_bound(0.4, 0.9, 2.0, 2.0, 2)
     assert val == pytest.approx(0.4 / 2.0, rel=1e-14)
-    # C rescales inversely
-    assert accessibility_lower_bound(0.4, 0.9, 2.0, 2.0, 2, C=4.0) == pytest.approx(val / 4)
     with pytest.raises(DomainError):
         accessibility_lower_bound(0.4, 0.9, 2.0, 2.5, 2)  # p outside (n-1, n]
     with pytest.raises(DomainError):

@@ -63,9 +63,9 @@ def test_validate_missing_sections():
 def test_validate_exponent_ranges():
     bad = cap_config()
     bad["exponents"] = {"p": 1.0}
-    assert any("exceed 1" in d for d in validate(bad, "cap"))
+    assert validate(bad, "cap") == ["exponents.p: energy exponent must satisfy p > 1, got 1.0"]
     bad["exponents"] = {"p": 2.0, "q": 3.0}
-    assert any("must not exceed" in d for d in validate(bad, "cap"))
+    assert validate(bad, "cap") == ["exponents.q: exponents must satisfy 1 < q <= p, got q=3.0, p=2.0"]
 
 
 def test_validate_q_required_for_distortion_commands():
@@ -76,7 +76,7 @@ def test_validate_q_required_for_distortion_commands():
 def test_validate_ring_condenser_radii():
     bad = cap_config()
     bad["condenser"] = {"type": "ring", "center": [0, 0], "r1": 2.0, "r2": 1.0}
-    assert any("smaller than" in d for d in validate(bad, "cap"))
+    assert validate(bad, "cap") == ["condenser: ring radii must satisfy 0 < r1 < r2, got r1=2.0, r2=1.0"]
     bad["condenser"] = {"type": "wedge"}
     assert any("'ring' or 'regions'" in d for d in validate(bad, "cap"))
 
@@ -374,7 +374,10 @@ def test_cli_window_error(tmp_path, capsys):
     }
     code, report, _ = run_cli(tmp_path, "dual", cfg)
     assert code == 2
-    assert report["error"]["type"] == "WindowError"
+    assert report["error"]["type"] == "validation"
+    assert report["error"]["diagnostics"] == [
+        "exponents: need n < q <= p < (n-1)^2/(n-2), empty at n = 2; got n=2, p=2.5, q=2.2"
+    ]
     capsys.readouterr()
 
 
@@ -503,6 +506,26 @@ def test_cli_access_runner(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_access_reports_no_bound_outside_its_window(tmp_path, capsys):
+    # the geometric bound is a diagnostic for n - 1 < p <= n; at p = 3 in 2D it is null
+    b = 1.9 / math.sqrt(2)
+    cfg = {
+        "grid": {**box_spec(2, 2.2, 32), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}},
+        "exponents": {"p": 3.0},
+        "probe": {
+            "x0": [b, b],
+            "r_u": 0.9,
+            "r_v": 0.3,
+            "e_region": {"type": "ball", "center": [0.0, 0.0], "r": 0.5, "closed": True},
+            "count": 3,
+        },
+    }
+    res = run_cli_twice(tmp_path, "access", cfg)
+    assert res["geometric_bound"] is None
+    assert res["converged"] and res["delta_hat"] > 0
+    capsys.readouterr()
+
+
 def test_cli_cluster_runner(tmp_path, capsys):
     cfg = {
         "image_grid": {
@@ -542,7 +565,7 @@ NON_FINITE = [
         },
         "tau must be a positive number",
     ),
-    ("ring", {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": math.inf}}, "ring requires 0 < r1 < r2"),
+    ("ring", {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": math.inf}}, "ring.r2 must be a number"),
     (
         "cap",
         cap_config(grid={"n": 2, "box": [[-math.inf, 3.0], [-2.5, 2.5]], "cells": [32, 32]}),

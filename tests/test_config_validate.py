@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,17 +13,19 @@ from qcap.config import validate
 
 GRID2 = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [16, 16]}
 RING_COND = {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 2.0}
+GRID3 = {"n": 3, "box": [[-2.5, 2.5]] * 3, "cells": [10, 10, 10]}
 
 # One valid config per command that has sections to vary.
 BASE = {
     "cap": {"grid": GRID2, "condenser": RING_COND, "exponents": {"p": 2.0}},
     "kcoef": {"grid": GRID2, "mapping": {"family": "identity"}, "exponents": {"p": 2.0, "q": 2.0}},
+    # The dual window n < q <= p < (n-1)^2/(n-2) is empty in 2D.
     "dual": {
-        "grid": GRID2,
-        "image_grid": GRID2,
-        "condenser": RING_COND,
+        "grid": GRID3,
+        "image_grid": GRID3,
+        "condenser": {"type": "ring", "center": [0.0, 0.0, 0.0], "r1": 0.8, "r2": 1.8},
         "mapping": {"family": "identity"},
-        "exponents": {"p": 2.0, "q": 2.0},
+        "exponents": {"p": 3.5, "q": 3.2},
     },
     "modulus": {
         "grid": GRID2,
@@ -169,6 +172,127 @@ def test_points_must_match_the_grid_dimension(tmp_path, capsys):
     error = json.loads((out / "cap_report.json").read_text())["error"]
     assert error["type"] == "validation"
     assert error["diagnostics"] == ["grid.region.center must be a coordinate list of length 2"]
+    capsys.readouterr()
+
+
+def test_grids_share_the_dimension(tmp_path, capsys):
+    # a 3D image grid beside a 2D grid used to validate and fail inside the run
+    cfg = with_section("dual", "grid", GRID2)
+    cfg["condenser"] = RING_COND
+    assert validate(cfg, "distort") == ["image_grid.n must be 2 like grid.n"]
+    path = tmp_path / "distort.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["distort", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads((tmp_path / "out" / "distort_report.json").read_text())["error"]
+    assert error["type"] == "validation"
+    assert error["diagnostics"] == ["image_grid.n must be 2 like grid.n"]
+    points = {"points": [[2.0, 0.0, 0.0]], "sequences": 2, "depth": 3}
+    assert validate(with_section("cluster", "cluster", points), "cluster") == [
+        "cluster.points must be a nonempty list of coordinate lists of length 2"
+    ]
+    capsys.readouterr()
+
+
+# ------------------------------------------------------- unknown keys
+
+BALL = {"type": "ball", "center": [0.0, 0.0], "r": 2.4}
+REGIONS = {
+    "ball": BALL,
+    "sphere_shell": {"type": "sphere_shell", "center": [0.0, 0.0], "r": 1.0, "thickness": 0.5},
+    "annulus": {"type": "annulus", "center": [0.0, 0.0], "r1": 0.5, "r2": 2.4},
+    "box": {"type": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+    "complement": {"type": "complement", "of": {"type": "ball", "center": [0.0, 0.0], "r": 0.1}},
+    "union": {"type": "union", "parts": [BALL]},
+    "intersection": {"type": "intersection", "parts": [BALL]},
+}
+MAPPINGS = {
+    "identity": {"family": "identity"},
+    "affine": {"family": "affine", "matrix": [[2.0, 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]},
+    "radial_power": {"family": "radial_power", "alpha": 2.0, "center": [0.0, 0.0]},
+}
+REGIONS_COND = {"type": "regions", "e": {**BALL, "r": 0.5}, "f": REGIONS["complement"]}
+
+# (command, config, path of the object that gets the unknown key, its schema name)
+OBJECTS = {
+    "top level": ("cap", BASE["cap"], (), "config"),
+    "grid": ("cap", BASE["cap"], ("grid",), "grid"),
+    "image_grid": ("cluster", BASE["cluster"], ("image_grid",), "grid"),
+    **{
+        f"region {t}": ("cap", with_section("cap", "grid", dict(GRID2, region=r)), ("grid", "region"), f"{t} region")
+        for t, r in REGIONS.items()
+    },
+    **{f"mapping {f}": ("kcoef", with_section("kcoef", "mapping", m), ("mapping",), f"{f} mapping") for f, m in MAPPINGS.items()},
+    "condenser ring": ("cap", BASE["cap"], ("condenser",), "ring condenser"),
+    "condenser regions": ("cap", with_section("cap", "condenser", REGIONS_COND), ("condenser",), "regions condenser"),
+    "exponents": ("cap", BASE["cap"], ("exponents",), "exponents"),
+    "solver": ("cap", with_section("cap", "solver", {"eps": 1e-4}), ("solver",), "solver"),
+    "modulus": ("modulus", BASE["modulus"], ("modulus",), "modulus"),
+    "probe": ("access", BASE["access"], ("probe",), "probe"),
+    "cluster": ("cluster", BASE["cluster"], ("cluster",), "cluster"),
+    "ring": ("ring", {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0}}, ("ring",), "ring"),
+    "calibration": ("calibrate", BASE["calibrate"], ("calibration",), "calibration"),
+    "benchmark": ("calibrate", BASE["calibrate"], ("calibration", "benchmarks", 0), "benchmark"),
+}
+
+
+@pytest.mark.parametrize("obj", list(OBJECTS))
+def test_every_object_rejects_an_unknown_key(obj):
+    command, base, path, name = OBJECTS[obj]
+    cfg = json.loads(json.dumps(base))
+    assert validate(cfg, command) == []
+    target = cfg
+    for key in path:
+        target = target[key]
+    target["bogus"] = 1
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    diags = validate(cfg, command)
+    assert len(diags) == 1
+    article = "an" if name[0] in "aeio" else "a"
+    assert diags[0].startswith(f"{where + '.' if where else ''}bogus is not {article} {name} option (known: ")
+
+
+TYPOS = [
+    ("cap", "grid", dict(GRID2, regoin=BALL), "grid.regoin is not a grid option (known: n, box, cells, resolution, region)"),
+    (
+        "cap",
+        "grid",
+        dict(GRID2, region={**BALL, "clsoed": True}),
+        "grid.region.clsoed is not a ball region option (known: type, center, r, closed)",
+    ),
+    (
+        "access",
+        "probe",
+        dict(BASE["access"]["probe"], constnat=2.0),
+        "probe.constnat is not a probe option (known: x0, r_u, r_v, e_region, count)",
+    ),
+    ("cap", "exponents", {"p": 2.0, "qq": 1.5}, "exponents.qq is not an exponents option (known: p, q)"),
+    (
+        "cap",
+        "tua",
+        0.1,
+        "tua is not a config option (known: command, grid, image_grid, condenser, mapping, exponents, solver,"
+        " modulus, probe, cluster, ring, calibration, tau, seed, csv)",
+    ),
+    # the retired probe constant
+    (
+        "access",
+        "probe",
+        dict(BASE["access"]["probe"], constant=2.0),
+        "probe.constant is not a probe option (known: x0, r_u, r_v, e_region, count)",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, section, value, diagnostic", TYPOS, ids=[t[3].split()[0] for t in TYPOS])
+def test_typos_and_retired_keys_are_validation_errors(tmp_path, capsys, command, section, value, diagnostic):
+    cfg = with_section(command, section, value)
+    assert validate(cfg, command) == [diagnostic]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())["error"]
+    assert error["type"] == "validation"
+    assert error["diagnostics"] == [diagnostic]
     capsys.readouterr()
 
 

@@ -230,7 +230,7 @@ def test_make_ring_condenser():
     r = np.linalg.norm(g.inside_centers, axis=1)
     np.testing.assert_array_equal(c.E[g.mask], r <= 1.0)
     np.testing.assert_array_equal(c.F[g.mask], r >= 2.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(DomainError):
         make_ring_condenser((0.0, 0.0), 2.0, 1.0, g)
     with pytest.raises(GeometryError):
         make_ring_condenser((0.0, 0.0), 1.0, 3.0, g)  # outer ball exceeds the box
