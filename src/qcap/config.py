@@ -201,6 +201,8 @@ def _counts(spec: dict) -> list:
 
 
 def _grid_rules(spec: dict, ctx: _Context) -> None:
+    if "cells" in spec and "resolution" in spec:
+        raise DomainError("give 'cells' or 'resolution', not both")
     if "cells" not in spec and "resolution" not in spec:
         raise DomainError("needs 'cells' or 'resolution'")
     spans = [(float(hi) - lo) / c for (lo, hi), c in zip(spec["box"], _counts(spec))]

@@ -11,7 +11,7 @@ Discretely, for a finite family of polylines,
 The program is solved through its Lagrange dual, one variable per curve:
 minimize (p-1) h^n sum_c rho(lam)^p - sum_i lam_i over lam >= 0, with
 rho(lam) = ((A^T lam)_+ / (p h^n))^(1/(p-1)) and A the curve-by-cell matrix
-of segment lengths, by projected BB descent from lam = 1.  Minus its value
+of segment lengths, by scipy's L-BFGS-B from lam = 1.  Minus its value
 is a certified lower bound; rho(lam), scaled so its tightest constraint
 holds exactly, is admissible, and its energy is a certified upper bound
 (Albin, Poggi-Corradini, J. Anal. 24 (2016)).  For the family of ALL
@@ -29,14 +29,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .capacity import SolverOptions, solve_capacity
-from .descent import DescentOptions, minimize_projected
+from .descent import minimize_projected
 from .exceptions import DomainError, GeometryError
 from .energy import EnergyParams
 from .grid import Annulus, Ball, Complement, Condenser, GridDomain, directions
 
-# Budget of the dual descent, and the largest relative gap between the
-# admissible value and the dual bound that counts as converged.
-DUAL_DESCENT = DescentOptions(max_iter=20000, rel_tol=1e-14)
+# The largest relative gap between the admissible value and the dual bound
+# that counts as converged.
 GAP_TOL = 1e-6
 
 
@@ -81,6 +80,13 @@ class DensityField:
 
 @dataclass
 class ModulusResult:
+    """A certified bracket ``lower <= optimum <= value`` of the sampled program.
+
+    ``iterations`` counts L-BFGS-B iterations on the dual.  ``converged``
+    means the bracket is certified: the density is admissible and
+    value - lower <= GAP_TOL * value.
+    """
+
     value: float
     lower: float
     admissible_ok: bool
@@ -157,7 +163,8 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
 
     ``value`` is the energy of an admissible density, ``lower`` the dual
     value; the program itself is a lower estimate of the capacity.
-    ``converged``: the descent stopped and value - lower <= GAP_TOL * value.
+    ``converged``: the density is admissible and value - lower <= GAP_TOL *
+    value, whatever the optimizer's exit reason.
     An empty family has modulus 0.
     """
     EnergyParams(p)  # DomainError unless p > 1
@@ -170,15 +177,10 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
         return (np.maximum(a.T @ lam, 0.0) / (p * hn)) ** (1.0 / (p - 1.0))
 
     def negated_dual(lam):
-        return (p - 1.0) * hn * float(np.sum(density(lam) ** p)) - float(np.sum(lam))
+        rho = density(lam)
+        return (p - 1.0) * hn * float(np.sum(rho**p)) - float(np.sum(lam)), a @ rho - 1.0
 
-    res = minimize_projected(
-        negated_dual,
-        lambda lam: a @ density(lam) - 1.0,
-        lambda lam: np.maximum(lam, 0.0),
-        np.ones(len(fam)),
-        DUAL_DESCENT,
-    )
+    res = minimize_projected(negated_dual, np.ones(len(fam)))
     lower = -res.value
     rho = density(res.x)
     # Feasibility repair: scale so the tightest constraint holds exactly.
@@ -189,7 +191,7 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
     rho = rho * ((1.0 + 1e-12) / worst)
     admissible = bool((a @ rho).min() >= 1.0)
     value = hn * float(np.sum(rho**p))
-    converged = res.converged and value - lower <= GAP_TOL * value
+    converged = admissible and value - lower <= GAP_TOL * value
     return ModulusResult(value, lower, admissible, converged, res.iterations, DensityField(grid, rho))
 
 

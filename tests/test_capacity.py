@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import Bounds, minimize
 
 from qcap import (
     Ball,
@@ -23,7 +24,6 @@ from qcap import (
 )
 import qcap.capacity
 from qcap.capacity import _distance_init
-from qcap.descent import DescentOptions, minimize_projected
 from qcap.energy import EnergyParams, energy_gradient, energy_value, hessian_pattern
 from qcap.grid import Complement
 
@@ -265,11 +265,12 @@ def test_p2_solve_matches_direct_solve():
 
 
 # The reference's own continuation: each stage warm-starts the next.
-BB_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+REFERENCE_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def bb_capacity(cond, p, opts=TIGHT):
-    """Projected-BB reference: descent through ``BB_EPS_SCHEDULE`` on the same energy."""
+def reference_capacity(cond, p, opts=TIGHT):
+    """L-BFGS-B reference on the box [0, 1] through ``REFERENCE_EPS_SCHEDULE``
+    on the same energy."""
     grid = cond.domain
     fixed = np.zeros(grid.inside_count, dtype=bool)
     fixed[cond.e_indices] = True
@@ -282,35 +283,36 @@ def bb_capacity(cond, p, opts=TIGHT):
         out[free] = x
         return out
 
-    for eps in BB_EPS_SCHEDULE:
+    for eps in REFERENCE_EPS_SCHEDULE:
         params = EnergyParams(p, eps)
-        res = minimize_projected(
+        res = minimize(
             lambda x: energy_value(assemble(x), grid, params),
-            lambda x: energy_gradient(assemble(x), grid, params)[free],
-            lambda x: np.clip(x, 0.0, 1.0),
             u[free],
-            DescentOptions(max_iter=100000, rel_tol=opts.rel_tol),
+            jac=lambda x: energy_gradient(assemble(x), grid, params)[free],
+            method="L-BFGS-B",
+            bounds=Bounds(0.0, 1.0),
+            options={"ftol": opts.rel_tol, "gtol": 1e-12},
         )
-        assert res.converged
+        assert res.success
         u = assemble(res.x)
-    return res.value
+    return res.fun
 
 
 @pytest.mark.parametrize(
     "n,p,cells",
     [(2, 1.5, 32), (3, 3.0, 14)],
 )
-def test_newton_matches_projected_bb(n, p, cells):
-    # the Newton value is the BB value at the final eps, and never above it
-    # by more than rounding (on the 3D ring both reach the same minimum)
+def test_newton_matches_lbfgsb_reference(n, p, cells):
+    # the Newton value is the reference value at the final eps, and never
+    # above it by more than rounding (on the 3D ring both reach the same minimum)
     g = GridDomain.box(n, (-2.5,) * n, (cells,) * n, 5.0 / cells)
     cond = make_ring_condenser((0.0,) * n, 1.0, 2.0, g)
     res = solve_capacity(cond, p)
     assert res.converged
     assert res.final_eps == 1e-4
-    bb = bb_capacity(cond, p)
-    assert res.value <= bb * (1 + 4 * np.finfo(float).eps)
-    assert res.value == pytest.approx(bb, rel=1e-8)
+    ref = reference_capacity(cond, p)
+    assert res.value <= ref * (1 + 4 * np.finfo(float).eps)
+    assert res.value == pytest.approx(ref, rel=1e-8)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -193,6 +193,21 @@ def test_grids_share_the_dimension(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_grid_takes_cells_or_resolution_not_both(tmp_path, capsys):
+    # both keys used to validate, and the grid silently took 'cells'
+    both = dict(GRID2, resolution=64)
+    assert validate(with_section("cap", "grid", both), "cap") == ["grid: give 'cells' or 'resolution', not both"]
+    cfg = with_section("cluster", "image_grid", both)
+    assert validate(cfg, "cluster") == ["image_grid: give 'cells' or 'resolution', not both"]
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["cluster", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads((tmp_path / "out" / "cluster_report.json").read_text())["error"]
+    assert error["type"] == "validation"
+    assert error["diagnostics"] == ["image_grid: give 'cells' or 'resolution', not both"]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------- unknown keys
 
 BALL = {"type": "ball", "center": [0.0, 0.0], "r": 2.4}

@@ -104,6 +104,17 @@ def test_modulus_bracket_in_3d(p):
     assert res.value - res.lower <= GAP_TOL * res.value
 
 
+@pytest.mark.parametrize("p, lower", [(2.0, 8.553355849707463), (3.0, 8.623403621792654)])
+def test_modulus_reproduces_recorded_lower(p, lower):
+    # dual values recorded from the projected-BB descent that L-BFGS-B replaced
+    g = GridDomain.box(2, (-2.5, -2.5), (128, 128), 5.0 / 128)
+    fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, 2.0), 360, g)
+    res = modulus_lower_bound(fam, p, g)
+    assert res.admissible_ok and res.converged
+    assert res.lower == pytest.approx(lower, rel=1e-10)
+    assert res.value - res.lower <= GAP_TOL * res.value
+
+
 def test_modulus_monotone_in_subfamilies():
     g = GridDomain.box(2, (0.0, 0.0), (32, 32), 0.125)
     rows = (0.4, 0.9, 1.4, 1.9, 2.4, 2.9, 3.4)
