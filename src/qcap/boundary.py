@@ -31,8 +31,10 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
-from .exceptions import DomainError, EmptySetError, GeometryError
-from .grid import Condenser, GridDomain, connected, diameter, dilate_faces, directions, rasterize
+from .exceptions import DomainError, GeometryError
+from .grid import (
+    Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, rasterize
+)
 
 
 @dataclass
@@ -57,10 +59,7 @@ class ClusterSetEstimate:
     @classmethod
     def from_points(cls, pts: np.ndarray) -> "ClusterSetEstimate":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if len(pts) == 0:
-            raise EmptySetError("cluster-set estimate needs at least one point")
-        diam = float(np.linalg.norm(pts[:, None] - pts[None], axis=-1).max())
-        return cls(tuple(map(tuple, pts.tolist())), diam)
+        return cls(tuple(map(tuple, pts.tolist())), point_diameter(pts))
 
 
 def boundary_layer(cells: np.ndarray) -> np.ndarray:
@@ -109,7 +108,7 @@ def sample_shell_continua(
     if count < 1:
         raise DomainError("need at least one continuum")
     rng = rng or np.random.default_rng(0)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_point(x0, grid.n)
     phase = rng.uniform(0.0, 2 * math.pi)
     h = grid.h
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
@@ -220,17 +219,19 @@ def estimate_cluster_set(
     """Estimate the cluster set of ``m_inverse`` at the image boundary point b.
 
     ``grid`` is the image-side domain: it supplies the interior test for b,
-    the inside test for approach points, and the merge radius 2h.  Each of
-    the ``sequences`` approach patterns tilts the inward direction by a
-    fixed angle and spirals tangentially while stepping radii r0 * 2^{-k},
-    k = 1..depth; the deepest inside point of each pattern is mapped and the
-    images are merged at radius 2h.
+    the inside test for approach points, and the merge radius 2h.  Sequence
+    j tilts the inward direction by 0.45 j / (sequences - 1) times a
+    tangential spiral turning by 2 pi (j + 1) / sequences per step, and
+    steps radii r0 * 2^{-k}, k = 1..depth, with r0 = 8h; each step offers
+    the tilt scaled by 1, 1/2 and 0.  All sequences x steps x scales
+    candidates go through one ``grid.contains`` call.  A sequence's tail is
+    its deepest step with an inside candidate, the first such candidate at
+    that step; sequences without one are dropped.  The tails are mapped and
+    the images merged at radius 2h.
     """
     if sequences < 1 or depth < 1:
         raise DomainError("need at least one sequence and one depth step")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (grid.n,):
-        raise DomainError(f"expected a point of dimension {grid.n}")
+    b = _as_point(b, grid.n)
     idx, valid = grid.locate(b)
     if valid and grid.mask[tuple(idx)]:
         inside_region = grid.mask & ~boundary_layer(grid.mask)
@@ -239,28 +240,28 @@ def estimate_cluster_set(
     e_in = _inward_direction(b, grid)
     tangents = _frame(e_in)
     r0 = 8 * grid.h
-    tails = []
-    for j in range(sequences):
-        tilt = 0.45 * j / max(1, sequences - 1)
-        omega = 2 * math.pi * (j + 1) / sequences
-        tail = None
-        for k in range(1, depth + 1):
-            t = r0 * 2.0**-k
-            for shrink in (1.0, 0.5, 0.0):
-                wobble = math.cos(omega * k) * tangents[0]
-                if len(tangents) > 1:
-                    wobble = wobble + math.sin(omega * k) * tangents[1]
-                direction = e_in + tilt * shrink * wobble
-                direction /= np.linalg.norm(direction)
-                x = b + t * direction
-                if grid.contains(x[None, :])[0]:
-                    tail = x
-                    break
-        if tail is not None:
-            tails.append(tail)
-    if not tails:
+    steps = range(1, depth + 1)
+    turns = [[2 * math.pi * (j + 1) / sequences * k for k in steps] for j in range(sequences)]
+    # Scalar math.cos/math.sin: np.cos/np.sin may take SIMD code that rounds differently on some CPUs.
+    wobble = np.array([[math.cos(a) for a in row] for row in turns])[..., None] * tangents[0]
+    if len(tangents) > 1:
+        wobble = wobble + np.array([[math.sin(a) for a in row] for row in turns])[..., None] * tangents[1]
+    tilt = 0.45 * np.arange(sequences) / max(1, sequences - 1)
+    scale = tilt[:, None] * np.array([1.0, 0.5, 0.0])
+    # Axes (sequence, step, scale, coordinate).
+    direction = e_in + scale[:, None, :, None] * wobble[:, :, None, :]
+    # Each (1, n) @ (n, 1) product is the dot product np.linalg.norm takes for one vector.
+    direction /= np.sqrt(direction[..., None, :] @ direction[..., :, None])[..., 0]
+    t = np.array([r0 * 2.0**-k for k in steps])
+    cand = b + t[:, None, None] * direction
+    inside = grid.contains(cand)
+    hit = inside.any(axis=2)
+    kept = np.flatnonzero(hit.any(axis=1))
+    if not kept.size:
         raise DomainError("no approach sequence stays inside the image domain")
-    images = m_inverse.evaluate(np.asarray(tails))
+    deepest = depth - 1 - np.argmax(hit[kept, ::-1], axis=1)
+    first = np.argmax(inside[kept, deepest], axis=1)
+    images = m_inverse.evaluate(cand[kept, deepest, first])
     return _merge_points(images, 2 * grid.h)
 
 

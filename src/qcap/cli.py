@@ -72,10 +72,6 @@ def _grid_desc(grid) -> dict:
     }
 
 
-def _report_distortion(rep, p, q, tau) -> dict:
-    return {**asdict(rep), "rhs": rep.rhs, "p": p, "q": q, "tau": tau}
-
-
 def _run_cap(cfg, rng):
     grid = build_grid(cfg["grid"])
     cond = build_condenser(cfg["condenser"], grid)
@@ -137,7 +133,7 @@ def _run_inequality(cfg, rng):
     p, q = cfg["exponents"]["p"], cfg["exponents"]["q"]
     tau = cfg.get("tau", DEFAULT_TAU)
     rep = verify(build_mapping(cfg["mapping"]), cond, p, q, other, build_solver(cfg.get("solver")), tau)
-    return _report_distortion(rep, p, q, tau), [], rep.converged
+    return {**asdict(rep), "rhs": rep.rhs, "p": p, "q": q, "tau": tau}, [], rep.converged
 
 
 def _run_modulus(cfg, rng):
@@ -146,7 +142,6 @@ def _run_modulus(cfg, rng):
     rep = check_hesse_shlyk(
         cond,
         cfg["exponents"]["p"],
-        grid,
         cfg["modulus"]["curve_count"],
         build_solver(cfg.get("solver")),
     )

@@ -52,21 +52,6 @@ class DistortionReport:
         return self.rhs_K * self.rhs_cap
 
 
-def _assemble(lhs: float, rhs_K: float, rhs_cap: float, tau: float, converged: bool) -> DistortionReport:
-    rhs = rhs_K * rhs_cap
-    budget = tau * (lhs + rhs)
-    slack = rhs - lhs
-    return DistortionReport(
-        lhs=lhs,
-        rhs_K=rhs_K,
-        rhs_cap=rhs_cap,
-        slack=slack,
-        passed=bool(slack >= -budget),
-        discretization_budget=budget,
-        converged=converged,
-    )
-
-
 def verify_capacity_inequality(
     m,
     c_image: Condenser,
@@ -88,12 +73,19 @@ def verify_capacity_inequality(
     lhs_res = solve_capacity(c_source, q, opts)
     rhs_res = solve_capacity(c_image, p, opts)
     k = distortion_coefficient(m, source_grid, p, q)
-    return _assemble(
-        lhs_res.value ** (1.0 / q),
-        k.value,
-        rhs_res.value ** (1.0 / p),
-        tau,
-        lhs_res.converged and rhs_res.converged,
+    lhs = lhs_res.value ** (1.0 / q)
+    rhs_cap = rhs_res.value ** (1.0 / p)
+    rhs = k.value * rhs_cap
+    budget = tau * (lhs + rhs)
+    slack = rhs - lhs
+    return DistortionReport(
+        lhs=lhs,
+        rhs_K=k.value,
+        rhs_cap=rhs_cap,
+        slack=slack,
+        passed=bool(slack >= -budget),
+        discretization_budget=budget,
+        converged=lhs_res.converged and rhs_res.converged,
     )
 
 

@@ -211,9 +211,13 @@ def energy_hessian(u: np.ndarray, grid: GridDomain, params: EnergyParams, patter
     """
     p, h, n = params.p, grid.h, grid.n
     la, lb, nf, k = pattern.la, pattern.lb, pattern.nf, pattern.cells.size
-    g = cell_gradient_sq(u, grid)[pattern.cells] + params.eps**2
-    d1 = (p / 2) * g ** ((p - 2) / 2)
-    k1 = h ** (n - 2) * pattern.w * (d1[la] + d1[lb])
+    if p == 2:
+        # phi' = 1 on every cell, so the field's gradient is not needed.
+        k1 = h ** (n - 2) * pattern.w * 2.0
+    else:
+        g = cell_gradient_sq(u, grid)[pattern.cells] + params.eps**2
+        d1 = (p / 2) * g ** ((p - 2) / 2)
+        k1 = h ** (n - 2) * pattern.w * (d1[la] + d1[lb])
     diag = np.bincount(la, weights=k1, minlength=k)[:nf]
     diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
     h1 = pattern.matrix(-k1, -k1, diag, nf)

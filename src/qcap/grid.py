@@ -513,25 +513,22 @@ def make_ring_condenser(x0, r1: float, r2: float, grid: GridDomain) -> Condenser
     return Condenser(E, F, grid, region_e, region_f)
 
 
-def diameter(cells: np.ndarray, grid: GridDomain) -> float:
-    """Maximum Euclidean distance between cell centers of a cell set."""
-    if not cells.any():
-        raise EmptySetError("diameter of an empty cell set")
-    pts = grid.all_centers()[cells.astype(bool)]
-    if len(pts) == 1:
-        return 0.0
-    if len(pts) > 4000:
-        # The diameter is attained at hull vertices; fall back to brute force
-        # on degenerate (flat) inputs.
-        from scipy.spatial import ConvexHull, QhullError
+def point_diameter(pts: np.ndarray) -> float:
+    """Largest Euclidean distance between two rows of ``pts`` (EmptySetError for none).
 
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            try:
-                pts = pts[ConvexHull(pts, qhull_options="QJ").vertices]
-            except QhullError:
-                pass
+    The farthest pair are vertices of the convex hull, so beyond n + 1 points
+    the scan keeps only the vertices of ``ConvexHull(pts, qhull_options="QJ")``;
+    the joggle lets flat sets (lines, slabs) through, and distances are taken
+    between the original points.  The pairs are then scanned in chunks of
+    2048 rows.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if len(pts) == 0:
+        raise EmptySetError("diameter of an empty point set")
+    if len(pts) > pts.shape[1] + 1:
+        from scipy.spatial import ConvexHull
+
+        pts = pts[ConvexHull(pts, qhull_options="QJ").vertices]
     best = 0.0
     step = 2048
     for i in range(0, len(pts), step):
@@ -539,3 +536,8 @@ def diameter(cells: np.ndarray, grid: GridDomain) -> float:
         d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+def diameter(cells: np.ndarray, grid: GridDomain) -> float:
+    """Largest distance between two cell centers of a cell set (``point_diameter``)."""
+    return point_diameter(grid.all_centers()[cells.astype(bool)])

@@ -32,7 +32,7 @@ from .capacity import SolverOptions, solve_capacity
 from .descent import minimize_projected
 from .exceptions import DomainError, GeometryError
 from .energy import EnergyParams
-from .grid import Annulus, Ball, Complement, Condenser, GridDomain, directions
+from .grid import Annulus, Ball, Complement, Condenser, GridDomain, _as_point, directions
 
 # The largest relative gap between the admissible value and the dual bound
 # that counts as converged.
@@ -122,9 +122,7 @@ def sample_radial_curves(ring: Annulus, count: int, grid: GridDomain) -> CurveFa
     """
     if count < 1:
         raise DomainError(f"need at least one curve, got count={count}")
-    x0 = np.asarray(ring.center, dtype=float)
-    if x0.shape != (grid.n,):
-        raise GeometryError("annulus center dimension does not match the grid")
+    x0 = _as_point(ring.center, grid.n)
     lo = np.asarray(grid.origin)
     hi = lo + np.asarray(grid.extent)
     margin = 1.5 * grid.h
@@ -211,22 +209,22 @@ def _ring_radii(c: Condenser) -> tuple[np.ndarray, float, float]:
 def check_hesse_shlyk(
     c: Condenser,
     p: float,
-    grid: GridDomain,
     curve_count: int,
     opts: SolverOptions | None = None,
 ) -> dict:
     """Compare the sampled-curve modulus against the condenser capacity.
 
+    ``curve_count`` radial segments cross the ring of the condenser's
+    recorded plates (GeometryError for other plates) on the condenser's own
+    grid ``c.domain``, which both the modulus program and the capacity use.
     The continuum statement is equality; discretely the sampled modulus must
     stay in (0, capacity * (1 + tau)] and grow toward the capacity with the
     curve count.  ``lower`` and ``gap`` give the modulus bracket; ``converged``
     also requires that bracket to be certified.
     """
     center, r1, r2 = _ring_radii(c)
-    if not np.array_equal(grid.mask, c.domain.mask) or grid.cells != c.domain.cells:
-        raise DomainError("condenser and curve family must share the grid")
-    fam = sample_radial_curves(Annulus(tuple(center), r1, r2), curve_count, grid)
-    mod = modulus_lower_bound(fam, p, grid)
+    fam = sample_radial_curves(Annulus(tuple(center), r1, r2), curve_count, c.domain)
+    mod = modulus_lower_bound(fam, p, c.domain)
     cap = solve_capacity(c, p, opts)
     return {
         "modulus": mod.value,

@@ -149,7 +149,7 @@ def test_criterion_5_scaling_law():
 def test_criterion_6_modulus_capacity_sandwich():
     grid = ring_grid(2, 3.0, 256)
     cond = make_ring_condenser((0.0, 0.0), 1.0, math.e, grid)
-    chk = check_hesse_shlyk(cond, 2.0, grid, 720)
+    chk = check_hesse_shlyk(cond, 2.0, 720)
     moduli = []
     for count in (90, 180, 360):
         fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, math.e), count, grid)

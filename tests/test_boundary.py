@@ -1,10 +1,13 @@
 """Boundary accessibility probes and cluster-set estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qcap import (
     AccessibilityProbe,
+    Affine,
     Annulus,
     Ball,
     ClusterSetEstimate,
@@ -20,7 +23,7 @@ from qcap import (
     rasterize,
     sample_shell_continua,
 )
-from qcap.boundary import _merge_points
+from qcap.boundary import _frame, _inward_direction, _merge_points
 from qcap.grid import connected
 
 
@@ -85,6 +88,8 @@ def test_sample_shell_continua_validation():
         sample_shell_continua(boundary_point(), 0.3, 0.9, g, 4)
     with pytest.raises(DomainError):
         sample_shell_continua(boundary_point(), 0.9, 0.3, g, 0)
+    with pytest.raises(DomainError, match="dimension 2"):
+        sample_shell_continua((0.0, 0.0, 0.0), 0.9, 0.3, g, 4)
     # a point far outside the domain admits no tubes at all
     with pytest.raises(GeometryError):
         sample_shell_continua((40.0, 40.0), 0.9, 0.3, g, 4)
@@ -211,3 +216,81 @@ def test_estimate_cluster_set_validation():
         estimate_cluster_set(Identity(), (2.0, 0.0), 0, 10, g)
     with pytest.raises(DomainError):
         estimate_cluster_set(Identity(), (2.0, 0.0, 0.0), 5, 10, g)
+
+
+def loop_tails(b, sequences, depth, grid):
+    """Reference: each candidate tested on its own; a sequence's tail is its
+    deepest step with an inside candidate, the first one at that step."""
+    b = np.asarray(b, dtype=float)
+    e_in = _inward_direction(b, grid)
+    tangents = _frame(e_in)
+    r0 = 8 * grid.h
+    tails = []
+    for j in range(sequences):
+        tilt = 0.45 * j / max(1, sequences - 1)
+        omega = 2 * math.pi * (j + 1) / sequences
+        tail = None
+        for k in range(1, depth + 1):
+            for shrink in (1.0, 0.5, 0.0):
+                wobble = math.cos(omega * k) * tangents[0]
+                if len(tangents) > 1:
+                    wobble = wobble + math.sin(omega * k) * tangents[1]
+                direction = e_in + tilt * shrink * wobble
+                direction /= np.linalg.norm(direction)
+                x = b + r0 * 2.0**-k * direction
+                if grid.contains(x[None, :])[0]:
+                    tail = x
+                    break
+        if tail is not None:
+            tails.append(tail)
+    return np.asarray(tails)
+
+
+@pytest.mark.parametrize(
+    "n, at, sequences, depth",
+    [(2, 0.3, 5, 10), (2, 2.1, 8, 14), (2, 4.0, 1, 3), (3, 0.3, 6, 12), (3, 1.7, 3, 5)],
+)
+def test_estimate_cluster_set_matches_the_candidate_loop(n, at, sequences, depth):
+    cells = 64 if n == 2 else 24
+    g = GridDomain.box(n, (-2.2,) * n, (cells,) * n, 4.4 / cells, Annulus((0.0,) * n, 0.5, 2.0))
+    u = np.array([math.cos(at), math.sin(at), 0.3][:n])
+    for r in (2.0, 0.5):
+        b = tuple(r * u / np.linalg.norm(u))
+        stretch = Affine(tuple(map(tuple, (1e4 * np.eye(n)).tolist())), (0.0,) * n)
+        want = _merge_points(stretch.evaluate(loop_tails(b, sequences, depth, g)), 2 * g.h)
+        got = estimate_cluster_set(stretch, b, sequences, depth, g)
+        assert got.points == want.points and got.diameter == want.diameter
+
+
+def test_estimate_cluster_set_reproduces_recorded_points():
+    """A stretching map keeps the tails apart, so every sequence's tail shows in the result."""
+    g2 = GridDomain.box(
+        2, (-2.2, -2.2), (128, 128), 4.4 / 128, Annulus((0.0, 0.0), 0.5, 2.0)
+    )
+    b2 = (2.0 * np.cos(0.7), 2.0 * np.sin(0.7))
+    est = estimate_cluster_set(Affine(((40.0, 0.0), (0.0, 40.0)), (0.0, 0.0)), b2, 6, 12, g2)
+    want2 = [
+        (60.17226598334865, 50.60995677547403),
+        (60.25948758645059, 50.52269827974801),
+        (60.02401963195429, 50.80445568426975),
+        (60.44911591585165, 50.37741560395986),
+        (59.91812355399047, 51.00861841078811),
+        (60.64227134253208, 50.27508102105833),
+    ]
+    np.testing.assert_allclose(est.points, want2, rtol=1e-13)
+    assert est.diameter == pytest.approx(1.0307604580023837, rel=1e-13)
+    g3 = GridDomain.box(3, (-1.2,) * 3, (32,) * 3, 2.4 / 32, Ball((0.0,) * 3, 1.0))
+    b3 = tuple(np.array([0.6, 0.64, 0.48]) / np.linalg.norm([0.6, 0.64, 0.48]))
+    stretch = Affine(tuple(map(tuple, (400.0 * np.eye(3)).tolist())), (0.0, 0.0, 0.0))
+    est = estimate_cluster_set(stretch, b3, 7, 4, g3)
+    want3 = [
+        (231.1739618943034, 246.20963550868095, 184.84110242537938),
+        (231.76424322237708, 246.4225417728756, 183.91021605928046),
+        (230.87126142029436, 245.27267847859883, 186.84338241481154),
+        (230.79680060818148, 248.69121876115594, 182.67890361828876),
+        (233.71911626878838, 243.3570371851105, 186.9298924255672),
+        (227.89904935180044, 250.435700267737, 185.10032160898965),
+        (236.92846315516408, 244.14829691323536, 183.3338131018315),
+    ]
+    np.testing.assert_allclose(est.points, want3, rtol=1e-13)
+    assert est.diameter == pytest.approx(11.143711539717557, rel=1e-13)

@@ -24,7 +24,7 @@ from qcap import (
     rasterize,
 )
 from qcap.energy import EnergyParams, energy_value
-from qcap.grid import connected, dilate_faces, graph_distance
+from qcap.grid import connected, dilate_faces, graph_distance, point_diameter
 
 
 def square_grid(cells=32, half=2.0, region=None):
@@ -260,3 +260,44 @@ def test_diameter_matches_brute_force():
         float(np.linalg.norm(p - q)) for p in centers for q in centers
     )
     assert diameter(cells, g) == pytest.approx(brute, rel=1e-12)
+
+
+def brute_diameter(cells, g):
+    pts = g.all_centers()[cells]
+    return float(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1).max()))
+
+
+def test_diameter_of_a_large_box_is_its_center_diagonal():
+    g = GridDomain.box(3, (0.0, 0.0, 0.0), (24, 24, 24), 0.1)
+    cells = np.zeros(g.cells, dtype=bool)
+    cells[2:22, 1:23, 3:20] = True
+    assert cells.sum() > 4000
+    corner_to_corner = 0.1 * np.sqrt(19.0**2 + 21.0**2 + 16.0**2)
+    assert diameter(cells, g) == pytest.approx(corner_to_corner, rel=1e-12)
+
+
+def test_diameter_of_flat_cell_sets():
+    """One-cell-thick lines and a slab have flat hulls; the joggled hull still finds the farthest pair."""
+    g2 = GridDomain.box(2, (0.0, 0.0), (40, 40), 0.1)
+    g3 = GridDomain.box(3, (0.0, 0.0, 0.0), (16, 16, 16), 0.1)
+    line2 = np.zeros(g2.cells, dtype=bool)
+    line2[3:37, 5] = True
+    diag2 = np.eye(40, dtype=bool)
+    line3 = np.zeros(g3.cells, dtype=bool)
+    line3[4, 2:15, 7] = True
+    diag3 = np.zeros(g3.cells, dtype=bool)
+    diag3[np.arange(16), np.arange(16), np.arange(16)] = True
+    slab = np.zeros(g3.cells, dtype=bool)
+    slab[:, 6, :] = True
+    for cells, g in ((line2, g2), (diag2, g2), (line3, g3), (diag3, g3), (slab, g3)):
+        assert diameter(cells, g) == pytest.approx(brute_diameter(cells, g), rel=1e-12)
+
+
+def test_point_diameter():
+    assert point_diameter(np.array([[1.0, 2.0]])) == 0.0
+    assert point_diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
+    # more than n + 1 points, all on one line, go through the joggled hull
+    line = np.array([[t, 2.0 * t] for t in (0.0, 0.5, 1.5, 3.0, 1.0)])
+    assert point_diameter(line) == pytest.approx(3.0 * np.sqrt(5.0), rel=1e-12)
+    with pytest.raises(EmptySetError):
+        point_diameter(np.zeros((0, 3)))

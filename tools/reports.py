@@ -1,0 +1,86 @@
+"""Compare the ``lab-cli`` reports of this checkout with a parent checkout's, byte for byte.
+
+    python3 tools/reports.py --parent DIR
+
+For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
+(read from this checkout, not changed) are written once and run through
+``python -m qcap.cli <command> --config ... --seed S`` in each checkout,
+with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
+Every report file whose bytes differ between the two sides, or that only
+one side wrote, is listed; the exit status is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+SEEDS = (0, 1)
+
+
+def write_configs(configs: dict, out: Path) -> None:
+    """Each config as ``<command>.json`` in ``out``."""
+    out.mkdir(parents=True)
+    for command, cfg in configs.items():
+        (out / f"{command}.json").write_text(json.dumps(cfg, indent=2), encoding="utf-8")
+
+
+def run_reports(root: Path, commands: list, seed: int, configs: Path, out: Path) -> None:
+    """Each command's report in ``out``, from the checkout ``root``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for command in commands:
+        argv = ["--config", str(configs / f"{command}.json"), "--out", str(out), "--seed", str(seed)]
+        subprocess.run(
+            [sys.executable, "-m", "qcap.cli", command, *argv],
+            cwd=root,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            check=False,
+        )
+
+
+def differing(a: Path, b: Path) -> list:
+    """Names of the files in either directory whose bytes differ or that the other lacks."""
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    return [
+        name
+        for name in names
+        if not ((a / name).is_file() and (b / name).is_file())
+        or (a / name).read_bytes() != (b / name).read_bytes()
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import lab_configs
+
+    roots = {"change": ROOT, "parent": args.parent.resolve()}
+    diffs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            work = Path(tmp) / f"seed{seed}"
+            configs = lab_configs(seed)
+            write_configs(configs, work / "configs")
+            for side, root in roots.items():
+                (work / side).mkdir()
+                run_reports(root, list(configs), seed, work / "configs", work / side)
+            names = differing(work / "change", work / "parent")
+            diffs += [f"seed {seed}: {name}" for name in names]
+            print(f"seed {seed}: {len(names)} of {len(list((work / 'change').iterdir()))} reports differ", file=sys.stderr)
+    for line in diffs:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
