@@ -203,9 +203,36 @@ def _frame(e_in: np.ndarray) -> list:
 
 
 def _inward_direction(b: np.ndarray, grid: GridDomain) -> np.ndarray:
-    centers = grid.inside_centers
-    dist = np.linalg.norm(centers - b, axis=1)
-    near = centers[dist <= dist.min() + 3 * grid.h]
+    """Unit vector from b to the mean of the inside centers within 3h of the nearest one.
+
+    The centers are searched in a box of cells around ``grid.locate(b)``
+    that doubles until b lies at least that reach from every side of the
+    box with cells beyond it, so no center outside can qualify.  The box's
+    rows come in inside-enumeration order, so the mean is the one taken
+    over all inside centers, bit for bit.
+    """
+    idx, _ = grid.locate(b)
+    cells = np.asarray(grid.cells)
+    origin = np.asarray(grid.origin)
+    r = 4
+    while True:
+        lo = np.maximum(idx - r, 0)
+        hi = np.minimum(idx + r + 1, cells)
+        rows = grid.inside_index[tuple(slice(a, z) for a, z in zip(lo, hi))]
+        centers = grid.inside_centers[rows[rows >= 0]]
+        whole = (lo == 0).all() and (hi == cells).all()
+        if centers.size or whole:
+            dist = np.linalg.norm(centers - b, axis=1)
+            reach = dist.min() + 3 * grid.h
+            # Distance from b to each side of the box with cells beyond it.
+            gaps = np.concatenate([
+                np.where(lo > 0, b - (origin + lo * grid.h), np.inf),
+                np.where(hi < cells, origin + hi * grid.h - b, np.inf),
+            ])
+            if gaps.min() >= reach:
+                break
+        r *= 2
+    near = centers[dist <= reach]
     v = near.mean(axis=0) - b
     norm = np.linalg.norm(v)
     if norm < 1e-12:

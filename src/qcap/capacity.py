@@ -11,12 +11,17 @@ For p != 2 the minimizer is a damped inexact Newton method at the one
 smoothing eps of the solver options, started from the normalized grid
 distance field.  A Newton step solves the Hessian system of the energy
 module (sparse matrices on one pattern of the free cells, built once per
-solve) by Jacobi-preconditioned CG to a forcing tolerance, then backtracks
-from the full step until the Armijo condition holds for the field clipped
-to [0, 1].  The solve ends when half the Newton decrement, -grad.s / 2, is
-at most ``rel_tol`` times the energy: the remaining suboptimality, to
-second order.  There ``iterations`` counts Newton steps and
-``energy_history`` holds the start energy and the energy after each step.
+solve) by Jacobi-preconditioned CG, then backtracks from the full step
+until the Armijo condition holds for the field clipped to [0, 1].  The
+solve ends when half the Newton decrement, -grad.s / 2, is at most
+``rel_tol`` times the energy: the remaining suboptimality, to second
+order.  The CG runs to a forcing tolerance, or stops earlier once that
+test is sure to hold: from CG's start at 0, its model drops alpha (r.z)/2
+add up to -grad.s / 2, and the last 10 drops estimate what further steps
+would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42, 2002).  Only the
+certifying last step can stop that way.  There ``iterations`` counts
+Newton steps and ``energy_history`` holds the start energy and the energy
+after each step.
 For p = 2 eps only adds the constant eps^2 h^n per cell, so the energy is
 one quadratic whose minimizer lies in [0, 1] by the discrete maximum
 principle: one exact Newton step from the plate field, with the same
@@ -24,7 +29,9 @@ Hessian operator and CG as the p != 2 steps, the CG run to convergence
 instead of to a forcing tolerance.  There ``iterations`` counts CG steps
 and ``energy_history`` holds the energy after each, which CG decreases
 monotonically; the stopping rule is the relative decrease over a 10-step
-window.
+window.  Every result carries its CG step total and its last decrement
+(-grad.s / 2, or the last 10-step drop for p = 2), the solver's share of
+the error.
 
 Closed-form capacities of spherical rings A(x0, r1, r2) serve as oracles:
 
@@ -69,9 +76,10 @@ class SolverOptions:
     ``max_iterations`` caps the Newton steps for p != 2 (each one inner CG
     solve, capped internally) and the CG steps for p = 2.  ``rel_tol`` is
     the stopping threshold: for p != 2 the solve ends once half the Newton
-    decrement is at most rel_tol |E|, for p = 2 once the energy drops by at
-    most rel_tol |E| over 10 steps.  ``eps`` is the smoothing of the
-    regularized energy, positive and finite.
+    decrement is at most rel_tol |E|, and the inner CG of that last step
+    stops as soon as its drops show the test will hold; for p = 2 the solve
+    ends once the energy drops by at most rel_tol |E| over 10 steps.
+    ``eps`` is the smoothing of the regularized energy, positive and finite.
     """
 
     max_iterations: int = 40000
@@ -95,9 +103,13 @@ class CapacityResult:
     ``energy_history`` is the monotone energy trace of the solve: a start
     value plus one entry per Newton step (p != 2) or CG step (p = 2), all
     at ``final_eps``, the smoothing eps of the solve; ``history_eps`` lists
-    that eps once per entry.  ``iterations`` is the number of those steps.
-    ``converged`` means that for p != 2 the Newton decrement test held, and
-    for p = 2 that the CG stall test fired, each within ``max_iterations``.
+    that eps once per entry.  ``iterations`` is the number of those steps,
+    ``cg_steps`` the total of inner CG steps.  ``decrement`` is the
+    solver's own error estimate: for p != 2 half the last Newton decrement,
+    -grad.s / 2, for p = 2 the energy drop over the last 10 CG steps.
+    ``converged`` means that for p != 2 the decrement test held (decrement
+    at most rel_tol |E|), and for p = 2 that the CG stall test fired, each
+    within ``max_iterations``.
     """
 
     value: float
@@ -105,6 +117,8 @@ class CapacityResult:
     final_eps: float
     energy_history: list = field(repr=False)
     converged: bool
+    cg_steps: int = 0
+    decrement: float = 0.0
 
     @property
     def history_eps(self) -> list:
@@ -241,7 +255,8 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
     )
     u = base.copy()
     u[free] += step
-    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged)
+    window_drop = history[max(0, it - STALL_WINDOW)] - energy
+    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged, it, window_drop)
 
 
 def _solve_newton(
@@ -255,22 +270,37 @@ def _solve_newton(
     condition holds for the field clipped to [0, 1] (clipping never raises
     the energy, since it shrinks every face difference).  The solve ends
     once half the Newton decrement, -grad.s / 2, is at most rel_tol |E|;
-    its last step is still taken.
+    its last step is still taken.  CG started at 0 has -grad.s / 2 equal to
+    the sum of its drops alpha (r.z)/2, which only grows, so the CG also
+    stops once that sum plus the last ``STALL_WINDOW`` drops (an estimate of
+    what is left) is within rel_tol |E|: the decrement test then holds, and
+    the step is the last.  ``converged`` certifies that test.
     """
     params = EnergyParams(p, opts.eps)
     pattern = hessian_pattern(grid, free)
     energy = energy_value(u, grid, params)
     history = [energy]
     converged = False
+    cg_steps = 0
+    decrement = math.inf
     while not converged and len(history) <= opts.max_iterations:
         grad = energy_gradient(u, grid, params)[free]
         norm = float(np.linalg.norm(grad))
         tol = min(0.1, norm) * norm
-        step, _, _ = _newton_step(
-            u, grad, grid, params, pattern, NEWTON_CG_STEPS, lambda _a, _rz, r: _dot(r, r) <= tol * tol
-        )
+        threshold = opts.rel_tol * abs(energy)
+        drops = []
+
+        def stop(alpha: float, rz: float, r: np.ndarray) -> bool:
+            drops.append(0.5 * alpha * rz)
+            return _dot(r, r) <= tol * tol or (
+                len(drops) >= STALL_WINDOW and sum(drops) + sum(drops[-STALL_WINDOW:]) <= threshold
+            )
+
+        step, it, _ = _newton_step(u, grad, grid, params, pattern, NEWTON_CG_STEPS, stop)
+        cg_steps += it
         slope = float(grad @ step)
-        converged = -slope / 2 <= opts.rel_tol * abs(energy)
+        decrement = -slope / 2
+        converged = decrement <= threshold
         t = 1.0
         while slope < 0 and t >= MIN_STEP:
             trial = u.copy()
@@ -284,7 +314,7 @@ def _solve_newton(
         else:
             # No measurable decrease along the Newton direction.
             break
-    return CapacityResult(energy, len(history) - 1, opts.eps, history, converged)
+    return CapacityResult(energy, len(history) - 1, opts.eps, history, converged, cg_steps, decrement)
 
 
 def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:

@@ -294,3 +294,27 @@ def test_estimate_cluster_set_reproduces_recorded_points():
     ]
     np.testing.assert_allclose(est.points, want3, rtol=1e-13)
     assert est.diameter == pytest.approx(11.143711539717557, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, region",
+    [
+        (2, Annulus((0.0, 0.0), 0.5, 2.0)),
+        (2, Ball((0.3, -0.2), 1.7)),
+        (2, None),
+        (3, Ball((0.1, 0.2, 0.3), 1.6)),
+        (3, None),
+    ],
+)
+def test_inward_direction_matches_the_search_over_all_centers(n, region):
+    """The windowed search gives, bit for bit, the mean over every inside center within 3h of the nearest."""
+    cells = 96 if n == 2 else 28
+    grid = GridDomain.box(n, (-2.2,) * n, (cells,) * n, 4.4 / cells, region)
+    rng = np.random.default_rng(n)
+    # Points on the domain's edges, deep inside, and outside the grid box.
+    points = np.concatenate([rng.uniform(-3.5, 3.5, (60, n)), rng.normal(size=(60, n))])
+    for b in points:
+        centers = grid.inside_centers
+        dist = np.linalg.norm(centers - b, axis=1)
+        v = centers[dist <= dist.min() + 3 * grid.h].mean(axis=0) - b
+        assert np.array_equal(_inward_direction(b, grid), v / np.linalg.norm(v))

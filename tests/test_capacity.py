@@ -409,6 +409,80 @@ def test_newton_reproduces_recorded_values(n, p, cells, value, steps):
     assert res.value == pytest.approx(value, rel=1e-12)
 
 
+def test_certifying_newton_step_stops_early():
+    # criterion 3: the same 8 Newton steps and value, with the last inner CG
+    # stopped by its decrement estimate (733 CG steps at the forcing tolerance)
+    res = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 256)
+    assert res.converged
+    assert res.iterations == 8
+    assert res.value == pytest.approx(8.929512318680647, rel=1e-12)
+    assert res.cg_steps <= 480
+    assert 0 <= res.decrement <= SolverOptions().rel_tol * res.value
+
+
+@pytest.mark.parametrize("n, p, cells", [(2, 1.5, 64), (2, 3.0, 48), (3, 2.5, 16)])
+def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
+    # each inner CG is run again to the forcing tolerance alone: every step
+    # but the last takes exactly as many CG steps, the last one fewer
+    newton_step = qcap.capacity._newton_step
+    counts = []
+
+    def recording(u, grad, grid, params, pattern, max_steps, stop):
+        out = newton_step(u, grad, grid, params, pattern, max_steps, stop)
+        norm = float(np.linalg.norm(grad))
+        tol = min(0.1, norm) * norm
+        forcing = newton_step(
+            u, grad, grid, params, pattern, max_steps, lambda _a, _rz, r: qcap.capacity._dot(r, r) <= tol * tol
+        )
+        counts.append((out[1], forcing[1]))
+        return out
+
+    monkeypatch.setattr(qcap.capacity, "_newton_step", recording)
+    res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
+    assert res.converged
+    assert len(counts) == res.iterations
+    assert all(used == forcing for used, forcing in counts[:-1])
+    assert counts[-1][0] < counts[-1][1]
+    assert res.cg_steps == sum(used for used, _ in counts)
+
+
+@pytest.mark.parametrize(
+    "n, p, cells, value, steps",
+    [
+        (2, 1.05, 64, 8.12614487912372, 10),
+        (2, 1.2, 64, 8.75361471019053, 9),
+        (2, 3.0, 64, 8.85266477685342, 7),
+        (2, 6.0, 64, 8.144443125370726, 11),
+        (3, 2.5, 24, 24.62791850365102, 6),
+    ],
+)
+def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
+    # values and Newton step counts recorded with every inner CG run to the
+    # forcing tolerance
+    res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
+    assert res.converged
+    assert res.iterations == steps
+    assert res.value == pytest.approx(value, rel=1e-10)
+
+
+def test_solve_counters():
+    # p = 2: one CG step per iteration, decrement the drop over the last 10
+    res = solve_ring(2, 2.0, 1.0, 2.0, 2.5, 48)
+    assert res.cg_steps == res.iterations
+    assert res.decrement == res.energy_history[-11] - res.energy_history[-1]
+    assert res.decrement <= SolverOptions().rel_tol * res.value
+    # p != 2: the decrement test the solve ended on
+    res = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 48)
+    assert res.cg_steps >= res.iterations
+    assert 0 <= res.decrement <= SolverOptions().rel_tol * res.energy_history[-2]
+    # an unconverged solve reports a decrement above its threshold
+    res = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 48, SolverOptions(max_iterations=2))
+    assert not res.converged and res.decrement > SolverOptions().rel_tol * res.energy_history[-2]
+    # the counters default for results built without them
+    bare = qcap.capacity.CapacityResult(1.0, 0, 1e-4, [1.0], True)
+    assert (bare.cg_steps, bare.decrement) == (0, 0.0)
+
+
 def test_ring_benchmark_validation():
     with pytest.raises(DomainError):
         RingBenchmark(2, 2.0, 1.0, 2.0, 1.5, (32,))  # half must exceed r2

@@ -8,6 +8,10 @@ For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
 Every report file whose bytes differ between the two sides, or that only
 one side wrote, is listed; the exit status is 1 if there is any, else 0.
+For a differing JSON report the listing also gives the largest relative
+difference |a - b| / max(|a|, |b|) over the numeric leaves both sides have,
+and that leaf's path, so drift at the last ulp (about 1e-16) reads apart
+from a changed result.
 """
 
 from __future__ import annotations
@@ -57,6 +61,30 @@ def differing(a: Path, b: Path) -> list:
     ]
 
 
+def numeric_drift(a, b, path: str = "") -> tuple:
+    """(largest relative difference, its leaf path) over the numbers both JSON values hold at the same path."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(a[k], b[k], f"{path}.{k}" if path else str(k)) for k in a if k in b]
+    elif isinstance(a, list) and isinstance(b, list):
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        scale = max(abs(a), abs(b))
+        return (abs(a - b) / scale if scale else 0.0), path
+    else:
+        return 0.0, None
+    return max((numeric_drift(x, y, sub) for x, y, sub in pairs), key=lambda d: d[0], default=(0.0, None))
+
+
+def describe(name: str, a: Path, b: Path) -> str:
+    """``name``, with the largest numeric drift when both sides wrote it as JSON."""
+    if name.endswith(".json") and (a / name).is_file() and (b / name).is_file():
+        rel, leaf = numeric_drift(*(json.loads((d / name).read_text(encoding="utf-8")) for d in (a, b)))
+        if rel > 0:
+            return f"{name} (largest relative difference {rel:.2g} at {leaf})"
+        return f"{name} (every number both sides hold is equal)"
+    return name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -75,7 +103,7 @@ def main(argv=None) -> int:
                 (work / side).mkdir()
                 run_reports(root, list(configs), seed, work / "configs", work / side)
             names = differing(work / "change", work / "parent")
-            diffs += [f"seed {seed}: {name}" for name in names]
+            diffs += [f"seed {seed}: {describe(name, work / 'change', work / 'parent')}" for name in names]
             print(f"seed {seed}: {len(names)} of {len(list((work / 'change').iterdir()))} reports differ", file=sys.stderr)
     for line in diffs:
         print(line)
