@@ -9,10 +9,11 @@ lets callers judge the leftover inflation).
 
 For p != 2 the minimizer is a damped inexact Newton method at the one
 smoothing eps of the solver options, started from the normalized grid
-distance field.  A Newton step solves the Hessian system of the energy
-module (sparse matrices on one pattern of the free cells, built once per
-solve) by Jacobi-preconditioned CG, then backtracks from the full step
-until the Armijo condition holds for the field clipped to [0, 1].  The
+distance field.  Each step takes the gradient and the Hessian on the free
+cells from one ``FreeEnergy.derivatives`` call (the energy module's
+per-solve object, built once), solves H s = -grad by Jacobi-preconditioned
+CG, then backtracks from the full step until the Armijo condition holds
+for the field clipped to [0, 1]; energy values sum the whole grid.  The
 solve ends when half the Newton decrement, -grad.s / 2, is at most
 ``rel_tol`` times the energy: the remaining suboptimality, to second
 order.  The CG runs to a forcing tolerance, or stops earlier once that
@@ -53,9 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Unused here; kept as a module name because the benchmark's tracer patches it.
+# Unused here; kept as module names because the benchmark's tracer patches them.
 from .descent import minimize_projected  # noqa: F401
-from .energy import EnergyParams, HessianPattern, energy_gradient, energy_hessian, energy_value, hessian_pattern
+from .energy import energy_gradient  # noqa: F401
+from .energy import EnergyParams, FreeEnergy, energy_value
 from .exceptions import DomainError
 from .grid import Condenser, GridDomain, check_ring_radii, graph_distance, make_ring_condenser
 
@@ -209,25 +211,10 @@ def _pcg(apply, rhs: np.ndarray, inv_diag: np.ndarray, max_steps: int, stop):
     return x, it, False
 
 
-def _newton_step(
-    u: np.ndarray, grad: np.ndarray, grid: GridDomain, params: EnergyParams, pattern: HessianPattern, max_steps, stop
-):
-    """Newton step on the free cells: H s = -grad by Jacobi-preconditioned CG on ``energy_hessian`` at u.
-
-    Returns ``_pcg``'s (s, steps, stopped) for at most ``max_steps`` steps
-    and the test ``stop``: a forcing tolerance for the inexact p != 2 steps,
-    the energy stall test for the exact p = 2 step.  ``pattern`` is the
-    solve's one Hessian pattern; the matrix values filled on it live only
-    for this call, so a solve holds one Hessian at a time.
-    """
-    apply, diag = energy_hessian(u, grid, params, pattern)
-    return _pcg(apply, -grad, 1.0 / diag, max_steps, stop)
-
-
 def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
     """p = 2: one exact Newton step from the plate field.
 
-    The energy is quadratic, so the Hessian of ``energy_hessian`` is the
+    The energy is quadratic, so its Hessian on the free cells is the
     constant sparse graph Laplacian H1, filled once, and base + s minimizes
     it for the s solving H s = -grad.  The energy of base + x is
     E0 + grad.x + x.Hx/2, so each CG step lowers it by alpha (r.z)/2; the
@@ -248,11 +235,10 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
             len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - energy <= opts.rel_tol * abs(energy)
         )
 
-    grad = energy_gradient(base, grid, params)[free]
-    # Built inline so that it is freed with the Hessian, before the final full-grid energy.
-    step, it, converged = _newton_step(
-        base, grad, grid, params, hessian_pattern(grid, free), opts.max_iterations, stop
-    )
+    # Built inline: only the filled Hessian outlives the call, and it is freed before the final full-grid energy.
+    grad, apply, diag = FreeEnergy(grid, free, params).derivatives(base)
+    step, it, converged = _pcg(apply, -grad, 1.0 / diag, opts.max_iterations, stop)
+    del apply, diag
     u = base.copy()
     u[free] += step
     window_drop = history[max(0, it - STALL_WINDOW)] - energy
@@ -277,14 +263,14 @@ def _solve_newton(
     the step is the last.  ``converged`` certifies that test.
     """
     params = EnergyParams(p, opts.eps)
-    pattern = hessian_pattern(grid, free)
+    free_energy = FreeEnergy(grid, free, params)
     energy = energy_value(u, grid, params)
     history = [energy]
     converged = False
     cg_steps = 0
     decrement = math.inf
     while not converged and len(history) <= opts.max_iterations:
-        grad = energy_gradient(u, grid, params)[free]
+        grad, apply, diag = free_energy.derivatives(u)
         norm = float(np.linalg.norm(grad))
         tol = min(0.1, norm) * norm
         threshold = opts.rel_tol * abs(energy)
@@ -296,7 +282,9 @@ def _solve_newton(
                 len(drops) >= STALL_WINDOW and sum(drops) + sum(drops[-STALL_WINDOW:]) <= threshold
             )
 
-        step, it, _ = _newton_step(u, grad, grid, params, pattern, NEWTON_CG_STEPS, stop)
+        step, it, _ = _pcg(apply, -grad, 1.0 / diag, NEWTON_CG_STEPS, stop)
+        # A solve holds one Hessian at a time.
+        del apply, diag
         cg_steps += it
         slope = float(grad @ step)
         decrement = -slope / 2

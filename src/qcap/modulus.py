@@ -95,19 +95,21 @@ class ModulusResult:
     density: DensityField
 
 
-def _plate_reach(x0: np.ndarray, r_target: float, direction: np.ndarray, grid: GridDomain, outward: bool) -> float:
-    """Radius along ``direction`` whose cell center lies on the plate side of
-    ``r_target`` (center-rule membership), nudged in quarter-cell steps."""
-    r = r_target
+def _plate_reach(x0: np.ndarray, r_target: float, dirs: np.ndarray, grid: GridDomain, outward: bool) -> np.ndarray:
+    """Radius along each of ``dirs`` whose cell center lies on the plate side
+    of ``r_target`` (center-rule membership), nudged in quarter-cell steps."""
+    r = np.full(len(dirs), float(r_target))
+    todo = np.arange(len(dirs))
+    step = grid.h / 4
     for _ in range(5):
-        idx, valid = grid.locate(x0 + r * direction)
-        if valid:
-            center = np.asarray(grid.origin) + (np.asarray(idx) + 0.5) * grid.h
-            d = float(np.linalg.norm(center - x0))
-            if (d >= r_target) if outward else (d <= r_target):
-                return r
-        step = grid.h / 4
-        r = r + step if outward else max(r - step, grid.h / 4)
+        idx, valid = grid.locate(x0 + r[todo, None] * dirs[todo])
+        off = np.asarray(grid.origin) + (idx + 0.5) * grid.h - x0
+        # Each (1, n) @ (n, 1) product is the dot product np.linalg.norm takes for one vector.
+        d = np.sqrt(off[:, None, :] @ off[:, :, None])[:, 0, 0]
+        todo = todo[~(valid & ((d >= r_target) if outward else (d <= r_target)))]
+        r[todo] = r[todo] + step if outward else np.maximum(r[todo] - step, step)
+        if not todo.size:
+            break
     return r
 
 
@@ -129,12 +131,12 @@ def sample_radial_curves(ring: Annulus, count: int, grid: GridDomain) -> CurveFa
     if np.any(x0 - ring.r2 - margin < lo) or np.any(x0 + ring.r2 + margin > hi):
         raise GeometryError("annulus (plus a one-cell margin) exits the grid")
     step = grid.h / 2
+    dirs = directions(grid.n, count)
+    r_in = _plate_reach(x0, ring.r1, dirs, grid, outward=False)
+    r_out = _plate_reach(x0, ring.r2, dirs, grid, outward=True)
     curves = []
-    for direction in directions(grid.n, count):
-        r_in = _plate_reach(x0, ring.r1, direction, grid, outward=False)
-        r_out = _plate_reach(x0, ring.r2, direction, grid, outward=True)
-        radii = np.arange(r_in, r_out, step)
-        radii = np.append(radii, r_out)
+    for direction, a, b in zip(dirs, r_in, r_out):
+        radii = np.append(np.arange(a, b, step), b)
         curves.append(x0 + radii[:, None] * direction)
     return CurveFamily(tuple(curves))
 

@@ -24,8 +24,8 @@ from qcap import (
 )
 import qcap.capacity
 from qcap.capacity import _distance_init
-from qcap.energy import EnergyParams, energy_gradient, energy_value, hessian_pattern
-from qcap.grid import Complement
+from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
+from qcap.grid import Box, Complement
 
 TIGHT = SolverOptions(rel_tol=1e-13)
 
@@ -385,11 +385,11 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
     # every Hessian of one solve is filled on the same free-cell pattern
     calls = []
 
-    def counting(grid, free):
+    def counting(grid, free, params):
         calls.append(free.size)
-        return hessian_pattern(grid, free)
+        return FreeEnergy(grid, free, params)
 
-    monkeypatch.setattr(qcap.capacity, "hessian_pattern", counting)
+    monkeypatch.setattr(qcap.capacity, "FreeEnergy", counting)
     g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
     res = solve_capacity(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), p)
     assert res.converged and res.iterations > 1
@@ -424,20 +424,18 @@ def test_certifying_newton_step_stops_early():
 def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
     # each inner CG is run again to the forcing tolerance alone: every step
     # but the last takes exactly as many CG steps, the last one fewer
-    newton_step = qcap.capacity._newton_step
+    pcg = qcap.capacity._pcg
     counts = []
 
-    def recording(u, grad, grid, params, pattern, max_steps, stop):
-        out = newton_step(u, grad, grid, params, pattern, max_steps, stop)
-        norm = float(np.linalg.norm(grad))
+    def recording(apply, rhs, inv_diag, max_steps, stop):
+        out = pcg(apply, rhs, inv_diag, max_steps, stop)
+        norm = float(np.linalg.norm(rhs))
         tol = min(0.1, norm) * norm
-        forcing = newton_step(
-            u, grad, grid, params, pattern, max_steps, lambda _a, _rz, r: qcap.capacity._dot(r, r) <= tol * tol
-        )
+        forcing = pcg(apply, rhs, inv_diag, max_steps, lambda _a, _rz, r: qcap.capacity._dot(r, r) <= tol * tol)
         counts.append((out[1], forcing[1]))
         return out
 
-    monkeypatch.setattr(qcap.capacity, "_newton_step", recording)
+    monkeypatch.setattr(qcap.capacity, "_pcg", recording)
     res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
     assert res.converged
     assert len(counts) == res.iterations
@@ -463,6 +461,25 @@ def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
     assert res.converged
     assert res.iterations == steps
     assert res.value == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "p, value, steps",
+    [(1.5, 6.210049319717511, 7), (2.0, 21.26007194750738, 147), (3.0, 289.15905463583204, 7)],
+)
+def test_plates_sharing_faces(p, value, steps):
+    # E and F touch along a row of faces, fixed at both ends with a
+    # difference of 1: the energy counts them, the free-cell derivatives
+    # leave them out; values and step counts (Newton for p != 2, CG for
+    # p = 2) recorded from full-grid gradients
+    g = GridDomain.box(2, (0.0, 0.0), (40, 40), 0.05)
+    e_region = Box((0.0, 0.0), (1.0, 0.5))
+    e = rasterize(e_region, g)
+    f = rasterize(Box((0.0, 0.51), (1.0, 1.0)), g) & ~e
+    res = solve_capacity(Condenser(e, f, g, region_e=e_region), p)
+    assert res.converged
+    assert res.iterations == steps
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 def test_solve_counters():

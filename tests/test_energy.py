@@ -17,7 +17,8 @@ from qcap import (
     project_admissible,
     rasterize,
 )
-from qcap.energy import energy_gradient, energy_hessian, hessian_pattern
+import qcap.energy
+from qcap.energy import FreeEnergy, energy_gradient
 from qcap.grid import Complement
 
 
@@ -189,7 +190,7 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         u[: u.size // 2] = 0.5
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
-    apply, diag = energy_hessian(u, grid, params, hessian_pattern(grid, free))
+    _, apply, diag = FreeEnergy(grid, free, params).derivatives(u)
     step = 1e-5
     fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
     fd /= 2 * step
@@ -201,6 +202,39 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         assert diag[j] > 0
 
 
+@pytest.mark.parametrize(
+    "p, eps", [(1.5, 1e-2), (3.0, 1e-2), (2.0, 1e-2), (2.0, 0.0)], ids=["1.5", "3.0", "2.0", "2.0-eps0"]
+)
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_free_gradient_is_the_full_gradient_on_free_cells(case, p, eps):
+    # the same face terms scattered in the same order: equal bit for bit
+    rng = np.random.default_rng(14)
+    grid, free = hessian_case(case, rng)
+    params = EnergyParams(p, eps)
+    u = rng.uniform(0.0, 1.0, grid.inside_count)
+    if eps == 0:
+        u[: u.size // 2] = 0.5
+    grad, _, _ = FreeEnergy(grid, free, params).derivatives(u)
+    assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
+
+
+@pytest.mark.parametrize("p, sweeps", [(1.5, 1), (2.0, 0), (3.0, 1)])
+def test_derivatives_sweep_the_grid_at_most_once(p, sweeps, monkeypatch):
+    # gradient and Hessian share one cell_gradient_sq, and p = 2 needs none
+    calls = []
+    sweep = qcap.energy.cell_gradient_sq
+
+    def counting(u, grid):
+        calls.append(grid)
+        return sweep(u, grid)
+
+    monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting)
+    rng = np.random.default_rng(15)
+    grid, free = hessian_case("ring", rng)
+    FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(rng.uniform(0.0, 1.0, grid.inside_count))
+    assert len(calls) == sweeps
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("case", ["ring", "masked", "3d"])
 def test_hessian_is_symmetric(case, p):
@@ -208,7 +242,7 @@ def test_hessian_is_symmetric(case, p):
     rng = np.random.default_rng(12)
     grid, free = hessian_case(case, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    apply, _ = energy_hessian(u, grid, EnergyParams(p, 1e-2), hessian_pattern(grid, free))
+    _, apply, _ = FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(u)
     v, w = rng.normal(size=(2, free.size))
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
@@ -219,7 +253,7 @@ def test_hessian_diagonal_is_every_unit_product(p):
     rng = np.random.default_rng(13)
     grid, free = hessian_case("masked", rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    apply, diag = energy_hessian(u, grid, EnergyParams(p, 1e-2), hessian_pattern(grid, free))
+    _, apply, diag = FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(u)
     columns = np.array([apply(unit) for unit in np.eye(free.size)])
     np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
     assert (diag > 0).all()
@@ -247,6 +281,8 @@ def test_singular_gradient_raises(masked_grid):
     flat = ScalarField(masked_grid, np.full(masked_grid.inside_count, 0.3))
     with pytest.raises(SingularityError):
         p_energy_gradient(flat, EnergyParams(1.5, 0.0))
+    with pytest.raises(SingularityError):
+        FreeEnergy(masked_grid, np.arange(flat.values.size), EnergyParams(1.5, 0.0)).derivatives(flat.values)
     # positive smoothing removes the singularity
     out = p_energy_gradient(flat, EnergyParams(1.5, 1e-3)).values
     np.testing.assert_allclose(out, 0.0, atol=1e-15)

@@ -17,7 +17,8 @@ from qcap import (
     sample_radial_curves,
     solve_capacity,
 )
-from qcap.modulus import GAP_TOL
+from qcap.grid import directions
+from qcap.modulus import GAP_TOL, _plate_reach
 
 
 def segment(x0, x1, k=40):
@@ -175,6 +176,43 @@ def test_sample_radial_curves_geometry():
         sample_radial_curves(ring, 0, g)
     with pytest.raises(DomainError, match="dimension 2"):
         sample_radial_curves(Annulus((0.0, 0.0, 0.0), 1.0, 2.0), 8, g)
+
+
+def loop_plate_reach(x0, r_target, direction, grid, outward):
+    """Reference: the nudge loop of ``_plate_reach`` for one direction."""
+    r = r_target
+    for _ in range(5):
+        idx, valid = grid.locate(x0 + r * direction)
+        if valid:
+            center = np.asarray(grid.origin) + (np.asarray(idx) + 0.5) * grid.h
+            d = float(np.linalg.norm(center - x0))
+            if (d >= r_target) if outward else (d <= r_target):
+                return r
+        step = grid.h / 4
+        r = r + step if outward else max(r - step, grid.h / 4)
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_plate_reach_matches_per_direction_loop(n):
+    # all directions at once against one at a time, bit for bit, on seeded
+    # rings where many endpoints need one or more nudges; coarse grids put
+    # inner radii below a cell (the h/4 floor) and outer radii past the box
+    rng = np.random.default_rng(30 + n)
+    nudged = 0
+    for _ in range(25):
+        cells = int(rng.integers(6, 80)) if n == 2 else int(rng.integers(4, 28))
+        grid = GridDomain.box(n, (-2.5,) * n, (cells,) * n, 5.0 / cells)
+        x0 = rng.uniform(-0.3, 0.3, n)
+        r1 = rng.uniform(0.05, 1.0)
+        r2 = rng.uniform(r1 + 0.2, 2.45)
+        dirs = directions(n, int(rng.integers(1, 120)), phase=rng.uniform(0, 1))
+        for r, outward in ((r1, False), (r2, True)):
+            got = _plate_reach(x0, r, dirs, grid, outward)
+            want = np.array([loop_plate_reach(x0, r, d, grid, outward) for d in dirs])
+            assert np.array_equal(got, want)
+            nudged += int((got != r).sum())
+    assert nudged > 100
 
 
 def test_four_curves_hit_the_axes():
