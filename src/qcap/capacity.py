@@ -128,16 +128,14 @@ class CapacityResult:
 
 
 def _distance_init(cond: Condenser) -> np.ndarray:
-    """Start field: normalized grid distance, 0 on E rising to 1 on F."""
-    grid = cond.domain
-    de = graph_distance(grid.mask, cond.E)[grid.mask].astype(float)
-    df = graph_distance(grid.mask, cond.F)[grid.mask].astype(float)
-    total = de + df
-    u0 = np.full(grid.inside_count, 0.5)
-    ok = (de >= 0) & (df >= 0) & (total > 0)
-    u0[ok] = de[ok] / total[ok]
-    u0[de == 0] = 0.0
-    return u0
+    """Start field d_E / (d_E + d_F), d the face-hop count to a plate: 0 on E, 1 on F.
+
+    Both counts are finite and their sum positive, since the plates are
+    disjoint inside cells of one face-connected domain.
+    """
+    de = graph_distance(cond.domain, cond.E)
+    df = graph_distance(cond.domain, cond.F)
+    return de / (de + df)
 
 
 def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None) -> CapacityResult:

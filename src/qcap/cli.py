@@ -153,7 +153,7 @@ def _run_modulus(cfg, rng):
         csvs.append(
             ("modulus_density.csv", ("cell_index", "rho"), [(int(i), density.values[i]) for i in nz])
         )
-    return rep, csvs, rep["converged"] and rep["admissible_ok"]
+    return rep, csvs, rep["converged"]
 
 
 def _run_access(cfg, rng):

@@ -16,10 +16,9 @@ from bisection on the plate's recorded region predicate; a plate without
 one keeps theta = 1, the cell-center staircase.
 
 Cells are face-adjacent (4 neighbors in 2D, 6 in 3D), the stencil of the
-energy.  It is built in one place, ``_face_pairs``, which gives both the
-energy's face list (``GridDomain.face_pairs``) and the graph that
-``graph_distance`` searches; ``connected`` labels components with the same
-face structuring element.
+energy.  The face list is built once per grid, in ``GridDomain.face_pairs``;
+the energy sums over it and ``graph_distance`` searches it as a graph.
+``connected`` labels components with the same face structuring element.
 """
 
 from __future__ import annotations
@@ -59,41 +58,26 @@ def dilate_faces(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_pairs(mask: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``index`` values (a, b) of all face-adjacent pairs of ``mask`` cells.
-
-    Faces are listed axis by axis in row-major order, so the order (and with
-    it every reduction over faces) is deterministic.
-    """
-    a_parts = []
-    b_parts = []
-    for axis in range(mask.ndim):
-        lo, hi = _shift_slices(mask.ndim, axis)
-        both = mask[lo] & mask[hi]
-        a_parts.append(index[lo][both])
-        b_parts.append(index[hi][both])
-    return np.concatenate(a_parts), np.concatenate(b_parts)
-
-
 def connected(cells: np.ndarray) -> bool:
     """True iff the cell set is empty or forms one face-connected component."""
     _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
     return count <= 1
 
 
-def graph_distance(mask: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Multi-source BFS hop count within ``mask``; -1 where unreachable."""
-    dist = np.full(mask.shape, -1, dtype=np.int32)
-    starts = np.flatnonzero(sources[mask])
-    count = int(mask.sum())
-    index = np.full(mask.shape, -1, dtype=np.int32)
-    index[mask] = np.arange(count, dtype=np.int32)
-    a, b = _face_pairs(mask, index)
-    faces = sp.csr_array((np.ones(a.size), (a, b)), shape=(count, count))
-    del index, a, b  # free before the search, whose copies of the graph set the peak memory
+def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
+    """Face-hop count (int32) from the inside cells in ``sources`` to every inside cell.
+
+    One multi-source search of the graph ``grid.face_pairs``; the result is
+    in inside enumeration.  The inside cells form one component, so every
+    count is finite once ``sources`` holds an inside cell.
+    """
+    # csgraph searches int32 indices; it would copy a graph built on int64 ones
+    a, b = (x.astype(np.int32) for x in grid.face_pairs)
+    m = grid.inside_count
+    faces = sp.csr_array((np.ones(a.size), (a, b)), shape=(m, m))
+    starts = np.flatnonzero(sources[grid.mask])
     hops = dijkstra(faces, directed=False, indices=starts, unweighted=True, min_only=True)
-    dist[mask] = np.where(np.isfinite(hops), hops, -1)
-    return dist
+    return hops.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +311,17 @@ class GridDomain:
 
     @cached_property
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inside-enumeration indices (a, b) of all face-adjacent inside pairs."""
-        a, b = _face_pairs(self.mask, self.inside_index)
+        """Inside-enumeration indices (a, b) of all face-adjacent inside pairs.
+
+        Faces are listed axis by axis in row-major order, so the order (and
+        with it every reduction over faces) is deterministic.
+        """
+        parts = []
+        for axis in range(self.n):
+            lo, hi = _shift_slices(self.n, axis)
+            both = self.mask[lo] & self.mask[hi]
+            parts.append((self.inside_index[lo][both], self.inside_index[hi][both]))
+        a, b = (np.concatenate(side) for side in zip(*parts))
         a.setflags(write=False)
         b.setflags(write=False)
         return a, b

@@ -141,18 +141,12 @@ class RadialPower:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         rel, r = self._radii(pts)
-        scale = np.where(r > 0, r ** (self.alpha - 1.0), 0.0 if self.alpha > 1 else 1.0)
-        return np.asarray(self.center) + rel * scale[..., None]
+        return np.asarray(self.center) + rel * (r ** (self.alpha - 1.0))[..., None]
 
     def jacobian(self, pts: np.ndarray, n: int) -> JacobianData:
         _, r = self._radii(pts)
-        with np.errstate(divide="ignore"):
-            stretch = np.where(r > 0, r ** (self.alpha - 1.0), 0.0 if self.alpha > 1 else np.inf)
-            det = self.alpha * np.where(r > 0, r ** (n * (self.alpha - 1.0)), 0.0 if self.alpha > 1 else np.inf)
-        if self.alpha == 1:
-            stretch = np.ones_like(r)
-            det = np.ones_like(r)
-        return JacobianData(max(self.alpha, 1.0) * stretch, det)
+        stretch = r ** (self.alpha - 1.0)
+        return JacobianData(max(self.alpha, 1.0) * stretch, self.alpha * r ** (n * (self.alpha - 1.0)))
 
     def inverse(self) -> "RadialPower":
         return RadialPower(1.0 / self.alpha, self.center)

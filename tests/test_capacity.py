@@ -25,7 +25,7 @@ from qcap import (
 import qcap.capacity
 from qcap.capacity import _distance_init
 from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
-from qcap.grid import Box, Complement
+from qcap.grid import Box, Complement, Intersection, dilate_faces
 
 TIGHT = SolverOptions(rel_tol=1e-13)
 
@@ -189,6 +189,52 @@ def test_distance_init_profile():
     assert (u0 >= 0.0).all() and (u0 <= 1.0).all()
     assert (u0[cond.e_indices] == 0.0).all()
     assert (u0[cond.f_indices] == 1.0).all()
+
+
+def frontier_hops(cond, plate):
+    """Face-hop count to ``plate`` of every inside cell, by frontier BFS (one face dilation per hop)."""
+    mask = cond.domain.mask
+    dist = np.full(mask.shape, -1)
+    frontier, d = plate, 0
+    while frontier.any():
+        dist[frontier] = d
+        frontier = dilate_faces(frontier) & mask & (dist < 0)
+        d += 1
+    return dist[mask]
+
+
+def masked_ring_condenser():
+    """Ring (1, 2) on a 64² disc of radius 2.45 with a box hole between the plates."""
+    region = Intersection((Ball((0.0, 0.0), 2.45), Complement(Box((1.2, -0.3), (1.6, 0.3)))))
+    g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64, region)
+    return make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+
+
+def sharing_faces_condenser():
+    """E and F touch along a row of faces, fixed at both ends with a difference of 1."""
+    g = GridDomain.box(2, (0.0, 0.0), (40, 40), 0.05)
+    e_region = Box((0.0, 0.0), (1.0, 0.5))
+    e = rasterize(e_region, g)
+    f = rasterize(Box((0.0, 0.51), (1.0, 1.0)), g) & ~e
+    return Condenser(e, f, g, region_e=e_region)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_ring_condenser((0.0, 0.0), 1.0, 2.0, GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)),
+        lambda: make_ring_condenser((0.0,) * 3, 1.0, 2.0, GridDomain.box(3, (-2.5,) * 3, (24,) * 3, 5.0 / 24)),
+        masked_ring_condenser,
+        sharing_faces_condenser,
+    ],
+    ids=["ring-2d-64", "ring-3d-24", "masked-hole", "sharing-faces"],
+)
+def test_distance_init_is_the_hop_ratio(make):
+    cond = make()
+    de = frontier_hops(cond, cond.E)
+    df = frontier_hops(cond, cond.F)
+    assert (de >= 0).all() and (df >= 0).all()
+    assert np.array_equal(_distance_init(cond), de / (de + df))
 
 
 def test_energy_history_monotone_within_stage():
@@ -468,15 +514,10 @@ def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
     [(1.5, 6.210049319717511, 7), (2.0, 21.26007194750738, 147), (3.0, 289.15905463583204, 7)],
 )
 def test_plates_sharing_faces(p, value, steps):
-    # E and F touch along a row of faces, fixed at both ends with a
-    # difference of 1: the energy counts them, the free-cell derivatives
-    # leave them out; values and step counts (Newton for p != 2, CG for
-    # p = 2) recorded from full-grid gradients
-    g = GridDomain.box(2, (0.0, 0.0), (40, 40), 0.05)
-    e_region = Box((0.0, 0.0), (1.0, 0.5))
-    e = rasterize(e_region, g)
-    f = rasterize(Box((0.0, 0.51), (1.0, 1.0)), g) & ~e
-    res = solve_capacity(Condenser(e, f, g, region_e=e_region), p)
+    # the energy counts the shared faces, the free-cell derivatives leave
+    # them out; values and step counts (Newton for p != 2, CG for p = 2)
+    # recorded from full-grid gradients
+    res = solve_capacity(sharing_faces_condenser(), p)
     assert res.converged
     assert res.iterations == steps
     assert res.value == pytest.approx(value, rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from qcap import (
     Annulus,
@@ -119,12 +120,13 @@ def test_face_pairs_count_each_face_once():
 def test_graph_distance_and_helpers():
     mask = np.ones((5, 5), dtype=bool)
     mask[2, :4] = False
+    grid = GridDomain(2, (0.0, 0.0), (5, 5), 1.0, mask)
     src = np.zeros_like(mask)
     src[0, 0] = True
-    d = graph_distance(mask, src)
-    assert d[0, 0] == 0
-    assert d[4, 0] == 12  # forced around the slit
-    assert d[2, 0] == -1  # wall cells are unreachable
+    d = graph_distance(grid, src)
+    assert d[grid.inside_index[0, 0]] == 0
+    assert d[grid.inside_index[4, 0]] == 12  # forced around the slit
+    assert grid.inside_index[2, 0] == -1  # wall cells are not enumerated
     assert connected(mask)
     grown = dilate_faces(src)
     assert grown.sum() == 3
@@ -171,9 +173,18 @@ def test_connectivity_matches_frontier_bfs(pair):
     mask, sources = pair
     assert connected(mask) == reference_connected(mask)
     assert connected(sources) == reference_connected(sources)
-    d = graph_distance(mask, sources)
-    assert d.dtype == np.int32 and d.shape == mask.shape
-    np.testing.assert_array_equal(d, reference_graph_distance(mask, sources))
+    # graph_distance searches a GridDomain, whose inside cells are one
+    # component: take the mask's largest
+    labels, count = ndimage.label(mask, ndimage.generate_binary_structure(mask.ndim, 1))
+    if count == 0:
+        return
+    component = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    if not (sources & component).any():
+        return
+    grid = GridDomain(mask.ndim, (0.0,) * mask.ndim, mask.shape, 1.0, component)
+    d = graph_distance(grid, sources)
+    assert d.dtype == np.int32 and d.shape == (grid.inside_count,)
+    np.testing.assert_array_equal(d, reference_graph_distance(component, sources)[component])
 
 
 def test_condenser_validation():

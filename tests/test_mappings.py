@@ -121,6 +121,19 @@ def test_radial_power_inverse_and_center_domain():
     np.testing.assert_allclose(m.evaluate(np.zeros((1, 2))), 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_power_jacobian_at_center(dim):
+    center = tuple(0.25 * k for k in range(dim))
+    pts = np.array([center, np.add(center, 1.0)])
+    for alpha, at_center in ((2.0, 0.0), (1.0, 1.0)):
+        m = RadialPower(alpha, center)
+        jd = m.jacobian(pts, dim)
+        assert jd.op_norm[0] == jd.jac_det[0] == at_center
+        np.testing.assert_array_equal(m.evaluate(pts[:1]), pts[:1])
+    with pytest.raises(DomainError):
+        RadialPower(0.5, center).jacobian(pts, dim)
+
+
 def test_mapped_region():
     # pullback of a ball under the radial square is the sqrt-radius ball
     region = MappedRegion(Ball((0.0, 0.0), 4.0), RadialPower(2.0, (0.0, 0.0)))

@@ -3,8 +3,9 @@
     python3 tools/reports.py --parent DIR
 
 For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
-(read from this checkout, not changed) and ``CAP`` are written once and run
-through ``python -m qcap.cli <command> --config ... --seed S`` in each checkout,
+(read from this checkout, not changed) and the seed's ``CAPS`` config are
+written once and run through ``python -m qcap.cli <command> --config ...
+--seed S`` in each checkout,
 with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
 Every report file whose bytes differ between the two sides, or that only
 one side wrote, is listed; the exit status is 1 if there is any, else 0.
@@ -27,12 +28,21 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SEEDS = (0, 1)
-# No lab-cli command writes a CSV: this p != 2 solve adds its Newton energy history.
-CAP = {
-    "grid": {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [128, 128]},
-    "condenser": {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 2.0},
-    "exponents": {"p": 1.5},
-    "csv": True,
+# No lab-cli command writes a CSV: these p != 2 solves add their Newton energy
+# histories.  Seed 1 masks the grid with a hole between the plates, so its
+# start field detours around the hole.
+_GRID = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [128, 128]}
+_MASK = {
+    "type": "intersection",
+    "parts": [
+        {"type": "ball", "center": [0, 0], "r": 2.45},
+        {"type": "complement", "of": {"type": "box", "lo": [1.2, -0.3], "hi": [1.6, 0.3]}},
+    ],
+}
+_RING = {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 2.0}
+CAPS = {
+    0: {"grid": _GRID, "condenser": _RING, "exponents": {"p": 1.5}, "csv": True},
+    1: {"grid": {**_GRID, "region": _MASK}, "condenser": _RING, "exponents": {"p": 1.5}, "csv": True},
 }
 
 
@@ -104,7 +114,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             work = Path(tmp) / f"seed{seed}"
-            configs = {**lab_configs(seed), "cap": CAP}
+            configs = {**lab_configs(seed), "cap": CAPS[seed]}
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
