@@ -26,7 +26,7 @@ from .distortion import (
     verify_capacity_inequality,
     verify_dual_inequality,
 )
-from .energy import EnergyParams, ScalarField, p_energy, p_energy_gradient, project_admissible
+from .energy import EnergyParams, energy_gradient, energy_value
 from .exceptions import (
     DegenerateError,
     DomainError,
@@ -70,7 +70,6 @@ from .mappings import (
 )
 from .modulus import (
     CurveFamily,
-    DensityField,
     ModulusResult,
     check_hesse_shlyk,
     modulus_lower_bound,

@@ -260,10 +260,12 @@ def estimate_cluster_set(
         raise DomainError("need at least one sequence and one depth step")
     b = _as_point(b, grid.n)
     idx, valid = grid.locate(b)
-    if valid and grid.mask[tuple(idx)]:
-        inside_region = grid.mask & ~boundary_layer(grid.mask)
-        if inside_region[tuple(idx)]:
-            raise DomainError("b is an interior point of the image domain")
+    # b is interior when its cell and the cell's face neighbours are all
+    # inside cells; a neighbour beyond the grid box is outside the domain.
+    unit = np.eye(grid.n, dtype=int)
+    near = idx + np.vstack([np.zeros(grid.n, dtype=int), unit, -unit])
+    if valid and ((near >= 0) & (near < grid.cells)).all() and grid.mask[tuple(near.T)].all():
+        raise DomainError("b is an interior point of the image domain")
     e_in = _inward_direction(b, grid)
     tangents = _frame(e_in)
     r0 = 8 * grid.h

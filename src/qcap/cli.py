@@ -145,14 +145,12 @@ def _run_modulus(cfg, rng):
         cfg["modulus"]["curve_count"],
         build_solver(cfg.get("solver")),
     )
-    density = rep.pop("density", None)
+    density = rep.pop("density")
     rep["grid"] = _grid_desc(grid)
     csvs = []
-    if cfg.get("csv") and density is not None:
-        nz = np.flatnonzero(density.values)
-        csvs.append(
-            ("modulus_density.csv", ("cell_index", "rho"), [(int(i), density.values[i]) for i in nz])
-        )
+    if cfg.get("csv"):
+        nz = np.flatnonzero(density)
+        csvs.append(("modulus_density.csv", ("cell_index", "rho"), [(int(i), density[i]) for i in nz]))
     return rep, csvs, rep["converged"]
 
 

@@ -20,9 +20,13 @@ and on a grid without plates its gradient is 2 h^n times the negative
 5/7-point Laplacian.  The face-split assembly makes the energy exactly
 invariant under u -> 1 - u.
 
-A solve moves only its free cells.  ``FreeEnergy``, built once per solve,
-gives the gradient and the Hessian there in one pass per step over the
-faces with a free end; ``energy_value`` stays a sweep of the whole grid.
+A field is a float array with one value per inside cell, in the grid's
+inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
+whole grid and raise DomainError for a field of any other length.  They
+do not check finiteness: the Newton line search rejects a trial step by
+its non-finite energy.  A solve moves only its free cells.
+``FreeEnergy``, built once per solve, gives the gradient and the Hessian
+there in one pass per step over the faces with a free end.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError, SingularityError
-from .grid import Condenser, GridDomain
+from .grid import GridDomain
 
 
 @dataclass(frozen=True)
@@ -48,37 +52,6 @@ class EnergyParams:
             raise DomainError(f"energy exponent must satisfy p > 1, got {self.p}")
         if not np.isfinite(self.eps) or self.eps < 0:
             raise DomainError(f"smoothing must satisfy eps >= 0, got {self.eps}")
-
-
-@dataclass
-class ScalarField:
-    """Finite values on the inside cells of a grid, in enumeration order."""
-
-    grid: GridDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.inside_count,):
-            raise DomainError(
-                f"field length {self.values.shape} does not match "
-                f"{self.grid.inside_count} inside cells"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field values must be finite")
-
-    @classmethod
-    def from_function(cls, grid: GridDomain, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(grid.inside_centers), dtype=float))
-
-    def to_array(self, fill: float = np.nan) -> np.ndarray:
-        """Expand to the full grid shape, ``fill`` outside the domain."""
-        out = np.full(self.grid.cells, fill, dtype=float)
-        out[self.grid.mask] = self.values
-        return out
-
-
-# Raw-array kernels; the solver calls these in its inner loop.
 
 
 def _face_diffs(u: np.ndarray, grid: GridDomain) -> np.ndarray:
@@ -98,7 +71,13 @@ def cell_gradient_sq(u: np.ndarray, grid: GridDomain) -> np.ndarray:
     return 0.5 * (np.bincount(a, weights=d2, minlength=m) + np.bincount(b, weights=d2, minlength=m))
 
 
+def _check_length(u: np.ndarray, grid: GridDomain) -> None:
+    if np.shape(u) != (grid.inside_count,):
+        raise DomainError(f"field length {np.shape(u)} does not match {grid.inside_count} inside cells")
+
+
 def energy_value(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> float:
+    _check_length(u, grid)
     g = cell_gradient_sq(u, grid)
     return float(np.sum((g + params.eps**2) ** (params.p / 2)) * grid.h**grid.n)
 
@@ -111,6 +90,8 @@ def _phi1(g: np.ndarray, p: float) -> np.ndarray:
 
 
 def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np.ndarray:
+    """Gradient of ``energy_value``; SingularityError if eps = 0, p < 2 and some g_c = 0."""
+    _check_length(u, grid)
     p, eps = params.p, params.eps
     a, b = grid.face_pairs
     if p == 2:
@@ -246,27 +227,3 @@ class FreeEnergy:
             return out
 
         return grad, apply, diag
-
-
-# Field-level interface.
-
-
-def p_energy(u: ScalarField, params: EnergyParams) -> float:
-    return energy_value(u.values, u.grid, params)
-
-
-def p_energy_gradient(u: ScalarField, params: EnergyParams) -> ScalarField:
-    """Exact gradient of ``p_energy`` with respect to each cell value.
-
-    Raises SingularityError when eps = 0, p < 2 and some cell has zero
-    discrete gradient (the weight (g_c)^{(p-2)/2} blows up there).
-    """
-    return ScalarField(u.grid, energy_gradient(u.values, u.grid, params))
-
-
-def project_admissible(u: ScalarField, cond: Condenser) -> ScalarField:
-    """Clamp to [0, 1] and pin the plate values: 0 on E, 1 on F."""
-    out = np.clip(u.values, 0.0, 1.0)
-    out[cond.e_indices] = 0.0
-    out[cond.f_indices] = 1.0
-    return ScalarField(u.grid, out)

@@ -64,27 +64,13 @@ class CurveFamily:
 
 
 @dataclass
-class DensityField:
-    """Nonnegative density per inside cell."""
-
-    grid: GridDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.inside_count,):
-            raise DomainError("density length does not match the grid")
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
-            raise DomainError("density must be finite and nonnegative")
-
-
-@dataclass
 class ModulusResult:
     """A certified bracket ``lower <= optimum <= value`` of the sampled program.
 
-    ``iterations`` counts L-BFGS-B iterations on the dual.  ``converged``
-    means the bracket is certified: the density is admissible and
-    value - lower <= GAP_TOL * value.
+    ``density`` holds rho >= 0 per inside cell, in inside enumeration;
+    ``value`` is its energy.  ``iterations`` counts L-BFGS-B iterations on
+    the dual.  ``converged`` means the bracket is certified: the density is
+    admissible and value - lower <= GAP_TOL * value.
     """
 
     value: float
@@ -92,7 +78,7 @@ class ModulusResult:
     admissible_ok: bool
     converged: bool
     iterations: int
-    density: DensityField
+    density: np.ndarray
 
 
 def _plate_reach(x0: np.ndarray, r_target: float, dirs: np.ndarray, grid: GridDomain, outward: bool) -> np.ndarray:
@@ -162,37 +148,48 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
     """Bracket the sampled modulus program: lower <= optimum <= value.
 
     ``value`` is the energy of an admissible density, ``lower`` the dual
-    value; the program itself is a lower estimate of the capacity.
+    value; the program itself is a lower estimate of the capacity.  Of the
+    multipliers the dual evaluates, the one whose density, scaled to be
+    admissible, has the least energy gives the density and ``value``.
     ``converged``: the density is admissible and value - lower <= GAP_TOL *
     value, whatever the optimizer's exit reason.
     An empty family has modulus 0.
     """
     EnergyParams(p)  # DomainError unless p > 1
     if len(fam) == 0:
-        return ModulusResult(0.0, 0.0, True, True, 0, DensityField(grid, np.zeros(grid.inside_count)))
+        return ModulusResult(0.0, 0.0, True, True, 0, np.zeros(grid.inside_count))
     a = _constraint_matrix(fam, grid)
     hn = grid.h**grid.n
+    best_ratio, best_lam = math.inf, None
 
     def density(lam):
         return (np.maximum(a.T @ lam, 0.0) / (p * hn)) ** (1.0 / (p - 1.0))
 
     def negated_dual(lam):
+        nonlocal best_ratio, best_lam
         rho = density(lam)
-        return (p - 1.0) * hn * float(np.sum(rho**p)) - float(np.sum(lam)), a @ rho - 1.0
+        power = float(np.sum(rho**p))
+        margins = a @ rho
+        # power / worst^p is h^-n times the energy of rho scaled so its tightest
+        # constraint holds; numpy scalars overflow to inf where floats would raise.
+        worst = margins.min()
+        if worst > 0 and power < best_ratio * worst**p:
+            best_ratio, best_lam = power / worst**p, lam.copy()
+        return (p - 1.0) * hn * power - float(np.sum(lam)), margins - 1.0
 
     res = minimize_projected(negated_dual, np.ones(len(fam)))
     lower = -res.value
-    rho = density(res.x)
+    rho = density(res.x if best_lam is None else best_lam)
     # Feasibility repair: scale so the tightest constraint holds exactly.
     margins = a @ rho
     worst = float(margins.min())
     if worst <= 0:
-        return ModulusResult(math.inf, lower, False, False, res.iterations, DensityField(grid, rho))
+        return ModulusResult(math.inf, lower, False, False, res.iterations, rho)
     rho = rho * ((1.0 + 1e-12) / worst)
     admissible = bool((a @ rho).min() >= 1.0)
     value = hn * float(np.sum(rho**p))
     converged = admissible and value - lower <= GAP_TOL * value
-    return ModulusResult(value, lower, admissible, converged, res.iterations, DensityField(grid, rho))
+    return ModulusResult(value, lower, admissible, converged, res.iterations, rho)
 
 
 def _ring_radii(c: Condenser) -> tuple[np.ndarray, float, float]:

@@ -218,6 +218,29 @@ def test_estimate_cluster_set_validation():
         estimate_cluster_set(Identity(), (2.0, 0.0, 0.0), 5, 10, g)
 
 
+@pytest.mark.parametrize(
+    "n, b",
+    [
+        (2, (-1.0, 0.1)),
+        (2, (0.1, -1.0)),
+        (2, (0.999, 0.2)),
+        (2, (0.2, 0.999)),
+        (3, (-1.0, 0.1, 0.2)),
+        (3, (0.1, 0.2, 0.999)),
+    ],
+)
+def test_estimate_cluster_set_on_box_faces(n, b):
+    # beyond the grid box is outside the domain, so every face of a box grid
+    # without a region is boundary
+    cells = 64 if n == 2 else 16
+    g = GridDomain.box(n, (-1.0,) * n, (cells,) * n, 2.0 / cells)
+    est = estimate_cluster_set(Identity(), b, sequences=5, depth=10, grid=g)
+    assert len(est.points) == 1
+    assert np.linalg.norm(np.asarray(est.points[0]) - b) <= 2 * g.h
+    with pytest.raises(DomainError):
+        estimate_cluster_set(Identity(), (0.1,) * n, 5, 10, g)  # interior point
+
+
 def loop_tails(b, sequences, depth, grid):
     """Reference: each candidate tested on its own; a sequence's tail is its
     deepest step with an inside candidate, the first one at that step."""

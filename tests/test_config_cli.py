@@ -13,6 +13,7 @@ from qcap import (
     Box,
     Identity,
     RadialPower,
+    check_hesse_shlyk,
     ring_capacity_exact,
     verify_capacity_inequality,
     verify_dual_inequality,
@@ -294,6 +295,21 @@ def test_cli_modulus_report_carries_a_certified_bracket(tmp_path, capsys, monkey
     capsys.readouterr()
 
 
+def test_cli_modulus_csv_lists_the_density(tmp_path, capsys):
+    cfg = cap_config(modulus={"curve_count": 48}, csv=True)
+    code, _, path = run_cli(tmp_path, "modulus", cfg)
+    assert code == 0
+    rows = (path.parent / "modulus_density.csv").read_text().splitlines()
+    assert rows[0] == "cell_index,rho"
+    got = [(int(i), float(rho)) for i, rho in (row.split(",") for row in rows[1:])]
+    grid = build_grid(cfg["grid"])
+    density = check_hesse_shlyk(build_condenser(cfg["condenser"], grid), 2.0, 48)["density"]
+    nonzero = np.flatnonzero(density)
+    assert nonzero.size > 0
+    assert got == [(int(i), density[i]) for i in nonzero]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("loaded", [[1, 2], "text"], ids=["list", "string"])
 def test_cli_non_object_config_is_a_validation_error(tmp_path, capsys, loaded):
     code, report, _ = run_cli(tmp_path, "cap", loaded)
@@ -539,6 +555,18 @@ def test_cli_cluster_runner(tmp_path, capsys):
     assert set(res) == {"estimates", "max_diameter", "merge_radius", "grid"}
     assert [e["at"] for e in res["estimates"]] == cfg["cluster"]["points"]
     assert res["merge_radius"] == 2 * 4.4 / 64
+    capsys.readouterr()
+
+
+def test_cli_cluster_on_box_faces(tmp_path, capsys):
+    # an image grid without a region: its box faces are the boundary
+    cfg = {
+        "image_grid": box_spec(2, 1.0, 64),
+        "mapping": {"family": "identity"},
+        "cluster": {"points": [[-1.0, 0.1], [0.1, -1.0], [0.999, 0.2]], "sequences": 3, "depth": 6},
+    }
+    res = run_cli_twice(tmp_path, "cluster", cfg)
+    assert all(len(e["points"]) == 1 for e in res["estimates"])
     capsys.readouterr()
 
 

@@ -3,7 +3,8 @@
     python3 tools/reports.py --parent DIR
 
 For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
-(read from this checkout, not changed) and the seed's ``CAPS`` config are
+(read from this checkout; ``modulus`` also sets ``"csv": true``, so that
+its density CSV is compared too) and the seed's ``CAPS`` config are
 written once and run through ``python -m qcap.cli <command> --config ...
 --seed S`` in each checkout,
 with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
@@ -28,9 +29,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SEEDS = (0, 1)
-# No lab-cli command writes a CSV: these p != 2 solves add their Newton energy
-# histories.  Seed 1 masks the grid with a hole between the plates, so its
-# start field detours around the hole.
+# Beside the modulus density, these p != 2 solves add their Newton energy
+# histories as CSV.  Seed 1 masks the grid with a hole between the plates, so
+# its start field detours around the hole.
 _GRID = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [128, 128]}
 _MASK = {
     "type": "intersection",
@@ -115,6 +116,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             work = Path(tmp) / f"seed{seed}"
             configs = {**lab_configs(seed), "cap": CAPS[seed]}
+            configs["modulus"] = {**configs["modulus"], "csv": True}
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
