@@ -4,9 +4,7 @@ moduli, and distortion of quasiconformal mappings on grid domains."""
 __version__ = "0.1.0"
 
 from .boundary import (
-    AccessibilityProbe,
     ClusterSetEstimate,
-    boundary_layer,
     estimate_cluster_set,
     probe_strong_accessibility,
     sample_shell_continua,

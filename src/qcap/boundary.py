@@ -4,7 +4,8 @@ A boundary point x0 is strongly accessible (with respect to p-capacity)
 when some compact E and neighborhoods V inside U of x0 give a uniform lower
 bound cp_p(E, F; Omega) >= delta for EVERY continuum F crossing the shell
 between the boundaries of V and U.  That is a universally quantified
-property; the probe samples finitely many crossing continua and reports
+property; the probe takes V and U as the balls of radii r_v < r_u around
+x0, samples finitely many crossing continua and reports
 
     delta_hat = min over sampled continua of cp_p(E, F; Omega),
 
@@ -19,13 +20,14 @@ all limits of phi^{-1}(x_k) over sequences x_k -> b inside the image.  The
 estimator follows several approach sequences with geometrically shrinking
 steps 2^{-k} (straight and spiral patterns), maps their tails, and merges
 the images at radius 2h: a singleton estimate is the discrete shadow of
-continuous boundary extension.
+continuous boundary extension.  The probe and the estimator reject an
+interior x0 or b by one cell test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -33,20 +35,8 @@ from scipy.sparse.csgraph import connected_components
 from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
 from .exceptions import DomainError, GeometryError
 from .grid import (
-    Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, rasterize
+    Ball, Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, rasterize
 )
-
-
-@dataclass
-class AccessibilityProbe:
-    """Inputs of one strong-accessibility probe at the boundary point x0."""
-
-    x0: tuple
-    U: object
-    V: object
-    E: np.ndarray = field(repr=False)
-    p: float
-    sampled_continua: list = field(repr=False)
 
 
 @dataclass
@@ -60,11 +50,6 @@ class ClusterSetEstimate:
     def from_points(cls, pts: np.ndarray) -> "ClusterSetEstimate":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return cls(tuple(map(tuple, pts.tolist())), point_diameter(pts))
-
-
-def boundary_layer(cells: np.ndarray) -> np.ndarray:
-    """Cells of the set that touch its face-complement."""
-    return cells & dilate_faces(~cells)
 
 
 def _tube(points: np.ndarray, grid: GridDomain) -> np.ndarray:
@@ -82,6 +67,35 @@ def check_shell_radii(r_v: float, r_u: float) -> None:
         raise DomainError(f"shell radii must satisfy 0 < r_v < r_u, got {r_v}, {r_u}")
 
 
+def _check_boundary_point(x: np.ndarray, grid: GridDomain, name: str) -> None:
+    """DomainError when x is interior: its cell and the cell's 2n face neighbours are all inside cells.
+
+    A neighbour beyond the grid box is outside the domain.
+    """
+    idx, valid = grid.locate(x)
+    unit = np.eye(grid.n, dtype=int)
+    near = idx + np.vstack([np.zeros(grid.n, dtype=int), unit, -unit])
+    if valid and ((near >= 0) & (near < grid.cells)).all() and grid.mask[tuple(near.T)].all():
+        raise DomainError(f"{name} is an interior point of the domain")
+
+
+def _shell_crossing(x0: np.ndarray, r_u: float, r_v: float, grid: GridDomain):
+    """Test whether a cell set crosses the shell between the balls V = B(x0, r_v) and U = B(x0, r_u).
+
+    It must meet both balls' layers, each taken relative to the domain: the
+    ball's cells with a face neighbour in the domain outside the ball.
+    GeometryError when a ball or the shell between them has no inside cell.
+    """
+    ball_u = rasterize(Ball(x0, r_u), grid)
+    ball_v = rasterize(Ball(x0, r_v), grid)
+    if not ball_v.any() or not ball_u.any():
+        raise GeometryError("U and V must both contain cells")
+    if not (ball_u & ~ball_v).any():
+        raise GeometryError("the shell between V and U is empty")
+    layers = [ball & dilate_faces(grid.mask & ~ball) for ball in (ball_v, ball_u)]
+    return lambda cells: all((cells & layer).any() for layer in layers)
+
+
 def _spread_order(count: int) -> list:
     """0, ..., count - 1 in bit-reversed order, so that every prefix spreads over the range."""
     bits = max(1, (count - 1).bit_length())
@@ -96,19 +110,21 @@ def sample_shell_continua(
     count: int,
     rng: np.random.Generator | None = None,
 ) -> list:
-    """Thickened radial tubes crossing the shell between radii r_v and r_u.
+    """Thickened radial tubes crossing the shell between radii r_v and r_u around the boundary point x0.
 
     The max(4 count, 16) candidate directions are ``grid.directions`` turned
     by a seeded random phase, visited in bit-reversed order so that the
-    accepted ones spread around x0.  A direction whose tube misses the
-    domain or fails to stay connected is skipped; the first ``count`` valid
-    tubes are kept (GeometryError when the domain admits too few).
+    accepted ones spread around x0.  A tube, cut to the domain, is skipped
+    unless it passes the probe's crossing test and is connected; the first
+    ``count`` valid tubes are kept (GeometryError when there are fewer).
     """
     check_shell_radii(r_v, r_u)
     if count < 1:
         raise DomainError("need at least one continuum")
     rng = rng or np.random.default_rng(0)
     x0 = _as_point(x0, grid.n)
+    _check_boundary_point(x0, grid, "x0")
+    crosses = _shell_crossing(x0, r_u, r_v, grid)
     phase = rng.uniform(0.0, 2 * math.pi)
     h = grid.h
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
@@ -118,7 +134,7 @@ def sample_shell_continua(
         if len(out) == count:
             break
         tube = _tube(x0 + radii[:, None] * candidates[i], grid) & grid.mask
-        if tube.any() and connected(tube):
+        if crosses(tube) and connected(tube):
             out.append(tube)
     if len(out) < count:
         raise GeometryError(f"only {len(out)} of {count} shell continua fit the domain")
@@ -126,61 +142,45 @@ def sample_shell_continua(
 
 
 def probe_strong_accessibility(
-    probe: AccessibilityProbe,
-    grid: GridDomain,
+    x0, r_u: float, r_v: float, e_cells: np.ndarray, p: float, continua: list, grid: GridDomain,
     opts: SolverOptions | None = None,
 ) -> dict:
-    """Capacity of (E, F) against every sampled crossing continuum F.
+    """Capacity of (E, F) for the plate E = ``e_cells`` against every sampled continuum F.
 
-    Validates the probe geometry at cell level (V strictly inside U, each
-    continuum connected and meeting both boundary layers), then reports the
-    minimum capacity delta_hat and the diagnostic geometric bound at C = 1,
-    or None for p outside (n-1, n].
+    Each F must pass the sampler's crossing test for the shell between
+    radii r_v and r_u around the boundary point x0.  Reports the minimum
+    capacity delta_hat and the diagnostic geometric bound at C = 1, or None
+    for p outside (n-1, n].
     """
-    ras_u = rasterize(probe.U, grid)
-    ras_v = rasterize(probe.V, grid)
-    if not ras_v.any() or not ras_u.any():
-        raise GeometryError("U and V must both contain cells")
-    if (ras_v & ~ras_u).any():
-        raise GeometryError("V must lie inside U")
-    if not (ras_u & ~ras_v).any():
-        raise GeometryError("the shell between V and U is empty")
-    if not probe.sampled_continua:
+    check_shell_radii(r_v, r_u)
+    x0 = _as_point(x0, grid.n)
+    _check_boundary_point(x0, grid, "x0")
+    crosses = _shell_crossing(x0, r_u, r_v, grid)
+    if not continua:
         raise GeometryError("at least one sampled continuum is required")
-    layer_u = boundary_layer(ras_u)
-    layer_v = boundary_layer(ras_v)
-    e_cells = probe.E.astype(bool)
+    e_cells = e_cells.astype(bool)
     diam_e = diameter(e_cells, grid)
     centers = grid.inside_centers
     centroid = centers.mean(axis=0)
     R = float(np.linalg.norm(centers - centroid, axis=1).max())
     per = []
-    delta_hat = math.inf
-    min_diam_f = math.inf
-    all_converged = True
-    for cells in probe.sampled_continua:
-        cells = cells.astype(bool)
-        if not connected(cells):
-            raise GeometryError("a sampled continuum is not connected")
-        if not (cells & layer_u).any() or not (cells & layer_v).any():
-            raise GeometryError("a sampled continuum misses a shell boundary")
-        cond = Condenser(e_cells, cells & grid.mask, grid)
-        res = solve_capacity(cond, probe.p, opts)
-        d = diameter(cells, grid)
-        per.append({"capacity": res.value, "diameter": d, "converged": res.converged})
-        delta_hat = min(delta_hat, res.value)
-        min_diam_f = min(min_diam_f, d)
-        all_converged = all_converged and res.converged
-    applies = grid.n - 1 < probe.p <= grid.n
-    bound = accessibility_lower_bound(diam_e, min_diam_f, R, probe.p, grid.n) if applies else None
+    for cells in continua:
+        cells = cells.astype(bool) & grid.mask
+        if not crosses(cells):
+            raise GeometryError("a sampled continuum does not cross the shell")
+        res = solve_capacity(Condenser(e_cells, cells, grid), p, opts)
+        per.append({"capacity": res.value, "diameter": diameter(cells, grid), "converged": res.converged})
+    min_diam_f = min(item["diameter"] for item in per)
+    applies = grid.n - 1 < p <= grid.n
+    bound = accessibility_lower_bound(diam_e, min_diam_f, R, p, grid.n) if applies else None
     return {
-        "delta_hat": delta_hat,
+        "delta_hat": min(item["capacity"] for item in per),
         "geometric_bound": bound,
         "enclosing_radius": R,
         "diam_e": diam_e,
         "min_diam_f": min_diam_f,
         "per_continuum": per,
-        "converged": all_converged,
+        "converged": all(item["converged"] for item in per),
     }
 
 
@@ -259,13 +259,7 @@ def estimate_cluster_set(
     if sequences < 1 or depth < 1:
         raise DomainError("need at least one sequence and one depth step")
     b = _as_point(b, grid.n)
-    idx, valid = grid.locate(b)
-    # b is interior when its cell and the cell's face neighbours are all
-    # inside cells; a neighbour beyond the grid box is outside the domain.
-    unit = np.eye(grid.n, dtype=int)
-    near = idx + np.vstack([np.zeros(grid.n, dtype=int), unit, -unit])
-    if valid and ((near >= 0) & (near < grid.cells)).all() and grid.mask[tuple(near.T)].all():
-        raise DomainError("b is an interior point of the image domain")
+    _check_boundary_point(b, grid, "b")
     e_in = _inward_direction(b, grid)
     tangents = _frame(e_in)
     r0 = 8 * grid.h

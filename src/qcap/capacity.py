@@ -326,10 +326,10 @@ def accessibility_lower_bound(diam_e: float, diam_f: float, R: float, p: float, 
 
     The bound holds up to a constant C that theory does not pin down; it is
     given at C = 1, for comparison against computed capacities, not as
-    ground truth.
+    ground truth.  A one-cell plate has diameter 0 and gives 0.
     """
-    if min(diam_e, diam_f, R) <= 0:
-        raise DomainError("diameters and radius must all be positive")
+    if min(diam_e, diam_f) < 0 or R <= 0:
+        raise DomainError(f"need diameters >= 0 and R > 0, got {diam_e}, {diam_f}, {R}")
     if not n - 1 < p <= n:
         raise DomainError(f"the bound applies for p in (n-1, n], got p={p}, n={n}")
     return min(diam_e, diam_f) / R ** (1 + p - n)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import AccessibilityProbe, estimate_cluster_set, probe_strong_accessibility, sample_shell_continua
+from .boundary import estimate_cluster_set, probe_strong_accessibility, sample_shell_continua
 from .capacity import DEFAULT_BENCHMARKS, calibrate_discretization, ring_capacity_exact, solve_capacity
 from .config import (
     build_benchmarks,
@@ -42,7 +42,7 @@ from .exceptions import (
     SingularityError,
     WindowError,
 )
-from .grid import Ball, rasterize
+from .grid import rasterize
 from .mappings import distortion_coefficient
 from .modulus import check_hesse_shlyk
 from .report import make_report, write_csv, write_json
@@ -156,22 +156,14 @@ def _run_modulus(cfg, rng):
 
 def _run_access(cfg, rng):
     grid = build_grid(cfg["grid"])
-    probe_cfg = cfg["probe"]
-    x0 = tuple(probe_cfg["x0"])
-    continua = sample_shell_continua(
-        x0, probe_cfg["r_u"], probe_cfg["r_v"], grid, probe_cfg["count"], rng
-    )
-    probe = AccessibilityProbe(
-        x0=x0,
-        U=Ball(x0, probe_cfg["r_u"]),
-        V=Ball(x0, probe_cfg["r_v"]),
-        E=rasterize(build_region(probe_cfg["e_region"]), grid),
-        p=cfg["exponents"]["p"],
-        sampled_continua=continua,
-    )
-    rep = probe_strong_accessibility(probe, grid, build_solver(cfg.get("solver")))
+    probe = cfg["probe"]
+    x0, r_u, r_v, count = probe["x0"], probe["r_u"], probe["r_v"], probe["count"]
+    continua = sample_shell_continua(x0, r_u, r_v, grid, count, rng)
+    e_cells = rasterize(build_region(probe["e_region"]), grid)
+    opts = build_solver(cfg.get("solver"))
+    rep = probe_strong_accessibility(x0, r_u, r_v, e_cells, cfg["exponents"]["p"], continua, grid, opts)
     rep["grid"] = _grid_desc(grid)
-    rep["count"] = probe_cfg["count"]
+    rep["count"] = count
     return rep, [], rep["converged"]
 
 

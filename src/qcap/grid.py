@@ -251,10 +251,10 @@ class GridDomain:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise DomainError(f"only dimensions 2 and 3 are supported, got n={self.n}")
-        if self.h <= 0:
-            raise DomainError(f"cell size must be positive, got h={self.h}")
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        if not 0 < self.h < math.inf or not all(map(math.isfinite, self.origin)):
+            raise DomainError(f"need a finite h > 0 and a finite origin, got h={self.h}, origin={self.origin}")
         if len(self.origin) != self.n or len(self.cells) != self.n:
             raise DomainError("origin and cells must have length n")
         if any(c < 1 for c in self.cells):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qcap import (
-    AccessibilityProbe,
     Affine,
     Annulus,
     Ball,
@@ -17,13 +16,12 @@ from qcap import (
     GridDomain,
     Identity,
     RadialPower,
-    boundary_layer,
     estimate_cluster_set,
     probe_strong_accessibility,
     rasterize,
     sample_shell_continua,
 )
-from qcap.boundary import _frame, _inward_direction, _merge_points
+from qcap.boundary import _frame, _inward_direction, _merge_points, _shell_crossing
 from qcap.grid import connected
 
 
@@ -35,12 +33,24 @@ def boundary_point(r=1.9, angle=0.785398):
     return (r * np.cos(angle), r * np.sin(angle))
 
 
-def test_boundary_layer():
-    cells = np.zeros((6, 6), dtype=bool)
-    cells[1:5, 1:5] = True
-    layer = boundary_layer(cells)
-    assert layer.sum() == 12  # the ring of the 4x4 block
-    assert not layer[2:4, 2:4].any()
+def test_shell_crossing_is_relative_to_the_domain():
+    # The access grid of the CLI benchmark: a 64^2 disc of radius 1.9 in [-2.2, 2.2]^2.
+    g = GridDomain.box(2, (-2.2, -2.2), (64, 64), 4.4 / 64, Ball((0.0, 0.0), 1.9))
+    x0 = np.array(boundary_point())
+    c = g.all_centers()
+    dist = np.linalg.norm(c - x0, axis=-1)
+    crosses = _shell_crossing(x0, 0.9, 0.3, g)
+    # A band along the domain's boundary, inside U, touches the outside of
+    # the domain in both balls but never reaches the sphere of radius r_u.
+    band = g.mask & (np.linalg.norm(c, axis=-1) > 1.7) & (dist > 0.2) & (dist < 0.8) & (c[..., 1] > c[..., 0])
+    assert connected(band) and (band & (dist < 0.3)).any()
+    assert not crosses(band)
+    # Seeds 6 and 9 draw a direction whose tube only runs along the boundary;
+    # the sampler skips it, so every kept tube reaches past both spheres.
+    for seed in (0, 1, 6, 9):
+        for tube in sample_shell_continua(x0, 0.9, 0.3, g, 8, np.random.default_rng(seed)):
+            assert crosses(tube)
+            assert dist[tube].min() < 0.3 and dist[tube].max() >= 0.9
 
 
 def test_cluster_estimate_from_points():
@@ -99,34 +109,43 @@ def tube_centroids(tubes, g):
     return np.array([g.all_centers()[tube].mean(axis=0) for tube in tubes])
 
 
+def punctured_box(n, cells, half):
+    """The box grid with the cell holding the origin taken out, so the origin is a boundary point."""
+    mask = np.ones((cells,) * n, dtype=bool)
+    mask[(cells // 2,) * n] = False
+    return GridDomain(n, (-half,) * n, (cells,) * n, 2 * half / cells, mask)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_shell_continua_spread_around_an_interior_point(seed):
-    g2 = GridDomain.box(2, (-2.0, -2.0), (64, 64), 4.0 / 64)
+def test_shell_continua_spread_around_a_puncture(seed):
+    g2 = punctured_box(2, 64, 2.0)
     c = tube_centroids(sample_shell_continua((0.0, 0.0), 0.9, 0.3, g2, 8, np.random.default_rng(seed)), g2)
     angles = np.sort(np.degrees(np.arctan2(c[:, 1], c[:, 0])) % 360)
     assert np.diff(np.append(angles, angles[0] + 360)).max() <= 2 * 360 / 8
-    g3 = GridDomain.box(3, (-1.5,) * 3, (24,) * 3, 3.0 / 24)
+    g3 = punctured_box(3, 24, 1.5)
     c = tube_centroids(sample_shell_continua((0.0,) * 3, 0.9, 0.3, g3, 8, np.random.default_rng(seed)), g3)
     assert (c > 0).any(axis=0).all() and (c < 0).any(axis=0).all()
 
 
+def test_interior_x0_is_rejected():
+    g = disk_grid()
+    with pytest.raises(DomainError, match="interior"):
+        sample_shell_continua((-0.6, 0.0), 0.9, 0.3, g, 4)
+    _, r_u, r_v, e_cells, p, tubes = make_probe(g, count=2)
+    with pytest.raises(DomainError, match="interior"):
+        probe_strong_accessibility((-0.6, 0.0), r_u, r_v, e_cells, p, tubes, g)
+
+
 def make_probe(g, count=5, p=2.0):
+    """The probe's arguments before the grid: x0, r_u, r_v, E's cells, p and the sampled continua."""
     x0 = boundary_point()
     tubes = sample_shell_continua(x0, 0.9, 0.3, g, count, np.random.default_rng(3))
-    return AccessibilityProbe(
-        x0=x0,
-        U=Ball(x0, 0.9),
-        V=Ball(x0, 0.3),
-        E=rasterize(Ball((0.0, 0.0), 0.5, closed=True), g),
-        p=p,
-        sampled_continua=tubes,
-    )
+    return x0, 0.9, 0.3, rasterize(Ball((0.0, 0.0), 0.5, closed=True), g), p, tubes
 
 
 def test_probe_strong_accessibility():
     g = disk_grid()
-    probe = make_probe(g)
-    rep = probe_strong_accessibility(probe, g)
+    rep = probe_strong_accessibility(*make_probe(g), g)
     assert rep["converged"]
     assert len(rep["per_continuum"]) == 5
     caps = [item["capacity"] for item in rep["per_continuum"]]
@@ -146,41 +165,21 @@ def test_probe_strong_accessibility():
 
 def test_probe_geometry_validation():
     g = disk_grid()
-    probe = make_probe(g, count=3)
+    x0, r_u, r_v, e_cells, p, tubes = make_probe(g, count=3)
     # V outside U
-    bad = AccessibilityProbe(
-        x0=probe.x0,
-        U=Ball(probe.x0, 0.3),
-        V=Ball(probe.x0, 0.9),
-        E=probe.E,
-        p=2.0,
-        sampled_continua=probe.sampled_continua,
-    )
+    with pytest.raises(DomainError):
+        probe_strong_accessibility(x0, r_v, r_u, e_cells, p, tubes, g)
     with pytest.raises(GeometryError):
-        probe_strong_accessibility(bad, g)
-    none = AccessibilityProbe(
-        x0=probe.x0,
-        U=probe.U,
-        V=probe.V,
-        E=probe.E,
-        p=2.0,
-        sampled_continua=[],
-    )
-    with pytest.raises(GeometryError):
-        probe_strong_accessibility(none, g)
+        probe_strong_accessibility(x0, r_u, r_v, e_cells, p, [], g)
     # a disconnected continuum is rejected
-    torn = probe.sampled_continua[0].copy()
-    torn[31:34, 31:34] = True  # far island near the disk center
-    broken = AccessibilityProbe(
-        x0=probe.x0,
-        U=probe.U,
-        V=probe.V,
-        E=probe.E,
-        p=2.0,
-        sampled_continua=[torn],
-    )
-    with pytest.raises(GeometryError):
-        probe_strong_accessibility(broken, g)
+    torn = tubes[0].copy()
+    torn[10:12, 31:33] = True  # far island on the other side of the disk
+    with pytest.raises(GeometryError, match="face-connected"):
+        probe_strong_accessibility(x0, r_u, r_v, e_cells, p, [torn], g)
+    # a continuum that stops short of the sphere of radius r_u is rejected
+    short = tubes[0] & (np.linalg.norm(g.all_centers() - np.asarray(x0), axis=-1) < 0.7)
+    with pytest.raises(GeometryError, match="cross"):
+        probe_strong_accessibility(x0, r_u, r_v, e_cells, p, [short], g)
 
 
 def test_estimate_cluster_set_identity_singleton():

@@ -102,6 +102,7 @@ def test_ring_capacity_domain_errors():
 def test_accessibility_lower_bound():
     val = accessibility_lower_bound(0.4, 0.9, 2.0, 2.0, 2)
     assert val == pytest.approx(0.4 / 2.0, rel=1e-14)
+    assert accessibility_lower_bound(0.0, 0.9, 2.0, 2.0, 2) == 0.0  # E is a point
     with pytest.raises(DomainError):
         accessibility_lower_bound(0.4, 0.9, 2.0, 2.5, 2)  # p outside (n-1, n]
     with pytest.raises(DomainError):

@@ -542,6 +542,48 @@ def test_cli_access_reports_no_bound_outside_its_window(tmp_path, capsys):
     capsys.readouterr()
 
 
+def access_config(grid, x0, e_center, e_r, p=2.0, count=8):
+    return {
+        "grid": grid,
+        "exponents": {"p": p},
+        "probe": {
+            "x0": x0,
+            "r_u": 0.9,
+            "r_v": 0.3,
+            "e_region": {"type": "ball", "center": e_center, "r": e_r, "closed": True},
+            "count": count,
+        },
+    }
+
+
+def test_cli_access_3d_tubes_cross_the_shell(tmp_path, capsys):
+    # every tube must reach from the ball of radius r_v to the sphere of radius r_u
+    grid = {**box_spec(3, 2.2, 24), "region": {"type": "ball", "center": [0.0] * 3, "r": 1.9}}
+    cfg = access_config(grid, [1.9, 0.0, 0.0], [0.0] * 3, 0.5, p=2.5, count=3)
+    code, report, _ = run_cli(tmp_path, "access", cfg, "--seed", "1")
+    assert code == 0, report.get("error")
+    assert report["result"]["min_diam_f"] >= 0.9 - 0.3 - 2 * 4.4 / 24
+    capsys.readouterr()
+
+
+def test_cli_access_one_cell_plate(tmp_path, capsys):
+    # E is the single cell centred at (0.034375, 0.034375); a point has diameter 0
+    grid = {**box_spec(2, 2.2, 64), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}}
+    b = 1.9 / math.sqrt(2)
+    res = run_cli_twice(tmp_path, "access", access_config(grid, [b, b], [0.034375, 0.034375], 0.01))
+    assert res["diam_e"] == 0.0 and res["geometric_bound"] == 0.0
+    assert res["converged"] and res["delta_hat"] > 0
+    capsys.readouterr()
+
+
+def test_cli_access_rejects_an_interior_point(tmp_path, capsys):
+    grid = {**box_spec(2, 2.2, 64), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}}
+    code, report, _ = run_cli(tmp_path, "access", access_config(grid, [-0.6, 0.0], [1.0, 0.0], 0.5))
+    assert code == 2
+    assert report["error"]["type"] == "DomainError" and "interior" in report["error"]["message"]
+    capsys.readouterr()
+
+
 def test_cli_cluster_runner(tmp_path, capsys):
     cfg = {
         "image_grid": {

@@ -1,5 +1,7 @@
 """Grid domains, regions, rasterization, and condensers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +56,16 @@ def test_grid_validation():
     # region that kills every cell
     with pytest.raises(GeometryError):
         square_grid(8, 1.0, Ball((9.0, 9.0), 0.1))
+
+
+@pytest.mark.parametrize(
+    "origin, h",
+    [((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0), ((0.0, -math.inf), 1.0)],
+    ids=["h-nan", "h-inf", "origin-nan", "origin-inf"],
+)
+def test_grid_rejects_non_finite_geometry(origin, h):
+    with pytest.raises(DomainError, match="finite"):
+        GridDomain.box(2, origin, (4, 4), h)
 
 
 def test_masked_grid_connectivity():
