@@ -35,7 +35,8 @@ from scipy.sparse.csgraph import connected_components
 from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
 from .exceptions import DomainError, GeometryError
 from .grid import (
-    Ball, Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, rasterize
+    Ball, Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, radius,
+    rasterize,
 )
 
 
@@ -109,14 +110,16 @@ def sample_shell_continua(
     grid: GridDomain,
     count: int,
     rng: np.random.Generator | None = None,
+    e_cells: np.ndarray | None = None,
 ) -> list:
     """Thickened radial tubes crossing the shell between radii r_v and r_u around the boundary point x0.
 
     The max(4 count, 16) candidate directions are ``grid.directions`` turned
     by a seeded random phase, visited in bit-reversed order so that the
     accepted ones spread around x0.  A tube, cut to the domain, is skipped
-    unless it passes the probe's crossing test and is connected; the first
-    ``count`` valid tubes are kept (GeometryError when there are fewer).
+    unless it passes the probe's crossing test and is connected, and, when
+    the probe's plate E is given as ``e_cells``, unless it misses E; the
+    first ``count`` valid tubes are kept (GeometryError when there are fewer).
     """
     check_shell_radii(r_v, r_u)
     if count < 1:
@@ -130,11 +133,12 @@ def sample_shell_continua(
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
     out: list = []
     candidates = directions(grid.n, max(4 * count, 16), phase)
+    e_cells = np.zeros(grid.cells, dtype=bool) if e_cells is None else e_cells.astype(bool)
     for i in _spread_order(len(candidates)):
         if len(out) == count:
             break
         tube = _tube(x0 + radii[:, None] * candidates[i], grid) & grid.mask
-        if crosses(tube) and connected(tube):
+        if not (tube & e_cells).any() and crosses(tube) and connected(tube):
             out.append(tube)
     if len(out) < count:
         raise GeometryError(f"only {len(out)} of {count} shell continua fit the domain")
@@ -162,7 +166,7 @@ def probe_strong_accessibility(
     diam_e = diameter(e_cells, grid)
     centers = grid.inside_centers
     centroid = centers.mean(axis=0)
-    R = float(np.linalg.norm(centers - centroid, axis=1).max())
+    R = float(radius(centers, centroid).max())
     per = []
     for cells in continua:
         cells = cells.astype(bool) & grid.mask
@@ -222,7 +226,7 @@ def _inward_direction(b: np.ndarray, grid: GridDomain) -> np.ndarray:
         centers = grid.inside_centers[rows[rows >= 0]]
         whole = (lo == 0).all() and (hi == cells).all()
         if centers.size or whole:
-            dist = np.linalg.norm(centers - b, axis=1)
+            dist = radius(centers, b)
             reach = dist.min() + 3 * grid.h
             # Distance from b to each side of the box with cells beyond it.
             gaps = np.concatenate([
@@ -288,14 +292,14 @@ def estimate_cluster_set(
     return _merge_points(images, 2 * grid.h)
 
 
-def _merge_points(pts: np.ndarray, radius: float) -> ClusterSetEstimate:
-    """Merge points joined by chains of steps at most ``radius``; group centroids survive.
+def _merge_points(pts: np.ndarray, reach: float) -> ClusterSetEstimate:
+    """Merge points joined by chains of steps at most ``reach``; group centroids survive.
 
     The groups are the connected components of the radius graph, labelled
     in order of their lowest point index, so the centroids keep that order.
     """
     pts = np.atleast_2d(pts)
-    near = np.linalg.norm(pts[:, None] - pts[None], axis=-1) <= radius
+    near = radius(pts[:, None], pts) <= reach
     count, labels = connected_components(near, directed=False)
     reps = np.array([pts[labels == k].mean(axis=0) for k in range(count)])
     return ClusterSetEstimate.from_points(reps)

@@ -7,6 +7,12 @@ are boolean arrays of the grid's shape.  Rasterization uses the cell-center
 membership rule: a cell belongs to a region iff its center satisfies the
 region predicate.
 
+Region predicates take point arrays of shape (..., n) and work one
+coordinate axis at a time, with no reduction over the short trailing axis:
+every distance goes through ``radius``, which is bit for bit
+``np.linalg.norm(pts - center, axis=-1)``, a box ANDs its per-axis bounds,
+and cell centers are filled axis by axis from broadcast views.
+
 A condenser's domain embeds its plates: a face between a free cell and a
 plate cell is cut by the plate's boundary at the fraction theta in (0, 1]
 of the center-to-center segment that lies outside the plate, and the energy
@@ -85,6 +91,27 @@ def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def radius(pts, center) -> np.ndarray:
+    """Euclidean distance from ``center`` over the last axis of ``pts``.
+
+    One coordinate at a time, in place: the squares accumulate in axis
+    order into the first one, which is what ``np.linalg.norm(pts - center,
+    axis=-1)`` sums over a short axis, so the result is that norm bit for
+    bit without its slow reduction.  ``center`` is a point or any array
+    that broadcasts against ``pts``; a single point gives a scalar.
+    """
+    pts = np.asarray(pts, dtype=float)
+    c = np.asarray(center, dtype=float)
+    out = np.asarray(pts[..., 0] - c[..., 0])
+    out *= out
+    for k in range(1, pts.shape[-1]):
+        x = pts[..., k] - c[..., k]
+        x *= x
+        out += x
+    np.sqrt(out, out=out)
+    return out if out.ndim else out[()]
+
+
 def _as_point(x, n: int) -> np.ndarray:
     pt = np.asarray(x, dtype=float)
     if pt.shape != (n,):
@@ -122,7 +149,7 @@ class Ball:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
+        d = radius(pts, self.center)
         return d <= self.r if self.closed else d < self.r
 
 
@@ -140,7 +167,7 @@ class SphereShell:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
+        d = radius(pts, self.center)
         return np.abs(d - self.r) <= 0.5 * self.thickness
 
 
@@ -158,7 +185,7 @@ class Annulus:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
+        d = radius(pts, self.center)
         return (d > self.r1) & (d < self.r2)
 
 
@@ -176,9 +203,12 @@ class Box:
             raise DomainError("box requires lo <= hi componentwise")
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        pts = np.asarray(pts)
+        out = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
+        for k in range(1, len(self.lo)):
+            out &= pts[..., k] >= self.lo[k]
+            out &= pts[..., k] <= self.hi[k]
+        return out
 
 
 @dataclass(frozen=True)
@@ -222,10 +252,19 @@ class Intersection:
 # ---------------------------------------------------------------------------
 
 
-def _cell_centers(origin, cells, h: float) -> np.ndarray:
-    """Centers of all cells of the grid with that origin, cells and h, shape (*cells, n)."""
-    axes = [float(o) + (np.arange(c) + 0.5) * h for o, c in zip(origin, cells)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+def _cell_centers(origin, cells, h: float, where=None) -> np.ndarray:
+    """Centers of the cells of the grid with that origin, cells and h.
+
+    All of them, shape (*cells, n), or those of the boolean cell array
+    ``where`` in row-major order, shape (count, n).  Each coordinate is
+    filled from a broadcast view of its axis, without a meshgrid.
+    """
+    n = len(cells)
+    out = np.empty((*cells, n) if where is None else (int(np.count_nonzero(where)), n))
+    for k, (o, c) in enumerate(zip(origin, cells)):
+        axis = (float(o) + (np.arange(c) + 0.5) * h).reshape([c if j == k else 1 for j in range(n)])
+        out[..., k] = axis if where is None else np.broadcast_to(axis, cells)[where]
+    return out
 
 
 @dataclass(frozen=True)
@@ -305,7 +344,7 @@ class GridDomain:
     @cached_property
     def inside_centers(self) -> np.ndarray:
         """Centers of inside cells in enumeration order, shape (inside_count, n)."""
-        pts = self.all_centers()[self.mask]
+        pts = _cell_centers(self.origin, self.cells, self.h, self.mask)
         pts.setflags(write=False)
         return pts
 
@@ -353,7 +392,10 @@ class GridDomain:
 
         def centers(idx):
             ijk = np.unravel_index(inside_flat[idx], self.cells)
-            return np.asarray(self.origin) + (np.stack(ijk, axis=-1) + 0.5) * self.h
+            out = np.empty((idx.size, self.n))
+            for k, i in enumerate(ijk):
+                out[:, k] = self.axis_centers(k)[i]
+            return out
 
         owner = np.full(self.inside_count, -1, dtype=np.int8)
         for k, (cells, _) in enumerate(self.plates):
@@ -384,9 +426,11 @@ class GridDomain:
         """
         rel = (np.asarray(pts, dtype=float) - np.asarray(self.origin)) / self.h
         raw = np.floor(rel).astype(np.int64)
-        limits = np.asarray(self.cells)
-        valid = np.all((raw >= 0) & (raw < limits), axis=-1)
-        return np.clip(raw, 0, limits - 1), valid
+        valid = (raw[..., 0] >= 0) & (raw[..., 0] < self.cells[0])
+        for k in range(1, self.n):
+            valid &= raw[..., k] >= 0
+            valid &= raw[..., k] < self.cells[k]
+        return np.clip(raw, 0, np.asarray(self.cells) - 1), valid
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """True where a point lies in an inside cell of the grid."""
@@ -411,11 +455,16 @@ def _cut_fraction(region, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     lo = np.zeros(len(start))
     hi = np.ones(len(start))
     delta = stop - start
+    mid = np.empty_like(lo)
+    pts = np.empty_like(delta)
     for _ in range(CUT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        inside = region.contains(start + mid[:, None] * delta)
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid[:, None], delta, out=pts)
+        pts += start
+        inside = region.contains(pts)
+        np.copyto(hi, mid, where=inside)
+        np.copyto(lo, mid, where=~inside)
     separated = ~region.contains(start) & region.contains(stop)
     return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
 
@@ -525,12 +574,10 @@ def point_diameter(pts: np.ndarray) -> float:
     best = 0.0
     step = 2048
     for i in range(0, len(pts), step):
-        chunk = pts[i : i + step]
-        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+        best = max(best, float(radius(pts[i : i + step, None, :], pts).max()))
+    return best
 
 
 def diameter(cells: np.ndarray, grid: GridDomain) -> float:
     """Largest distance between two cell centers of a cell set (``point_diameter``)."""
-    return point_diameter(grid.all_centers()[cells.astype(bool)])
+    return point_diameter(_cell_centers(grid.origin, grid.cells, grid.h, cells.astype(bool)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import DegenerateError, DomainError, GeometryError
 from .exponents import ExponentPair
-from .grid import Condenser, GridDomain, rasterize
+from .grid import Condenser, GridDomain, radius, rasterize
 
 J_MIN = 1e-12  # below this |J| a cell counts as degenerate, not just small
 
@@ -132,19 +132,19 @@ class RadialPower:
             raise DomainError(f"radial power exponent must be positive, got {self.alpha}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def _radii(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rel = np.asarray(pts, dtype=float) - np.asarray(self.center)
-        r = np.linalg.norm(rel, axis=-1)
+    def _radii(self, pts: np.ndarray) -> np.ndarray:
+        r = radius(pts, self.center)
         if self.alpha < 1 and np.any(r == 0):
             raise DomainError("radial power with alpha < 1 is undefined at its center")
-        return rel, r
+        return r
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        rel, r = self._radii(pts)
+        r = self._radii(pts)
+        rel = np.asarray(pts, dtype=float) - np.asarray(self.center)
         return np.asarray(self.center) + rel * (r ** (self.alpha - 1.0))[..., None]
 
     def jacobian(self, pts: np.ndarray, n: int) -> JacobianData:
-        _, r = self._radii(pts)
+        r = self._radii(pts)
         stretch = r ** (self.alpha - 1.0)
         return JacobianData(max(self.alpha, 1.0) * stretch, self.alpha * r ** (n * (self.alpha - 1.0)))
 

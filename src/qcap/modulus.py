@@ -32,7 +32,7 @@ from .capacity import SolverOptions, solve_capacity
 from .descent import minimize_projected
 from .exceptions import DomainError, GeometryError
 from .energy import EnergyParams
-from .grid import Annulus, Ball, Complement, Condenser, GridDomain, _as_point, directions
+from .grid import Annulus, Ball, Complement, Condenser, GridDomain, _as_point, directions, radius
 
 # The largest relative gap between the admissible value and the dual bound
 # that counts as converged.
@@ -50,7 +50,7 @@ class CurveFamily:
         for c in curves:
             if c.ndim != 2 or len(c) < 2:
                 raise DomainError("each curve needs at least two points")
-            if float(np.linalg.norm(np.diff(c, axis=0), axis=1).sum()) <= 0:
+            if float(radius(c[1:], c[:-1]).sum()) <= 0:
                 raise DomainError("each curve must have positive length")
         object.__setattr__(self, "curves", curves)
 
@@ -58,9 +58,7 @@ class CurveFamily:
         return len(self.curves)
 
     def lengths(self) -> np.ndarray:
-        return np.array(
-            [float(np.linalg.norm(np.diff(c, axis=0), axis=1).sum()) for c in self.curves]
-        )
+        return np.array([float(radius(c[1:], c[:-1]).sum()) for c in self.curves])
 
 
 @dataclass
@@ -132,7 +130,7 @@ def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
     pts = np.concatenate(fam.curves)
     ids = np.repeat(np.arange(len(fam)), [len(c) for c in fam.curves])
     mids = 0.5 * (pts[1:] + pts[:-1])
-    lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    lens = radius(pts[1:], pts[:-1])
     # Keep the segments inside one curve, and of positive length.
     keep = (ids[1:] == ids[:-1]) & (lens > 0)
     rows, mids, lens = ids[1:][keep], mids[keep], lens[keep]

@@ -92,6 +92,20 @@ def test_sample_shell_continua_deterministic():
         np.testing.assert_array_equal(ta, tb)
 
 
+def test_sample_shell_continua_skip_the_plate_e():
+    # At r_u = 1.6 some radial tubes from x0 reach the closed ball E of radius
+    # 0.5 (its edge is 1.4 from x0); given E's cells, the sampler skips them.
+    g = GridDomain.box(2, (-2.2, -2.2), (64, 64), 4.4 / 64, Ball((0.0, 0.0), 1.9))
+    x0 = boundary_point()
+    e_cells = rasterize(Ball((0.0, 0.0), 0.5, closed=True), g)
+    for seed in (0, 1):
+        blind = sample_shell_continua(x0, 1.6, 0.3, g, 8, np.random.default_rng(seed))
+        assert any((tube & e_cells).any() for tube in blind)
+        tubes = sample_shell_continua(x0, 1.6, 0.3, g, 8, np.random.default_rng(seed), e_cells)
+        assert len(tubes) == 8
+        assert not any((tube & e_cells).any() for tube in tubes)
+
+
 def test_sample_shell_continua_validation():
     g = disk_grid()
     with pytest.raises(DomainError):

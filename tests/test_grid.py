@@ -27,7 +27,7 @@ from qcap import (
     rasterize,
 )
 from qcap.energy import EnergyParams, energy_value
-from qcap.grid import connected, dilate_faces, graph_distance, point_diameter
+from qcap.grid import connected, dilate_faces, graph_distance, point_diameter, radius
 
 
 def square_grid(cells=32, half=2.0, region=None):
@@ -324,3 +324,74 @@ def test_point_diameter():
     assert point_diameter(line) == pytest.approx(3.0 * np.sqrt(5.0), rel=1e-12)
     with pytest.raises(EmptySetError):
         point_diameter(np.zeros((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Axis-at-a-time kernels against the reductions they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+WIDE = st.floats(-1e100, 1e100)  # squares and their sums stay finite
+
+
+@st.composite
+def point_arrays(draw, elements=WIDE):
+    """(pts, center): pts of shape (*lead, n), rank-0..3 lead, in C or Fortran order."""
+    n = draw(st.sampled_from([2, 3]))
+    lead = draw(st.lists(st.integers(1, 4), max_size=3))
+    pts = draw(arrays(np.float64, (*lead, n), elements=elements))
+    if draw(st.booleans()):
+        pts = np.asfortranarray(pts)
+    return pts, draw(arrays(np.float64, (n,), elements=elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_arrays())
+def test_radius_is_the_norm_bit_for_bit(case):
+    pts, center = case
+    assert np.array_equal(radius(pts, center), np.linalg.norm(pts - center, axis=-1))
+    if pts.ndim > 1:
+        # a center array that broadcasts against pts: the lengths of consecutive steps
+        assert np.array_equal(radius(pts[1:], pts[:-1]), np.linalg.norm(np.diff(pts, axis=0), axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_arrays(st.floats(-1e3, 1e3) | st.just(math.nan)), st.data())
+def test_box_contains_is_the_all_reduction(case, data):
+    pts, corner = case
+    size = data.draw(arrays(np.float64, corner.shape, elements=st.floats(0.0, 1e3)))
+    box = Box(tuple(corner), tuple(corner + size))
+    want = np.all((pts >= np.asarray(box.lo)) & (pts <= np.asarray(box.hi)), axis=-1)
+    assert np.array_equal(box.contains(pts), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_arrays(st.floats(-50.0, 50.0)), st.floats(0.05, 10.0), st.data())
+def test_locate_is_the_all_reduction(case, h, data):
+    pts, origin = case
+    cells = tuple(data.draw(st.lists(st.integers(1, 8), min_size=len(origin), max_size=len(origin))))
+    g = GridDomain.box(len(origin), tuple(origin), cells, h)
+    idx, valid = g.locate(pts)
+    raw = np.floor((pts - origin) / h).astype(np.int64)
+    limits = np.asarray(cells)
+    assert np.array_equal(valid, np.all((raw >= 0) & (raw < limits), axis=-1))
+    assert np.array_equal(idx, np.clip(raw, 0, limits - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_cell_centers_are_the_meshgrid_centers(n, data):
+    cells = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    origin = tuple(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    h = data.draw(st.floats(1e-3, 10.0))
+    axes = [o + (np.arange(c) + 0.5) * h for o, c in zip(origin, cells)]
+    want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    full = GridDomain.box(n, origin, cells, h)
+    assert np.array_equal(full.all_centers(), want)
+    assert np.array_equal(full.inside_centers, want.reshape(-1, n))
+    # a masked grid keeps the largest face-connected component of a random cell set
+    raw = data.draw(arrays(bool, cells))
+    labels, count = ndimage.label(raw, ndimage.generate_binary_structure(n, 1))
+    mask = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:]) if count else np.ones(cells, dtype=bool)
+    masked = GridDomain(n, origin, cells, h, mask)
+    assert np.array_equal(masked.inside_centers, want[mask])
+    assert np.array_equal(masked.inside_centers, masked.all_centers()[mask])
