@@ -107,19 +107,19 @@ def sample_shell_continua(
     x0,
     r_u: float,
     r_v: float,
+    e_cells: np.ndarray,
     grid: GridDomain,
     count: int,
     rng: np.random.Generator | None = None,
-    e_cells: np.ndarray | None = None,
 ) -> list:
     """Thickened radial tubes crossing the shell between radii r_v and r_u around the boundary point x0.
 
     The max(4 count, 16) candidate directions are ``grid.directions`` turned
     by a seeded random phase, visited in bit-reversed order so that the
     accepted ones spread around x0.  A tube, cut to the domain, is skipped
-    unless it passes the probe's crossing test and is connected, and, when
-    the probe's plate E is given as ``e_cells``, unless it misses E; the
-    first ``count`` valid tubes are kept (GeometryError when there are fewer).
+    unless it passes the probe's crossing test, is connected and misses
+    the probe's plate E = ``e_cells``; the first ``count`` valid tubes are
+    kept (GeometryError when there are fewer).
     """
     check_shell_radii(r_v, r_u)
     if count < 1:
@@ -133,7 +133,7 @@ def sample_shell_continua(
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
     out: list = []
     candidates = directions(grid.n, max(4 * count, 16), phase)
-    e_cells = np.zeros(grid.cells, dtype=bool) if e_cells is None else e_cells.astype(bool)
+    e_cells = e_cells.astype(bool)
     for i in _spread_order(len(candidates)):
         if len(out) == count:
             break

@@ -159,7 +159,7 @@ def _run_access(cfg, rng):
     probe = cfg["probe"]
     x0, r_u, r_v, count = probe["x0"], probe["r_u"], probe["r_v"], probe["count"]
     e_cells = rasterize(build_region(probe["e_region"]), grid)
-    continua = sample_shell_continua(x0, r_u, r_v, grid, count, rng, e_cells)
+    continua = sample_shell_continua(x0, r_u, r_v, e_cells, grid, count, rng)
     opts = build_solver(cfg.get("solver"))
     rep = probe_strong_accessibility(x0, r_u, r_v, e_cells, cfg["exponents"]["p"], continua, grid, opts)
     rep["grid"] = _grid_desc(grid)

@@ -99,9 +99,12 @@ def radius(pts, center) -> np.ndarray:
     axis=-1)`` sums over a short axis, so the result is that norm bit for
     bit without its slow reduction.  ``center`` is a point or any array
     that broadcasts against ``pts``; a single point gives a scalar.
+    DomainError when the two differ in dimension.
     """
     pts = np.asarray(pts, dtype=float)
     c = np.asarray(center, dtype=float)
+    if pts.shape[-1:] != c.shape[-1:]:
+        raise DomainError(f"points of shape {pts.shape} against a center of shape {c.shape}")
     out = np.asarray(pts[..., 0] - c[..., 0])
     out *= out
     for k in range(1, pts.shape[-1]):
@@ -204,10 +207,11 @@ class Box:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts)
+        if pts.shape[-1:] != (len(self.lo),):
+            raise DomainError(f"points of shape {pts.shape} in a box of dimension {len(self.lo)}")
         out = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
         for k in range(1, len(self.lo)):
-            out &= pts[..., k] >= self.lo[k]
-            out &= pts[..., k] <= self.hi[k]
+            out &= (pts[..., k] >= self.lo[k]) & (pts[..., k] <= self.hi[k])
         return out
 
 
@@ -392,10 +396,7 @@ class GridDomain:
 
         def centers(idx):
             ijk = np.unravel_index(inside_flat[idx], self.cells)
-            out = np.empty((idx.size, self.n))
-            for k, i in enumerate(ijk):
-                out[:, k] = self.axis_centers(k)[i]
-            return out
+            return np.asarray(self.origin) + (np.stack(ijk, axis=-1) + 0.5) * self.h
 
         owner = np.full(self.inside_count, -1, dtype=np.int8)
         for k, (cells, _) in enumerate(self.plates):
@@ -428,8 +429,7 @@ class GridDomain:
         raw = np.floor(rel).astype(np.int64)
         valid = (raw[..., 0] >= 0) & (raw[..., 0] < self.cells[0])
         for k in range(1, self.n):
-            valid &= raw[..., k] >= 0
-            valid &= raw[..., k] < self.cells[k]
+            valid &= (raw[..., k] >= 0) & (raw[..., k] < self.cells[k])
         return np.clip(raw, 0, np.asarray(self.cells) - 1), valid
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -455,16 +455,11 @@ def _cut_fraction(region, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     lo = np.zeros(len(start))
     hi = np.ones(len(start))
     delta = stop - start
-    mid = np.empty_like(lo)
-    pts = np.empty_like(delta)
     for _ in range(CUT_BISECTIONS):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.multiply(mid[:, None], delta, out=pts)
-        pts += start
-        inside = region.contains(pts)
-        np.copyto(hi, mid, where=inside)
-        np.copyto(lo, mid, where=~inside)
+        mid = 0.5 * (lo + hi)
+        inside = region.contains(start + mid[:, None] * delta)
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
     separated = ~region.contains(start) & region.contains(stop)
     return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
 

@@ -33,6 +33,11 @@ def boundary_point(r=1.9, angle=0.785398):
     return (r * np.cos(angle), r * np.sin(angle))
 
 
+def plate_e(g):
+    """The probe's plate E: the closed ball of radius 0.5 about the origin."""
+    return rasterize(Ball((0.0, 0.0), 0.5, closed=True), g)
+
+
 def test_shell_crossing_is_relative_to_the_domain():
     # The access grid of the CLI benchmark: a 64^2 disc of radius 1.9 in [-2.2, 2.2]^2.
     g = GridDomain.box(2, (-2.2, -2.2), (64, 64), 4.4 / 64, Ball((0.0, 0.0), 1.9))
@@ -48,7 +53,7 @@ def test_shell_crossing_is_relative_to_the_domain():
     # Seeds 6 and 9 draw a direction whose tube only runs along the boundary;
     # the sampler skips it, so every kept tube reaches past both spheres.
     for seed in (0, 1, 6, 9):
-        for tube in sample_shell_continua(x0, 0.9, 0.3, g, 8, np.random.default_rng(seed)):
+        for tube in sample_shell_continua(x0, 0.9, 0.3, plate_e(g), g, 8, np.random.default_rng(seed)):
             assert crosses(tube)
             assert dist[tube].min() < 0.3 and dist[tube].max() >= 0.9
 
@@ -75,7 +80,7 @@ def test_merge_points_chains_and_keeps_first_member_order():
 def test_sample_shell_continua_basic():
     g = disk_grid()
     x0 = boundary_point()
-    tubes = sample_shell_continua(x0, 0.9, 0.3, g, 6, np.random.default_rng(0))
+    tubes = sample_shell_continua(x0, 0.9, 0.3, plate_e(g), g, 6, np.random.default_rng(0))
     assert len(tubes) == 6
     for tube in tubes:
         assert tube.any()
@@ -86,37 +91,36 @@ def test_sample_shell_continua_basic():
 def test_sample_shell_continua_deterministic():
     g = disk_grid()
     x0 = boundary_point()
-    a = sample_shell_continua(x0, 0.9, 0.3, g, 4, np.random.default_rng(11))
-    b = sample_shell_continua(x0, 0.9, 0.3, g, 4, np.random.default_rng(11))
+    e_cells = plate_e(g)
+    a = sample_shell_continua(x0, 0.9, 0.3, e_cells, g, 4, np.random.default_rng(11))
+    b = sample_shell_continua(x0, 0.9, 0.3, e_cells, g, 4, np.random.default_rng(11))
     for ta, tb in zip(a, b):
         np.testing.assert_array_equal(ta, tb)
 
 
 def test_sample_shell_continua_skip_the_plate_e():
     # At r_u = 1.6 some radial tubes from x0 reach the closed ball E of radius
-    # 0.5 (its edge is 1.4 from x0); given E's cells, the sampler skips them.
+    # 0.5 (its edge is 1.4 from x0); the sampler skips them.
     g = GridDomain.box(2, (-2.2, -2.2), (64, 64), 4.4 / 64, Ball((0.0, 0.0), 1.9))
-    x0 = boundary_point()
-    e_cells = rasterize(Ball((0.0, 0.0), 0.5, closed=True), g)
+    e_cells = plate_e(g)
     for seed in (0, 1):
-        blind = sample_shell_continua(x0, 1.6, 0.3, g, 8, np.random.default_rng(seed))
-        assert any((tube & e_cells).any() for tube in blind)
-        tubes = sample_shell_continua(x0, 1.6, 0.3, g, 8, np.random.default_rng(seed), e_cells)
+        tubes = sample_shell_continua(boundary_point(), 1.6, 0.3, e_cells, g, 8, np.random.default_rng(seed))
         assert len(tubes) == 8
         assert not any((tube & e_cells).any() for tube in tubes)
 
 
 def test_sample_shell_continua_validation():
     g = disk_grid()
+    e_cells = plate_e(g)
     with pytest.raises(DomainError):
-        sample_shell_continua(boundary_point(), 0.3, 0.9, g, 4)
+        sample_shell_continua(boundary_point(), 0.3, 0.9, e_cells, g, 4)
     with pytest.raises(DomainError):
-        sample_shell_continua(boundary_point(), 0.9, 0.3, g, 0)
+        sample_shell_continua(boundary_point(), 0.9, 0.3, e_cells, g, 0)
     with pytest.raises(DomainError, match="dimension 2"):
-        sample_shell_continua((0.0, 0.0, 0.0), 0.9, 0.3, g, 4)
+        sample_shell_continua((0.0, 0.0, 0.0), 0.9, 0.3, e_cells, g, 4)
     # a point far outside the domain admits no tubes at all
     with pytest.raises(GeometryError):
-        sample_shell_continua((40.0, 40.0), 0.9, 0.3, g, 4)
+        sample_shell_continua((40.0, 40.0), 0.9, 0.3, e_cells, g, 4)
 
 
 def tube_centroids(tubes, g):
@@ -132,19 +136,24 @@ def punctured_box(n, cells, half):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shell_continua_spread_around_a_puncture(seed):
+    # no plate: x0 is the puncture itself
     g2 = punctured_box(2, 64, 2.0)
-    c = tube_centroids(sample_shell_continua((0.0, 0.0), 0.9, 0.3, g2, 8, np.random.default_rng(seed)), g2)
+    none = np.zeros(g2.cells, dtype=bool)
+    tubes = sample_shell_continua((0.0, 0.0), 0.9, 0.3, none, g2, 8, np.random.default_rng(seed))
+    c = tube_centroids(tubes, g2)
     angles = np.sort(np.degrees(np.arctan2(c[:, 1], c[:, 0])) % 360)
     assert np.diff(np.append(angles, angles[0] + 360)).max() <= 2 * 360 / 8
     g3 = punctured_box(3, 24, 1.5)
-    c = tube_centroids(sample_shell_continua((0.0,) * 3, 0.9, 0.3, g3, 8, np.random.default_rng(seed)), g3)
+    none = np.zeros(g3.cells, dtype=bool)
+    tubes = sample_shell_continua((0.0,) * 3, 0.9, 0.3, none, g3, 8, np.random.default_rng(seed))
+    c = tube_centroids(tubes, g3)
     assert (c > 0).any(axis=0).all() and (c < 0).any(axis=0).all()
 
 
 def test_interior_x0_is_rejected():
     g = disk_grid()
     with pytest.raises(DomainError, match="interior"):
-        sample_shell_continua((-0.6, 0.0), 0.9, 0.3, g, 4)
+        sample_shell_continua((-0.6, 0.0), 0.9, 0.3, plate_e(g), g, 4)
     _, r_u, r_v, e_cells, p, tubes = make_probe(g, count=2)
     with pytest.raises(DomainError, match="interior"):
         probe_strong_accessibility((-0.6, 0.0), r_u, r_v, e_cells, p, tubes, g)
@@ -152,9 +161,9 @@ def test_interior_x0_is_rejected():
 
 def make_probe(g, count=5, p=2.0):
     """The probe's arguments before the grid: x0, r_u, r_v, E's cells, p and the sampled continua."""
-    x0 = boundary_point()
-    tubes = sample_shell_continua(x0, 0.9, 0.3, g, count, np.random.default_rng(3))
-    return x0, 0.9, 0.3, rasterize(Ball((0.0, 0.0), 0.5, closed=True), g), p, tubes
+    x0, e_cells = boundary_point(), plate_e(g)
+    tubes = sample_shell_continua(x0, 0.9, 0.3, e_cells, g, count, np.random.default_rng(3))
+    return x0, 0.9, 0.3, e_cells, p, tubes
 
 
 def test_probe_strong_accessibility():

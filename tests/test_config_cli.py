@@ -586,7 +586,7 @@ def test_cli_access_rejects_an_interior_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cli_access_tubes_skip_the_plate_e(tmp_path, capsys, seed):
-    # at r_u = 1.6 some radial tubes reach E (its edge is 1.4 from x0); they used to exit 4
+    # at r_u = 1.6 some radial tubes reach E (its edge is 1.4 from x0); kept, they would overlap E (exit 4)
     grid = {**box_spec(2, 2.2, 64), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}}
     b = 1.9 / math.sqrt(2)
     cfg = access_config(grid, [b, b], [0.0, 0.0], 0.5)

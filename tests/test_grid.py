@@ -354,6 +354,18 @@ def test_radius_is_the_norm_bit_for_bit(case):
         assert np.array_equal(radius(pts[1:], pts[:-1]), np.linalg.norm(np.diff(pts, axis=0), axis=-1))
 
 
+def test_points_of_another_dimension_are_rejected():
+    pts = np.zeros((4, 3))
+    with pytest.raises(DomainError, match="dimension 2"):
+        Box((0.0, 0.0), (1.0, 1.0)).contains(pts)
+    with pytest.raises(DomainError, match="dimension 2"):
+        GridDomain.box(3, (0.0,) * 3, (4,) * 3, 0.25, Box((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(DomainError, match="center of shape"):
+        radius(pts[:, :2], (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="center of shape"):
+        Ball((0.0, 0.0), 1.0).contains(pts)
+
+
 @settings(max_examples=100, deadline=None)
 @given(point_arrays(st.floats(-1e3, 1e3) | st.just(math.nan)), st.data())
 def test_box_contains_is_the_all_reduction(case, data):
@@ -365,9 +377,11 @@ def test_box_contains_is_the_all_reduction(case, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(point_arrays(st.floats(-50.0, 50.0)), st.floats(0.05, 10.0), st.data())
+@given(point_arrays(st.floats(-2.0, 10.0)), st.floats(0.05, 10.0), st.data())
 def test_locate_is_the_all_reduction(case, h, data):
-    pts, origin = case
+    # points from two cells below the grid to two cells past its largest extent, on every axis
+    steps, origin = case
+    pts = origin + h * steps
     cells = tuple(data.draw(st.lists(st.integers(1, 8), min_size=len(origin), max_size=len(origin))))
     g = GridDomain.box(len(origin), tuple(origin), cells, h)
     idx, valid = g.locate(pts)
