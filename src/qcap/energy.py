@@ -26,12 +26,14 @@ whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
 its non-finite energy.  A solve moves only its free cells.
 ``FreeEnergy``, built once per solve, gives the gradient and the Hessian
-there in one pass per step over the faces with a free end.
+there in one pass per step over the faces with a free end, and at p = 2
+the Hessian's red-black blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,13 +119,15 @@ class FreeEnergy:
     the ``nf`` free cells first and then the other cells on those faces;
     ``cells`` maps it to the inside enumeration.  ``la``, ``lb`` and ``w``
     are the faces' ends in local numbering and their weights (1/theta on a
-    cut face, 1 elsewhere).  The CSR pattern (``indptr``, ``indices``) has
-    one row per local cell and one column per free cell, and one slot per
-    free face end (row the face's other end, column the free end) plus one
-    per free cell's diagonal; its first ``nf`` rows are the free block.
-    Slot s takes its value from [x | y | diagonal][source[s]], for a
-    per-face array x read where the column is the face's b end, one y read
-    where it is the a end, and a per-free-cell diagonal.
+    cut face, 1 elsewhere).
+
+    ``derivatives`` fills its matrices on a CSR pattern (``pattern``), built
+    once: by the constructor for p != 2, on first use at p = 2.
+    ``red_black`` serves the p = 2 solve from the face arrays alone: a face
+    joins cells whose index sums i + j (+ k) differ by one, so under that
+    parity H1 couples only red (even) cells with black (odd) ones, and its
+    red-black block comes from the faces with two free ends.  A p = 2 solve
+    never builds the pattern.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, params: EnergyParams):
@@ -144,9 +148,25 @@ class FreeEnergy:
         self.cells = np.concatenate([free, np.flatnonzero(near)])
         local = np.empty(m, dtype=np.int32)
         local[self.cells] = np.arange(self.cells.size, dtype=np.int32)
-        la, lb = self.la, self.lb = local[a[sel]], local[b[sel]]
-        nf = self.nf = free.size
-        nface = sel.size
+        self.la, self.lb = local[a[sel]], local[b[sel]]
+        self.nf = free.size
+        if params.p != 2:
+            # Every Newton step fills it; built before the solve's other arrays, it leaves the peak RSS lowest.
+            _ = self.pattern
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR pattern (indptr, indices, source) of the Hessian's matrices.
+
+        One row per local cell and one column per free cell, and one slot
+        per free face end (row the face's other end, column the free end)
+        plus one per free cell's diagonal; its first ``nf`` rows are the
+        free block.  Slot s takes its value from [x | y | diagonal][source[s]],
+        for a per-face array x read where the column is the face's b end, one
+        y read where it is the a end, and a per-free-cell diagonal.
+        """
+        la, lb, nf = self.la, self.lb, self.nf
+        nface = la.size
         slot_face = np.arange(nface, dtype=np.int32)
         up, down = lb < nf, la < nf
         diag = np.arange(nf, dtype=np.int32)
@@ -154,15 +174,44 @@ class FreeEnergy:
         cols = np.concatenate([lb[up], la[down], diag])
         source = np.concatenate([slot_face[up], nface + slot_face[down], 2 * nface + diag])
         order = np.argsort(rows, kind="stable")
-        self.indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.cells.size), out=self.indptr[1:])
-        self.indices, self.source = cols[order], source[order]
+        indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
+        return indptr, cols[order], source[order]
 
     def _matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
         """The first ``rows`` rows of the pattern, filled from x, y and diag."""
-        end = self.indptr[rows]
-        data = np.concatenate([x, y, diag])[self.source[:end]]
-        return sp.csr_array((data, self.indices[:end], self.indptr[: rows + 1]), shape=(rows, self.nf))
+        indptr, indices, source = self.pattern
+        end = indptr[rows]
+        data = np.concatenate([x, y, diag])[source[:end]]
+        return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, self.nf))
+
+    def _first_order(self, u: np.ndarray):
+        """(grad, k1, diag, phi''-terms) at u: the gradient on the free cells,
+        H1's face weights k1 and its diagonal, and for p != 2 the tuple
+        (g, phi', h^(n-2) w d) on the local cells and faces (None at p = 2).
+        """
+        p, h, n = self.params.p, self.grid.h, self.grid.n
+        la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
+        uc = u[self.cells]
+        diff = uc[lb] - uc[la]
+        if p == 2:
+            coef = 2.0 * (diff / h)
+            second = None
+        else:
+            g = cell_gradient_sq(u, self.grid)[self.cells] + self.params.eps**2
+            d1 = _phi1(g, p)
+            second = g, d1, h ** (n - 2) * self.w * diff
+            coef = d1[la] + d1[lb]
+            coef *= diff / h
+        coef *= self.w
+        coef *= h ** (n - 1)
+        grad = np.bincount(lb, weights=coef, minlength=k)[:nf] - np.bincount(la, weights=coef, minlength=k)[:nf]
+        # Freed before the matrix fill, which would otherwise set the solve's peak memory.
+        del uc, diff, coef
+        k1 = h ** (n - 2) * self.w * (2.0 if p == 2 else second[1][la] + second[1][lb])
+        diag = np.bincount(la, weights=k1, minlength=k)[:nf]
+        diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
+        return grad, k1, diag, second
 
     def derivatives(self, u: np.ndarray):
         """(grad, apply, diagonal) of ``energy_value`` at u on the free cells.
@@ -189,28 +238,12 @@ class FreeEnergy:
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        uc = u[self.cells]
-        diff = uc[lb] - uc[la]
-        if p == 2:
-            coef = 2.0 * (diff / h)
-        else:
-            g = cell_gradient_sq(u, self.grid)[self.cells] + self.params.eps**2
-            d1 = _phi1(g, p)
-            wdh = h ** (n - 2) * self.w * diff
-            coef = d1[la] + d1[lb]
-            coef *= diff / h
-        coef *= self.w
-        coef *= h ** (n - 1)
-        grad = np.bincount(lb, weights=coef, minlength=k)[:nf] - np.bincount(la, weights=coef, minlength=k)[:nf]
-        # Freed before the matrix fill, which would otherwise set the p = 2 solve's peak memory.
-        del uc, diff, coef
-        k1 = h ** (n - 2) * self.w * (2.0 if p == 2 else d1[la] + d1[lb])
-        diag = np.bincount(la, weights=k1, minlength=k)[:nf]
-        diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
+        grad, k1, diag, second = self._first_order(u)
         h1 = self._matrix(-k1, -k1, diag, nf)
         if p == 2:
             return grad, h1.dot, diag
         del k1
+        g, d1, wdh = second
         own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
         own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
         mv = self._matrix(wdh, -wdh, own, k)
@@ -227,3 +260,31 @@ class FreeEnergy:
             return out
 
         return grad, apply, diag
+
+    def red_black(self, u: np.ndarray):
+        """(grad, diagonal, coupling, red) of the p = 2 energy at u on the free cells.
+
+        grad and diagonal are those of ``derivatives``.  red flags the free
+        cells whose index sum i + j (+ k) is even.  With the free cells
+        split into red and black, each in free order, H1 is the block matrix
+        [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, and coupling is
+        B: one entry -h^(n-2) 2 w_f per face with two free ends, in the row
+        of its red end and the column of its black end.
+        """
+        grad, k1, diag, _ = self._first_order(u)
+        grid, nf = self.grid, self.nf
+        odd = np.zeros(grid.cells, dtype=bool)
+        for k, c in enumerate(grid.cells):
+            odd ^= (np.arange(c) % 2 == 1).reshape([c if j == k else 1 for j in range(grid.n)])
+        red = ~odd[grid.mask][self.cells[:nf]]
+        order = np.empty(nf, dtype=np.int32)
+        nr = int(np.count_nonzero(red))
+        order[red] = np.arange(nr, dtype=np.int32)
+        order[~red] = np.arange(nf - nr, dtype=np.int32)
+        both = np.flatnonzero((self.la < nf) & (self.lb < nf))
+        la, lb = self.la[both], self.lb[both]
+        a_red = red[la]
+        rows = order[np.where(a_red, la, lb)]
+        cols = order[np.where(a_red, lb, la)]
+        coupling = sp.csr_array((-k1[both], (rows, cols)), shape=(nr, nf - nr))
+        return grad, diag, coupling, red

@@ -65,7 +65,13 @@ def dilate_faces(cells: np.ndarray) -> np.ndarray:
 
 
 def connected(cells: np.ndarray) -> bool:
-    """True iff the cell set is empty or forms one face-connected component."""
+    """True iff the cell set is empty or forms one face-connected component.
+
+    A full cell array is a box, face-connected by construction, and is not
+    labelled.
+    """
+    if cells.all():
+        return True
     _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
     return count <= 1
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.integrate import quad
 from scipy.optimize import Bounds, minimize
 
@@ -285,30 +288,147 @@ def test_p2_ring_observed_order():
     assert order >= 1.8
 
 
+def dense_hessian(grid, free, params):
+    """The p = 2 Hessian on the free cells, assembled column by column from
+    the energy gradient (linear at p = 2)."""
+    h1 = np.zeros((free.size, free.size))
+    for j, i in enumerate(free):
+        unit = np.zeros(grid.inside_count)
+        unit[i] = 1.0
+        h1[:, j] = energy_gradient(unit, grid, params)[free]
+    return h1
+
+
+def dense_free_system(cond, eps=1e-4):
+    """(H1, rhs, free): the p = 2 free-block Hessian and -grad at the plate field."""
+    grid = cond.domain
+    fixed = np.zeros(grid.inside_count, dtype=bool)
+    fixed[cond.e_indices] = True
+    fixed[cond.f_indices] = True
+    free = np.flatnonzero(~fixed)
+    params = EnergyParams(2.0, eps)
+    base = np.zeros(grid.inside_count)
+    base[cond.f_indices] = 1.0
+    return dense_hessian(grid, free, params), -energy_gradient(base, grid, params)[free], free
+
+
+def dense_capacity(cond, eps=1e-4):
+    """Energy of the field np.linalg.solve gives for the p = 2 free-block system."""
+    h1, rhs, free = dense_free_system(cond, eps)
+    u = np.zeros(cond.domain.inside_count)
+    u[cond.f_indices] = 1.0
+    u[free] = np.linalg.solve(h1, rhs)
+    return energy_value(u, cond.domain, EnergyParams(2.0, eps))
+
+
+def black_eliminated_energy(cond, eps=1e-4):
+    """Energy of the plate field with each free cell of odd index sum set to
+    its own minimizer, the others held at 0."""
+    h1, rhs, free = dense_free_system(cond, eps)
+    black = np.sum(np.unravel_index(np.flatnonzero(cond.domain.mask)[free], cond.domain.cells), axis=0) % 2 == 1
+    u = np.zeros(cond.domain.inside_count)
+    u[cond.f_indices] = 1.0
+    u[free[black]] = rhs[black] / np.diag(h1)[black]
+    return energy_value(u, cond.domain, EnergyParams(2.0, eps))
+
+
 def test_p2_solve_matches_direct_solve():
     # the p = 2 conjugate-gradient solve against a dense solve of the same
     # quadratic, assembled column by column from the energy gradient
     g = GridDomain.box(2, (-1.5, -1.5), (20, 20), 0.15)
     cond = make_ring_condenser((0.1, 0.0), 0.4, 1.3, g)
-    grid = cond.domain
-    fixed = np.zeros(g.inside_count, dtype=bool)
-    fixed[cond.e_indices] = True
-    fixed[cond.f_indices] = True
-    free = np.flatnonzero(~fixed)
-    params = EnergyParams(2.0, 1e-4)
-    cols = []
-    for i in free:
-        unit = np.zeros(g.inside_count)
-        unit[i] = 1.0
-        cols.append(energy_gradient(unit, grid, params)[free])
-    base = np.zeros(g.inside_count)
-    base[cond.f_indices] = 1.0
-    u = base.copy()
-    u[free] = np.linalg.solve(np.array(cols).T, -energy_gradient(base, grid, params)[free])
     res = solve_capacity(cond, 2.0, TIGHT)
     assert res.converged
     assert res.final_eps == 1e-4
-    assert res.value == pytest.approx(energy_value(u, grid, params), rel=1e-10)
+    assert res.value == pytest.approx(dense_capacity(cond), rel=1e-10)
+
+
+def masked_ball_condenser_3d():
+    """Ring (0.4, 0.9) off the centre of a 12^3 grid masked to a ball of radius 1.15."""
+    g = GridDomain.box(3, (-1.2,) * 3, (12,) * 3, 0.2, Ball((0.0,) * 3, 1.15))
+    return make_ring_condenser((0.05, -0.03, 0.0), 0.4, 0.9, g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [masked_ring_condenser, masked_ball_condenser_3d, sharing_faces_condenser],
+    ids=["masked-2d", "masked-3d", "sharing-faces"],
+)
+def test_p2_red_black_solve_matches_dense_solve(make):
+    # the solve on the red cells, with the black cells eliminated, against a
+    # dense solve of the whole free block, on grids with cut faces
+    cond = make()
+    if make is not sharing_faces_condenser:
+        assert cond.domain.cut_faces[0].size > 0
+    res = solve_capacity(cond, 2.0)
+    assert res.converged
+    assert res.value == pytest.approx(dense_capacity(cond), rel=SolverOptions().rel_tol)
+    # the history starts after the black elimination and ends at the value
+    assert res.energy_history[0] == pytest.approx(black_eliminated_energy(cond), rel=1e-12)
+    assert (np.diff(res.energy_history) <= 0).all()
+    assert res.energy_history[-1] == pytest.approx(res.value, rel=1e-12)
+
+
+@st.composite
+def masked_grids_with_free_cells(draw):
+    """A random face-connected mask with one embedded ball plate, and a random
+    free set that includes plate cells, so that cut faces join free cells."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = tuple(int(c) for c in rng.integers(3, 10 if n == 2 else 6, size=n))
+    keep = rng.uniform(size=cells) < 0.85
+    labels, count = ndimage.label(keep, ndimage.generate_binary_structure(n, 1))
+    assume(count > 0)
+    mask = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    assume(mask.sum() >= 2)
+    grid = GridDomain(n, (0.0,) * n, cells, 0.5, mask)
+    plate = Ball(tuple(rng.uniform(0.0, 0.5 * c) for c in cells), float(rng.uniform(0.3, 1.5)))
+    grid = grid.with_plates(((rasterize(plate, grid), plate),))
+    free = np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.75)
+    assume(free.size > 0)
+    return grid, free
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_grids_with_free_cells())
+def test_red_black_split_is_the_dense_schur_complement(case):
+    grid, free = case
+    params = EnergyParams(2.0, 1e-3)
+    rng = np.random.default_rng(free.size)
+    u = rng.uniform(0.0, 1.0, grid.inside_count)
+    grad, diag, coupling, red = FreeEnergy(grid, free, params).red_black(u)
+    black = ~red
+    # every face with two free ends joins a red and a black cell
+    a, b = grid.face_pairs
+    pos = np.full(grid.inside_count, -1)
+    pos[free] = np.arange(free.size)
+    both = (pos[a] >= 0) & (pos[b] >= 0)
+    assert (red[pos[a[both]]] != red[pos[b[both]]]).all()
+    # the blocks of H1, assembled from the energy gradient
+    h1 = dense_hessian(grid, free, params)
+    assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
+    np.testing.assert_allclose(diag, np.diag(h1), rtol=1e-12)
+    np.testing.assert_allclose(coupling.toarray(), h1[np.ix_(red, black)], rtol=1e-12, atol=0)
+    assert np.count_nonzero(h1[np.ix_(red, red)] - np.diag(diag[red])) == 0
+    # the reduced operator's product is the dense Schur complement's
+    h_rb = h1[np.ix_(red, black)]
+    schur = h1[np.ix_(red, red)] - h_rb @ np.linalg.solve(h1[np.ix_(black, black)], h_rb.T)
+    v = rng.normal(size=int(red.sum()))
+    got = qcap.capacity._reduced_operator(diag[red], coupling, 1.0 / diag[black])(v)
+    scale = np.abs(diag[red]).max(initial=0.0) * np.abs(v).max(initial=0.0)
+    np.testing.assert_allclose(got, schur @ v, rtol=1e-10, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "n, r2, half, cells, most",
+    [(2, math.e, 3.0, 256, 100), (3, 2.0, 2.5, 64, 36)],
+    ids=["criterion-1", "criterion-2"],
+)
+def test_p2_reduced_cg_step_counts(n, r2, half, cells, most):
+    # Jacobi CG on the whole free block took 174 and 58 steps
+    res = solve_ring(n, 2.0, 1.0, r2, half, cells)
+    assert res.converged
+    assert res.iterations == res.cg_steps <= most
 
 
 # The reference's own continuation: each stage warm-starts the next.
@@ -512,12 +632,12 @@ def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
 
 @pytest.mark.parametrize(
     "p, value, steps",
-    [(1.5, 6.210049319717511, 7), (2.0, 21.26007194750738, 147), (3.0, 289.15905463583204, 7)],
+    [(1.5, 6.210049319717511, 7), (2.0, 21.26007194694121, 79), (3.0, 289.15905463583204, 7)],
 )
 def test_plates_sharing_faces(p, value, steps):
     # the energy counts the shared faces, the free-cell derivatives leave
-    # them out; values and step counts (Newton for p != 2, CG for p = 2)
-    # recorded from full-grid gradients
+    # them out; values and step counts (Newton for p != 2, recorded from
+    # full-grid gradients; reduced CG on the red cells for p = 2)
     res = solve_capacity(sharing_faces_condenser(), p)
     assert res.converged
     assert res.iterations == steps

@@ -26,6 +26,7 @@ from qcap import (
     make_ring_condenser,
     rasterize,
 )
+import qcap.grid
 from qcap.energy import EnergyParams, energy_value
 from qcap.grid import connected, dilate_faces, graph_distance, point_diameter, radius
 
@@ -142,6 +143,17 @@ def test_graph_distance_and_helpers():
     assert connected(mask)
     grown = dilate_faces(src)
     assert grown.sum() == 3
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 7), (3, 1, 5), (6, 6, 6)])
+def test_full_cell_array_is_connected_without_labelling(shape, monkeypatch):
+    # a box is face-connected by construction: no component labelling, and
+    # a full-box grid builds without one
+    labels = []
+    monkeypatch.setattr(qcap.grid.ndimage, "label", lambda *args: labels.append(args))
+    assert connected(np.ones(shape, dtype=bool))
+    GridDomain.box(len(shape), (0.0,) * len(shape), shape, 1.0)
+    assert labels == []
 
 
 def reference_graph_distance(mask, sources):

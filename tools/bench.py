@@ -1,12 +1,14 @@
 """Run the benchmark's workloads and summarise them as ``BENCH_<label>.json``.
 
-    python3 tools/bench.py --label NAME [--parent DIR] [--runs N] [--seed S] [--root DIR]
+    python3 tools/bench.py --label NAME [--parent DIR] [--runs N] [--seed S] [--root DIR] [--workload W ...]
 
 Each run is one untraced ``perfbench/run.py`` process of the length that
 ``BENCHMARK.json`` sets, started in the checkout under test (``--root``, by
 default the one holding this script); its last two stdout lines are the
-record and the result.  For each workload of ``BENCHMARK.json``, run i
-uses seed S + i.  With ``--parent DIR`` every run is a pair: the same
+record and the result.  ``--workload W`` picks one workload of
+``BENCHMARK.json`` and may be given more than once; without it every
+workload runs, in the file's order.  For each workload, run i uses seed
+S + i.  With ``--parent DIR`` every run is a pair: the same
 workload and seed in the parent checkout and in ``--root``, the side that
 goes first alternating from pair to pair, so that slow drift of the
 machine falls on both sides alike.
@@ -88,6 +90,12 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, help="parent checkout, run in alternating pairs with --root")
     parser.add_argument("--runs", type=int, default=3, help="runs (or pairs) per workload")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first run; run i uses seed + i")
+    parser.add_argument(
+        "--workload",
+        action="append",
+        choices=[w["name"] for w in bench["workloads"]],
+        help="workload to run (repeatable; default: every workload)",
+    )
     args = parser.parse_args(argv)
     if args.runs < 1 or args.seed < 0:
         parser.error("--runs must be at least 1 and --seed nonnegative")
@@ -104,6 +112,7 @@ def main(argv=None) -> int:
         "workloads": {
             w["name"]: bench_workload(roots, w["name"], args.runs, args.seed, bench["run_seconds"], metrics)
             for w in bench["workloads"]
+            if args.workload is None or w["name"] in args.workload
         },
     }
     out = ROOT / f"BENCH_{args.label}.json"
