@@ -8,21 +8,25 @@ the raw regularized energy at the solver's eps (the recorded ``final_eps``
 lets callers judge the leftover inflation).
 
 For p != 2 the minimizer is a damped inexact Newton method at the one
-smoothing eps of the solver options, started from the normalized grid
-distance field.  Each step takes the gradient and the Hessian on the free
-cells from one ``FreeEnergy.derivatives`` call (the energy module's
-per-solve object, built once), solves H s = -grad by Jacobi-preconditioned
-CG, then backtracks from the full step until the Armijo condition holds
-for the field clipped to [0, 1]; energy values sum the whole grid.  The
-solve ends when half the Newton decrement, -grad.s / 2, is at most
-``rel_tol`` times the energy: the remaining suboptimality, to second
-order.  The CG runs to a forcing tolerance, or stops earlier once that
-test is sure to hold: from CG's start at 0, its model drops alpha (r.z)/2
-add up to -grad.s / 2, and the last 10 drops estimate what further steps
-would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42, 2002).  Only the
-certifying last step can stop that way.  There ``iterations`` counts
-Newton steps and ``energy_history`` holds the start energy and the energy
-after each step.
+smoothing eps of the solver options, started from the p = 2 minimizer
+below clipped to [0, 1] (its CG capped like a Newton step's): far closer
+to the p-harmonic field than a plate-distance profile, it puts Newton in
+its fast local regime sooner (Deuflhard, Newton Methods for Nonlinear
+Problems, 2004, ch. 1-2).  Each step takes the gradient and the Hessian on
+the free cells from one ``FreeEnergy.derivatives`` call (the energy
+module's per-solve object, built once), solves H s = -grad by
+Jacobi-preconditioned CG, then backtracks from the full step until the
+Armijo condition holds for the field clipped to [0, 1]; energy values sum
+the whole grid.  The solve ends when half the Newton decrement,
+-grad.s / 2, is at most ``rel_tol`` times the energy: the remaining
+suboptimality, to second order.  The CG runs to a forcing tolerance, or stops earlier
+once that test is sure to hold: from CG's start at 0, its model drops
+alpha (r.z)/2 add up to -grad.s / 2, and the last 10 drops estimate what
+further steps would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42,
+2002).  Only the certifying last step can stop that way.  There
+``iterations`` counts Newton steps, ``cg_steps`` includes the start's, and
+``energy_history`` holds the p-energy of the start and the energy after
+each step.
 For p = 2 eps only adds the constant eps^2 h^n per cell, so the energy is
 one quadratic whose minimizer lies in [0, 1] by the discrete maximum
 principle: one exact Newton step from the plate field.  Its Hessian H1 is
@@ -61,9 +65,10 @@ import numpy as np
 # Unused here; kept as module names because the benchmark's tracer patches them.
 from .descent import minimize_projected  # noqa: F401
 from .energy import energy_gradient  # noqa: F401
+from .grid import graph_distance  # noqa: F401
 from .energy import EnergyParams, FreeEnergy, energy_value
 from .exceptions import DomainError
-from .grid import Condenser, GridDomain, check_ring_radii, graph_distance, make_ring_condenser
+from .grid import Condenser, GridDomain, check_ring_radii, make_ring_condenser
 
 SPHERE_MEASURE = {2: 2 * math.pi, 3: 4 * math.pi}
 # Iterations over which the relative energy decrease is compared with rel_tol.
@@ -71,7 +76,7 @@ STALL_WINDOW = 10
 # Newton line search: Armijo sufficient-decrease constant and smallest step.
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-10
-# Cap on the CG steps of one inexact Newton solve.
+# Cap on the CG steps of each inner solve of a Newton solve, its p = 2 start included.
 NEWTON_CG_STEPS = 1000
 
 
@@ -80,12 +85,12 @@ class SolverOptions:
     """Budget, stopping threshold and smoothing of the capacity solve.
 
     ``max_iterations`` caps the Newton steps for p != 2 (each one inner CG
-    solve, capped internally) and the reduced CG steps on the red cells for
-    p = 2.  ``rel_tol`` is the stopping threshold: for p != 2 the solve ends
-    once half the Newton decrement is at most rel_tol |E|, and the inner CG
-    of that last step stops as soon as its drops show the test will hold;
-    for p = 2 the solve ends once the energy drops by at most rel_tol |E|
-    over 10 steps.
+    solve, capped internally, like the p = 2 solve that starts them) and the
+    reduced CG steps on the red cells for p = 2.  ``rel_tol`` is the
+    stopping threshold: for p != 2 the solve ends once half the Newton
+    decrement is at most rel_tol |E|, and the inner CG of that last step
+    stops as soon as its drops show the test will hold; for p = 2 the solve
+    ends once the energy drops by at most rel_tol |E| over 10 steps.
     ``eps`` is the smoothing of the regularized energy, positive and finite.
     """
 
@@ -110,10 +115,11 @@ class CapacityResult:
     ``energy_history`` is the monotone energy trace of the solve: a start
     value plus one entry per Newton step (p != 2) or reduced CG step
     (p = 2), all at ``final_eps``, the smoothing eps of the solve;
-    ``history_eps`` lists that eps once per entry.  For p = 2 the start
-    value is the energy after the exact black elimination, and the last
-    entry is within 1e-12 (relative) of ``value``.  ``iterations`` is the
-    number of those steps, ``cg_steps`` the total of inner CG steps.
+    ``history_eps`` lists that eps once per entry.  The start value is the
+    energy after the exact black elimination for p = 2, whose last entry is
+    within 1e-12 (relative) of ``value``, and for p != 2 the p-energy of the
+    p = 2 minimizer clipped to [0, 1].  ``iterations`` is the number of
+    those steps, ``cg_steps`` the total of CG steps, the start's included.
     ``decrement`` is the solver's own error estimate: for p != 2 half the
     last Newton decrement, -grad.s / 2, for p = 2 the energy drop over the
     last 10 CG steps.
@@ -135,27 +141,16 @@ class CapacityResult:
         return [self.final_eps] * len(self.energy_history)
 
 
-def _distance_init(cond: Condenser) -> np.ndarray:
-    """Start field d_E / (d_E + d_F), d the face-hop count to a plate: 0 on E, 1 on F.
-
-    Both counts are finite and their sum positive, since the plates are
-    disjoint inside cells of one face-connected domain.
-    """
-    de = graph_distance(cond.domain, cond.E)
-    df = graph_distance(cond.domain, cond.F)
-    return de / (de + df)
-
-
 def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None) -> CapacityResult:
     """Minimize the regularized p-energy over fields pinned to 0/1 on the plates.
 
-    For p != 2 runs damped Newton from the distance field, for p = 2 solves
-    the quadratic once, both at ``opts.eps``.  ``converged`` is False when
-    the iteration budget ran out first, or when a Newton line search found
-    no decrease before the decrement test held.
+    Solves the p = 2 quadratic, and for p != 2 runs damped Newton from its
+    minimizer, both at ``opts.eps``.  ``converged`` is False when the
+    iteration budget ran out first, or when a Newton line search found no
+    decrease before the decrement test held.
     """
-    EnergyParams(p)  # DomainError unless p > 1
     opts = opts or SolverOptions()
+    params = EnergyParams(p, opts.eps)  # DomainError unless p > 1
     grid = cond.domain
     m = grid.inside_count
     fixed = np.zeros(m, dtype=bool)
@@ -165,11 +160,13 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     base = np.zeros(m)
     base[cond.f_indices] = 1.0
     if free.size == 0:
-        energy = energy_value(base, grid, EnergyParams(p, opts.eps))
+        energy = energy_value(base, grid, params)
         return CapacityResult(energy, 0, opts.eps, [energy], True)
-    if p == 2:
-        return _solve_quadratic(grid, free, base, opts)
-    return _solve_newton(grid, free, _distance_init(cond), p, opts)
+    if p != 2:
+        return _solve_newton(grid, free, base, p, opts)
+    u, it, converged, history = _solve_quadratic(grid, free, base, opts, opts.max_iterations)
+    window_drop = history[max(0, it - STALL_WINDOW)] - history[-1]
+    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged, it, window_drop)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -231,8 +228,10 @@ def _reduced_operator(diag_r: np.ndarray, coupling, inv_b: np.ndarray):
     return apply
 
 
-def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
-    """p = 2: one exact Newton step from the plate field, solved on the red cells.
+def _solve_quadratic(
+    grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions, max_steps: int, free_energy=None
+):
+    """The p = 2 minimizer: one exact Newton step from the plate field, solved on the red cells.
 
     The energy is quadratic, so base + s minimizes it for the s solving
     H1 s = b, b = -grad, with H1 the constant weighted graph Laplacian on
@@ -244,12 +243,13 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
     so chosen, the energy of base + s is
     E0 - b_b.D_b^-1 b_b / 2 - c.s_r + s_r.S s_r / 2: the history starts at
     the first two terms, and each CG step lowers it by alpha (r.z)/2.  The
-    CG runs until that drop stalls, and the value is the energy of the
-    final field.
+    CG runs until that drop stalls, or for at most ``max_steps`` steps.
+    Returns (field, steps, converged, history).  Without the solve's own
+    ``free_energy`` (p = 2) a temporary one is built, freed before the CG.
     """
     params = EnergyParams(2.0, opts.eps)
     energy = energy_value(base, grid, params)
-    grad, diag, coupling, red = FreeEnergy(grid, free, params).red_black(base)
+    grad, diag, coupling, red = (free_energy or FreeEnergy(grid, free, params)).red_black(base)
     black = ~red
     rhs_b = -grad[black]
     inv_b = 1.0 / diag[black]
@@ -272,23 +272,20 @@ def _solve_quadratic(grid: GridDomain, free: np.ndarray, base: np.ndarray, opts:
             len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - energy <= opts.rel_tol * abs(energy)
         )
 
-    step_r, it, converged = _pcg(apply, rhs_r, 1.0 / diag_r, opts.max_iterations, stop)
+    step_r, it, converged = _pcg(apply, rhs_r, 1.0 / diag_r, max_steps, stop)
     # s_b = D_b^-1 (b_b - B^T s_r), in place of b_b.
     rhs_b -= coupling.T @ step_r
     rhs_b *= inv_b
     u = base.copy()
     u[free[red]] = step_r
     u[free[black]] = rhs_b
-    # Freed before the final full-grid energy, which would otherwise set the solve's peak memory.
-    del apply, coupling, step_r, rhs_r, rhs_b, inv_b, diag_r, red, black
-    window_drop = history[max(0, it - STALL_WINDOW)] - energy
-    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged, it, window_drop)
+    return u, it, converged, history
 
 
 def _solve_newton(
-    grid: GridDomain, free: np.ndarray, u: np.ndarray, p: float, opts: SolverOptions
+    grid: GridDomain, free: np.ndarray, base: np.ndarray, p: float, opts: SolverOptions
 ) -> CapacityResult:
-    """p != 2: damped inexact Newton at ``opts.eps``, started from u.
+    """p != 2: damped inexact Newton at ``opts.eps``, started from the p = 2 minimizer clipped to [0, 1].
 
     Each step solves H s = -grad to the forcing tolerance min(0.1, |grad|)
     |grad| by Jacobi-preconditioned CG, which keeps the local convergence
@@ -304,10 +301,12 @@ def _solve_newton(
     """
     params = EnergyParams(p, opts.eps)
     free_energy = FreeEnergy(grid, free, params)
+    u, cg_steps, _, _ = _solve_quadratic(grid, free, base, opts, NEWTON_CG_STEPS, free_energy)
+    # A no-op up to rounding where the discrete maximum principle holds, and a guard where CG stopped early.
+    np.clip(u, 0.0, 1.0, out=u)
     energy = energy_value(u, grid, params)
     history = [energy]
     converged = False
-    cg_steps = 0
     decrement = math.inf
     while not converged and len(history) <= opts.max_iterations:
         grad, apply, diag = free_energy.derivatives(u)

@@ -26,8 +26,8 @@ whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
 its non-finite energy.  A solve moves only its free cells.
 ``FreeEnergy``, built once per solve, gives the gradient and the Hessian
-there in one pass per step over the faces with a free end, and at p = 2
-the Hessian's red-black blocks.
+there in one pass per step over the faces with a free end, and at any p
+the red-black blocks of the p = 2 Hessian.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ class FreeEnergy:
 
     ``derivatives`` fills its matrices on a CSR pattern (``pattern``), built
     once: by the constructor for p != 2, on first use at p = 2.
-    ``red_black`` serves the p = 2 solve from the face arrays alone: a face
-    joins cells whose index sums i + j (+ k) differ by one, so under that
-    parity H1 couples only red (even) cells with black (odd) ones, and its
-    red-black block comes from the faces with two free ends.  A p = 2 solve
-    never builds the pattern.
+    ``red_black`` serves the p = 2 solve that starts every solve, at any
+    ``params.p``, from the face arrays alone: a face joins cells whose index
+    sums i + j (+ k) differ by one, so under that parity H1 couples only red
+    (even) cells with black (odd) ones, and its red-black block comes from
+    the faces with two free ends.  A p = 2 solve never builds the pattern.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, params: EnergyParams):
@@ -185,12 +185,12 @@ class FreeEnergy:
         data = np.concatenate([x, y, diag])[source[:end]]
         return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, self.nf))
 
-    def _first_order(self, u: np.ndarray):
+    def _first_order(self, u: np.ndarray, p: float):
         """(grad, k1, diag, phi''-terms) at u: the gradient on the free cells,
         H1's face weights k1 and its diagonal, and for p != 2 the tuple
         (g, phi', h^(n-2) w d) on the local cells and faces (None at p = 2).
         """
-        p, h, n = self.params.p, self.grid.h, self.grid.n
+        h, n = self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
         uc = u[self.cells]
         diff = uc[lb] - uc[la]
@@ -238,7 +238,7 @@ class FreeEnergy:
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        grad, k1, diag, second = self._first_order(u)
+        grad, k1, diag, second = self._first_order(u, p)
         h1 = self._matrix(-k1, -k1, diag, nf)
         if p == 2:
             return grad, h1.dot, diag
@@ -264,14 +264,14 @@ class FreeEnergy:
     def red_black(self, u: np.ndarray):
         """(grad, diagonal, coupling, red) of the p = 2 energy at u on the free cells.
 
-        grad and diagonal are those of ``derivatives``.  red flags the free
-        cells whose index sum i + j (+ k) is even.  With the free cells
-        split into red and black, each in free order, H1 is the block matrix
-        [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, and coupling is
-        B: one entry -h^(n-2) 2 w_f per face with two free ends, in the row
-        of its red end and the column of its black end.
+        grad and diagonal are those of a p = 2 ``derivatives``.  red flags
+        the free cells whose index sum i + j (+ k) is even.  With the free
+        cells split into red and black, each in free order, H1 is the block
+        matrix [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, and
+        coupling is B: one entry -h^(n-2) 2 w_f per face with two free ends,
+        in the row of its red end and the column of its black end.
         """
-        grad, k1, diag, _ = self._first_order(u)
+        grad, k1, diag, _ = self._first_order(u, 2.0)
         grid, nf = self.grid, self.nf
         odd = np.zeros(grid.cells, dtype=bool)
         for k, c in enumerate(grid.cells):

@@ -30,8 +30,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SEEDS = (0, 1)
 # Beside the modulus density, these p != 2 solves add their Newton energy
-# histories as CSV.  Seed 1 masks the grid with a hole between the plates, so
-# its start field detours around the hole.
+# histories as CSV.  Seed 1 masks the grid with a hole between the plates.
 _GRID = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [128, 128]}
 _MASK = {
     "type": "intersection",
