@@ -27,7 +27,7 @@ from qcap import (
 )
 import qcap.capacity
 from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
-from qcap.grid import Box, Complement, Intersection, dilate_faces
+from qcap.grid import Box, Complement, Intersection, dilate_faces, graph_distance
 
 TIGHT = SolverOptions(rel_tol=1e-13)
 
@@ -196,6 +196,23 @@ def frontier_hops(cond, plate):
     return dist[mask]
 
 
+def distance_init(cond):
+    """Face-hop ratio d_E / (d_E + d_F), 0 on E and 1 on F: the reference's start, never the solver's."""
+    de = frontier_hops(cond, cond.E)
+    df = frontier_hops(cond, cond.F)
+    return de / (de + df)
+
+
+def test_distance_init_profile():
+    g = GridDomain.box(2, (-2.0, -2.0), (32, 32), 0.125)
+    cond = make_ring_condenser((0.0, 0.0), 0.8, 1.6, g)
+    u0 = distance_init(cond)
+    assert u0.shape == (g.inside_count,)
+    assert (u0 >= 0.0).all() and (u0 <= 1.0).all()
+    assert (u0[cond.e_indices] == 0.0).all()
+    assert (u0[cond.f_indices] == 1.0).all()
+
+
 def masked_ring_condenser():
     """Ring (1, 2) on a 64² disc of radius 2.45 with a box hole between the plates."""
     region = Intersection((Ball((0.0, 0.0), 2.45), Complement(Box((1.2, -0.3), (1.6, 0.3)))))
@@ -210,6 +227,26 @@ def sharing_faces_condenser():
     e = rasterize(e_region, g)
     f = rasterize(Box((0.0, 0.51), (1.0, 1.0)), g) & ~e
     return Condenser(e, f, g, region_e=e_region)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_ring_condenser((0.0, 0.0), 1.0, 2.0, GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)),
+        lambda: make_ring_condenser((0.0,) * 3, 1.0, 2.0, GridDomain.box(3, (-2.5,) * 3, (24,) * 3, 5.0 / 24)),
+        masked_ring_condenser,
+        sharing_faces_condenser,
+    ],
+    ids=["ring-2d-64", "ring-3d-24", "masked-hole", "sharing-faces"],
+)
+def test_distance_init_is_the_hop_ratio(make):
+    # the frontier-BFS start of the reference equals the ratio of the two
+    # graph_distance searches, holes and shared faces included
+    cond = make()
+    de = graph_distance(cond.domain, cond.E)
+    df = graph_distance(cond.domain, cond.F)
+    assert (de >= 0).all() and (df >= 0).all()
+    assert np.array_equal(distance_init(cond), de / (de + df))
 
 
 def test_energy_history_monotone_within_stage():
@@ -414,10 +451,7 @@ def reference_capacity(cond, p, opts=TIGHT):
     fixed[cond.e_indices] = True
     fixed[cond.f_indices] = True
     free = np.flatnonzero(~fixed)
-    # The face-hop ratio, 0 on E and 1 on F: a start the solver never uses.
-    de = frontier_hops(cond, cond.E)
-    df = frontier_hops(cond, cond.F)
-    u = de / (de + df)
+    u = distance_init(cond)
 
     def assemble(x):
         out = u.copy()
