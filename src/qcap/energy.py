@@ -25,15 +25,16 @@ inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
 whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
 its non-finite energy.  A solve moves only its free cells.
-``FreeEnergy``, built once per solve, gives the gradient and the Hessian
-there in one pass per step over the faces with a free end, and at any p
-the red-black blocks of the p = 2 Hessian.
+``FreeEnergy``, built once per solve, works there on the faces with a
+free end, one route per job: ``red_black`` gives every p = 2 quantity
+(the gradient and the red-black blocks of the p = 2 Hessian, at any p),
+and ``derivatives`` the gradient and Hessian of one p != 2 Newton step,
+in one pass over those faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,13 +122,16 @@ class FreeEnergy:
     are the faces' ends in local numbering and their weights (1/theta on a
     cut face, 1 elsewhere).
 
-    ``derivatives`` fills its matrices on a CSR pattern (``pattern``), built
-    once: by the constructor for p != 2, on first use at p = 2.
-    ``red_black`` serves the p = 2 solve that starts every solve, at any
-    ``params.p``, from the face arrays alone: a face joins cells whose index
-    sums i + j (+ k) differ by one, so under that parity H1 couples only red
-    (even) cells with black (odd) ones, and its red-black block comes from
-    the faces with two free ends.  A p = 2 solve never builds the pattern.
+    Two routes, one per job.  ``red_black`` gives every p = 2 quantity, at
+    any ``params.p``: the p = 2 solve that starts every solve runs on it.
+    ``derivatives`` gives the Newton steps of a p != 2 solve, on the CSR
+    pattern ``pattern`` that the constructor builds for p != 2 only.  Its
+    one row per local cell and one column per free cell hold one slot per
+    free face end (row the face's other end, column the free end) plus one
+    per free cell's diagonal; the first ``nf`` rows are the free block.
+    Slot s takes its value from [x | y | diagonal][source[s]], for a
+    per-face array x read where the column is the face's b end, one y read
+    where it is the a end, and a per-free-cell diagonal.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, params: EnergyParams):
@@ -148,35 +152,23 @@ class FreeEnergy:
         self.cells = np.concatenate([free, np.flatnonzero(near)])
         local = np.empty(m, dtype=np.int32)
         local[self.cells] = np.arange(self.cells.size, dtype=np.int32)
-        self.la, self.lb = local[a[sel]], local[b[sel]]
-        self.nf = free.size
+        la, lb = self.la, self.lb = local[a[sel]], local[b[sel]]
+        nf = self.nf = free.size
         if params.p != 2:
-            # Every Newton step fills it; built before the solve's other arrays, it leaves the peak RSS lowest.
-            _ = self.pattern
-
-    @cached_property
-    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR pattern (indptr, indices, source) of the Hessian's matrices.
-
-        One row per local cell and one column per free cell, and one slot
-        per free face end (row the face's other end, column the free end)
-        plus one per free cell's diagonal; its first ``nf`` rows are the
-        free block.  Slot s takes its value from [x | y | diagonal][source[s]],
-        for a per-face array x read where the column is the face's b end, one
-        y read where it is the a end, and a per-free-cell diagonal.
-        """
-        la, lb, nf = self.la, self.lb, self.nf
-        nface = la.size
-        slot_face = np.arange(nface, dtype=np.int32)
-        up, down = lb < nf, la < nf
-        diag = np.arange(nf, dtype=np.int32)
-        rows = np.concatenate([la[up], lb[down], diag])
-        cols = np.concatenate([lb[up], la[down], diag])
-        source = np.concatenate([slot_face[up], nface + slot_face[down], 2 * nface + diag])
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
-        return indptr, cols[order], source[order]
+            # The (indptr, indices, source) CSR pattern.  Every Newton step
+            # fills it; built before the solve's other arrays, it leaves the
+            # peak RSS lowest.
+            nface = la.size
+            slot_face = np.arange(nface, dtype=np.int32)
+            up, down = lb < nf, la < nf
+            diag = np.arange(nf, dtype=np.int32)
+            rows = np.concatenate([la[up], lb[down], diag])
+            cols = np.concatenate([lb[up], la[down], diag])
+            source = np.concatenate([slot_face[up], nface + slot_face[down], 2 * nface + diag])
+            order = np.argsort(rows, kind="stable")
+            indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
+            self.pattern = indptr, cols[order], source[order]
 
     def _matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
         """The first ``rows`` rows of the pattern, filled from x, y and diag."""
@@ -214,7 +206,7 @@ class FreeEnergy:
         return grad, k1, diag, second
 
     def derivatives(self, u: np.ndarray):
-        """(grad, apply, diagonal) of ``energy_value`` at u on the free cells.
+        """(grad, apply, diagonal) of ``energy_value`` at u on the free cells, for p != 2.
 
         grad is ``energy_gradient(u)[free]`` bit for bit: the same face
         terms, scattered in the same order.  apply(v) is (H v)[free] for a
@@ -231,19 +223,14 @@ class FreeEnergy:
         map from v to the sums s_c (scaled by h^(n-1)) on every local cell,
         so that H v = H1 v + M^T ((phi'' / h^n) M v).  The energy is convex
         for p > 1, so H is positive semidefinite even where phi'' < 0
-        (p < 2).  At p = 2, phi'' = 0 for every eps and phi' = 1, so H = H1
-        is the constant weighted graph Laplacian; neither g nor M is built
-        there, which keeps H finite at eps = 0 where g vanishes.  For p != 2
-        one full-grid ``cell_gradient_sq`` gives g on the local cells.
+        (p < 2).  One full-grid ``cell_gradient_sq`` gives g on the local
+        cells.
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        grad, k1, diag, second = self._first_order(u, p)
+        grad, k1, diag, (g, d1, wdh) = self._first_order(u, p)
         h1 = self._matrix(-k1, -k1, diag, nf)
-        if p == 2:
-            return grad, h1.dot, diag
         del k1
-        g, d1, wdh = second
         own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
         own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
         mv = self._matrix(wdh, -wdh, own, k)
@@ -262,21 +249,24 @@ class FreeEnergy:
         return grad, apply, diag
 
     def red_black(self, u: np.ndarray):
-        """(grad, diagonal, coupling, red) of the p = 2 energy at u on the free cells.
+        """(grad, diagonal, coupling, red) of the p = 2 energy at u on the free cells, at any ``params.p``.
 
-        grad and diagonal are those of a p = 2 ``derivatives``.  red flags
-        the free cells whose index sum i + j (+ k) is even.  With the free
-        cells split into red and black, each in free order, H1 is the block
-        matrix [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, and
-        coupling is B: one entry -h^(n-2) 2 w_f per face with two free ends,
-        in the row of its red end and the column of its black end.
+        grad is ``energy_gradient(u)[free]`` at p = 2 bit for bit, and
+        diagonal is that of H1, the Hessian at p = 2: the weighted graph
+        Laplacian with face weights h^(n-2) 2 w_f, which neither eps nor u
+        changes.  No ``cell_gradient_sq`` sweep is made.  red flags the
+        free cells whose index sum i + j (+ k) is even.  A face joins cells
+        whose index sums differ by one, so H1 couples only red cells with
+        black ones: with the free cells split into red and black, each in
+        free order, H1 is the block matrix [[D_r, B], [B^T, D_b]] with
+        diagonal D_r and D_b, and coupling is B: one entry -h^(n-2) 2 w_f
+        per face with two free ends, in the row of its red end and the
+        column of its black end.
         """
         grad, k1, diag, _ = self._first_order(u, 2.0)
         grid, nf = self.grid, self.nf
-        odd = np.zeros(grid.cells, dtype=bool)
-        for k, c in enumerate(grid.cells):
-            odd ^= (np.arange(c) % 2 == 1).reshape([c if j == k else 1 for j in range(grid.n)])
-        red = ~odd[grid.mask][self.cells[:nf]]
+        index = np.unravel_index(np.flatnonzero(grid.mask)[self.cells[:nf]], grid.cells)
+        red = np.sum(index, axis=0) % 2 == 0
         order = np.empty(nf, dtype=np.int32)
         nr = int(np.count_nonzero(red))
         order[red] = np.arange(nr, dtype=np.int32)

@@ -336,9 +336,6 @@ class GridDomain:
     def inside_count(self) -> int:
         return int(self.mask.sum())
 
-    def axis_centers(self, k: int) -> np.ndarray:
-        return self.origin[k] + (np.arange(self.cells[k]) + 0.5) * self.h
-
     def all_centers(self) -> np.ndarray:
         """Centers of all cells, shape (*cells, n)."""
         return _cell_centers(self.origin, self.cells, self.h)

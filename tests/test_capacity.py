@@ -620,6 +620,7 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
 @pytest.mark.parametrize(
     "n, p, cells, value, steps",
     [(2, 1.5, 48, 9.107293745254049, 5), (3, 3.0, 12, 21.511638045715973, 5)],
+    ids=["2d-48-p1.5", "3d-12-p3"],
 )
 def test_newton_reproduces_recorded_values(n, p, cells, value, steps):
     # values recorded from the face-scatter Hessian products that the
@@ -680,6 +681,7 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
         (2, 6.0, 64, 8.144443125370726, 7),
         (3, 2.5, 24, 24.62791850365102, 4),
     ],
+    ids=["2d-64-p1.05", "2d-64-p1.2", "2d-64-p3", "2d-64-p6", "3d-24-p2.5"],
 )
 def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
     # values recorded with every inner CG run to the forcing tolerance; the
@@ -694,6 +696,7 @@ def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
 @pytest.mark.parametrize(
     "p, value, steps",
     [(1.5, 6.210049319717511, 5), (2.0, 21.26007194694121, 79), (3.0, 289.15905463491237, 5)],
+    ids=["p1.5", "p2", "p3"],
 )
 def test_plates_sharing_faces(p, value, steps):
     # the energy counts the shared faces, the free-cell derivatives leave

@@ -157,6 +157,25 @@ def hessian_case(name, rng):
     return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7)
 
 
+def free_derivatives(grid, free, params, u):
+    """(grad, apply, diagonal) on the free cells along the route a solve takes:
+    ``derivatives`` for p != 2, and ``red_black`` for p = 2, with
+    H1 v = [D_r v_r + B v_b; B^T v_r + D_b v_b] in free order."""
+    energy = FreeEnergy(grid, free, params)
+    if params.p != 2:
+        return energy.derivatives(u)
+    grad, diag, coupling, red = energy.red_black(u)
+    black = ~red
+
+    def apply(v):
+        out = diag * v
+        out[red] += coupling @ v[black]
+        out[black] += coupling.T @ v[red]
+        return out
+
+    return grad, apply, diag
+
+
 @pytest.mark.parametrize(
     "p, eps", [(1.5, 1e-2), (3.0, 1e-2), (2.0, 1e-2), (2.0, 0.0)], ids=["1.5", "3.0", "2.0", "2.0-eps0"]
 )
@@ -173,7 +192,7 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         u[: u.size // 2] = 0.5
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
-    _, apply, diag = FreeEnergy(grid, free, params).derivatives(u)
+    _, apply, diag = free_derivatives(grid, free, params, u)
     step = 1e-5
     fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
     fd /= 2 * step
@@ -197,13 +216,13 @@ def test_free_gradient_is_the_full_gradient_on_free_cells(case, p, eps):
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
         u[: u.size // 2] = 0.5
-    grad, _, _ = FreeEnergy(grid, free, params).derivatives(u)
+    grad, _, _ = free_derivatives(grid, free, params, u)
     assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
 
 
 @pytest.mark.parametrize("p, sweeps", [(1.5, 1), (2.0, 0), (3.0, 1)])
 def test_derivatives_sweep_the_grid_at_most_once(p, sweeps, monkeypatch):
-    # gradient and Hessian share one cell_gradient_sq, and p = 2 needs none
+    # gradient and Hessian share one cell_gradient_sq, and red_black (p = 2) needs none
     calls = []
     sweep = qcap.energy.cell_gradient_sq
 
@@ -214,7 +233,7 @@ def test_derivatives_sweep_the_grid_at_most_once(p, sweeps, monkeypatch):
     monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting)
     rng = np.random.default_rng(15)
     grid, free = hessian_case("ring", rng)
-    FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(rng.uniform(0.0, 1.0, grid.inside_count))
+    free_derivatives(grid, free, EnergyParams(p, 1e-2), rng.uniform(0.0, 1.0, grid.inside_count))
     assert len(calls) == sweeps
 
 
@@ -225,7 +244,7 @@ def test_hessian_is_symmetric(case, p):
     rng = np.random.default_rng(12)
     grid, free = hessian_case(case, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, _ = FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(u)
+    _, apply, _ = free_derivatives(grid, free, EnergyParams(p, 1e-2), u)
     v, w = rng.normal(size=(2, free.size))
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
@@ -236,7 +255,7 @@ def test_hessian_diagonal_is_every_unit_product(p):
     rng = np.random.default_rng(13)
     grid, free = hessian_case("masked", rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, diag = FreeEnergy(grid, free, EnergyParams(p, 1e-2)).derivatives(u)
+    _, apply, diag = free_derivatives(grid, free, EnergyParams(p, 1e-2), u)
     columns = np.array([apply(unit) for unit in np.eye(free.size)])
     np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
     assert (diag > 0).all()

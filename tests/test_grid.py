@@ -42,7 +42,7 @@ def test_grid_box_basic():
     assert g.extent == pytest.approx((4.0, 4.0))
     assert g.inside_count == 32 * 32
     assert g.mask.all()
-    centers = g.axis_centers(0)
+    centers = g.all_centers()[:, 0, 0]
     assert centers[0] == pytest.approx(-2.0 + g.h / 2)
     assert centers[-1] == pytest.approx(2.0 - g.h / 2)
 
