@@ -7,11 +7,16 @@ are boolean arrays of the grid's shape.  Rasterization uses the cell-center
 membership rule: a cell belongs to a region iff its center satisfies the
 region predicate.
 
-Region predicates take point arrays of shape (..., n) and work one
-coordinate axis at a time, with no reduction over the short trailing axis:
-every distance goes through ``radius``, which is bit for bit
-``np.linalg.norm(pts - center, axis=-1)``, a box ANDs its per-axis bounds,
-and cell centers are filled axis by axis from broadcast views.
+Each region predicate has one kernel, ``contains_axes``, on per-axis
+coordinates: n arrays that broadcast together, with no reduction over a
+short trailing axis.  ``contains`` passes it the views ``pts[..., k]`` of a
+point array of shape (..., n); ``rasterize`` and ``GridDomain.box`` pass the
+grid's n center vectors, shaped (c, 1[, 1]), (1, c[, 1]), ..., so the
+(*cells, n) center array is never built and a distance is the one
+full-size float array of a rasterization.  Every distance accumulates its
+squares in axis order, as ``radius`` does, which is bit for bit
+``np.linalg.norm(pts - center, axis=-1)``; a box ANDs its per-axis bounds.
+Only ``MappedRegion`` stacks its coordinates into points.
 
 A condenser's domain embeds its plates: a face between a free cell and a
 plate cell is cut by the plate's boundary at the fraction theta in (0, 1]
@@ -67,9 +72,20 @@ def dilate_faces(cells: np.ndarray) -> np.ndarray:
 def connected(cells: np.ndarray) -> bool:
     """True iff the cell set is empty or forms one face-connected component.
 
-    A full cell array is a box, face-connected by construction, and is not
-    labelled.
+    Only the bounding box of the set is labelled.  It comes from the
+    per-axis ``np.any`` projections, each axis's taken over the cells that
+    the earlier axes' reductions left.  A box the set fills is
+    face-connected by construction and is not labelled.
     """
+    box = []
+    rest = cells
+    for _ in range(cells.ndim):
+        hit = np.flatnonzero(rest.reshape(rest.shape[0], -1).any(axis=1))
+        if not hit.size:
+            return True
+        box.append(slice(hit[0], hit[-1] + 1))
+        rest = rest.any(axis=0)
+    cells = cells[tuple(box)]
     if cells.all():
         return True
     _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
@@ -97,28 +113,60 @@ def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fold(ufunc, out: np.ndarray, x) -> np.ndarray:
+    """``ufunc(out, x)``, written into ``out`` once that has the broadcast shape.
+
+    ``out`` must be an array the caller owns (or a scalar, rebound); per-axis
+    operands of a grid (shapes (c, 1), (1, c)) widen it to the full shape on
+    the first call that needs it, and every later call works in place.
+    """
+    if isinstance(out, np.ndarray) and out.shape == np.broadcast_shapes(out.shape, np.shape(x)):
+        return ufunc(out, x, out=out)
+    return ufunc(out, x)
+
+
+def _axes(pts) -> tuple:
+    """The coordinate views ``pts[..., k]`` of a point array (DomainError for a scalar)."""
+    pts = np.asarray(pts)
+    if pts.ndim == 0:
+        raise DomainError("points need a trailing coordinate axis, got a scalar")
+    return tuple(pts[..., k] for k in range(pts.shape[-1]))
+
+
+def _axis_radius(xs, center) -> np.ndarray:
+    """Distance from ``center`` of the points whose k-th coordinates are ``xs[k]``.
+
+    The n coordinate arrays broadcast together and ``center`` has one entry
+    (a number or an array broadcasting with them) per axis.  The squares
+    accumulate in axis order into one array, as ``radius`` documents; on a
+    grid's per-axis centers that array is the only full-size one.
+    """
+    if len(xs) != len(center):
+        raise DomainError(f"points of dimension {len(xs)} against a center of shape ({len(center)},)")
+    out = None
+    for x, c in zip(xs, center):
+        d = np.asarray(np.asarray(x, dtype=float) - c)
+        d *= d
+        out = d if out is None else _fold(np.add, out, d)
+    np.sqrt(out, out=out)
+    return out if out.ndim else out[()]
+
+
 def radius(pts, center) -> np.ndarray:
     """Euclidean distance from ``center`` over the last axis of ``pts``.
 
-    One coordinate at a time, in place: the squares accumulate in axis
-    order into the first one, which is what ``np.linalg.norm(pts - center,
-    axis=-1)`` sums over a short axis, so the result is that norm bit for
-    bit without its slow reduction.  ``center`` is a point or any array
-    that broadcasts against ``pts``; a single point gives a scalar.
-    DomainError when the two differ in dimension.
+    One coordinate at a time: the squares accumulate in axis order, which is
+    what ``np.linalg.norm(pts - center, axis=-1)`` sums over a short axis,
+    so the result is that norm bit for bit without its slow reduction.
+    ``center`` is a point or any array that broadcasts against ``pts``; a
+    single point gives a scalar.  DomainError when the two differ in
+    dimension.
     """
     pts = np.asarray(pts, dtype=float)
     c = np.asarray(center, dtype=float)
     if pts.shape[-1:] != c.shape[-1:]:
         raise DomainError(f"points of shape {pts.shape} against a center of shape {c.shape}")
-    out = np.asarray(pts[..., 0] - c[..., 0])
-    out *= out
-    for k in range(1, pts.shape[-1]):
-        x = pts[..., k] - c[..., k]
-        x *= x
-        out += x
-    np.sqrt(out, out=out)
-    return out if out.ndim else out[()]
+    return _axis_radius(_axes(pts), _axes(c))
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -144,8 +192,22 @@ def directions(n: int, count: int, phase: float = 0.0) -> np.ndarray:
     return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
 
 
+class Region:
+    """Membership kernel on per-axis coordinates, and the point API over it.
+
+    ``contains_axes(xs)`` takes the coordinates as n arrays ``xs[k]`` that
+    broadcast together: the views ``pts[..., k]`` of a point array, or a
+    grid's per-axis cell centers shaped (c, 1[, 1]), (1, c[, 1]), ...  It
+    raises DomainError when n is not the region's dimension.
+    """
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of the points ``pts`` of shape (..., n)."""
+        return self.contains_axes(_axes(pts))
+
+
 @dataclass(frozen=True)
-class Ball:
+class Ball(Region):
     """Euclidean ball around ``center``; open by default, closed if requested."""
 
     center: tuple[float, ...]
@@ -157,13 +219,13 @@ class Ball:
             raise DomainError(f"ball radius must be >= 0, got {self.r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = radius(pts, self.center)
+    def contains_axes(self, xs) -> np.ndarray:
+        d = _axis_radius(xs, self.center)
         return d <= self.r if self.closed else d < self.r
 
 
 @dataclass(frozen=True)
-class SphereShell:
+class SphereShell(Region):
     """Band of width ``thickness`` around the sphere of radius ``r``."""
 
     center: tuple[float, ...]
@@ -175,13 +237,13 @@ class SphereShell:
             raise DomainError("sphere shell requires r >= 0 and thickness >= 0")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = radius(pts, self.center)
+    def contains_axes(self, xs) -> np.ndarray:
+        d = _axis_radius(xs, self.center)
         return np.abs(d - self.r) <= 0.5 * self.thickness
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(Region):
     """Open annulus r1 < |x - center| < r2."""
 
     center: tuple[float, ...]
@@ -193,13 +255,13 @@ class Annulus:
             raise DomainError(f"annulus requires 0 <= r1 < r2, got r1={self.r1}, r2={self.r2}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        d = radius(pts, self.center)
+    def contains_axes(self, xs) -> np.ndarray:
+        d = _axis_radius(xs, self.center)
         return (d > self.r1) & (d < self.r2)
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(Region):
     """Closed axis-aligned box lo <= x <= hi."""
 
     lo: tuple[float, ...]
@@ -211,49 +273,49 @@ class Box:
         if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
             raise DomainError("box requires lo <= hi componentwise")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts)
-        if pts.shape[-1:] != (len(self.lo),):
-            raise DomainError(f"points of shape {pts.shape} in a box of dimension {len(self.lo)}")
-        out = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
-        for k in range(1, len(self.lo)):
-            out &= (pts[..., k] >= self.lo[k]) & (pts[..., k] <= self.hi[k])
+    def contains_axes(self, xs) -> np.ndarray:
+        if len(xs) != len(self.lo):
+            raise DomainError(f"points of dimension {len(xs)} in a box of dimension {len(self.lo)}")
+        out = None
+        for x, lo, hi in zip(xs, self.lo, self.hi):
+            side = (x >= lo) & (x <= hi)
+            out = side if out is None else _fold(np.bitwise_and, out, side)
         return out
 
 
 @dataclass(frozen=True)
-class Complement:
+class Complement(Region):
     region: object
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return ~self.region.contains(pts)
+    def contains_axes(self, xs) -> np.ndarray:
+        return ~self.region.contains_axes(xs)
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(Region):
     regions: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1], dtype=bool)
+    def contains_axes(self, xs) -> np.ndarray:
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, xs)), dtype=bool)
         for r in self.regions:
-            out |= r.contains(pts)
+            out |= r.contains_axes(xs)
         return out
 
 
 @dataclass(frozen=True)
-class Intersection:
+class Intersection(Region):
     regions: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        out = np.ones(pts.shape[:-1], dtype=bool)
+    def contains_axes(self, xs) -> np.ndarray:
+        out = np.ones(np.broadcast_shapes(*map(np.shape, xs)), dtype=bool)
         for r in self.regions:
-            out &= r.contains(pts)
+            out &= r.contains_axes(xs)
         return out
 
 
@@ -262,17 +324,30 @@ class Intersection:
 # ---------------------------------------------------------------------------
 
 
+def _axis_centers(origin, cells, h: float) -> tuple:
+    """Per-axis cell-center coordinates of the grid with that origin, cells and h.
+
+    The k-th is ``origin[k] + (i + 1/2) h`` for i < cells[k], shaped with
+    cells[k] on axis k and 1 elsewhere, so the n vectors broadcast to the
+    grid's shape.
+    """
+    n = len(cells)
+    return tuple(
+        (float(o) + (np.arange(c) + 0.5) * h).reshape([c if j == k else 1 for j in range(n)])
+        for k, (o, c) in enumerate(zip(origin, cells))
+    )
+
+
 def _cell_centers(origin, cells, h: float, where=None) -> np.ndarray:
     """Centers of the cells of the grid with that origin, cells and h.
 
     All of them, shape (*cells, n), or those of the boolean cell array
     ``where`` in row-major order, shape (count, n).  Each coordinate is
-    filled from a broadcast view of its axis, without a meshgrid.
+    filled from its ``_axis_centers`` vector, without a meshgrid.
     """
     n = len(cells)
     out = np.empty((*cells, n) if where is None else (int(np.count_nonzero(where)), n))
-    for k, (o, c) in enumerate(zip(origin, cells)):
-        axis = (float(o) + (np.arange(c) + 0.5) * h).reshape([c if j == k else 1 for j in range(n)])
+    for k, axis in enumerate(_axis_centers(origin, cells, h)):
         out[..., k] = axis if where is None else np.broadcast_to(axis, cells)[where]
     return out
 
@@ -325,7 +400,7 @@ class GridDomain:
         if region is None:
             mask = np.ones(cells, dtype=bool)
         else:
-            mask = region.contains(_cell_centers(origin, cells, h))
+            mask = region.contains_axes(_axis_centers(origin, cells, h))
         return cls(n, tuple(origin), cells, h, mask)
 
     @property
@@ -339,6 +414,10 @@ class GridDomain:
     def all_centers(self) -> np.ndarray:
         """Centers of all cells, shape (*cells, n)."""
         return _cell_centers(self.origin, self.cells, self.h)
+
+    def axis_centers(self) -> tuple:
+        """Cell-center coordinates per axis, broadcasting to the grid's shape (``_axis_centers``)."""
+        return _axis_centers(self.origin, self.cells, self.h)
 
     @cached_property
     def inside_index(self) -> np.ndarray:
@@ -445,8 +524,11 @@ class GridDomain:
 
 
 def rasterize(region, grid: GridDomain) -> np.ndarray:
-    """Cell set of inside cells whose centers satisfy the region predicate."""
-    return region.contains(grid.all_centers()) & grid.mask
+    """Cell set of inside cells whose centers satisfy the region predicate.
+
+    The predicate runs on the grid's per-axis centers; no center array is built.
+    """
+    return region.contains_axes(grid.axis_centers()) & grid.mask
 
 
 def _cut_fraction(region, start: np.ndarray, stop: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import DegenerateError, DomainError, GeometryError
 from .exponents import ExponentPair
-from .grid import Condenser, GridDomain, radius, rasterize
+from .grid import Condenser, GridDomain, Region, radius, rasterize
 
 J_MIN = 1e-12  # below this |J| a cell counts as degenerate, not just small
 
@@ -153,15 +153,22 @@ class RadialPower:
 
 
 @dataclass(frozen=True)
-class MappedRegion:
+class MappedRegion(Region):
     """Preimage region {x : region contains mapping(x)}: exact predicate
-    transport, no inversion needed."""
+    transport, no inversion needed.
+
+    The one region that needs whole points: its kernel stacks the per-axis
+    coordinates into points, and ``contains`` maps its points as they are.
+    """
 
     region: object
     mapping: object
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return self.region.contains(self.mapping.evaluate(pts))
+
+    def contains_axes(self, xs) -> np.ndarray:
+        return self.contains(np.stack(np.broadcast_arrays(*xs), axis=-1))
 
 
 def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> DistortionCoefficient:

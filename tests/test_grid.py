@@ -1,6 +1,7 @@
 """Grid domains, regions, rasterization, and condensers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qcap import (
 import qcap.grid
 from qcap.energy import EnergyParams, energy_value
 from qcap.grid import connected, dilate_faces, graph_distance, point_diameter, radius
+from qcap.mappings import Affine, MappedRegion, RadialPower
 
 
 def square_grid(cells=32, half=2.0, region=None):
@@ -211,6 +213,34 @@ def test_connectivity_matches_frontier_bfs(pair):
     np.testing.assert_array_equal(d, reference_graph_distance(component, sources)[component])
 
 
+@st.composite
+def _embedded_sets(draw):
+    """A random 2D or 3D cell set placed at a random offset in a larger empty array."""
+    n = draw(st.sampled_from([2, 3]))
+    inner = tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    pads = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n))
+    cells = np.zeros([a + c + b for c, (a, b) in zip(inner, pads)], dtype=bool)
+    cells[tuple(slice(a, a + c) for c, (a, _) in zip(inner, pads))] = draw(arrays(bool, inner))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedded_sets())
+def test_connected_matches_labelling_the_uncropped_array(cells):
+    _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
+    assert connected(cells) == (count <= 1)
+
+
+def test_connected_labels_only_the_bounding_box(monkeypatch):
+    shapes = []
+    label = ndimage.label
+    monkeypatch.setattr(qcap.grid.ndimage, "label", lambda cells, s: shapes.append(cells.shape) or label(cells, s))
+    assert not connected(_cells((10, 10, 10), (2, 3, 4), (4, 3, 6)))
+    assert connected(_cells((10, 10, 10), (2, 3, 4), (2, 3, 5), (2, 4, 5)))
+    assert connected(_cells((9, 7), (5, 1), (5, 2), (5, 3)))  # fills its box: not labelled
+    assert shapes == [(3, 1, 3), (1, 2, 2)]
+
+
 def test_condenser_validation():
     g = square_grid(32, 2.0)
     e = rasterize(Ball((0.0, 0.0), 0.5, closed=True), g)
@@ -378,6 +408,93 @@ def test_points_of_another_dimension_are_rejected():
         Ball((0.0, 0.0), 1.0).contains(pts)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_regions_of_another_dimension_are_rejected_on_the_grid(n):
+    other = (0.0,) * (5 - n)
+    grid = GridDomain.box(n, (0.0,) * n, (4,) * n, 0.25)
+    for region in (Ball(other, 1.0), Annulus(other, 0.5, 1.0), Complement(Ball(other, 1.0, closed=True))):
+        with pytest.raises(DomainError, match="center of shape"):
+            GridDomain.box(n, (0.0,) * n, (4,) * n, 0.25, region)
+        with pytest.raises(DomainError, match="center of shape"):
+            rasterize(region, grid)
+    with pytest.raises(DomainError, match=f"dimension {5 - n}"):
+        rasterize(Box(other, (1.0,) * (5 - n)), grid)
+
+
+def _tie_regions(n):
+    """Every region type, around the cell center c of the h = 0.25 grids below.
+
+    Their boundaries pass through cell centers: |x - c| is 0.5, 0.75 or 1.25
+    exactly (3-4-5 offsets included), and the box faces lie on center planes.
+    """
+    c = (0.125,) * n
+    ball = Ball(c, 0.75, closed=True)
+    box = Box(tuple(x - 0.5 for x in c), tuple(x + 0.75 for x in c))
+    stretch = Affine(tuple(tuple(2.0 if i == j else 0.0 for j in range(n)) for i in range(n)), (-0.25,) * n)
+    return [
+        ball,
+        Ball(c, 0.75),
+        Ball(c, 1.25, closed=True),
+        Annulus(c, 0.5, 1.25),
+        SphereShell(c, 0.5, 0.5),
+        box,
+        Complement(ball),
+        Union((Ball(c, 0.5, closed=True), box)),
+        Intersection((Annulus(c, 0.25, 1.25), Complement(box))),
+        Complement(Union((Intersection((ball, box)), SphereShell(c, 1.0, 0.5)))),
+        Union(()),
+        Intersection(()),
+        MappedRegion(ball, stretch),
+        Complement(MappedRegion(Ball(c, 0.75, closed=True), RadialPower(1.5, c))),
+        Intersection((Complement(MappedRegion(box, stretch)), Union((ball, Complement(Annulus(c, 0.5, 1.0)))))),
+    ]
+
+
+@pytest.mark.parametrize("n, origin", [(2, (-1.5, -1.25)), (3, (-1.5, -1.25, -1.0))])
+def test_tie_regions_pass_through_cell_centers(n, origin):
+    grid = GridDomain.box(n, origin, (12,) * n, 0.25)
+    ball = _tie_regions(n)[0]
+    assert ball.contains(grid.all_centers()[(6, 5, 4)[:n]])  # its center c is a cell center
+    assert (rasterize(ball, grid) != rasterize(Ball(ball.center, ball.r), grid)).any()  # cells on its sphere
+
+
+@pytest.mark.parametrize(
+    "n, origin, cells, h",
+    [
+        (2, (-1.5, -1.25), (12, 12), 0.25),
+        (3, (-1.5, -1.25, -1.0), (12, 12, 12), 0.25),
+        (2, (-1.23, -0.87), (31, 29), 0.1),  # no ties: centers and radii round
+        (3, (-1.23, -0.87, -1.01), (17, 19, 18), 1.0 / 7.0),
+    ],
+)
+def test_grid_masks_are_the_point_predicate_bit_for_bit(n, origin, cells, h):
+    grid = GridDomain.box(n, origin, cells, h)
+    masked = GridDomain.box(n, origin, cells, h, Ball((0.125,) * n, 1.1))
+    centers = grid.all_centers()
+    for region in _tie_regions(n):
+        want = region.contains(centers)
+        assert want.shape == grid.cells and want.dtype == bool
+        assert np.array_equal(rasterize(region, grid), want)
+        assert np.array_equal(rasterize(region, masked), want & masked.mask)
+        if want.any() and connected(want):
+            assert np.array_equal(GridDomain.box(n, origin, cells, h, region).mask, want)
+        else:
+            with pytest.raises(GeometryError):
+                GridDomain.box(n, origin, cells, h, region)
+
+
+def test_ring_setup_memory():
+    # criterion 3's grid and condenser: a (256, 256, 2) center array alone is 1.05 MB
+    tracemalloc.start()
+    try:
+        grid = GridDomain.box(2, (-2.5, -2.5), (256, 256), 5.0 / 256)
+        make_ring_condenser((0.0, 0.0), 1.0, 2.0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 @settings(max_examples=100, deadline=None)
 @given(point_arrays(st.floats(-1e3, 1e3) | st.just(math.nan)), st.data())
 def test_box_contains_is_the_all_reduction(case, data):
@@ -413,6 +530,7 @@ def test_cell_centers_are_the_meshgrid_centers(n, data):
     want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     full = GridDomain.box(n, origin, cells, h)
     assert np.array_equal(full.all_centers(), want)
+    assert np.array_equal(np.stack(np.broadcast_arrays(*full.axis_centers()), axis=-1), want)
     assert np.array_equal(full.inside_centers, want.reshape(-1, n))
     # a masked grid keeps the largest face-connected component of a random cell set
     raw = data.draw(arrays(bool, cells))

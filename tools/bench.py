@@ -18,7 +18,12 @@ median and quartiles (sides ``change`` and ``parent``, or ``runs`` alone
 without a parent) and, with a parent, the number of pairs each side won
 (lower is better for every end-to-end metric; ties count for neither
 side), plus each side's fail fraction and the machine facts of its first
-run.  Run one bench at a time: the runs are timed.
+run.  With a parent each metric also gets ``change_rel``, the change
+median over the parent median minus 1 (null for a parent median of 0),
+and ``beyond_bound``, true where the change is worse than the parent by
+more than the metric's ``bound`` in ``BENCHMARK.json`` (or worse at all
+against a parent median of 0); every such breach is printed to stderr at
+the end.  Run one bench at a time: the runs are timed.
 """
 
 from __future__ import annotations
@@ -56,26 +61,51 @@ def summary(samples: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
+def compare(entry: dict, metric: dict) -> None:
+    """Add ``change_rel`` and ``beyond_bound`` to a paired metric entry."""
+    change, parent = entry["change"]["median"], entry["parent"]["median"]
+    sign = 1 if metric["better"] == "lower" else -1
+    if parent:
+        entry["change_rel"] = change / parent - 1
+        entry["beyond_bound"] = sign * entry["change_rel"] > metric["bound"]
+    else:
+        entry["change_rel"] = None
+        entry["beyond_bound"] = sign * (change - parent) > 0
+
+
+def breaches(workloads: dict) -> list:
+    """One line per (workload, metric) whose paired entry is beyond its bound."""
+    return [
+        f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g}"
+        + ("" if m["change_rel"] is None else f" ({m['change_rel']:+.1%})")
+        for workload, w in workloads.items()
+        for name, m in w["metrics"].items()
+        if m.get("beyond_bound")
+    ]
+
+
 def bench_workload(roots: dict, workload: str, runs: int, seed: int, seconds: float, metrics: list) -> dict:
-    samples = {side: {name: [] for name in metrics} for side in roots}
+    samples = {side: {m["name"]: [] for m in metrics} for side in roots}
     failed = {side: [0, 0] for side in roots}
     machine = {}
     sides = list(roots)
     for i in range(runs):
         for side in sides if i % 2 == 0 else sides[::-1]:
             record, result = run_once(roots[side], workload, seed + i, seconds)
-            for name in metrics:
+            for name in samples[side]:
                 samples[side][name].append(result["metrics"][name]["value"])
             failed[side][0] += result["failed"]
             failed[side][1] += result["attempted"]
             machine.setdefault(side, record["machine"])
             print(workload, side, seed + i, {k: v[-1] for k, v in samples[side].items()}, file=sys.stderr, flush=True)
     out = {"seeds": [seed + i for i in range(runs)], "metrics": {}}
-    for name in metrics:
+    for metric in metrics:
+        name = metric["name"]
         entry = {side: summary(samples[side][name]) for side in sides}
         if "parent" in roots:
             entry["change_wins"] = sum(c < p for c, p in zip(samples["change"][name], samples["parent"][name]))
             entry["parent_wins"] = sum(p < c for c, p in zip(samples["change"][name], samples["parent"][name]))
+            compare(entry, metric)
         out["metrics"][name] = entry
     out["fail_frac"] = {side: f / a for side, (f, a) in failed.items()}
     out["machine"] = machine
@@ -103,7 +133,7 @@ def main(argv=None) -> int:
         roots = {"change": args.root.resolve(), "parent": args.parent.resolve()}
     else:
         roots = {"runs": args.root.resolve()}
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    metrics = bench["end_to_end"]
     report = {
         "label": args.label,
         "seconds": bench["run_seconds"],
@@ -118,6 +148,8 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out.name)
+    for line in breaches(report["workloads"]):
+        print("beyond bound:", line, file=sys.stderr)
     return 0
 
 
