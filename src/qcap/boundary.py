@@ -117,9 +117,10 @@ def sample_shell_continua(
     The max(4 count, 16) candidate directions are ``grid.directions`` turned
     by a seeded random phase, visited in bit-reversed order so that the
     accepted ones spread around x0.  A tube, cut to the domain, is skipped
-    unless it passes the probe's crossing test, is connected and misses
-    the probe's plate E = ``e_cells``; the first ``count`` valid tubes are
-    kept (GeometryError when there are fewer).
+    unless it passes the probe's crossing test, is connected, misses the
+    probe's plate E = ``e_cells`` and differs from every tube kept so far;
+    the first ``count`` valid tubes are kept (GeometryError when there are
+    fewer).
     """
     check_shell_radii(r_v, r_u)
     if count < 1:
@@ -132,13 +133,16 @@ def sample_shell_continua(
     h = grid.h
     radii = np.arange(max(r_v - h, h / 2), r_u + h, h / 2)
     out: list = []
+    kept: set = set()
     candidates = directions(grid.n, max(4 * count, 16), phase)
     e_cells = e_cells.astype(bool)
     for i in _spread_order(len(candidates)):
         if len(out) == count:
             break
         tube = _tube(x0 + radii[:, None] * candidates[i], grid) & grid.mask
-        if not (tube & e_cells).any() and crosses(tube) and connected(tube):
+        key = tube.tobytes()
+        if key not in kept and not (tube & e_cells).any() and crosses(tube) and connected(tube):
+            kept.add(key)
             out.append(tube)
     if len(out) < count:
         raise GeometryError(f"only {len(out)} of {count} shell continua fit the domain")

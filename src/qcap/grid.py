@@ -113,18 +113,6 @@ def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fold(ufunc, out: np.ndarray, x) -> np.ndarray:
-    """``ufunc(out, x)``, written into ``out`` once that has the broadcast shape.
-
-    ``out`` must be an array the caller owns (or a scalar, rebound); per-axis
-    operands of a grid (shapes (c, 1), (1, c)) widen it to the full shape on
-    the first call that needs it, and every later call works in place.
-    """
-    if isinstance(out, np.ndarray) and out.shape == np.broadcast_shapes(out.shape, np.shape(x)):
-        return ufunc(out, x, out=out)
-    return ufunc(out, x)
-
-
 def _axes(pts) -> tuple:
     """The coordinate views ``pts[..., k]`` of a point array (DomainError for a scalar)."""
     pts = np.asarray(pts)
@@ -147,7 +135,8 @@ def _axis_radius(xs, center) -> np.ndarray:
     for x, c in zip(xs, center):
         d = np.asarray(np.asarray(x, dtype=float) - c)
         d *= d
-        out = d if out is None else _fold(np.add, out, d)
+        # asarray: a 0-d sum comes back a scalar, which the in-place sqrt cannot take
+        out = d if out is None else np.asarray(out + d)
     np.sqrt(out, out=out)
     return out if out.ndim else out[()]
 
@@ -164,8 +153,6 @@ def radius(pts, center) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=float)
     c = np.asarray(center, dtype=float)
-    if pts.shape[-1:] != c.shape[-1:]:
-        raise DomainError(f"points of shape {pts.shape} against a center of shape {c.shape}")
     return _axis_radius(_axes(pts), _axes(c))
 
 
@@ -279,7 +266,7 @@ class Box(Region):
         out = None
         for x, lo, hi in zip(xs, self.lo, self.hi):
             side = (x >= lo) & (x <= hi)
-            out = side if out is None else _fold(np.bitwise_and, out, side)
+            out = side if out is None else out & side
         return out
 
 

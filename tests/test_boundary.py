@@ -109,6 +109,17 @@ def test_sample_shell_continua_skip_the_plate_e():
         assert not any((tube & e_cells).any() for tube in tubes)
 
 
+def test_sample_shell_continua_keep_each_tube_once():
+    # On the 16^2 access grid neighbouring directions rasterize to the same
+    # cells: of 100 tubes kept, 42 were distinct.
+    g = GridDomain.box(2, (-2.2, -2.2), (16, 16), 4.4 / 16, Ball((0.0, 0.0), 1.9))
+    e_cells = plate_e(g)
+    tubes = sample_shell_continua(boundary_point(), 0.9, 0.3, e_cells, g, 40, np.random.default_rng(0))
+    assert len({tube.tobytes() for tube in tubes}) == 40
+    with pytest.raises(GeometryError, match="only 44 of 100"):
+        sample_shell_continua(boundary_point(), 0.9, 0.3, e_cells, g, 100, np.random.default_rng(0))
+
+
 def test_sample_shell_continua_validation():
     g = disk_grid()
     e_cells = plate_e(g)

@@ -1,6 +1,7 @@
 """Capacity solver, ring closed forms, and the discretization calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -615,6 +616,24 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
     res = solve_capacity(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), p)
     assert res.converged and res.iterations > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "n, p, cells, cap",
+    [(3, 2.0, 64, 40.0e6), (2, 1.5, 256, 13.0e6)],
+    ids=["criterion-2", "criterion-3"],
+)
+def test_solve_memory(n, p, cells, cap):
+    # tracemalloc peaks: criterion 2 38.7 MB, 42.3 with the p = 2 solve's
+    # FreeEnergy held through its final energy_value; criterion 3 11.8 MB,
+    # 14.2 with each Newton step's Hessian kept until the next one is built
+    tracemalloc.start()
+    try:
+        solve_ring(n, p, 1.0, 2.0, 2.5, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
 
 
 @pytest.mark.parametrize(

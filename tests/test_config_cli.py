@@ -670,3 +670,92 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, cfg, diagnost
     assert report["error"]["type"] == "validation"
     assert report["error"]["diagnostics"] == [diagnostic]
     capsys.readouterr()
+
+
+# Failure paths no other test reaches: a validation diagnostic (exit 2) or an
+# error the runner raises, reported with its type and message.
+FAILURES = [
+    ("cap", cap_config(grid={**GRID2, "cells": [32, 16]}), 2, "validation", "cell size must be uniform"),
+    (
+        "cap",
+        cap_config(grid={**GRID2, "region": {"type": "sphere_shell", "center": [0, 0], "r": 2.0, "thickness": -0.1}}),
+        2,
+        "validation",
+        "thickness >= 0",
+    ),
+    (
+        "cap",
+        cap_config(grid={**GRID2, "region": {"type": "box", "lo": [1.0, 0.0], "hi": [0.0, 1.0]}}),
+        2,
+        "validation",
+        "lo <= hi",
+    ),
+    (
+        "kcoef",
+        {
+            "grid": dict(GRID2),
+            "mapping": {"family": "radial_power", "alpha": 0.0, "center": [0.0, 0.0]},
+            "exponents": {"p": 2.0, "q": 2.0},
+        },
+        2,
+        "validation",
+        "exponent must be positive",
+    ),
+    (
+        "cap",
+        cap_config(grid=box_spec(2, 2.5, 4), condenser={**RING_COND, "r1": 0.3}),
+        4,
+        "GeometryError",
+        "ring plate rasterized empty",
+    ),
+    (
+        "distort",
+        {
+            "grid": box_spec(2, 2.5, 24),
+            "image_grid": box_spec(2, 4.5, 24),
+            "condenser": {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 4.0},
+            "mapping": {"family": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [40.0, 0.0]},
+            "exponents": {"p": 2.0, "q": 2.0},
+        },
+        4,
+        "GeometryError",
+        "pulled-back plate rasterizes empty",
+    ),
+    (
+        "cluster",
+        {
+            "image_grid": {
+                **box_spec(2, 2.2, 64),
+                "region": {"type": "annulus", "center": [0.0, 0.0], "r1": 0.5, "r2": 2.0},
+            },
+            "mapping": {"family": "radial_power", "alpha": 2.0, "center": [0.0, 0.0]},
+            "cluster": {"points": [[10.0, 10.0]], "sequences": 3, "depth": 6},
+        },
+        2,
+        "DomainError",
+        "no approach sequence stays inside",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, kind, fragment",
+    FAILURES,
+    ids=[
+        "non-uniform-cells",
+        "shell-thickness",
+        "box-lo-hi",
+        "alpha-zero",
+        "empty-ring-plate",
+        "empty-pullback",
+        "cluster-outside",
+    ],
+)
+def test_cli_failure_paths_exit_cleanly(tmp_path, capsys, command, cfg, code, kind, fragment):
+    got, report, _ = run_cli(tmp_path, command, cfg)
+    assert got == code
+    assert (report["error"]["code"], report["error"]["type"]) == (code, kind)
+    detail = report["error"]["diagnostics"] if kind == "validation" else [report["error"]["message"]]
+    assert any(fragment in line for line in detail)
+    assert "result" not in report
+    capsys.readouterr()

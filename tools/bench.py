@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout under test")
     parser.add_argument("--parent", type=Path, help="parent checkout, run in alternating pairs with --root")
-    parser.add_argument("--runs", type=int, default=3, help="runs (or pairs) per workload")
+    parser.add_argument("--runs", type=int, default=10, help="runs (or pairs) per workload")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first run; run i uses seed + i")
     parser.add_argument(
         "--workload",

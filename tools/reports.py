@@ -4,7 +4,8 @@
 
 For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 (read from this checkout; ``modulus`` also sets ``"csv": true``, so that
-its density CSV is compared too) and the seed's ``CAPS`` config are
+its density CSV is compared too) and the seed's ``CAPS``, ``RINGS`` and
+``CALIBRATIONS`` configs, one config for each of the nine commands, are
 written once and run through ``python -m qcap.cli <command> --config ...
 --seed S`` in each checkout,
 with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
@@ -44,6 +45,10 @@ CAPS = {
     0: {"grid": _GRID, "condenser": _RING, "exponents": {"p": 1.5}, "csv": True},
     1: {"grid": {**_GRID, "region": _MASK}, "condenser": _RING, "exponents": {"p": 1.5}, "csv": True},
 }
+# The closed form on both branches (p != n, p = n), and small calibrations on both solver routes.
+RINGS = {0: {"ring": {"n": 2, "p": 3.0, "r1": 1.0, "r2": 2.0}}, 1: {"ring": {"n": 3, "p": 3.0, "r1": 1.0, "r2": 2.0}}}
+_BENCH = {"n": 2, "r1": 1.0, "r2": 2.0, "half": 2.5, "resolutions": [32, 48]}
+CALIBRATIONS = {seed: {"calibration": {"benchmarks": [{**_BENCH, "p": p}]}} for seed, p in ((0, 2.0), (1, 1.5))}
 
 
 def write_configs(configs: dict, out: Path) -> None:
@@ -114,7 +119,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             work = Path(tmp) / f"seed{seed}"
-            configs = {**lab_configs(seed), "cap": CAPS[seed]}
+            configs = {**lab_configs(seed), "cap": CAPS[seed], "ring": RINGS[seed], "calibrate": CALIBRATIONS[seed]}
             configs["modulus"] = {**configs["modulus"], "csv": True}
             write_configs(configs, work / "configs")
             for side, root in roots.items():
