@@ -14,15 +14,17 @@ to the p-harmonic field than a plate-distance profile, it puts Newton in
 its fast local regime sooner (Deuflhard, Newton Methods for Nonlinear
 Problems, 2004, ch. 1-2).  Each step takes the gradient and the Hessian on
 the free cells from one ``FreeEnergy.derivatives`` call (the energy
-module's per-solve object, built once), solves H s = -grad by
+module's per-solve object, built once for every p), solves H s = -grad by
 Jacobi-preconditioned CG, then backtracks from the full step until the
-Armijo condition holds for the field clipped to [0, 1]; energy values sum
-the whole grid.  The solve ends when half the Newton decrement,
--grad.s / 2, is at most ``rel_tol`` times the energy: the remaining
-suboptimality, to second order.  The CG runs to a forcing tolerance, or stops earlier
-once that test is sure to hold: from CG's start at 0, its model drops
-alpha (r.z)/2 add up to -grad.s / 2, and the last 10 drops estimate what
-further steps would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42,
+Armijo condition holds for the field clipped to [0, 1].  Every energy
+value a solve takes is ``FreeEnergy.value``: it sums only the faces that
+can carry a difference, and equals ``energy_value`` bit for bit.  The
+solve ends when half the Newton decrement, -grad.s / 2, is at most
+``rel_tol`` times the energy: the remaining suboptimality, to second
+order.  The CG runs to a forcing tolerance, or stops earlier once that
+test is sure to hold: from CG's start at 0, its model drops alpha (r.z)/2
+add up to -grad.s / 2, and the last 10 drops estimate what further steps
+would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42,
 2002).  Only the certifying last step can stop that way.  There
 ``iterations`` counts Newton steps, ``cg_steps`` includes the start's, and
 ``energy_history`` holds the p-energy of the start and the energy after
@@ -58,7 +60,8 @@ asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +126,10 @@ class CapacityResult:
     ``decrement`` is the solver's own error estimate: for p != 2 half the
     last Newton decrement, -grad.s / 2, for p = 2 the energy drop over the
     last 10 CG steps.
+    ``field`` is the inside-cell field whose energy is ``value``: the
+    solve's last field, 0 on E and 1 on F (the plate field when no cell is
+    free), and in [0, 1], at p = 2 by the discrete maximum principle up to
+    the CG's stopping error.
     ``converged`` means that for p != 2 the decrement test held (decrement
     at most rel_tol |E|), and for p = 2 that the CG stall test fired, each
     within ``max_iterations``.
@@ -131,10 +138,11 @@ class CapacityResult:
     value: float
     iterations: int
     final_eps: float
-    energy_history: list = field(repr=False)
+    energy_history: list = dataclasses.field(repr=False)
     converged: bool
     cg_steps: int = 0
     decrement: float = 0.0
+    field: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def history_eps(self) -> list:
@@ -161,12 +169,13 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     base[cond.f_indices] = 1.0
     if free.size == 0:
         energy = energy_value(base, grid, params)
-        return CapacityResult(energy, 0, opts.eps, [energy], True)
+        return CapacityResult(energy, 0, opts.eps, [energy], True, field=base)
+    free_energy = FreeEnergy(grid, free, base, params)
     if p != 2:
-        return _solve_newton(grid, free, base, p, opts)
-    u, it, converged, history = _solve_quadratic(grid, free, base, opts, opts.max_iterations)
+        return _solve_newton(free_energy, base, opts)
+    u, it, converged, history = _solve_quadratic(free_energy, base, opts, opts.max_iterations)
     window_drop = history[max(0, it - STALL_WINDOW)] - history[-1]
-    return CapacityResult(energy_value(u, grid, params), it, opts.eps, history, converged, it, window_drop)
+    return CapacityResult(free_energy.value(u), it, opts.eps, history, converged, it, window_drop, u)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -228,9 +237,7 @@ def _reduced_operator(diag_r: np.ndarray, coupling, inv_b: np.ndarray):
     return apply
 
 
-def _solve_quadratic(
-    grid: GridDomain, free: np.ndarray, base: np.ndarray, opts: SolverOptions, max_steps: int, free_energy=None
-):
+def _solve_quadratic(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions, max_steps: int):
     """The p = 2 minimizer: one exact Newton step from the plate field, solved on the red cells.
 
     The energy is quadratic, so base + s minimizes it for the s solving
@@ -244,14 +251,12 @@ def _solve_quadratic(
     E0 - b_b.D_b^-1 b_b / 2 - c.s_r + s_r.S s_r / 2: the history starts at
     the first two terms, and each CG step lowers it by alpha (r.z)/2.  The
     CG runs until that drop stalls, or for at most ``max_steps`` steps.
-    Returns (field, steps, converged, history).  Without the solve's own
-    ``free_energy`` (p = 2) a temporary one is built.
+    E0 is ``free_energy.value`` at p = 2, whatever the solve's own p.
+    Returns (field, steps, converged, history).
     """
-    params = EnergyParams(2.0, opts.eps)
-    energy = energy_value(base, grid, params)
-    # The temporary dies here: held through solve_capacity's final energy_value, where the
-    # p = 2 solve peaks, it raises criterion 2's tracemalloc peak from 38.66 to 42.31 MB.
-    grad, diag, coupling, red = (free_energy or FreeEnergy(grid, free, params)).red_black(base)
+    free = free_energy.free
+    energy = free_energy.value(base, 2.0)
+    grad, diag, coupling, red = free_energy.red_black(base)
     black = ~red
     rhs_b = -grad[black]
     inv_b = 1.0 / diag[black]
@@ -283,9 +288,7 @@ def _solve_quadratic(
     return u, it, converged, history
 
 
-def _solve_newton(
-    grid: GridDomain, free: np.ndarray, base: np.ndarray, p: float, opts: SolverOptions
-) -> CapacityResult:
+def _solve_newton(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
     """p != 2: damped inexact Newton at ``opts.eps``, started from the p = 2 minimizer clipped to [0, 1].
 
     Each step solves H s = -grad to the forcing tolerance min(0.1, |grad|)
@@ -300,12 +303,11 @@ def _solve_newton(
     what is left) is within rel_tol |E|: the decrement test then holds, and
     the step is the last.  ``converged`` certifies that test.
     """
-    params = EnergyParams(p, opts.eps)
-    free_energy = FreeEnergy(grid, free, params)
-    u, cg_steps, _, _ = _solve_quadratic(grid, free, base, opts, NEWTON_CG_STEPS, free_energy)
+    free = free_energy.free
+    u, cg_steps, _, _ = _solve_quadratic(free_energy, base, opts, NEWTON_CG_STEPS)
     # A no-op up to rounding where the discrete maximum principle holds, and a guard where CG stopped early.
     np.clip(u, 0.0, 1.0, out=u)
-    energy = energy_value(u, grid, params)
+    energy = free_energy.value(u)
     history = [energy]
     converged = False
     decrement = math.inf
@@ -334,7 +336,7 @@ def _solve_newton(
         while slope < 0 and t >= MIN_STEP:
             trial = u.copy()
             trial[free] = np.clip(u[free] + t * step, 0.0, 1.0)
-            trial_energy = energy_value(trial, grid, params)
+            trial_energy = free_energy.value(trial)
             if trial_energy <= energy + ARMIJO_C1 * t * slope:
                 u, energy = trial, trial_energy
                 history.append(energy)
@@ -343,7 +345,7 @@ def _solve_newton(
         else:
             # No measurable decrease along the Newton direction.
             break
-    return CapacityResult(energy, len(history) - 1, opts.eps, history, converged, cg_steps, decrement)
+    return CapacityResult(energy, len(history) - 1, opts.eps, history, converged, cg_steps, decrement, u)
 
 
 def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:

@@ -25,11 +25,14 @@ inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
 whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
 its non-finite energy.  A solve moves only its free cells.
-``FreeEnergy``, built once per solve, works there on the faces with a
-free end, one route per job: ``red_black`` gives every p = 2 quantity
-(the gradient and the red-black blocks of the p = 2 Hessian, at any p),
-and ``derivatives`` the gradient and Hessian of one p != 2 Newton step,
-in one pass over those faces.
+``FreeEnergy``, built once per solve from the free cells and the plate
+field, works there on the faces that can carry a difference: those with a
+free end, plus the faces where the two plates meet.  One route per job:
+``value`` gives ``energy_value`` bit for bit for any field equal to the
+plate field off the free cells, ``red_black`` every p = 2 quantity (the
+gradient and the red-black blocks of the p = 2 Hessian, at any p), and
+``derivatives`` the gradient and Hessian of one p != 2 Newton step, in one
+pass over those faces.
 """
 
 from __future__ import annotations
@@ -112,38 +115,48 @@ def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np
 
 
 class FreeEnergy:
-    """Gradient and Hessian of ``energy_value`` on one solve's free cells.
+    """Values, gradient and Hessian of ``energy_value`` on one solve's free cells.
 
     Built once per solve: the free set, and with it every index array,
-    stays the same for all the steps of one solve.  Only the faces with an
-    end in ``free`` enter these derivatives.  Local cell numbering lists
-    the ``nf`` free cells first and then the other cells on those faces;
-    ``cells`` maps it to the inside enumeration.  ``la``, ``lb`` and ``w``
-    are the faces' ends in local numbering and their weights (1/theta on a
-    cut face, 1 elsewhere).
+    stays the same for all the steps of one solve.  ``base`` is the plate
+    field, 0 on the plate E and 1 on the plate F; every field the solve
+    evaluates equals it off ``free``.  So only two kinds of faces can carry
+    a difference, the faces with an end in ``free`` and those where E meets
+    F, and only those faces are kept.  An E-F face has no free end, so it
+    enters no derivative: it adds no slot to the Hessian pattern and no
+    entry to ``red_black``'s coupling, and leaves grad and diagonal
+    unchanged on the free cells.  Local cell numbering lists the ``nf``
+    free cells first and then the other cells on the kept faces; ``cells``
+    maps it to the inside enumeration.  ``la``, ``lb`` and ``w`` are the
+    faces' ends in local numbering and their weights (1/theta on a cut
+    face, 1 elsewhere).
 
-    Two routes, one per job.  ``red_black`` gives every p = 2 quantity, at
-    any ``params.p``: the p = 2 solve that starts every solve runs on it.
-    ``derivatives`` gives the Newton steps of a p != 2 solve, on the CSR
-    pattern ``pattern`` that the constructor builds for p != 2 only.  Its
-    one row per local cell and one column per free cell hold one slot per
-    free face end (row the face's other end, column the free end) plus one
-    per free cell's diagonal; the first ``nf`` rows are the free block.
-    Slot s takes its value from [x | y | diagonal][source[s]], for a
-    per-face array x read where the column is the face's b end, one y read
-    where it is the a end, and a per-free-cell diagonal.
+    Three routes, one per job.  ``value`` gives the energy.  ``red_black``
+    gives every p = 2 quantity, at any ``params.p``: the p = 2 solve that
+    starts every solve runs on it.  ``derivatives`` gives the Newton steps
+    of a p != 2 solve, on the CSR pattern ``pattern`` that the constructor
+    builds for p != 2 only.  Its one row per local cell and one column per
+    free cell hold one slot per free face end (row the face's other end,
+    column the free end) plus one per free cell's diagonal; the first
+    ``nf`` rows are the free block.  Slot s takes its value from
+    [x | y | diagonal][source[s]], for a per-face array x read where the
+    column is the face's b end, one y read where it is the a end, and a
+    per-free-cell diagonal.
     """
 
-    def __init__(self, grid: GridDomain, free: np.ndarray, params: EnergyParams):
-        self.grid, self.params = grid, params
+    def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
+        self.grid, self.free, self.params = grid, free, params
         a, b = grid.face_pairs
         m = grid.inside_count
-        is_free = np.zeros(m, dtype=bool)
-        is_free[free] = True
-        sel = np.flatnonzero(is_free[a] | is_free[b])
+        # 0 on a free cell, 1 on E and 3 on F: a face's label sum is 2 on E-E and 6 on F-F.
+        label = (1 + 2 * base).astype(np.int8)
+        label[free] = 0
+        ends = label[a] + label[b]
+        keep = (ends != 2) & (ends != 6)
+        sel = np.flatnonzero(keep)
         self.w = np.ones(sel.size)
         faces, weights = grid.cut_faces
-        hit = is_free[a[faces]] | is_free[b[faces]]
+        hit = keep[faces]
         self.w[np.searchsorted(sel, faces[hit])] = weights[hit]
         near = np.zeros(m, dtype=bool)
         near[a[sel]] = True
@@ -169,6 +182,32 @@ class FreeEnergy:
             indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
             self.pattern = indptr, cols[order], source[order]
+
+    def value(self, u: np.ndarray, p: float | None = None) -> float:
+        """``energy_value(u)`` bit for bit, at ``params.p`` or at p, for u equal to ``base`` off ``free``.
+
+        Every face this object dropped has equal ends in such a u, so its
+        term is exactly 0.0 and leaves each cell's g as it is: g on the
+        local cells is summed from the kept faces, in face order like
+        ``cell_gradient_sq``, and every other cell has g = 0.0.  The per-cell
+        terms (g + eps^2)^(p/2) fill one array in the inside enumeration, and
+        the sum over it is the one ``energy_value`` takes.  No
+        ``cell_gradient_sq`` sweep is made.
+        """
+        p = self.params.p if p is None else p
+        grid, cells = self.grid, self.cells
+        uc = u[cells]
+        d2 = uc[self.lb] - uc[self.la]
+        d2 /= grid.h
+        d2 **= 2
+        d2 *= self.w
+        # One slot past the local cells gets no face: its term is that of a cell with g = 0.0.
+        k = cells.size + 1
+        g = 0.5 * (np.bincount(self.la, weights=d2, minlength=k) + np.bincount(self.lb, weights=d2, minlength=k))
+        terms = (g + self.params.eps**2) ** (p / 2)
+        every = np.full(grid.inside_count, terms[-1])
+        every[cells] = terms[:-1]
+        return float(np.sum(every) * grid.h**grid.n)
 
     def _matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
         """The first ``rows`` rows of the pattern, filled from x, y and diag."""
@@ -264,7 +303,7 @@ class FreeEnergy:
         """
         grad, k1, diag, _ = self._first_order(u, 2.0)
         grid, nf = self.grid, self.nf
-        index = np.unravel_index(np.flatnonzero(grid.mask)[self.cells[:nf]], grid.cells)
+        index = np.unravel_index(np.flatnonzero(grid.mask)[self.free], grid.cells)
         red = np.sum(index, axis=0) % 2 == 0
         order = np.empty(nf, dtype=np.int32)
         nr = int(np.count_nonzero(red))

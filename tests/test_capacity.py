@@ -27,6 +27,7 @@ from qcap import (
     solve_ring,
 )
 import qcap.capacity
+import qcap.energy
 from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
 from qcap.grid import Box, Complement, Intersection, dilate_faces, graph_distance
 
@@ -230,6 +231,102 @@ def sharing_faces_condenser():
     return Condenser(e, f, g, region_e=e_region)
 
 
+def plate_field(cond):
+    """(base, fixed): the plate field, 0 on E and 1 on F, and the plate cells."""
+    base = np.zeros(cond.domain.inside_count)
+    base[cond.f_indices] = 1.0
+    fixed = np.zeros(cond.domain.inside_count, dtype=bool)
+    fixed[cond.e_indices] = True
+    fixed[cond.f_indices] = True
+    return base, fixed
+
+
+def record_values(monkeypatch):
+    """A list that receives a copy of every field ``FreeEnergy.value`` evaluates."""
+    fields = []
+    value = FreeEnergy.value
+
+    def recording(self, u, p=None):
+        fields.append(u.copy())
+        return value(self, u, p)
+
+    monkeypatch.setattr(FreeEnergy, "value", recording)
+    return fields
+
+
+def assert_plate_field_off_free(cond, fields):
+    # FreeEnergy.value's contract: every evaluated field is the plate field off the free cells
+    base, fixed = plate_field(cond)
+    assert fields
+    assert all(np.array_equal(u[fixed], base[fixed]) for u in fields)
+
+
+VALUE_CONDENSERS = {
+    "ring-2d-64": lambda: make_ring_condenser((0.0, 0.0), 1.0, 2.0, qcap.capacity.ring_grid(2, 2.5, 64)),
+    "ring-3d-24": lambda: make_ring_condenser((0.0,) * 3, 1.0, 2.0, qcap.capacity.ring_grid(3, 2.5, 24)),
+    "masked-hole": masked_ring_condenser,
+    "sharing-faces": sharing_faces_condenser,
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 10.0])
+@pytest.mark.parametrize("name", list(VALUE_CONDENSERS))
+def test_free_energy_value_is_energy_value(name, p, eps):
+    # on fields equal to the plate field off the free cells, the kept faces
+    # plus the g = 0 term of every other cell give the full-grid value bit
+    # for bit, at the solve's p and at an overriding p = 2, in any order
+    cond = VALUE_CONDENSERS[name]()
+    grid = cond.domain
+    base, fixed = plate_field(cond)
+    free = np.flatnonzero(~fixed)
+    params = EnergyParams(p, eps)
+    energy = FreeEnergy(grid, free, base, params)
+    rng = np.random.default_rng(21)
+    fields = [base]
+    for _ in range(3):
+        u = base.copy()
+        u[free] = rng.uniform(-0.5, 1.5, free.size)
+        fields.append(u)
+    for u in fields:
+        assert energy.value(u) == energy_value(u, grid, params)
+        assert energy.value(u, 2.0) == energy_value(u, grid, EnergyParams(2.0, eps))
+        assert energy.value(u) == energy_value(u, grid, params)
+
+
+FIELD_CONDENSERS = {
+    "criterion-1": lambda: make_ring_condenser((0.0, 0.0), 1.0, math.e, qcap.capacity.ring_grid(2, 3.0, 256)),
+    "criterion-2": lambda: make_ring_condenser((0.0,) * 3, 1.0, 2.0, qcap.capacity.ring_grid(3, 2.5, 64)),
+    "criterion-3": lambda: make_ring_condenser((0.0, 0.0), 1.0, 2.0, qcap.capacity.ring_grid(2, 2.5, 256)),
+    "masked-hole": masked_ring_condenser,
+    "sharing-faces": sharing_faces_condenser,
+}
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("criterion-1", 2.0),
+        ("criterion-2", 2.0),
+        ("criterion-3", 1.5),
+        ("masked-hole", 2.0),
+        ("masked-hole", 1.5),
+        ("sharing-faces", 2.0),
+        ("sharing-faces", 3.0),
+    ],
+)
+def test_result_field_has_the_result_value(name, p):
+    # the result carries the field whose energy is its value, in [0, 1],
+    # 0 on E and 1 on F
+    cond = FIELD_CONDENSERS[name]()
+    res = solve_capacity(cond, p)
+    assert res.converged
+    assert res.field.shape == (cond.domain.inside_count,)
+    assert energy_value(res.field, cond.domain, EnergyParams(p, res.final_eps)) == res.value
+    assert res.field.min() >= 0.0 and res.field.max() <= 1.0
+    assert (res.field[cond.e_indices] == 0.0).all() and (res.field[cond.f_indices] == 1.0).all()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -405,7 +502,8 @@ def test_red_black_split_is_the_dense_schur_complement(case):
     params = EnergyParams(2.0, 1e-3)
     rng = np.random.default_rng(free.size)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    grad, diag, coupling, red = FreeEnergy(grid, free, params).red_black(u)
+    # the rounded field labels the fixed cells E or F, so E-F faces are kept too
+    grad, diag, coupling, red = FreeEnergy(grid, free, np.round(u), params).red_black(u)
     black = ~red
     # every face with two free ends joins a red and a black cell
     a, b = grid.face_pairs
@@ -493,14 +591,9 @@ def test_newton_matches_lbfgsb_reference(n, p, cells):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_solver_eps_is_the_solve_eps(p, monkeypatch):
-    # every entry of the history and the value are at the one eps set
-    fields = []
-
-    def recording(u, grid, params):
-        fields.append(u.copy())
-        return energy_value(u, grid, params)
-
-    monkeypatch.setattr(qcap.capacity, "energy_value", recording)
+    # every entry of the history and the value are at the one eps set; the
+    # last evaluated field is the result's field
+    fields = record_values(monkeypatch)
     g = GridDomain.box(2, (-2.5, -2.5), (24, 24), 5.0 / 24)
     cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
     res = solve_capacity(cond, p, SolverOptions(eps=1e-3))
@@ -508,6 +601,9 @@ def test_solver_eps_is_the_solve_eps(p, monkeypatch):
     assert res.final_eps == 1e-3
     assert res.history_eps == [1e-3] * len(res.energy_history)
     assert res.value == energy_value(fields[-1], cond.domain, EnergyParams(p, 1e-3))
+    assert np.array_equal(fields[-1], res.field)
+    assert res.value == energy_value(res.field, cond.domain, EnergyParams(p, 1e-3))
+    assert_plate_field_off_free(cond, fields)
 
 
 def test_all_plate_condenser_takes_no_steps():
@@ -520,6 +616,7 @@ def test_all_plate_condenser_takes_no_steps():
         assert res.converged and res.iterations == 0
         assert res.energy_history == [res.value] and res.history_eps == [1e-3]
         assert res.value == energy_value(cond.F[g.mask].astype(float), g, EnergyParams(p, 1e-3))
+        assert np.array_equal(res.field, cond.F[g.mask].astype(float))
 
 
 def test_newton_budget_reports_nonconvergence():
@@ -536,13 +633,7 @@ def test_newton_budget_reports_nonconvergence():
 def test_newton_hard_exponents(p, monkeypatch):
     # every field the solver evaluates lies in [0, 1], the last one is the
     # final field, and each stage's energy trace is monotone
-    fields = []
-
-    def recording(u, grid, params):
-        fields.append(u.copy())
-        return energy_value(u, grid, params)
-
-    monkeypatch.setattr(qcap.capacity, "energy_value", recording)
+    fields = record_values(monkeypatch)
     g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
     cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
     res = solve_capacity(cond, p)
@@ -550,6 +641,8 @@ def test_newton_hard_exponents(p, monkeypatch):
     assert math.isfinite(res.value) and res.value > 0
     assert all(u.min() >= 0.0 and u.max() <= 1.0 for u in fields)
     assert energy_value(fields[-1], cond.domain, EnergyParams(p, res.final_eps)) == res.value
+    assert np.array_equal(fields[-1], res.field)
+    assert_plate_field_off_free(cond, fields)
     hist = np.asarray(res.energy_history)
     eps = np.asarray(res.history_eps)
     for stage in np.unique(eps):
@@ -581,25 +674,49 @@ def test_newton_starts_from_the_p2_minimizer(name, p, monkeypatch):
     # the start is the p = 2 solve's field clipped to [0, 1]; every field
     # the solve evaluates lies in [0, 1], and the value is within rel_tol
     # of a tight re-solve
-    fields = []
-
-    def recording(u, grid, params):
-        fields.append(u.copy())
-        return energy_value(u, grid, params)
-
-    monkeypatch.setattr(qcap.capacity, "energy_value", recording)
+    fields = record_values(monkeypatch)
     cond = START_CONDENSERS[name]()
     harmonic = solve_capacity(cond, 2.0)
     assert harmonic.converged and harmonic.iterations < qcap.capacity.NEWTON_CG_STEPS
-    start = np.clip(fields[-1], 0.0, 1.0)
+    assert np.array_equal(fields[-1], harmonic.field)
+    assert_plate_field_off_free(cond, fields)
+    start = np.clip(harmonic.field, 0.0, 1.0)
     fields.clear()
     res = solve_capacity(cond, p)
     assert res.converged
     assert all(u.min() >= 0.0 and u.max() <= 1.0 for u in fields)
+    assert_plate_field_off_free(cond, fields)
     assert res.energy_history[0] == energy_value(start, cond.domain, EnergyParams(p, res.final_eps))
     tight = solve_capacity(cond, p, SolverOptions(rel_tol=1e-15))
     assert res.value == pytest.approx(tight.value, rel=SolverOptions().rel_tol)
     assert res.iterations == START_STEPS[name][p][0]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", list(START_CONDENSERS))
+def test_solve_sweeps_the_grid_only_in_newton_derivatives(name, p, monkeypatch):
+    # a p = 2 solve makes no full-grid cell_gradient_sq sweep; a p != 2
+    # solve makes one per Newton step, each inside FreeEnergy.derivatives
+    sweep, derivatives = qcap.energy.cell_gradient_sq, FreeEnergy.derivatives
+    sweeps, running = [], []
+
+    def counting_sweep(u, grid):
+        sweeps.append(bool(running))
+        return sweep(u, grid)
+
+    def counting_derivatives(self, u):
+        running.append(True)
+        try:
+            return derivatives(self, u)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting_sweep)
+    monkeypatch.setattr(FreeEnergy, "derivatives", counting_derivatives)
+    res = solve_capacity(START_CONDENSERS[name](), p)
+    assert res.converged and res.iterations > 0
+    assert len(sweeps) == (0 if p == 2 else res.iterations)
+    assert all(sweeps)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -607,9 +724,9 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
     # every Hessian of one solve is filled on the same free-cell pattern
     calls = []
 
-    def counting(grid, free, params):
+    def counting(grid, free, base, params):
         calls.append(free.size)
-        return FreeEnergy(grid, free, params)
+        return FreeEnergy(grid, free, base, params)
 
     monkeypatch.setattr(qcap.capacity, "FreeEnergy", counting)
     g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
@@ -620,13 +737,14 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
 
 @pytest.mark.parametrize(
     "n, p, cells, cap",
-    [(3, 2.0, 64, 40.0e6), (2, 1.5, 256, 13.0e6)],
+    [(3, 2.0, 64, 37.0e6), (2, 1.5, 256, 13.0e6)],
     ids=["criterion-2", "criterion-3"],
 )
 def test_solve_memory(n, p, cells, cap):
-    # tracemalloc peaks: criterion 2 38.7 MB, 42.3 with the p = 2 solve's
-    # FreeEnergy held through its final energy_value; criterion 3 11.8 MB,
-    # 14.2 with each Newton step's Hessian kept until the next one is built
+    # tracemalloc peaks: criterion 2 36.1 MB, in red_black, 42.3 with its
+    # final value summed over the whole grid by energy_value; criterion 3
+    # 11.8 MB, 14.2 with each Newton step's Hessian kept until the next one
+    # is built
     tracemalloc.start()
     try:
         solve_ring(n, p, 1.0, 2.0, 2.5, cells)

@@ -141,7 +141,8 @@ def test_gradient_matches_finite_differences(masked_grid, p):
 
 
 def hessian_case(name, rng):
-    """A grid and the cells the Hessian is restricted to."""
+    """A grid, the cells the Hessian is restricted to, and a plate field:
+    0 on the E cells and 1 on the F cells among the others."""
     if name == "ring":
         cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, GridDomain.box(2, (-2.5, -2.5), (24, 24), 5.0 / 24))
         grid = cond.domain
@@ -149,19 +150,23 @@ def hessian_case(name, rng):
         plates = np.zeros(grid.inside_count, dtype=bool)
         plates[cond.e_indices] = True
         plates[cond.f_indices] = True
-        return grid, np.flatnonzero(~plates)
+        base = np.zeros(grid.inside_count)
+        base[cond.f_indices] = 1.0
+        return grid, np.flatnonzero(~plates), base
     if name == "masked":
         grid = GridDomain.box(2, (-1.0, -1.0), (12, 12), 2.0 / 12, Ball((0.0, 0.0), 0.95))
     else:
         grid = GridDomain.box(3, (0.0, 0.0, 0.0), (6, 5, 4), 0.2)
-    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7)
+    # every third cell on F, so that many faces join E and F
+    base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
+    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7), base
 
 
-def free_derivatives(grid, free, params, u):
+def free_derivatives(grid, free, base, params, u):
     """(grad, apply, diagonal) on the free cells along the route a solve takes:
     ``derivatives`` for p != 2, and ``red_black`` for p = 2, with
     H1 v = [D_r v_r + B v_b; B^T v_r + D_b v_b] in free order."""
-    energy = FreeEnergy(grid, free, params)
+    energy = FreeEnergy(grid, free, base, params)
     if params.p != 2:
         return energy.derivatives(u)
     grad, diag, coupling, red = energy.red_black(u)
@@ -184,7 +189,7 @@ def test_hessian_matches_gradient_differences(case, p, eps):
     # H v on the restricted cells against central differences of the
     # gradient along v, and the returned diagonal against H e_j
     rng = np.random.default_rng(11)
-    grid, free = hessian_case(case, rng)
+    grid, free, base = hessian_case(case, rng)
     params = EnergyParams(p, eps)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
@@ -192,7 +197,7 @@ def test_hessian_matches_gradient_differences(case, p, eps):
         u[: u.size // 2] = 0.5
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
-    _, apply, diag = free_derivatives(grid, free, params, u)
+    _, apply, diag = free_derivatives(grid, free, base, params, u)
     step = 1e-5
     fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
     fd /= 2 * step
@@ -211,12 +216,12 @@ def test_hessian_matches_gradient_differences(case, p, eps):
 def test_free_gradient_is_the_full_gradient_on_free_cells(case, p, eps):
     # the same face terms scattered in the same order: equal bit for bit
     rng = np.random.default_rng(14)
-    grid, free = hessian_case(case, rng)
+    grid, free, base = hessian_case(case, rng)
     params = EnergyParams(p, eps)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
         u[: u.size // 2] = 0.5
-    grad, _, _ = free_derivatives(grid, free, params, u)
+    grad, _, _ = free_derivatives(grid, free, base, params, u)
     assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
 
 
@@ -232,8 +237,8 @@ def test_derivatives_sweep_the_grid_at_most_once(p, sweeps, monkeypatch):
 
     monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting)
     rng = np.random.default_rng(15)
-    grid, free = hessian_case("ring", rng)
-    free_derivatives(grid, free, EnergyParams(p, 1e-2), rng.uniform(0.0, 1.0, grid.inside_count))
+    grid, free, base = hessian_case("ring", rng)
+    free_derivatives(grid, free, base, EnergyParams(p, 1e-2), rng.uniform(0.0, 1.0, grid.inside_count))
     assert len(calls) == sweeps
 
 
@@ -242,9 +247,9 @@ def test_derivatives_sweep_the_grid_at_most_once(p, sweeps, monkeypatch):
 def test_hessian_is_symmetric(case, p):
     # w.Hv = v.Hw for the assembled H1 + M^T D M product
     rng = np.random.default_rng(12)
-    grid, free = hessian_case(case, rng)
+    grid, free, base = hessian_case(case, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, _ = free_derivatives(grid, free, EnergyParams(p, 1e-2), u)
+    _, apply, _ = free_derivatives(grid, free, base, EnergyParams(p, 1e-2), u)
     v, w = rng.normal(size=(2, free.size))
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
@@ -253,9 +258,9 @@ def test_hessian_is_symmetric(case, p):
 def test_hessian_diagonal_is_every_unit_product(p):
     # the whole returned Jacobi diagonal, not a sample of it, against H e_j
     rng = np.random.default_rng(13)
-    grid, free = hessian_case("masked", rng)
+    grid, free, base = hessian_case("masked", rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, diag = free_derivatives(grid, free, EnergyParams(p, 1e-2), u)
+    _, apply, diag = free_derivatives(grid, free, base, EnergyParams(p, 1e-2), u)
     columns = np.array([apply(unit) for unit in np.eye(free.size)])
     np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
     assert (diag > 0).all()
@@ -284,7 +289,7 @@ def test_singular_gradient_raises(masked_grid):
     with pytest.raises(SingularityError):
         energy_gradient(flat, masked_grid, EnergyParams(1.5, 0.0))
     with pytest.raises(SingularityError):
-        FreeEnergy(masked_grid, np.arange(flat.size), EnergyParams(1.5, 0.0)).derivatives(flat)
+        FreeEnergy(masked_grid, np.arange(flat.size), np.zeros(flat.size), EnergyParams(1.5, 0.0)).derivatives(flat)
     # positive smoothing removes the singularity
     out = energy_gradient(flat, masked_grid, EnergyParams(1.5, 1e-3))
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
