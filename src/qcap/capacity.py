@@ -17,12 +17,13 @@ the free cells from one ``FreeEnergy.derivatives`` call (the energy
 module's per-solve object, built once for every p), solves H s = -grad by
 Jacobi-preconditioned CG, then backtracks from the full step until the
 Armijo condition holds for the field clipped to [0, 1].  Every energy
-value a solve takes is ``FreeEnergy.value``: it sums only the faces that
-can carry a difference, and equals ``energy_value`` bit for bit.  The
-solve ends when half the Newton decrement, -grad.s / 2, is at most
-``rel_tol`` times the energy: the remaining suboptimality, to second
-order.  The CG runs to a forcing tolerance, or stops earlier once that
-test is sure to hold: from CG's start at 0, its model drops alpha (r.z)/2
+value a solve takes is ``FreeEnergy.value``, equal to ``energy_value`` bit
+for bit; it and the derivatives take one pass over the faces that can
+carry a difference, and no whole-grid sweep.  The solve ends when half
+the Newton decrement, -grad.s / 2, is at most ``rel_tol`` times the
+energy: the remaining suboptimality, to second order.  The CG runs to a
+forcing tolerance, or stops earlier once that test is sure to hold: from
+CG's start at 0, its model drops alpha (r.z)/2
 add up to -grad.s / 2, and the last 10 drops estimate what further steps
 would add (Hestenes-Stiefel; Strakos and Tichy, BIT 42,
 2002).  Only the certifying last step can stop that way.  There
@@ -387,7 +388,7 @@ def accessibility_lower_bound(diam_e: float, diam_f: float, R: float, p: float, 
 
 @dataclass(frozen=True)
 class RingBenchmark:
-    """One concentric-ring solve in the box [-half, half]^n at several resolutions (p > 1, 0 < r1 < r2 < half)."""
+    """One concentric-ring solve in [-half, half]^n per resolution (p > 1, 0 < r1 < r2 < half, resolutions >= 2)."""
 
     n: int
     p: float
@@ -402,6 +403,8 @@ class RingBenchmark:
         check_ring_radii(self.r1, self.r2)
         if self.half <= self.r2:
             raise DomainError("benchmark box must contain the outer sphere")
+        if not self.resolutions or min(self.resolutions) < 2:
+            raise DomainError(f"benchmark needs resolutions, each >= 2, got {list(self.resolutions)}")
 
 
 DEFAULT_BENCHMARKS = (

@@ -149,7 +149,7 @@ _MATRIX = _kind(
 )
 _BOX = _kind(lambda x, n: _all(x, lambda ax: _is_point(ax, 2) and ax[0] < ax[1], n), "{n} pairs [lo, hi] with lo < hi")
 _CELLS = _kind(lambda x, n: _all(x, lambda c: _is_int(c, 1), n), "{n} positive integers")
-_RESOLUTIONS = _kind(lambda x, n: _all(x, lambda r: _is_int(r, 2)), "integers >= 2")
+_RESOLUTIONS = _kind(lambda x, n: _all(x, _is_int), "a nonempty list of integers")
 
 
 def _grid_n(x, n):

@@ -24,6 +24,7 @@ default tau of 0.05 can be re-measured against the ring closed forms with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .capacity import SolverOptions, solve_capacity
@@ -64,11 +65,14 @@ def verify_capacity_inequality(
     """Check the direct inequality for an image condenser and its pullback.
 
     The image grid is the condenser's own domain; ``source_grid`` hosts the
-    pulled-back condenser and the distortion quadrature.
+    pulled-back condenser and the distortion quadrature.  Raises DomainError
+    unless 1 < q <= p, the grids share the dimension and 0 < tau < inf.
     """
     ExponentPair(source_grid.n, p, q)  # DomainError unless 1 < q <= p
     if source_grid.n != c_image.domain.n:
         raise DomainError("source and image grids must share the dimension")
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     c_source = pullback_condenser(m, c_image, source_grid)
     lhs_res = solve_capacity(c_source, q, opts)
     rhs_res = solve_capacity(c_image, p, opts)
@@ -102,8 +106,8 @@ def verify_dual_inequality(
     ``c_source`` as the image condenser, ``image_grid`` as its source grid and
     the dual exponents (q', p') in the roles of (p, q).
 
-    Raises DomainError unless 1 < q <= p, and WindowError unless
-    n < q <= p < (n-1)^2/(n-2); at n = 2 the window is empty.
+    Raises DomainError unless 1 < q <= p and 0 < tau < inf, and WindowError
+    unless n < q <= p < (n-1)^2/(n-2); at n = 2 the window is empty.
     """
     pair = ExponentPair(c_source.domain.n, p, q)
     check_dual_window(pair)

@@ -24,15 +24,9 @@ A field is a float array with one value per inside cell, in the grid's
 inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
 whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
-its non-finite energy.  A solve moves only its free cells.
-``FreeEnergy``, built once per solve from the free cells and the plate
-field, works there on the faces that can carry a difference: those with a
-free end, plus the faces where the two plates meet.  One route per job:
-``value`` gives ``energy_value`` bit for bit for any field equal to the
-plate field off the free cells, ``red_black`` every p = 2 quantity (the
-gradient and the red-black blocks of the p = 2 Hessian, at any p), and
-``derivatives`` the gradient and Hessian of one p != 2 Newton step, in one
-pass over those faces.
+its non-finite energy.  A solve moves only its free cells: ``FreeEnergy``,
+built once per solve, gives its values and derivatives from one pass over
+the faces that can carry a difference, and never sweeps the whole grid.
 """
 
 from __future__ import annotations
@@ -131,7 +125,8 @@ class FreeEnergy:
     faces' ends in local numbering and their weights (1/theta on a cut
     face, 1 elsewhere).
 
-    Three routes, one per job.  ``value`` gives the energy.  ``red_black``
+    Three routes, one per job, on one pass over the kept faces, ``_diffs``,
+    and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
     gives every p = 2 quantity, at any ``params.p``: the p = 2 solve that
     starts every solve runs on it.  ``derivatives`` gives the Newton steps
     of a p != 2 solve, on the CSR pattern ``pattern`` that the constructor
@@ -183,28 +178,32 @@ class FreeEnergy:
             np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
             self.pattern = indptr, cols[order], source[order]
 
+    def _diffs(self, u: np.ndarray) -> np.ndarray:
+        """u_b - u_a on the kept faces."""
+        uc = u[self.cells]
+        return uc[self.lb] - uc[self.la]
+
+    def _g(self, d: np.ndarray) -> np.ndarray:
+        """g summed in face order from the differences d of ``_diffs``, which it overwrites, plus one slot.
+
+        For u equal to ``base`` off ``free`` a dropped face adds exactly 0.0: g is
+        ``cell_gradient_sq(u)`` on the local cells bit for bit, and 0.0 in the slot, which no face reaches.
+        """
+        d /= self.grid.h
+        d **= 2
+        d *= self.w
+        k = self.cells.size + 1
+        return 0.5 * (np.bincount(self.la, weights=d, minlength=k) + np.bincount(self.lb, weights=d, minlength=k))
+
     def value(self, u: np.ndarray, p: float | None = None) -> float:
         """``energy_value(u)`` bit for bit, at ``params.p`` or at p, for u equal to ``base`` off ``free``.
 
-        Every face this object dropped has equal ends in such a u, so its
-        term is exactly 0.0 and leaves each cell's g as it is: g on the
-        local cells is summed from the kept faces, in face order like
-        ``cell_gradient_sq``, and every other cell has g = 0.0.  The per-cell
-        terms (g + eps^2)^(p/2) fill one array in the inside enumeration, and
-        the sum over it is the one ``energy_value`` takes.  No
-        ``cell_gradient_sq`` sweep is made.
+        The terms (g + eps^2)^(p/2) fill the inside enumeration, each cell off
+        the local ones with that of the g = 0.0 slot, and are summed as there.
         """
         p = self.params.p if p is None else p
         grid, cells = self.grid, self.cells
-        uc = u[cells]
-        d2 = uc[self.lb] - uc[self.la]
-        d2 /= grid.h
-        d2 **= 2
-        d2 *= self.w
-        # One slot past the local cells gets no face: its term is that of a cell with g = 0.0.
-        k = cells.size + 1
-        g = 0.5 * (np.bincount(self.la, weights=d2, minlength=k) + np.bincount(self.lb, weights=d2, minlength=k))
-        terms = (g + self.params.eps**2) ** (p / 2)
+        terms = (self._g(self._diffs(u)) + self.params.eps**2) ** (p / 2)
         every = np.full(grid.inside_count, terms[-1])
         every[cells] = terms[:-1]
         return float(np.sum(every) * grid.h**grid.n)
@@ -216,34 +215,24 @@ class FreeEnergy:
         data = np.concatenate([x, y, diag])[source[:end]]
         return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, self.nf))
 
-    def _first_order(self, u: np.ndarray, p: float):
-        """(grad, k1, diag, phi''-terms) at u: the gradient on the free cells,
-        H1's face weights k1 and its diagonal, and for p != 2 the tuple
-        (g, phi', h^(n-2) w d) on the local cells and faces (None at p = 2).
+    def _first_order(self, diff: np.ndarray, s):
+        """(grad, k1, diag) from ``_diffs`` and the per-face sum s = phi'_a + phi'_b (2.0 at p = 2):
+        the gradient on the free cells, H1's face weights k1 and its diagonal.
         """
         h, n = self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        uc = u[self.cells]
-        diff = uc[lb] - uc[la]
-        if p == 2:
-            coef = 2.0 * (diff / h)
-            second = None
-        else:
-            g = cell_gradient_sq(u, self.grid)[self.cells] + self.params.eps**2
-            d1 = _phi1(g, p)
-            second = g, d1, h ** (n - 2) * self.w * diff
-            coef = d1[la] + d1[lb]
-            coef *= diff / h
+        coef = s * (diff / h)
         coef *= self.w
         coef *= h ** (n - 1)
         grad = np.bincount(lb, weights=coef, minlength=k)[:nf] - np.bincount(la, weights=coef, minlength=k)[:nf]
-        k1 = h ** (n - 2) * self.w * (2.0 if p == 2 else second[1][la] + second[1][lb])
+        k1 = h ** (n - 2) * self.w * s
         diag = np.bincount(la, weights=k1, minlength=k)[:nf]
         diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
-        return grad, k1, diag, second
+        return grad, k1, diag
 
     def derivatives(self, u: np.ndarray):
-        """(grad, apply, diagonal) of ``energy_value`` at u on the free cells, for p != 2.
+        """(grad, apply, diagonal) of ``energy_value`` at u on the free cells, for p != 2
+        and u equal to ``base`` off ``free``.
 
         grad is ``energy_gradient(u)[free]`` bit for bit: the same face
         terms, scattered in the same order.  apply(v) is (H v)[free] for a
@@ -260,15 +249,18 @@ class FreeEnergy:
         map from v to the sums s_c (scaled by h^(n-1)) on every local cell,
         so that H v = H1 v + M^T ((phi'' / h^n) M v).  The energy is convex
         for p > 1, so H is positive semidefinite even where phi'' < 0
-        (p < 2).  One full-grid ``cell_gradient_sq`` gives g on the local
-        cells.
+        (p < 2).
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        grad, k1, diag, (g, d1, wdh) = self._first_order(u, p)
+        diff = self._diffs(u)
+        g = self._g(diff.copy())[:-1] + self.params.eps**2
+        d1 = _phi1(g, p)
+        grad, k1, diag = self._first_order(diff, d1[la] + d1[lb])
         h1 = self._matrix(-k1, -k1, diag, nf)
-        # Freed before M is filled: criterion 3's tracemalloc peak is 11.83 MB, 12.24 with k1 kept.
-        del k1
+        wdh = h ** (n - 2) * self.w * diff
+        # Freed before M is filled: criterion 3's tracemalloc peak is 11.83 MB, 12.23 with either kept.
+        del k1, diff
         own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
         own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
         mv = self._matrix(wdh, -wdh, own, k)
@@ -301,7 +293,7 @@ class FreeEnergy:
         per face with two free ends, in the row of its red end and the
         column of its black end.
         """
-        grad, k1, diag, _ = self._first_order(u, 2.0)
+        grad, k1, diag = self._first_order(self._diffs(u), 2.0)
         grid, nf = self.grid, self.nf
         index = np.unravel_index(np.flatnonzero(grid.mask)[self.free], grid.cells)
         red = np.sum(index, axis=0) % 2 == 0

@@ -695,28 +695,40 @@ def test_newton_starts_from_the_p2_minimizer(name, p, monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("name", list(START_CONDENSERS))
 def test_solve_sweeps_the_grid_only_in_newton_derivatives(name, p, monkeypatch):
-    # a p = 2 solve makes no full-grid cell_gradient_sq sweep; a p != 2
-    # solve makes one per Newton step, each inside FreeEnergy.derivatives
-    sweep, derivatives = qcap.energy.cell_gradient_sq, FreeEnergy.derivatives
-    sweeps, running = [], []
+    # no solve makes a full-grid cell_gradient_sq sweep: every g, the Newton
+    # steps' included, comes from FreeEnergy's face pass
+    sweep, sweeps = qcap.energy.cell_gradient_sq, []
 
     def counting_sweep(u, grid):
-        sweeps.append(bool(running))
+        sweeps.append(grid)
         return sweep(u, grid)
 
-    def counting_derivatives(self, u):
-        running.append(True)
-        try:
-            return derivatives(self, u)
-        finally:
-            running.pop()
-
     monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting_sweep)
-    monkeypatch.setattr(FreeEnergy, "derivatives", counting_derivatives)
     res = solve_capacity(START_CONDENSERS[name](), p)
     assert res.converged and res.iterations > 0
-    assert len(sweeps) == (0 if p == 2 else res.iterations)
-    assert all(sweeps)
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", list(START_CONDENSERS))
+def test_solve_passes_plate_fields_off_free(name, p, monkeypatch):
+    # the precondition of FreeEnergy's face pass: every field a solve hands
+    # to value, derivatives or red_black is the plate field off the free cells
+    fields = {"value": [], "derivatives": [], "red_black": []}
+    for method, seen in fields.items():
+        original = getattr(FreeEnergy, method)
+
+        def recording(self, u, *args, original=original, seen=seen):
+            seen.append(u.copy())
+            return original(self, u, *args)
+
+        monkeypatch.setattr(FreeEnergy, method, recording)
+    cond = START_CONDENSERS[name]()
+    res = solve_capacity(cond, p)
+    assert res.converged
+    assert len(fields["red_black"]) == 1
+    assert len(fields["derivatives"]) == (0 if p == 2 else res.iterations)
+    assert_plate_field_off_free(cond, [u for seen in fields.values() for u in seen])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -868,3 +880,8 @@ def test_solve_counters():
 def test_ring_benchmark_validation():
     with pytest.raises(DomainError):
         RingBenchmark(2, 2.0, 1.0, 2.0, 1.5, (32,))  # half must exceed r2
+    # a benchmark with no resolution calibrates nothing (tau_disc 0.0 from no run), and one
+    # cell per axis leaves no free cell between the plates
+    for resolutions in [(), (1,), (16, 1)]:
+        with pytest.raises(DomainError, match="resolutions"):
+            RingBenchmark(2, 2.0, 1.0, 2.0, 2.5, resolutions)

@@ -140,6 +140,22 @@ def test_benchmark_half_comes_from_ring_benchmark():
     ]
 
 
+@pytest.mark.parametrize(
+    "resolutions, diagnostic",
+    [
+        ([1], "calibration.benchmarks[0]: benchmark needs resolutions, each >= 2, got [1]"),
+        ([8, 0], "calibration.benchmarks[0]: benchmark needs resolutions, each >= 2, got [8, 0]"),
+        ([], "calibration.benchmarks[0].resolutions must be a nonempty list of integers"),
+        ([8.0], "calibration.benchmarks[0].resolutions must be a nonempty list of integers"),
+    ],
+)
+def test_benchmark_resolutions_come_from_ring_benchmark(resolutions, diagnostic):
+    # the config checks the list's shape, RingBenchmark the range of its entries
+    bench = {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0, "half": 2.5, "resolutions": resolutions}
+    cfg = with_section("calibrate", "calibration", {"benchmarks": [bench]})
+    assert validate(cfg, "calibrate") == [diagnostic]
+
+
 def test_bad_image_grid_n_gives_one_diagnostic():
     mapping = {"family": "affine", "matrix": [[2.0, 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]}
     cfg = with_section("cluster", "mapping", mapping)

@@ -85,6 +85,23 @@ def test_capacity_inequality_validation():
         verify_capacity_inequality(Identity(), c, 2.0, 2.0, g3, OPTS)
 
 
+@pytest.mark.parametrize("tau", [math.nan, -0.5, 0.0, math.inf])
+def test_inequality_checks_reject_tau_out_of_range(tau):
+    # the identity on its own ring has slack exactly 0.0, which any budget
+    # tau (lhs + rhs) with 0 < tau < inf passes; a NaN or negative tau made
+    # it fail instead
+    g2 = grid2(2.0, 32)
+    c2 = make_ring_condenser((0.0, 0.0), 0.8, 1.6, g2)
+    rep = verify_capacity_inequality(Identity(), c2, 2.0, 2.0, g2, OPTS)
+    assert rep.slack == 0.0 and rep.passed
+    with pytest.raises(DomainError, match="tau"):
+        verify_capacity_inequality(Identity(), c2, 2.0, 2.0, g2, OPTS, tau)
+    g3 = grid3(2.5, 8)
+    c3 = make_ring_condenser((0.0, 0.0, 0.0), 1.0, 2.0, g3)
+    with pytest.raises(DomainError, match="tau"):
+        verify_dual_inequality(Identity(), c3, 3.5, 3.2, g3, OPTS, tau)
+
+
 def test_dual_inequality_window_errors():
     g2 = grid2(2.5, 48)
     c2 = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g2)
