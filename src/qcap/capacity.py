@@ -18,10 +18,13 @@ module's per-solve object, built once for every p), solves H s = -grad by
 Jacobi-preconditioned CG, then backtracks from the full step until the
 Armijo condition holds for the field clipped to [0, 1].  Every energy
 value a solve takes is ``FreeEnergy.value``, equal to ``energy_value`` bit
-for bit; it and the derivatives take one pass over the faces that can
-carry a difference, and no whole-grid sweep.  The solve ends when half
-the Newton decrement, -grad.s / 2, is at most ``rel_tol`` times the
-energy: the remaining suboptimality, to second order.  The CG runs to a
+for bit.  A solve works on vectors with one value per free cell, and
+``FreeEnergy`` fills in the plate values; its values and derivatives take
+one pass over the faces that can carry a difference, and no whole-grid
+sweep.  A condenser with no free cell takes the same path with empty
+vectors.  The solve ends when half the Newton decrement, -grad.s / 2, is
+at most ``rel_tol`` times the energy: the remaining suboptimality, to
+second order.  The CG runs to a
 forcing tolerance, or stops earlier once that test is sure to hold: from
 CG's start at 0, its model drops alpha (r.z)/2
 add up to -grad.s / 2, and the last 10 drops estimate what further steps
@@ -68,9 +71,9 @@ import numpy as np
 
 # Unused here; kept as module names because the benchmark's tracer patches them.
 from .descent import minimize_projected  # noqa: F401
-from .energy import energy_gradient  # noqa: F401
+from .energy import energy_gradient, energy_value  # noqa: F401
 from .grid import graph_distance  # noqa: F401
-from .energy import EnergyParams, FreeEnergy, energy_value
+from .energy import EnergyParams, FreeEnergy
 from .exceptions import DomainError
 from .grid import Condenser, GridDomain, check_ring_radii, make_ring_condenser
 
@@ -127,10 +130,10 @@ class CapacityResult:
     ``decrement`` is the solver's own error estimate: for p != 2 half the
     last Newton decrement, -grad.s / 2, for p = 2 the energy drop over the
     last 10 CG steps.
-    ``field`` is the inside-cell field whose energy is ``value``: the
-    solve's last field, 0 on E and 1 on F (the plate field when no cell is
-    free), and in [0, 1], at p = 2 by the discrete maximum principle up to
-    the CG's stopping error.
+    ``field`` is the inside-cell field whose energy is ``value``:
+    ``FreeEnergy.field`` of the solve's last free-cell vector, 0 on E and 1
+    on F (the plate field when no cell is free), and in [0, 1], at p = 2 by
+    the discrete maximum principle up to the CG's stopping error.
     ``converged`` means that for p != 2 the decrement test held (decrement
     at most rel_tol |E|), and for p = 2 that the CG stall test fired, each
     within ``max_iterations``.
@@ -160,23 +163,20 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     """
     opts = opts or SolverOptions()
     params = EnergyParams(p, opts.eps)  # DomainError unless p > 1
-    grid = cond.domain
-    m = grid.inside_count
+    m = cond.domain.inside_count
     fixed = np.zeros(m, dtype=bool)
     fixed[cond.e_indices] = True
     fixed[cond.f_indices] = True
     free = np.flatnonzero(~fixed)
     base = np.zeros(m)
     base[cond.f_indices] = 1.0
-    if free.size == 0:
-        energy = energy_value(base, grid, params)
-        return CapacityResult(energy, 0, opts.eps, [energy], True, field=base)
-    free_energy = FreeEnergy(grid, free, base, params)
+    free_energy = FreeEnergy(cond.domain, free, base, params)
     if p != 2:
-        return _solve_newton(free_energy, base, opts)
-    u, it, converged, history = _solve_quadratic(free_energy, base, opts, opts.max_iterations)
+        return _solve_newton(free_energy, opts)
+    x, it, converged, history = _solve_quadratic(free_energy, opts, opts.max_iterations)
     window_drop = history[max(0, it - STALL_WINDOW)] - history[-1]
-    return CapacityResult(free_energy.value(u), it, opts.eps, history, converged, it, window_drop, u)
+    u = free_energy.field(x)  # before the value, as ever: ring-p2 timings can follow allocation order
+    return CapacityResult(free_energy.value(x), it, opts.eps, history, converged, it, window_drop, u)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -238,26 +238,27 @@ def _reduced_operator(diag_r: np.ndarray, coupling, inv_b: np.ndarray):
     return apply
 
 
-def _solve_quadratic(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions, max_steps: int):
+def _solve_quadratic(free_energy: FreeEnergy, opts: SolverOptions, max_steps: int):
     """The p = 2 minimizer: one exact Newton step from the plate field, solved on the red cells.
 
-    The energy is quadratic, so base + s minimizes it for the s solving
+    The energy is quadratic, so ``field(s)`` minimizes it for the s solving
     H1 s = b, b = -grad, with H1 the constant weighted graph Laplacian on
     the free cells.  Under the parity of ``FreeEnergy.red_black``,
     H1 = [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, so the black
     cells are eliminated exactly.  CG, preconditioned by D_r, solves
     S s_r = c with S = D_r - B D_b^-1 B^T (``_reduced_operator``) and
     c = b_r - B D_b^-1 b_b, and s_b = D_b^-1 (b_b - B^T s_r).  With s_b
-    so chosen, the energy of base + s is
+    so chosen, the energy of ``field(s)`` is
     E0 - b_b.D_b^-1 b_b / 2 - c.s_r + s_r.S s_r / 2: the history starts at
     the first two terms, and each CG step lowers it by alpha (r.z)/2.  The
     CG runs until that drop stalls, or for at most ``max_steps`` steps.
     E0 is ``free_energy.value`` at p = 2, whatever the solve's own p.
-    Returns (field, steps, converged, history).
+    The step starts from 0 on the free cells, where the plate field is 0.
+    Returns (s, steps, converged, history), s on the free cells.
     """
-    free = free_energy.free
-    energy = free_energy.value(base, 2.0)
-    grad, diag, coupling, red = free_energy.red_black(base)
+    start = np.broadcast_to(0.0, (free_energy.nf,))
+    energy = free_energy.value(start, 2.0)
+    grad, diag, coupling, red = free_energy.red_black(start)
     black = ~red
     rhs_b = -grad[black]
     inv_b = 1.0 / diag[black]
@@ -283,13 +284,13 @@ def _solve_quadratic(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOpti
     # s_b = D_b^-1 (b_b - B^T s_r), in place of b_b.
     rhs_b -= coupling.T @ step_r
     rhs_b *= inv_b
-    u = base.copy()
-    u[free[red]] = step_r
-    u[free[black]] = rhs_b
-    return u, it, converged, history
+    x = np.empty(free_energy.nf)
+    x[red] = step_r
+    x[black] = rhs_b
+    return x, it, converged, history
 
 
-def _solve_newton(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions) -> CapacityResult:
+def _solve_newton(free_energy: FreeEnergy, opts: SolverOptions) -> CapacityResult:
     """p != 2: damped inexact Newton at ``opts.eps``, started from the p = 2 minimizer clipped to [0, 1].
 
     Each step solves H s = -grad to the forcing tolerance min(0.1, |grad|)
@@ -304,16 +305,15 @@ def _solve_newton(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions
     what is left) is within rel_tol |E|: the decrement test then holds, and
     the step is the last.  ``converged`` certifies that test.
     """
-    free = free_energy.free
-    u, cg_steps, _, _ = _solve_quadratic(free_energy, base, opts, NEWTON_CG_STEPS)
+    x, cg_steps, _, _ = _solve_quadratic(free_energy, opts, NEWTON_CG_STEPS)
     # A no-op up to rounding where the discrete maximum principle holds, and a guard where CG stopped early.
-    np.clip(u, 0.0, 1.0, out=u)
-    energy = free_energy.value(u)
+    np.clip(x, 0.0, 1.0, out=x)
+    energy = free_energy.value(x)
     history = [energy]
     converged = False
     decrement = math.inf
     while not converged and len(history) <= opts.max_iterations:
-        grad, apply, diag = free_energy.derivatives(u)
+        grad, apply, diag = free_energy.derivatives(x)
         norm = float(np.linalg.norm(grad))
         tol = min(0.1, norm) * norm
         threshold = opts.rel_tol * abs(energy)
@@ -335,18 +335,26 @@ def _solve_newton(free_energy: FreeEnergy, base: np.ndarray, opts: SolverOptions
         converged = decrement <= threshold
         t = 1.0
         while slope < 0 and t >= MIN_STEP:
-            trial = u.copy()
-            trial[free] = np.clip(u[free] + t * step, 0.0, 1.0)
+            trial = np.clip(x + t * step, 0.0, 1.0)
             trial_energy = free_energy.value(trial)
             if trial_energy <= energy + ARMIJO_C1 * t * slope:
-                u, energy = trial, trial_energy
+                x, energy = trial, trial_energy
                 history.append(energy)
                 break
             t *= 0.5
         else:
             # No measurable decrease along the Newton direction.
             break
+    u = free_energy.field(x)
     return CapacityResult(energy, len(history) - 1, opts.eps, history, converged, cg_steps, decrement, u)
+
+
+def _check_ring(n: int, p: float, r1: float, r2: float) -> None:
+    """DomainError unless n is 2 or 3, 0 < r1 < r2 and p > 1: the range of the closed form."""
+    if n not in SPHERE_MEASURE:
+        raise DomainError(f"only dimensions 2 and 3 are supported, got n={n}")
+    check_ring_radii(r1, r2)
+    EnergyParams(p)
 
 
 def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
@@ -355,10 +363,7 @@ def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
     Evaluated via expm1 so the p != n branch stays accurate arbitrarily
     close to p = n, where it matches the logarithmic branch continuously.
     """
-    if n not in SPHERE_MEASURE:
-        raise DomainError(f"only dimensions 2 and 3 are supported, got n={n}")
-    check_ring_radii(r1, r2)
-    EnergyParams(p)  # DomainError unless p > 1
+    _check_ring(n, p, r1, r2)
     omega = SPHERE_MEASURE[n]
     ratio = math.log(r2 / r1)
     if p == n:
@@ -388,7 +393,10 @@ def accessibility_lower_bound(diam_e: float, diam_f: float, R: float, p: float, 
 
 @dataclass(frozen=True)
 class RingBenchmark:
-    """One concentric-ring solve in [-half, half]^n per resolution (p > 1, 0 < r1 < r2 < half, resolutions >= 2)."""
+    """One concentric-ring solve in [-half, half]^n per resolution.
+
+    n is 2 or 3, p > 1, 0 < r1 < r2 < half < inf and every resolution >= 2.
+    """
 
     n: int
     p: float
@@ -399,9 +407,8 @@ class RingBenchmark:
 
     def __post_init__(self):
         object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
-        EnergyParams(self.p)
-        check_ring_radii(self.r1, self.r2)
-        if self.half <= self.r2:
+        _check_ring(self.n, self.p, self.r1, self.r2)
+        if not self.r2 < self.half < math.inf:
             raise DomainError("benchmark box must contain the outer sphere")
         if not self.resolutions or min(self.resolutions) < 2:
             raise DomainError(f"benchmark needs resolutions, each >= 2, got {list(self.resolutions)}")

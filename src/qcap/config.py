@@ -39,7 +39,8 @@ library function the run calls, reported as
 ``"<field path>: <message>"``: ``EnergyParams`` (p > 1), ``ExponentPair``
 (1 < q <= p), ``check_dual_window`` (the ``dual`` window),
 ``check_ring_radii`` (0 < r1 < r2 in the ring section, ring condensers and
-benchmarks), ``check_shell_radii`` (0 < r_v < r_u), and the constructors
+benchmarks), ``check_shell_radii`` (0 < r_v < r_u), ``check_tau``
+(0 < tau < inf), and the constructors
 of the regions, mappings, solver options and benchmarks.  Grids and
 condensers are built only when a command runs, so their geometry errors
 exit with code 4.  Builders assume a validated config.
@@ -55,6 +56,7 @@ from typing import Callable, NamedTuple
 
 from .boundary import check_shell_radii
 from .capacity import RingBenchmark, SolverOptions
+from .distortion import check_tau
 from .energy import EnergyParams
 from .exceptions import DomainError, WindowError
 from .exponents import ExponentPair, check_dual_window
@@ -133,7 +135,6 @@ def _all(x, test, size=None) -> bool:
 
 
 _NUMBER = _kind(lambda x, n: _is_num(x), "a number")
-_POSITIVE = _kind(lambda x, n: _is_num(x) and x > 0, "a positive number")
 _INTEGER = _kind(lambda x, n: _is_int(x), "an integer")
 _COUNT = _kind(lambda x, n: _is_int(x, 1), "a positive integer")
 _SEED = _kind(lambda x, n: _is_int(x, 0), "a nonnegative integer")
@@ -229,8 +230,8 @@ _SCHEMA = {
     "config": _Entry({}, {
         "command": _TEXT, "grid": "grid", "image_grid": "grid", "condenser": "condenser", "mapping": "mapping",
         "exponents": "exponents", "solver": "solver", "modulus": "modulus", "probe": "probe", "cluster": "cluster",
-        "ring": "ring", "calibration": "calibration", "tau": _POSITIVE, "seed": _SEED, "csv": _FLAG,
-    }),
+        "ring": "ring", "calibration": "calibration", "tau": _NUMBER, "seed": _SEED, "csv": _FLAG,
+    }, checks=(("tau", ("tau",), lambda spec, ctx: check_tau(spec["tau"])),)),
     "grid": _Entry(
         {"n": _grid_n, "box": _BOX},
         {"cells": _CELLS, "resolution": _COUNT, "region": "region"},

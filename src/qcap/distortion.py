@@ -36,6 +36,12 @@ from .mappings import distortion_coefficient, pullback_condenser
 DEFAULT_TAU = 0.05
 
 
+def check_tau(tau: float) -> None:
+    """DomainError unless 0 < tau < inf, the range of a budget's relative tolerance."""
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
+
+
 @dataclass
 class DistortionReport:
     """One verified inequality: lhs <= rhs_K * rhs_cap up to the budget."""
@@ -71,8 +77,7 @@ def verify_capacity_inequality(
     ExponentPair(source_grid.n, p, q)  # DomainError unless 1 < q <= p
     if source_grid.n != c_image.domain.n:
         raise DomainError("source and image grids must share the dimension")
-    if not 0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     c_source = pullback_condenser(m, c_image, source_grid)
     lhs_res = solve_capacity(c_source, q, opts)
     rhs_res = solve_capacity(c_image, p, opts)

@@ -24,9 +24,11 @@ A field is a float array with one value per inside cell, in the grid's
 inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
 whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
-its non-finite energy.  A solve moves only its free cells: ``FreeEnergy``,
-built once per solve, gives its values and derivatives from one pass over
-the faces that can carry a difference, and never sweeps the whole grid.
+its non-finite energy.  A solve moves only its free cells, and works on
+vectors x with one value per free cell: ``FreeEnergy``, built once per
+solve, fills in the plate values itself and gives the values and
+derivatives of the field so made from one pass over the faces that can
+carry a difference, and never sweeps the whole grid.
 """
 
 from __future__ import annotations
@@ -113,17 +115,19 @@ class FreeEnergy:
 
     Built once per solve: the free set, and with it every index array,
     stays the same for all the steps of one solve.  ``base`` is the plate
-    field, 0 on the plate E and 1 on the plate F; every field the solve
-    evaluates equals it off ``free``.  So only two kinds of faces can carry
-    a difference, the faces with an end in ``free`` and those where E meets
-    F, and only those faces are kept.  An E-F face has no free end, so it
-    enters no derivative: it adds no slot to the Hessian pattern and no
-    entry to ``red_black``'s coupling, and leaves grad and diagonal
-    unchanged on the free cells.  Local cell numbering lists the ``nf``
-    free cells first and then the other cells on the kept faces; ``cells``
-    maps it to the inside enumeration.  ``la``, ``lb`` and ``w`` are the
-    faces' ends in local numbering and their weights (1/theta on a cut
-    face, 1 elsewhere).
+    field, 0 on the plate E and 1 on the plate F.  Every route takes a
+    vector x of shape (nf,), one value per free cell in ``free`` order, and
+    works on the field that is x on ``free`` and ``base`` elsewhere;
+    ``field(x)`` returns that field on the inside cells.  So only two kinds
+    of faces can carry a difference, the faces with an end in ``free`` and
+    those where E meets F, and only those faces are kept.  An E-F face has
+    no free end, so it enters no derivative: it adds no slot to the Hessian
+    pattern and no entry to ``red_black``'s coupling, and leaves grad and
+    diagonal unchanged on the free cells.  Local cell numbering lists the
+    ``nf`` free cells first and then the other cells on the kept faces;
+    ``cells`` maps it to the inside enumeration.  ``la``, ``lb`` and ``w``
+    are the faces' ends in local numbering and their weights (1/theta on a
+    cut face, 1 elsewhere).
 
     Three routes, one per job, on one pass over the kept faces, ``_diffs``,
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
@@ -140,7 +144,7 @@ class FreeEnergy:
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
-        self.grid, self.free, self.params = grid, free, params
+        self.grid, self.free, self.base, self.params = grid, free, base, params
         a, b = grid.face_pairs
         m = grid.inside_count
         # 0 on a free cell, 1 on E and 3 on F: a face's label sum is 2 on E-E and 6 on F-F.
@@ -178,16 +182,26 @@ class FreeEnergy:
             np.cumsum(np.bincount(rows, minlength=self.cells.size), out=indptr[1:])
             self.pattern = indptr, cols[order], source[order]
 
-    def _diffs(self, u: np.ndarray) -> np.ndarray:
-        """u_b - u_a on the kept faces."""
-        uc = u[self.cells]
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """The inside-cell field: x on ``free`` and ``base`` elsewhere."""
+        u = self.base.copy()
+        u[self.free] = x
+        return u
+
+    def _diffs(self, x: np.ndarray) -> np.ndarray:
+        """u_b - u_a on the kept faces, for u = ``field(x)``.
+
+        An x that does not broadcast to the nf free cells, an inside-cell field among them, raises ValueError.
+        """
+        uc = self.base[self.cells]
+        uc[: self.nf] = x
         return uc[self.lb] - uc[self.la]
 
     def _g(self, d: np.ndarray) -> np.ndarray:
         """g summed in face order from the differences d of ``_diffs``, which it overwrites, plus one slot.
 
-        For u equal to ``base`` off ``free`` a dropped face adds exactly 0.0: g is
-        ``cell_gradient_sq(u)`` on the local cells bit for bit, and 0.0 in the slot, which no face reaches.
+        A dropped face adds exactly 0.0: g is ``cell_gradient_sq(field(x))`` on the
+        local cells bit for bit, and 0.0 in the slot, which no face reaches.
         """
         d /= self.grid.h
         d **= 2
@@ -195,18 +209,17 @@ class FreeEnergy:
         k = self.cells.size + 1
         return 0.5 * (np.bincount(self.la, weights=d, minlength=k) + np.bincount(self.lb, weights=d, minlength=k))
 
-    def value(self, u: np.ndarray, p: float | None = None) -> float:
-        """``energy_value(u)`` bit for bit, at ``params.p`` or at p, for u equal to ``base`` off ``free``.
+    def value(self, x: np.ndarray, p: float | None = None) -> float:
+        """``energy_value(field(x))`` bit for bit, at ``params.p`` or at p.
 
         The terms (g + eps^2)^(p/2) fill the inside enumeration, each cell off
         the local ones with that of the g = 0.0 slot, and are summed as there.
         """
         p = self.params.p if p is None else p
-        grid, cells = self.grid, self.cells
-        terms = (self._g(self._diffs(u)) + self.params.eps**2) ** (p / 2)
-        every = np.full(grid.inside_count, terms[-1])
-        every[cells] = terms[:-1]
-        return float(np.sum(every) * grid.h**grid.n)
+        terms = (self._g(self._diffs(x)) + self.params.eps**2) ** (p / 2)
+        every = np.full(self.grid.inside_count, terms[-1])
+        every[self.cells] = terms[:-1]
+        return float(np.sum(every) * self.grid.h**self.grid.n)
 
     def _matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
         """The first ``rows`` rows of the pattern, filled from x, y and diag."""
@@ -230,9 +243,8 @@ class FreeEnergy:
         diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
         return grad, k1, diag
 
-    def derivatives(self, u: np.ndarray):
-        """(grad, apply, diagonal) of ``energy_value`` at u on the free cells, for p != 2
-        and u equal to ``base`` off ``free``.
+    def derivatives(self, x: np.ndarray):
+        """(grad, apply, diagonal) of ``energy_value`` at u = ``field(x)`` on the free cells, for p != 2.
 
         grad is ``energy_gradient(u)[free]`` bit for bit: the same face
         terms, scattered in the same order.  apply(v) is (H v)[free] for a
@@ -253,7 +265,7 @@ class FreeEnergy:
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        diff = self._diffs(u)
+        diff = self._diffs(x)
         g = self._g(diff.copy())[:-1] + self.params.eps**2
         d1 = _phi1(g, p)
         grad, k1, diag = self._first_order(diff, d1[la] + d1[lb])
@@ -278,8 +290,8 @@ class FreeEnergy:
 
         return grad, apply, diag
 
-    def red_black(self, u: np.ndarray):
-        """(grad, diagonal, coupling, red) of the p = 2 energy at u on the free cells, at any ``params.p``.
+    def red_black(self, x: np.ndarray):
+        """(grad, diagonal, coupling, red) of the p = 2 energy at u = ``field(x)`` on the free cells, at any p.
 
         grad is ``energy_gradient(u)[free]`` at p = 2 bit for bit, and
         diagonal is that of H1, the Hessian at p = 2: the weighted graph
@@ -293,7 +305,7 @@ class FreeEnergy:
         per face with two free ends, in the row of its red end and the
         column of its black end.
         """
-        grad, k1, diag = self._first_order(self._diffs(u), 2.0)
+        grad, k1, diag = self._first_order(self._diffs(x), 2.0)
         grid, nf = self.grid, self.nf
         index = np.unravel_index(np.flatnonzero(grid.mask)[self.free], grid.cells)
         red = np.sum(index, axis=0) % 2 == 0

@@ -242,23 +242,16 @@ def plate_field(cond):
 
 
 def record_values(monkeypatch):
-    """A list that receives a copy of every field ``FreeEnergy.value`` evaluates."""
+    """A list that receives the inside-cell field of every vector ``FreeEnergy.value`` evaluates."""
     fields = []
     value = FreeEnergy.value
 
-    def recording(self, u, p=None):
-        fields.append(u.copy())
-        return value(self, u, p)
+    def recording(self, x, p=None):
+        fields.append(self.field(x))
+        return value(self, x, p)
 
     monkeypatch.setattr(FreeEnergy, "value", recording)
     return fields
-
-
-def assert_plate_field_off_free(cond, fields):
-    # FreeEnergy.value's contract: every evaluated field is the plate field off the free cells
-    base, fixed = plate_field(cond)
-    assert fields
-    assert all(np.array_equal(u[fixed], base[fixed]) for u in fields)
 
 
 VALUE_CONDENSERS = {
@@ -273,8 +266,8 @@ VALUE_CONDENSERS = {
 @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 10.0])
 @pytest.mark.parametrize("name", list(VALUE_CONDENSERS))
 def test_free_energy_value_is_energy_value(name, p, eps):
-    # on fields equal to the plate field off the free cells, the kept faces
-    # plus the g = 0 term of every other cell give the full-grid value bit
+    # for x = u[free], with u the plate field off the free cells, the kept
+    # faces plus the g = 0 term of every other cell give energy_value(u) bit
     # for bit, at the solve's p and at an overriding p = 2, in any order
     cond = VALUE_CONDENSERS[name]()
     grid = cond.domain
@@ -289,9 +282,11 @@ def test_free_energy_value_is_energy_value(name, p, eps):
         u[free] = rng.uniform(-0.5, 1.5, free.size)
         fields.append(u)
     for u in fields:
-        assert energy.value(u) == energy_value(u, grid, params)
-        assert energy.value(u, 2.0) == energy_value(u, grid, EnergyParams(2.0, eps))
-        assert energy.value(u) == energy_value(u, grid, params)
+        x = u[free]
+        assert np.array_equal(energy.field(x), u)
+        assert energy.value(x) == energy_value(u, grid, params)
+        assert energy.value(x, 2.0) == energy_value(u, grid, EnergyParams(2.0, eps))
+        assert energy.value(x) == energy_value(u, grid, params)
 
 
 FIELD_CONDENSERS = {
@@ -503,7 +498,8 @@ def test_red_black_split_is_the_dense_schur_complement(case):
     rng = np.random.default_rng(free.size)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     # the rounded field labels the fixed cells E or F, so E-F faces are kept too
-    grad, diag, coupling, red = FreeEnergy(grid, free, np.round(u), params).red_black(u)
+    energy = FreeEnergy(grid, free, np.round(u), params)
+    grad, diag, coupling, red = energy.red_black(u[free])
     black = ~red
     # every face with two free ends joins a red and a black cell
     a, b = grid.face_pairs
@@ -513,7 +509,7 @@ def test_red_black_split_is_the_dense_schur_complement(case):
     assert (red[pos[a[both]]] != red[pos[b[both]]]).all()
     # the blocks of H1, assembled from the energy gradient
     h1 = dense_hessian(grid, free, params)
-    assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
+    assert np.array_equal(grad, energy_gradient(energy.field(u[free]), grid, params)[free])
     np.testing.assert_allclose(diag, np.diag(h1), rtol=1e-12)
     np.testing.assert_allclose(coupling.toarray(), h1[np.ix_(red, black)], rtol=1e-12, atol=0)
     assert np.count_nonzero(h1[np.ix_(red, red)] - np.diag(diag[red])) == 0
@@ -603,17 +599,18 @@ def test_solver_eps_is_the_solve_eps(p, monkeypatch):
     assert res.value == energy_value(fields[-1], cond.domain, EnergyParams(p, 1e-3))
     assert np.array_equal(fields[-1], res.field)
     assert res.value == energy_value(res.field, cond.domain, EnergyParams(p, 1e-3))
-    assert_plate_field_off_free(cond, fields)
 
 
 def test_all_plate_condenser_takes_no_steps():
+    # no cell is free: the common path runs on empty vectors
     g = GridDomain.box(2, (0.0, 0.0), (2, 3), 1.0)
     e = np.zeros(g.cells, dtype=bool)
     e[0, :] = True
     cond = Condenser(e, ~e, g)
-    for p in (1.5, 2.0):
+    for p in (1.05, 1.5, 2.0, 3.0):
         res = solve_capacity(cond, p, SolverOptions(eps=1e-3))
         assert res.converged and res.iterations == 0
+        assert res.cg_steps == 0 and res.decrement == 0.0
         assert res.energy_history == [res.value] and res.history_eps == [1e-3]
         assert res.value == energy_value(cond.F[g.mask].astype(float), g, EnergyParams(p, 1e-3))
         assert np.array_equal(res.field, cond.F[g.mask].astype(float))
@@ -642,7 +639,6 @@ def test_newton_hard_exponents(p, monkeypatch):
     assert all(u.min() >= 0.0 and u.max() <= 1.0 for u in fields)
     assert energy_value(fields[-1], cond.domain, EnergyParams(p, res.final_eps)) == res.value
     assert np.array_equal(fields[-1], res.field)
-    assert_plate_field_off_free(cond, fields)
     hist = np.asarray(res.energy_history)
     eps = np.asarray(res.history_eps)
     for stage in np.unique(eps):
@@ -679,13 +675,11 @@ def test_newton_starts_from_the_p2_minimizer(name, p, monkeypatch):
     harmonic = solve_capacity(cond, 2.0)
     assert harmonic.converged and harmonic.iterations < qcap.capacity.NEWTON_CG_STEPS
     assert np.array_equal(fields[-1], harmonic.field)
-    assert_plate_field_off_free(cond, fields)
     start = np.clip(harmonic.field, 0.0, 1.0)
     fields.clear()
     res = solve_capacity(cond, p)
     assert res.converged
     assert all(u.min() >= 0.0 and u.max() <= 1.0 for u in fields)
-    assert_plate_field_off_free(cond, fields)
     assert res.energy_history[0] == energy_value(start, cond.domain, EnergyParams(p, res.final_eps))
     tight = solve_capacity(cond, p, SolverOptions(rel_tol=1e-15))
     assert res.value == pytest.approx(tight.value, rel=SolverOptions().rel_tol)
@@ -712,23 +706,25 @@ def test_solve_sweeps_the_grid_only_in_newton_derivatives(name, p, monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("name", list(START_CONDENSERS))
 def test_solve_passes_plate_fields_off_free(name, p, monkeypatch):
-    # the precondition of FreeEnergy's face pass: every field a solve hands
-    # to value, derivatives or red_black is the plate field off the free cells
-    fields = {"value": [], "derivatives": [], "red_black": []}
-    for method, seen in fields.items():
+    # a solve hands value, derivatives and red_black only vectors of one
+    # value per free cell, so FreeEnergy fills in the plate field off them
+    shapes = {"value": [], "derivatives": [], "red_black": []}
+    for method, seen in shapes.items():
         original = getattr(FreeEnergy, method)
 
-        def recording(self, u, *args, original=original, seen=seen):
-            seen.append(u.copy())
-            return original(self, u, *args)
+        def recording(self, x, *args, original=original, seen=seen):
+            seen.append(np.shape(x))
+            return original(self, x, *args)
 
         monkeypatch.setattr(FreeEnergy, method, recording)
     cond = START_CONDENSERS[name]()
     res = solve_capacity(cond, p)
     assert res.converged
-    assert len(fields["red_black"]) == 1
-    assert len(fields["derivatives"]) == (0 if p == 2 else res.iterations)
-    assert_plate_field_off_free(cond, [u for seen in fields.values() for u in seen])
+    assert len(shapes["red_black"]) == 1
+    assert len(shapes["derivatives"]) == (0 if p == 2 else res.iterations)
+    assert shapes["value"]
+    _, fixed = plate_field(cond)
+    assert all(shape == (np.count_nonzero(~fixed),) for seen in shapes.values() for shape in seen)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -880,6 +876,14 @@ def test_solve_counters():
 def test_ring_benchmark_validation():
     with pytest.raises(DomainError):
         RingBenchmark(2, 2.0, 1.0, 2.0, 1.5, (32,))  # half must exceed r2
+    # the closed form has dimensions 2 and 3 only, and a NaN or infinite box
+    # has no grid: each failed only later, in calibrate_discretization
+    for n in [2.5, 4, 1]:
+        with pytest.raises(DomainError, match="dimensions"):
+            RingBenchmark(n, 2.0, 1.0, 2.0, 2.5, (8,))
+    for half in [math.nan, math.inf]:
+        with pytest.raises(DomainError, match="outer sphere"):
+            RingBenchmark(2, 2.0, 1.0, 2.0, half, (8,))
     # a benchmark with no resolution calibrates nothing (tau_disc 0.0 from no run), and one
     # cell per axis leaves no free cell between the plates
     for resolutions in [(), (1,), (16, 1)]:

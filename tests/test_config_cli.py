@@ -646,7 +646,7 @@ NON_FINITE = [
             "exponents": {"p": 2.0, "q": 2.0},
             "tau": math.inf,
         },
-        "tau must be a positive number",
+        "tau must be a number",
     ),
     ("ring", {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": math.inf}}, "ring.r2 must be a number"),
     (

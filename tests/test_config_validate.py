@@ -156,6 +156,14 @@ def test_benchmark_resolutions_come_from_ring_benchmark(resolutions, diagnostic)
     assert validate(cfg, "calibrate") == [diagnostic]
 
 
+@pytest.mark.parametrize("tau", [0, -1])
+def test_tau_range_comes_from_check_tau(tau):
+    # the config checks that tau is a number, check_tau (which the
+    # inequality checks call) the range 0 < tau < inf
+    cfg = with_section("dual", "tau", tau)
+    assert validate(cfg, "dual") == [f"tau: tau must be positive and finite, got {tau}"]
+
+
 def test_bad_image_grid_n_gives_one_diagnostic():
     mapping = {"family": "affine", "matrix": [[2.0, 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]}
     cfg = with_section("cluster", "mapping", mapping)

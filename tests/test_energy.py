@@ -162,21 +162,13 @@ def hessian_case(name, rng):
     return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7), base
 
 
-def plate_field_off_free(u, free, base):
-    """u on the free cells and ``base`` everywhere else."""
-    out = base.copy()
-    out[free] = u[free]
-    return out
-
-
-def free_derivatives(grid, free, base, params, u):
+def free_derivatives(energy, x):
     """(grad, apply, diagonal) on the free cells along the route a solve takes:
     ``derivatives`` for p != 2, and ``red_black`` for p = 2, with
     H1 v = [D_r v_r + B v_b; B^T v_r + D_b v_b] in free order."""
-    energy = FreeEnergy(grid, free, base, params)
-    if params.p != 2:
-        return energy.derivatives(u)
-    grad, diag, coupling, red = energy.red_black(u)
+    if energy.params.p != 2:
+        return energy.derivatives(x)
+    grad, diag, coupling, red = energy.red_black(x)
     black = ~red
 
     def apply(v):
@@ -202,11 +194,12 @@ def test_hessian_matches_gradient_differences(case, p, eps):
     if eps == 0:
         # flat on the first half of the cells, so g = 0 on many of them
         u[: u.size // 2] = 0.5
-    # derivatives' precondition: u is the plate field off the free cells
-    u = plate_field_off_free(u, free, base)
+    energy = FreeEnergy(grid, free, base, params)
+    x = u[free]
+    u = energy.field(x)
     v = np.zeros(grid.inside_count)
     v[free] = rng.normal(size=free.size)
-    _, apply, diag = free_derivatives(grid, free, base, params, u)
+    _, apply, diag = free_derivatives(energy, x)
     step = 1e-5
     fd = (energy_gradient(u + step * v, grid, params) - energy_gradient(u - step * v, grid, params))[free]
     fd /= 2 * step
@@ -230,9 +223,10 @@ def test_free_gradient_is_the_full_gradient_on_free_cells(case, p, eps):
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
         u[: u.size // 2] = 0.5
-    u = plate_field_off_free(u, free, base)
-    grad, _, _ = free_derivatives(grid, free, base, params, u)
-    assert np.array_equal(grad, energy_gradient(u, grid, params)[free])
+    energy = FreeEnergy(grid, free, base, params)
+    x = u[free]
+    grad, _, _ = free_derivatives(energy, x)
+    assert np.array_equal(grad, energy_gradient(energy.field(x), grid, params)[free])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -248,8 +242,22 @@ def test_derivatives_sweep_the_grid_at_most_once(p, monkeypatch):
     monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting)
     rng = np.random.default_rng(15)
     grid, free, base = hessian_case("ring", rng)
-    free_derivatives(grid, free, base, EnergyParams(p, 1e-2), rng.uniform(0.0, 1.0, grid.inside_count))
+    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
+    free_derivatives(energy, rng.uniform(0.0, 1.0, grid.inside_count)[free])
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_free_energy_rejects_inside_length_fields(case):
+    # every route takes one value per free cell: a field on all the inside
+    # cells, which could leave the plate field off the free cells, raises
+    rng = np.random.default_rng(16)
+    grid, free, base = hessian_case(case, rng)
+    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
+    u = energy.field(rng.uniform(0.0, 1.0, free.size))
+    for route in (energy.value, energy.derivatives, energy.red_black):
+        with pytest.raises(ValueError):
+            route(u)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -259,7 +267,7 @@ def test_hessian_is_symmetric(case, p):
     rng = np.random.default_rng(12)
     grid, free, base = hessian_case(case, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, _ = free_derivatives(grid, free, base, EnergyParams(p, 1e-2), u)
+    _, apply, _ = free_derivatives(FreeEnergy(grid, free, base, EnergyParams(p, 1e-2)), u[free])
     v, w = rng.normal(size=(2, free.size))
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
@@ -270,7 +278,7 @@ def test_hessian_diagonal_is_every_unit_product(p):
     rng = np.random.default_rng(13)
     grid, free, base = hessian_case("masked", rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, diag = free_derivatives(grid, free, base, EnergyParams(p, 1e-2), u)
+    _, apply, diag = free_derivatives(FreeEnergy(grid, free, base, EnergyParams(p, 1e-2)), u[free])
     columns = np.array([apply(unit) for unit in np.eye(free.size)])
     np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
     assert (diag > 0).all()

@@ -16,14 +16,24 @@ machine falls on both sides alike.
 The file lists, per workload and end-to-end metric, each side's samples,
 median and quartiles (sides ``change`` and ``parent``, or ``runs`` alone
 without a parent) and, with a parent, the number of pairs each side won
-(lower is better for every end-to-end metric; ties count for neither
-side), plus each side's fail fraction and the machine facts of its first
-run.  With a parent each metric also gets ``change_rel``, the change
-median over the parent median minus 1 (null for a parent median of 0),
-and ``beyond_bound``, true where the change is worse than the parent by
-more than the metric's ``bound`` in ``BENCHMARK.json`` (or worse at all
-against a parent median of 0); every such breach is printed to stderr at
-the end.  Run one bench at a time: the runs are timed.
+(in the metric's ``better`` direction; ties count for neither side), plus
+each side's fail fraction and the machine facts of its first run.  With a
+parent each metric also gets these verdicts, set by ``compare``:
+
+- ``change_rel``: the change median over the parent median minus 1 (null
+  for a parent median of 0);
+- ``beyond_bound``: the change is worse than the parent by more than the
+  metric's ``bound`` in ``BENCHMARK.json`` (or worse at all against a
+  parent median of 0);
+- ``parent_spread``: the parent's interquartile range q3 - q1;
+- ``gain``: the change won at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than ``parent_spread``;
+- ``unresolved``: ``parent_spread`` over the parent median exceeds the
+  bound, so the runs cannot show a move of the bound's size, unless every
+  change run is better than every parent run.
+
+Every metric flagged beyond bound, gain or unresolved is printed to
+stderr at the end.  Run one bench at a time: the runs are timed.
 """
 
 from __future__ import annotations
@@ -62,25 +72,35 @@ def summary(samples: list) -> dict:
 
 
 def compare(entry: dict, metric: dict) -> None:
-    """Add ``change_rel`` and ``beyond_bound`` to a paired metric entry."""
-    change, parent = entry["change"]["median"], entry["parent"]["median"]
+    """Add the pair counts and the verdicts of the module docstring to a paired metric entry."""
+    change, parent = entry["change"], entry["parent"]
+    # sign * value is a cost: lower is better.
     sign = 1 if metric["better"] == "lower" else -1
-    if parent:
-        entry["change_rel"] = change / parent - 1
+    pairs = list(zip(change["samples"], parent["samples"]))
+    entry["change_wins"] = sum(sign * c < sign * p for c, p in pairs)
+    entry["parent_wins"] = sum(sign * p < sign * c for c, p in pairs)
+    if parent["median"]:
+        entry["change_rel"] = change["median"] / parent["median"] - 1
         entry["beyond_bound"] = sign * entry["change_rel"] > metric["bound"]
     else:
         entry["change_rel"] = None
-        entry["beyond_bound"] = sign * (change - parent) > 0
+        entry["beyond_bound"] = sign * (change["median"] - parent["median"]) > 0
+    spread = entry["parent_spread"] = parent["q3"] - parent["q1"]
+    better_by = sign * (parent["median"] - change["median"])
+    entry["gain"] = 10 * entry["change_wins"] >= 9 * len(pairs) and better_by > spread
+    separated = max(sign * c for c in change["samples"]) < min(sign * p for p in parent["samples"])
+    entry["unresolved"] = spread > metric["bound"] * abs(parent["median"]) and not separated
 
 
-def breaches(workloads: dict) -> list:
-    """One line per (workload, metric) whose paired entry is beyond its bound."""
+def flagged(workloads: dict, flag: str) -> list:
+    """One line per (workload, metric) whose paired entry has ``flag`` set."""
     return [
         f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g}"
         + ("" if m["change_rel"] is None else f" ({m['change_rel']:+.1%})")
+        + f", pairs won {m['change_wins']}/{m['parent_wins']}, parent spread {m['parent_spread']:.6g}"
         for workload, w in workloads.items()
         for name, m in w["metrics"].items()
-        if m.get("beyond_bound")
+        if m.get(flag)
     ]
 
 
@@ -103,8 +123,6 @@ def bench_workload(roots: dict, workload: str, runs: int, seed: int, seconds: fl
         name = metric["name"]
         entry = {side: summary(samples[side][name]) for side in sides}
         if "parent" in roots:
-            entry["change_wins"] = sum(c < p for c, p in zip(samples["change"][name], samples["parent"][name]))
-            entry["parent_wins"] = sum(p < c for c, p in zip(samples["change"][name], samples["parent"][name]))
             compare(entry, metric)
         out["metrics"][name] = entry
     out["fail_frac"] = {side: f / a for side, (f, a) in failed.items()}
@@ -148,8 +166,9 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out.name)
-    for line in breaches(report["workloads"]):
-        print("beyond bound:", line, file=sys.stderr)
+    for flag in ("beyond_bound", "gain", "unresolved"):
+        for line in flagged(report["workloads"], flag):
+            print(f"{flag.replace('_', ' ')}:", line, file=sys.stderr)
     return 0
 
 
