@@ -13,6 +13,7 @@ structured JSON error report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -206,7 +207,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qcap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qcap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

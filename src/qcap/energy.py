@@ -28,7 +28,9 @@ its non-finite energy.  A solve moves only its free cells, and works on
 vectors x with one value per free cell: ``FreeEnergy``, built once per
 solve, fills in the plate values itself and gives the values and
 derivatives of the field so made from one pass over the faces that can
-carry a difference, and never sweeps the whole grid.
+carry a difference, and never sweeps the whole grid.  It selects those
+faces axis by axis, by shifted slices of a grid-shaped label array, so a
+solve never builds the full face list ``GridDomain.face_pairs``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError, SingularityError
-from .grid import GridDomain
+from .grid import GridDomain, face_ranks
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,11 @@ class FreeEnergy:
     ``nf`` free cells first and then the other cells on the kept faces;
     ``cells`` maps it to the inside enumeration.  ``la``, ``lb`` and ``w``
     are the faces' ends in local numbering and their weights (1/theta on a
-    cut face, 1 elsewhere).
+    cut face, 1 elsewhere).  The kept faces are found axis by axis, by
+    shifted slices of a grid-shaped label array (``GridDomain.inside_faces``),
+    and listed in ``face_pairs`` order, which is never built: their ends
+    come from ``inside_index`` on the slices, and their positions in that
+    order serve only to look up the ``cut_faces`` weights.
 
     Three routes, one per job, on one pass over the kept faces, ``_diffs``,
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
@@ -145,26 +151,37 @@ class FreeEnergy:
 
     def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
         self.grid, self.free, self.base, self.params = grid, free, base, params
-        a, b = grid.face_pairs
         m = grid.inside_count
-        # 0 on a free cell, 1 on E and 3 on F: a face's label sum is 2 on E-E and 6 on F-F.
-        label = (1 + 2 * base).astype(np.int8)
-        label[free] = 0
-        ends = label[a] + label[b]
-        keep = (ends != 2) & (ends != 6)
-        sel = np.flatnonzero(keep)
+        # 0 on a free cell, 1 on E, 3 on F and 5 outside: a face's label sum is
+        # 2 on E-E, 6 on F-F and at least 5 with an outside end, so the kept
+        # faces (a free end, or E-F) are those summing below 5, 2 excepted.
+        label = np.full(grid.cells, 5, dtype=np.int8)
+        inner = (1 + 2 * base).astype(np.int8)
+        inner[free] = 0
+        label[grid.mask] = inner
+        a, b, sel = [], [], []
+        for lo, hi, both, offset in grid.inside_faces():
+            ends = label[lo] + label[hi]
+            keep = (ends < 5) & (ends != 2)
+            a.append(grid.inside_index[lo][keep])
+            b.append(grid.inside_index[hi][keep])
+            sel.append(offset + face_ranks(both, np.flatnonzero(keep)))
+        a, b, sel = (np.concatenate(part) for part in (a, b, sel))
+        # sel, the kept faces' positions in face_pairs, serves only to look up the cut weights
         self.w = np.ones(sel.size)
         faces, weights = grid.cut_faces
-        hit = keep[faces]
-        self.w[np.searchsorted(sel, faces[hit])] = weights[hit]
+        pos = np.searchsorted(sel, faces)
+        hit = np.flatnonzero(pos < sel.size)
+        hit = hit[sel[pos[hit]] == faces[hit]]
+        self.w[pos[hit]] = weights[hit]
         near = np.zeros(m, dtype=bool)
-        near[a[sel]] = True
-        near[b[sel]] = True
+        near[a] = True
+        near[b] = True
         near[free] = False
         self.cells = np.concatenate([free, np.flatnonzero(near)])
         local = np.empty(m, dtype=np.int32)
         local[self.cells] = np.arange(self.cells.size, dtype=np.int32)
-        la, lb = self.la, self.lb = local[a[sel]], local[b[sel]]
+        la, lb = self.la, self.lb = local[a], local[b]
         nf = self.nf = free.size
         if params.p != 2:
             # The (indptr, indices, source) CSR pattern.  Every Newton step
@@ -307,8 +324,11 @@ class FreeEnergy:
         """
         grad, k1, diag = self._first_order(self._diffs(x), 2.0)
         grid, nf = self.grid, self.nf
-        index = np.unravel_index(np.flatnonzero(grid.mask)[self.free], grid.cells)
-        red = np.sum(index, axis=0) % 2 == 0
+        # the parity of i + j (+ k): the XOR of the per-axis index parities
+        odd = np.zeros((), dtype=bool)
+        for k, c in enumerate(grid.cells):
+            odd = odd ^ (np.arange(c) % 2 == 1).reshape([c if j == k else 1 for j in range(grid.n)])
+        red = ~odd[grid.mask][self.free]
         order = np.empty(nf, dtype=np.int32)
         nr = int(np.count_nonzero(red))
         order[red] = np.arange(nr, dtype=np.int32)

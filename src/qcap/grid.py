@@ -27,8 +27,12 @@ from bisection on the plate's recorded region predicate; a plate without
 one keeps theta = 1, the cell-center staircase.
 
 Cells are face-adjacent (4 neighbors in 2D, 6 in 3D), the stencil of the
-energy.  The face list is built once per grid, in ``GridDomain.face_pairs``;
-the energy sums over it and ``graph_distance`` searches it as a graph.
+energy.  ``GridDomain.inside_faces`` gives each axis's faces as shifted
+slices of grid-shaped arrays.  The full face list, ``GridDomain.face_pairs``,
+is built from them on first use; the whole-grid ``energy_value`` and
+``energy_gradient`` sum over it and ``graph_distance`` searches it as a
+graph.  A solve never builds it: ``GridDomain.cut_faces`` and
+``FreeEnergy`` select their faces axis by axis on the slices.
 ``connected`` labels components with the same face structuring element.
 """
 
@@ -428,11 +432,8 @@ class GridDomain:
         Faces are listed axis by axis in row-major order, so the order (and
         with it every reduction over faces) is deterministic.
         """
-        parts = []
-        for axis in range(self.n):
-            lo, hi = _shift_slices(self.n, axis)
-            both = self.mask[lo] & self.mask[hi]
-            parts.append((self.inside_index[lo][both], self.inside_index[hi][both]))
+        idx = self.inside_index
+        parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both, _ in self.inside_faces()]
         a, b = (np.concatenate(side) for side in zip(*parts))
         a.setflags(write=False)
         b.setflags(write=False)
@@ -459,34 +460,57 @@ class GridDomain:
         free cell's center to the plate cell's center that lies outside the
         plate region.  It is 1 when the plate records no region or the
         region does not separate the two centers.
+
+        The faces are found axis by axis, by shifted slices of a grid-shaped
+        plate-owner array, and ``face_pairs`` is not built: a position is
+        the axis's offset plus the face's rank among the axis's inside
+        faces (``inside_faces``).  A segment runs along its face's axis, so
+        only that coordinate is bisected (``_cut_fraction``).
         """
-        a, b = self.face_pairs
-        inside_flat = np.flatnonzero(self.mask)
-
-        def centers(idx):
-            ijk = np.unravel_index(inside_flat[idx], self.cells)
-            return np.asarray(self.origin) + (np.stack(ijk, axis=-1) + 0.5) * self.h
-
-        owner = np.full(self.inside_count, -1, dtype=np.int8)
+        owner = np.full(self.cells, -1, dtype=np.int8)
         for k, (cells, _) in enumerate(self.plates):
-            owner[self.inside_index[cells]] = k
-        faces = np.flatnonzero((owner[a] < 0) != (owner[b] < 0))
-        a_plate = owner[a[faces]] >= 0
-        free_end = np.where(a_plate, b[faces], a[faces])
-        plate_end = np.where(a_plate, a[faces], b[faces])
-        which = owner[plate_end]
-        weights = np.ones(faces.size)
-        for k, (_, region) in enumerate(self.plates):
-            sel = np.flatnonzero(which == k)
-            if region is not None and sel.size:
-                theta = _cut_fraction(region, centers(free_end[sel]), centers(plate_end[sel]))
-                weights[sel] = 1.0 / theta
-        keep = weights != 1.0
-        faces = faces[keep]
-        weights = weights[keep]
+            owner[cells] = k
+        plate = owner >= 0
+        free = self.mask & ~plate
+        centers = [c.ravel() for c in self.axis_centers()]
+        faces, weights = [], []
+        for axis, (lo, hi, both, offset) in enumerate(self.inside_faces()):
+            a_plate = plate[lo] & free[hi]
+            cut = a_plate | (free[lo] & plate[hi])
+            flat = np.flatnonzero(cut)
+            a_plate = a_plate[cut]
+            which = np.where(a_plate, owner[lo][cut], owner[hi][cut])
+            ijk = np.unravel_index(flat, cut.shape)
+            a_x, b_x = centers[axis][ijk[axis]], centers[axis][ijk[axis] + 1]
+            start, stop = np.where(a_plate, b_x, a_x), np.where(a_plate, a_x, b_x)
+            w = np.ones(flat.size)
+            for k, (_, region) in enumerate(self.plates):
+                sel = np.flatnonzero(which == k)
+                if region is not None and sel.size:
+                    xs = [c[i[sel]] for c, i in zip(centers, ijk)]
+                    w[sel] = 1.0 / _cut_fraction(region, xs, axis, start[sel], stop[sel])
+            keep = w != 1.0
+            faces.append(offset + face_ranks(both, flat[keep]))
+            weights.append(w[keep])
+        faces, weights = np.concatenate(faces), np.concatenate(weights)
         faces.setflags(write=False)
         weights.setflags(write=False)
         return faces, weights
+
+    def inside_faces(self):
+        """Each axis's faces as shifted slices: one (lo, hi, both, offset) per axis.
+
+        lo and hi are the axis's shift slices, ``both`` = mask[lo] & mask[hi]
+        flags its inside faces, and offset counts the inside faces of the
+        earlier axes.  The face at flat index i of an array of ``both``'s
+        shape is at position offset + ``face_ranks(both, i)`` of ``face_pairs``.
+        """
+        offset = 0
+        for axis in range(self.n):
+            lo, hi = _shift_slices(self.n, axis)
+            both = self.mask[lo] & self.mask[hi]
+            yield lo, hi, both, offset
+            offset += int(np.count_nonzero(both))
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to cell multi-indices.
@@ -518,9 +542,21 @@ def rasterize(region, grid: GridDomain) -> np.ndarray:
     return region.contains_axes(grid.axis_centers()) & grid.mask
 
 
-def _cut_fraction(region, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Fraction theta in (0, 1] of each segment start -> stop before it enters ``region``.
+def face_ranks(both: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Ranks among the faces ``both`` flags, in row-major order, of the flagged faces at the flat indices ``flat``.
 
+    On a full box every face is flagged and the rank is the flat index.
+    """
+    if both.all():
+        return flat
+    return np.cumsum(both)[flat] - 1
+
+
+def _cut_fraction(region, xs: list, axis: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Fraction theta in (0, 1] of each segment start -> stop along ``axis`` before it enters ``region``.
+
+    ``xs`` holds the segments' per-axis coordinates as 1-D arrays; its
+    entry at ``axis`` is replaced by the points start + t (stop - start).
     Bisection on the predicate; theta = 1 where ``start`` is not outside or
     ``stop`` not inside the region.
     """
@@ -529,10 +565,14 @@ def _cut_fraction(region, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     delta = stop - start
     for _ in range(CUT_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        inside = region.contains(start + mid[:, None] * delta)
+        xs[axis] = start + mid * delta
+        inside = region.contains_axes(xs)
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
-    separated = ~region.contains(start) & region.contains(stop)
+    xs[axis] = start
+    separated = ~region.contains_axes(xs)
+    xs[axis] = stop
+    separated &= region.contains_axes(xs)
     return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
 
 

@@ -745,14 +745,14 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
 
 @pytest.mark.parametrize(
     "n, p, cells, cap",
-    [(3, 2.0, 64, 37.0e6), (2, 1.5, 256, 13.0e6)],
+    [(3, 2.0, 64, 23.7e6), (2, 1.5, 256, 10.3e6)],
     ids=["criterion-2", "criterion-3"],
 )
 def test_solve_memory(n, p, cells, cap):
-    # tracemalloc peaks: criterion 2 36.1 MB, in red_black, 42.3 with its
-    # final value summed over the whole grid by energy_value; criterion 3
-    # 11.8 MB, 14.2 with each Newton step's Hessian kept until the next one
-    # is built
+    # tracemalloc peaks: criterion 2 22.5 MB, 36.1 with the full face list
+    # built before FreeEnergy selects its faces; criterion 3 9.4 MB, 11.5
+    # with the face list, 14.2 with each Newton step's Hessian kept until
+    # the next one is built
     tracemalloc.start()
     try:
         solve_ring(n, p, 1.0, 2.0, 2.5, cells)
@@ -760,6 +760,18 @@ def test_solve_memory(n, p, cells, cap):
     finally:
         tracemalloc.stop()
     assert peak < cap
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("name", list(START_CONDENSERS))
+def test_solve_builds_no_face_list(name, p):
+    # a solve finds its cut faces and kept faces by per-axis slices of the
+    # grid: the full face list is never built
+    cond = START_CONDENSERS[name]()
+    res = solve_capacity(cond, p)
+    assert res.converged
+    assert cond.domain.cut_faces[0].size > 0
+    assert "face_pairs" not in cond.domain.__dict__
 
 
 @pytest.mark.parametrize(

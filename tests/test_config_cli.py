@@ -19,7 +19,7 @@ from qcap import (
     verify_dual_inequality,
 )
 from qcap.capacity import RingBenchmark
-from qcap.cli import main
+from qcap.cli import build_parser, main
 from qcap.config import (
     build_benchmarks,
     build_condenser,
@@ -336,6 +336,15 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     assert report["config"]["seed"] == 7
     code, report, _ = run_cli(tmp_path, "ring", cfg, "--seed", "11")
     assert report["config"]["seed"] == 11
+
+
+def test_cli_parser_is_built_once(tmp_path):
+    # one parser serves every call, and a flag of one call does not stick to the next
+    assert build_parser() is build_parser()
+    cfg = {"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0}, "seed": 7}
+    run_cli(tmp_path, "ring", cfg, "--seed", "11")
+    _, report, _ = run_cli(tmp_path, "ring", cfg)
+    assert report["config"]["seed"] == 7
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -1,0 +1,197 @@
+"""A solve's faces from per-axis slices against the full face list they replaced.
+
+``GridDomain.cut_faces`` and the face selection of ``FreeEnergy`` find their
+faces axis by axis on grid-shaped arrays and never build ``face_pairs``.
+The oracles below are the full-face-list versions: plate owners and labels
+gathered over ``face_pairs``, and each cut segment bisected as stacked
+(N, n) points through ``Region.contains``.  Every array must match exactly.
+"""
+
+import numpy as np
+import pytest
+
+from qcap import (
+    Ball,
+    Condenser,
+    GridDomain,
+    RadialPower,
+    make_ring_condenser,
+    pullback_condenser,
+    rasterize,
+)
+from qcap.energy import EnergyParams, FreeEnergy
+from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union
+
+
+def oracle_cut_fraction(region, start, stop):
+    lo = np.zeros(len(start))
+    hi = np.ones(len(start))
+    delta = stop - start
+    for _ in range(CUT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        inside = region.contains(start + mid[:, None] * delta)
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    separated = ~region.contains(start) & region.contains(stop)
+    return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
+
+
+def oracle_cut_faces(grid):
+    """(faces, weights) from plate owners gathered over the whole face list."""
+    a, b = grid.face_pairs
+    inside_flat = np.flatnonzero(grid.mask)
+
+    def centers(idx):
+        ijk = np.unravel_index(inside_flat[idx], grid.cells)
+        return np.asarray(grid.origin) + (np.stack(ijk, axis=-1) + 0.5) * grid.h
+
+    owner = np.full(grid.inside_count, -1, dtype=np.int8)
+    for k, (cells, _) in enumerate(grid.plates):
+        owner[grid.inside_index[cells]] = k
+    faces = np.flatnonzero((owner[a] < 0) != (owner[b] < 0))
+    a_plate = owner[a[faces]] >= 0
+    free_end = np.where(a_plate, b[faces], a[faces])
+    plate_end = np.where(a_plate, a[faces], b[faces])
+    which = owner[plate_end]
+    weights = np.ones(faces.size)
+    for k, (_, region) in enumerate(grid.plates):
+        sel = np.flatnonzero(which == k)
+        if region is not None and sel.size:
+            weights[sel] = 1.0 / oracle_cut_fraction(region, centers(free_end[sel]), centers(plate_end[sel]))
+    keep = weights != 1.0
+    return faces[keep], weights[keep]
+
+
+def oracle_selection(grid, free, base):
+    """(la, lb, w, cells) of ``FreeEnergy`` from labels gathered over the whole face list."""
+    a, b = grid.face_pairs
+    m = grid.inside_count
+    label = (1 + 2 * base).astype(np.int8)
+    label[free] = 0
+    ends = label[a] + label[b]
+    keep = (ends != 2) & (ends != 6)
+    sel = np.flatnonzero(keep)
+    w = np.ones(sel.size)
+    faces, weights = oracle_cut_faces(grid)
+    hit = keep[faces]
+    w[np.searchsorted(sel, faces[hit])] = weights[hit]
+    near = np.zeros(m, dtype=bool)
+    near[a[sel]] = True
+    near[b[sel]] = True
+    near[free] = False
+    cells = np.concatenate([free, np.flatnonzero(near)])
+    local = np.empty(m, dtype=np.int32)
+    local[cells] = np.arange(cells.size, dtype=np.int32)
+    return local[a[sel]], local[b[sel]], w, cells
+
+
+def ring(n, cells, region=None):
+    return make_ring_condenser(
+        (0.0,) * n, 1.0, 2.0, GridDomain.box(n, (-2.5,) * n, (cells,) * n, 5.0 / cells, region)
+    )
+
+
+def holed_mask():
+    """The ring (1, 2) on the 128² disc with a box hole between the plates."""
+    return ring(2, 128, Intersection((Ball((0.0, 0.0), 2.45), Complement(Box((1.2, -0.3), (1.6, 0.3))))))
+
+
+def no_regions():
+    cond = ring(2, 48)
+    return Condenser(cond.E, cond.F, cond.domain)
+
+
+def union_complement():
+    g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
+    region_e = Union((Ball((-0.3, 0.0), 0.6, closed=True), Box((-0.2, -0.2), (1.0, 0.2))))
+    region_f = Complement(Union((Ball((0.0, 0.0), 2.0), Box((1.5, -0.4), (2.3, 0.4)))))
+    return Condenser(rasterize(region_e, g), rasterize(region_f, g), g, region_e, region_f)
+
+
+def pulled_back():
+    image = GridDomain.box(2, (-4.5, -4.5), (96, 96), 9.0 / 96)
+    c_image = make_ring_condenser((0.0, 0.0), 1.0, 2.5, image)
+    source = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
+    return pullback_condenser(RadialPower(1.5, (0.0, 0.0)), c_image, source)
+
+
+def sharing_faces():
+    g = GridDomain.box(2, (0.0, 0.0), (40, 40), 0.05)
+    e_region = Box((0.0, 0.0), (1.0, 0.5))
+    e = rasterize(e_region, g)
+    f = rasterize(Box((0.0, 0.51), (1.0, 1.0)), g) & ~e
+    return Condenser(e, f, g, region_e=e_region)
+
+
+CONDENSERS = {
+    "ring-2d": lambda: ring(2, 64),
+    "ring-3d": lambda: ring(3, 24),
+    "holed-mask": holed_mask,
+    "no-regions": no_regions,
+    "union-complement": union_complement,
+    "pulled-back": pulled_back,
+    "sharing-faces": sharing_faces,
+}
+
+
+def plate_sets(cond):
+    """(free, base) as ``solve_capacity`` builds them."""
+    base = np.zeros(cond.domain.inside_count)
+    base[cond.f_indices] = 1.0
+    fixed = np.zeros(cond.domain.inside_count, dtype=bool)
+    fixed[cond.e_indices] = True
+    fixed[cond.f_indices] = True
+    return np.flatnonzero(~fixed), base
+
+
+def arbitrary_sets(name):
+    """A grid with an arbitrary free set and every third cell on F, as the energy tests pass them."""
+    rng = np.random.default_rng(0)
+    if name == "masked":
+        grid = GridDomain.box(2, (-1.0, -1.0), (12, 12), 2.0 / 12, Ball((0.0, 0.0), 0.95))
+    elif name == "3d":
+        grid = GridDomain.box(3, (0.0, 0.0, 0.0), (6, 5, 4), 0.2)
+    else:
+        # a plate-embedding grid whose cut faces the free set need not keep
+        grid = ring(2, 24).domain
+    base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
+    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7), base
+
+
+def selection_cases():
+    for name, make in CONDENSERS.items():
+        yield pytest.param(lambda make=make: (make().domain, *plate_sets(make())), id=name)
+    for name in ("masked", "3d", "ring-plates"):
+        yield pytest.param(lambda name=name: arbitrary_sets(name), id=f"arbitrary-{name}")
+
+
+@pytest.mark.parametrize("name", list(CONDENSERS))
+def test_cut_faces_match_the_face_list_oracle(name):
+    cond = CONDENSERS[name]()
+    faces, weights = cond.domain.cut_faces
+    assert "face_pairs" not in cond.domain.__dict__
+    want_faces, want_weights = oracle_cut_faces(cond.domain)
+    assert faces.dtype == want_faces.dtype
+    np.testing.assert_array_equal(faces, want_faces)
+    np.testing.assert_array_equal(weights, want_weights)
+    assert (faces.size == 0) == (name == "no-regions")
+
+
+@pytest.mark.parametrize("case", selection_cases())
+def test_free_energy_faces_match_the_face_list_oracle(case):
+    grid, free, base = case()
+    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
+    assert "face_pairs" not in grid.__dict__
+    la, lb, w, cells = oracle_selection(grid, free, base)
+    for got, want in ((energy.la, la), (energy.lb, lb), (energy.w, w), (energy.cells, cells)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", selection_cases())
+def test_red_black_parity_is_the_index_sum_parity(case):
+    grid, free, base = case()
+    energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
+    *_, red = energy.red_black(np.zeros(free.size))
+    index = np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells)
+    np.testing.assert_array_equal(red, np.sum(index, axis=0) % 2 == 0)
