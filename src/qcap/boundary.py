@@ -216,8 +216,9 @@ def _inward_direction(b: np.ndarray, grid: GridDomain) -> np.ndarray:
     The centers are searched in a box of cells around ``grid.locate(b)``
     that doubles until b lies at least that reach from every side of the
     box with cells beyond it, so no center outside can qualify.  The box's
-    rows come in inside-enumeration order, so the mean is the one taken
-    over all inside centers, bit for bit.
+    centers come from ``grid.inside_centers_in`` in inside-enumeration
+    order, so the mean is the one taken over all inside centers, bit for
+    bit, and the grid's whole center array is never built.
     """
     idx, _ = grid.locate(b)
     cells = np.asarray(grid.cells)
@@ -226,8 +227,7 @@ def _inward_direction(b: np.ndarray, grid: GridDomain) -> np.ndarray:
     while True:
         lo = np.maximum(idx - r, 0)
         hi = np.minimum(idx + r + 1, cells)
-        rows = grid.inside_index[tuple(slice(a, z) for a, z in zip(lo, hi))]
-        centers = grid.inside_centers[rows[rows >= 0]]
+        centers = grid.inside_centers_in(tuple(slice(a, z) for a, z in zip(lo, hi)))
         whole = (lo == 0).all() and (hi == cells).all()
         if centers.size or whole:
             dist = radius(centers, b)

@@ -329,17 +329,19 @@ def _axis_centers(origin, cells, h: float) -> tuple:
     )
 
 
-def _cell_centers(origin, cells, h: float, where=None) -> np.ndarray:
-    """Centers of the cells of the grid with that origin, cells and h.
+def _cell_centers(axes, where=None) -> np.ndarray:
+    """Centers of the cells of the grid whose per-axis center vectors are ``axes``.
 
-    All of them, shape (*cells, n), or those of the boolean cell array
-    ``where`` in row-major order, shape (count, n).  Each coordinate is
-    filled from its ``_axis_centers`` vector, without a meshgrid.
+    ``axes`` are ``_axis_centers`` vectors, or slices of them, broadcasting
+    to the grid's shape.  All the centers, shape (*shape, n), or those of
+    the boolean cell array ``where`` in row-major order, shape (count, n).
+    Each coordinate is filled from its vector, without a meshgrid.
     """
-    n = len(cells)
-    out = np.empty((*cells, n) if where is None else (int(np.count_nonzero(where)), n))
-    for k, axis in enumerate(_axis_centers(origin, cells, h)):
-        out[..., k] = axis if where is None else np.broadcast_to(axis, cells)[where]
+    shape = np.broadcast_shapes(*(axis.shape for axis in axes))
+    n = len(axes)
+    out = np.empty((*shape, n) if where is None else (int(np.count_nonzero(where)), n))
+    for k, axis in enumerate(axes):
+        out[..., k] = axis if where is None else np.broadcast_to(axis, shape)[where]
     return out
 
 
@@ -404,7 +406,7 @@ class GridDomain:
 
     def all_centers(self) -> np.ndarray:
         """Centers of all cells, shape (*cells, n)."""
-        return _cell_centers(self.origin, self.cells, self.h)
+        return _cell_centers(self.axis_centers())
 
     def axis_centers(self) -> tuple:
         """Cell-center coordinates per axis, broadcasting to the grid's shape (``_axis_centers``)."""
@@ -421,9 +423,22 @@ class GridDomain:
     @cached_property
     def inside_centers(self) -> np.ndarray:
         """Centers of inside cells in enumeration order, shape (inside_count, n)."""
-        pts = _cell_centers(self.origin, self.cells, self.h, self.mask)
+        pts = self.inside_centers_in(())
         pts.setflags(write=False)
         return pts
+
+    def inside_centers_in(self, box: tuple) -> np.ndarray:
+        """Centers of the inside cells in ``box``, in enumeration order, shape (count, n).
+
+        ``box`` holds one slice per leading axis (step 1); the axes after it
+        are taken whole.  The rows are the matching rows of
+        ``inside_centers``, bit for bit, without building that cache.
+        """
+        axes = tuple(
+            axis[(slice(None),) * k + (box[k],)] if k < len(box) else axis
+            for k, axis in enumerate(self.axis_centers())
+        )
+        return _cell_centers(axes, self.mask[box])
 
     @cached_property
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -687,4 +702,4 @@ def point_diameter(pts: np.ndarray) -> float:
 
 def diameter(cells: np.ndarray, grid: GridDomain) -> float:
     """Largest distance between two cell centers of a cell set (``point_diameter``)."""
-    return point_diameter(_cell_centers(grid.origin, grid.cells, grid.h, cells.astype(bool)))
+    return point_diameter(_cell_centers(grid.axis_centers(), cells.astype(bool)))

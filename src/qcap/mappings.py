@@ -17,11 +17,15 @@ The distortion coefficient of a mapping phi over a domain Omega is
 with |Dphi| the operator norm and J the Jacobian determinant.  Cells where
 |J| vanishes contribute nothing if |Dphi| vanishes there too (the
 finite-distortion convention 0/0 = 0); otherwise they are flagged, excluded,
-and counted, and too many flagged cells fail the computation.
+and counted, and too many flagged cells fail the computation.  The cells
+are walked in slabs of whole rows along axis 0, so the computation holds
+one float per inside cell plus one slab's centers and Jacobian data, never
+the grid's whole center array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from .exponents import ExponentPair
 from .grid import Condenser, GridDomain, Region, radius, rasterize
 
 J_MIN = 1e-12  # below this |J| a cell counts as degenerate, not just small
+SLAB_CELLS = 2**16  # cells per slab of the distortion-coefficient walk, rounded to whole rows
 
 
 @dataclass
@@ -174,22 +179,35 @@ class MappedRegion(Region):
 def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> DistortionCoefficient:
     """K_{p,q}(m; dom) by midpoint quadrature (q < p) or cell-center maximum (q = p).
 
+    The inside cells are walked in slabs of whole rows along axis 0, about
+    ``SLAB_CELLS`` cells each.  Each slab's centers go through
+    ``m.jacobian``, and the quotients |Dphi|^p / |J| of its valid cells
+    fill the next part of one array of ``inside_count`` floats.  The max or
+    the sum is taken once over the filled part, so the result is that of a
+    single pass over ``dom.inside_centers``, bit for bit, in the memory of
+    one float per inside cell plus one slab.
+
     Raises DegenerateError when flagged cells (|J| ~ 0 with |Dphi| > 0)
     exceed 1% of the domain volume.
     """
     ExponentPair(dom.n, p, q)  # DomainError unless 1 < q <= p
-    jd = m.jacobian(dom.inside_centers, dom.n)
-    op = np.asarray(jd.op_norm, dtype=float)
-    det = np.abs(np.asarray(jd.jac_det, dtype=float))
-    flagged = jd.degenerate
-    zero = (det < J_MIN) & ~flagged
-    n_flagged = int(flagged.sum())
+    quotient = np.empty(dom.inside_count)
+    filled = n_flagged = 0
+    rows = max(1, SLAB_CELLS // math.prod(dom.cells[1:]))
+    for start in range(0, dom.cells[0], rows):
+        jd = m.jacobian(dom.inside_centers_in((slice(start, start + rows),)), dom.n)
+        op = np.asarray(jd.op_norm, dtype=float)
+        det = np.abs(np.asarray(jd.jac_det, dtype=float))
+        n_flagged += int(np.count_nonzero(jd.degenerate))
+        valid = ~(det < J_MIN)  # flagged and 0/0 cells both have |J| < J_MIN
+        part = op[valid] ** p / det[valid]
+        quotient[filled : filled + part.size] = part
+        filled += part.size
     if n_flagged > 0.01 * dom.inside_count:
         raise DegenerateError(
             f"{n_flagged} of {dom.inside_count} cells have degenerate Jacobian"
         )
-    valid = ~flagged & ~zero
-    quotient = op[valid] ** p / det[valid]
+    quotient = quotient[:filled]
     if q == p:
         value = float(np.max(quotient) ** (1.0 / p)) if quotient.size else 0.0
         return DistortionCoefficient(value, None, "ess_sup", n_flagged)

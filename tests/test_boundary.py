@@ -239,6 +239,17 @@ def test_estimate_cluster_set_radial_preimage():
     assert np.linalg.norm(np.asarray(est.points[0]) - want) < 3 * g.h
 
 
+def test_estimate_cluster_set_builds_no_center_array():
+    # the inward direction gathers its box's centers from the per-axis
+    # vectors, so the grid's whole center cache stays unbuilt
+    g = GridDomain.box(
+        2, (-2.2, -2.2), (128, 128), 4.4 / 128, Annulus((0.0, 0.0), 0.5, 2.0)
+    )
+    b = (2.0 * np.cos(0.3), 2.0 * np.sin(0.3))
+    estimate_cluster_set(RadialPower(2.0, (0.0, 0.0)).inverse(), b, sequences=5, depth=10, grid=g)
+    assert "inside_centers" not in g.__dict__
+
+
 def test_estimate_cluster_set_validation():
     g = GridDomain.box(
         2, (-2.2, -2.2), (128, 128), 4.4 / 128, Annulus((0.0, 0.0), 0.5, 2.0)

@@ -539,3 +539,10 @@ def test_cell_centers_are_the_meshgrid_centers(n, data):
     masked = GridDomain(n, origin, cells, h, mask)
     assert np.array_equal(masked.inside_centers, want[mask])
     assert np.array_equal(masked.inside_centers, masked.all_centers()[mask])
+    # a box of leading-axis slices gives its inside cells' rows of inside_centers
+    box = tuple(
+        slice(*sorted(data.draw(st.lists(st.integers(0, c), min_size=2, max_size=2))))
+        for c in cells[: data.draw(st.integers(0, n))]
+    )
+    rows = masked.inside_index[box]
+    assert np.array_equal(masked.inside_centers_in(box), masked.inside_centers[rows[rows >= 0]])

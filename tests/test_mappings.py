@@ -1,8 +1,12 @@
 """Mapping families, jacobians, distortion coefficients, pullbacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
+
+import qcap.mappings
 
 from qcap import (
     Affine,
@@ -200,6 +204,94 @@ def test_distortion_degenerate_cells():
     # a milder power keeps every cell valid
     k = distortion_coefficient(RadialPower(3.0, (0.0, 0.0)), g, 3.0, 2.0)
     assert k.flagged_cells == 0
+
+
+def whole_array_coefficient(m, g, p, q):
+    """K_{p,q} by one pass over ``g.inside_centers``: the oracle for the slab walk."""
+    jd = m.jacobian(g.inside_centers, g.n)
+    op = np.asarray(jd.op_norm, dtype=float)
+    det = np.abs(np.asarray(jd.jac_det, dtype=float))
+    flagged = jd.degenerate
+    zero = (det < qcap.mappings.J_MIN) & ~flagged
+    n_flagged = int(flagged.sum())
+    if n_flagged > 0.01 * g.inside_count:
+        raise DegenerateError(f"{n_flagged} of {g.inside_count} cells have degenerate Jacobian")
+    valid = ~flagged & ~zero
+    quotient = op[valid] ** p / det[valid]
+    if q == p:
+        value = float(np.max(quotient) ** (1.0 / p)) if quotient.size else 0.0
+        return value, None, "ess_sup", n_flagged
+    integral = float(np.sum(quotient ** (q / (p - q))) * g.h**g.n)
+    return integral ** ((p - q) / (p * q)), integral, "integral", n_flagged
+
+
+KCOEF_GRID = (2, (-2.0, -2.0), (1024, 1024), 4.0 / 1024, Annulus((0.0, 0.0), 0.5, 1.9))
+SLAB_GRIDS = {
+    # 218 rows per slab: three whole slabs and a part
+    "2d-701x300": (2, (-2.0, -1.0), (701, 300), 4.0 / 701, None),
+    "2d-1024-annulus": KCOEF_GRID,
+    "3d-70-ball": (3, (-1.5,) * 3, (70,) * 3, 3.0 / 70, Ball((0.1, -0.2, 0.05), 1.4)),
+}
+SLAB_MAPPINGS = {
+    "radial-0.7-off-centre": lambda n: RadialPower(0.7, (0.013, -0.021, 0.007)[:n]),
+    "radial-2": lambda n: RadialPower(2.0, (0.0,) * n),
+    "affine": lambda n: Affine(tuple(map(tuple, (np.eye(n) + 0.3 * np.eye(n, k=1)).tolist())), (0.5,) * n),
+}
+
+
+# q/(p-q) = 29 spreads the integrand over many magnitudes, so a sum taken
+# per slab, or in another order, reads differently in the last bits
+@pytest.mark.parametrize("pq", [(2.0, 2.0), (3.0, 2.0), (3.0, 2.9)], ids=["ess-sup", "integral", "integral-steep"])
+@pytest.mark.parametrize("mapping", list(SLAB_MAPPINGS))
+@pytest.mark.parametrize("grid", list(SLAB_GRIDS))
+def test_slab_walk_matches_the_whole_array_formula(grid, mapping, pq):
+    g = GridDomain.box(*SLAB_GRIDS[grid])
+    m = SLAB_MAPPINGS[mapping](g.n)
+    k = distortion_coefficient(m, g, *pq)
+    assert (k.value, k.integrand_integral, k.mode, k.flagged_cells) == whole_array_coefficient(m, g, *pq)
+
+
+def test_slab_walk_one_row_per_slab(monkeypatch):
+    # a slab smaller than a row still takes whole rows, one at a time
+    monkeypatch.setattr(qcap.mappings, "SLAB_CELLS", 100)
+    g = GridDomain.box(2, (-1.0, -1.0), (37, 130), 2.0 / 37, Annulus((0.0, 0.0), 0.2, 0.9))
+    m = RadialPower(0.7, (0.013, -0.021))
+    for pq in ((2.0, 2.0), (3.0, 1.5)):
+        k = distortion_coefficient(m, g, *pq)
+        assert (k.value, k.integrand_integral, k.mode, k.flagged_cells) == whole_array_coefficient(m, g, *pq)
+
+
+def test_slab_walk_counts_flagged_cells_over_slabs():
+    # x -> x|x|^7 flags the cells with 0.014 < r < 0.12: rows 451-572, two
+    # slabs of 64 rows; the error reports the count the whole array gives
+    g = GridDomain.box(2, (-1.0, -1.0), (1024, 1024), 2.0 / 1024)
+    m = RadialPower(8.0, (0.0, 0.0))
+    with pytest.raises(DegenerateError) as want:
+        whole_array_coefficient(m, g, 3.0, 2.0)
+    with pytest.raises(DegenerateError) as got:
+        distortion_coefficient(m, g, 3.0, 2.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_slab_walk_rejects_a_center_on_a_cell_center():
+    g = GridDomain.box(2, (-1.0, -1.0), (16, 16), 0.125)
+    with pytest.raises(DomainError, match="center"):
+        distortion_coefficient(RadialPower(0.7, (0.0625, 0.0625)), g, 2.0, 2.0)
+
+
+def test_distortion_coefficient_memory():
+    # tracemalloc peak on the lab-cli kcoef grid: 10.2 MB, 40.8 MB with the
+    # whole-array pass (its center array, Jacobians and masked copies)
+    g = GridDomain.box(*KCOEF_GRID)
+    g.inside_count
+    tracemalloc.start()
+    try:
+        k = distortion_coefficient(RadialPower(2.0, (0.0, 0.0)), g, 2.0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert peak < 12.7e6
 
 
 def test_exponent_validation():

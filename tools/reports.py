@@ -4,7 +4,9 @@
 
 For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 (read from this checkout; ``modulus`` also sets ``"csv": true``, so that
-its density CSV is compared too) and the seed's ``CAPS``, ``RINGS`` and
+its density CSV is compared too, and ``kcoef`` takes the seed's
+``KCOEF_EXPONENTS``, so that seed 1 compares the q < p integral) and the
+seed's ``CAPS``, ``RINGS`` and
 ``CALIBRATIONS`` configs, one config for each of the nine commands, are
 written once and run through ``python -m qcap.cli <command> --config ...
 --seed S`` in each checkout,
@@ -49,6 +51,8 @@ CAPS = {
 RINGS = {0: {"ring": {"n": 2, "p": 3.0, "r1": 1.0, "r2": 2.0}}, 1: {"ring": {"n": 3, "p": 3.0, "r1": 1.0, "r2": 2.0}}}
 _BENCH = {"n": 2, "r1": 1.0, "r2": 2.0, "half": 2.5, "resolutions": [32, 48]}
 CALIBRATIONS = {seed: {"calibration": {"benchmarks": [{**_BENCH, "p": p}]}} for seed, p in ((0, 2.0), (1, 1.5))}
+# The ess-sup branch (q = p) as the benchmark runs it, and the integral branch (q < p).
+KCOEF_EXPONENTS = {0: {"p": 2.0, "q": 2.0}, 1: {"p": 2.0, "q": 1.5}}
 
 
 def write_configs(configs: dict, out: Path) -> None:
@@ -121,6 +125,7 @@ def main(argv=None) -> int:
             work = Path(tmp) / f"seed{seed}"
             configs = {**lab_configs(seed), "cap": CAPS[seed], "ring": RINGS[seed], "calibrate": CALIBRATIONS[seed]}
             configs["modulus"] = {**configs["modulus"], "csv": True}
+            configs["kcoef"] = {**configs["kcoef"], "exponents": KCOEF_EXPONENTS[seed]}
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
