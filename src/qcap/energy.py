@@ -24,13 +24,14 @@ A field is a float array with one value per inside cell, in the grid's
 inside enumeration.  ``energy_value`` and ``energy_gradient`` sweep the
 whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
-its non-finite energy.  A solve moves only its free cells, and works on
-vectors x with one value per free cell: ``FreeEnergy``, built once per
-solve, fills in the plate values itself and gives the values and
-derivatives of the field so made from one pass over the faces that can
-carry a difference, and never sweeps the whole grid.  It selects those
-faces axis by axis, by shifted slices of a grid-shaped label array, so a
-solve never builds the full face list ``GridDomain.face_pairs``.
+its non-finite energy.  They sweep the field axis by axis on the shifted
+slices of ``GridDomain.inside_faces``, and each cell adds its face terms
+in the order of a ``bincount`` over ``GridDomain.face_pairs``, a list they
+never build.  A solve moves only its free cells, and works on vectors x
+with one value per free cell: ``FreeEnergy``, built once per solve, fills
+in the plate values itself and gives the values and derivatives of the
+field so made from one pass over the faces that can carry a difference,
+and never sweeps the whole grid; it too selects its faces axis by axis.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError, SingularityError
-from .grid import GridDomain, face_ranks
+from .grid import GridDomain
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,35 @@ class EnergyParams:
             raise DomainError(f"smoothing must satisfy eps >= 0, got {self.eps}")
 
 
-def _face_diffs(u: np.ndarray, grid: GridDomain) -> np.ndarray:
-    a, b = grid.face_pairs
-    d = u[b] - u[a]
-    d /= grid.h
-    return d
+def _face_sums(u: np.ndarray, grid: GridDomain, w=None):
+    """(A, B) on the grid: per cell, the sums of u's face terms over the faces it is the lo end of, and the hi end of.
+
+    Per axis of ``inside_faces``, d = (u[hi] - u[lo]) / h, 0.0 off ``both``, gives d^2 (w None) or w_f d,
+    w_f = w or w[lo] + w[hi] (w on the grid); then the cut weights, and h^(n-1) if w is given.  A cell
+    ends at most one face per axis on each side: it adds its terms in ``face_pairs`` order, plus 0.0s.
+    """
+    full = np.zeros(grid.cells)
+    full[grid.mask] = u
+    lo_sum, hi_sum = np.zeros(grid.cells), np.zeros(grid.cells)
+    for (lo, hi, both), (flat, weights) in zip(grid.inside_faces(), grid.cut_faces):
+        t = np.subtract(full[hi], full[lo], out=np.zeros(both.shape), where=both)
+        t /= grid.h
+        if w is None:
+            np.square(t, out=t)
+        else:
+            np.multiply(t, w if np.ndim(w) == 0 else w[lo] + w[hi], out=t, where=both)
+        t.reshape(-1)[flat] *= weights
+        if w is not None:
+            t *= grid.h ** (grid.n - 1)
+        lo_sum[lo] += t
+        hi_sum[hi] += t
+    return lo_sum, hi_sum
 
 
 def cell_gradient_sq(u: np.ndarray, grid: GridDomain) -> np.ndarray:
     """Per-cell squared gradient g_c (half of each incident face's weighted square)."""
-    a, b = grid.face_pairs
-    d2 = _face_diffs(u, grid) ** 2
-    faces, weights = grid.cut_faces
-    d2[faces] *= weights
-    m = grid.inside_count
-    return 0.5 * (np.bincount(a, weights=d2, minlength=m) + np.bincount(b, weights=d2, minlength=m))
+    lo_sum, hi_sum = _face_sums(u, grid)
+    return 0.5 * (lo_sum + hi_sum)[grid.mask]
 
 
 def _check_length(u: np.ndarray, grid: GridDomain) -> None:
@@ -97,19 +112,13 @@ def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np
     """Gradient of ``energy_value``; SingularityError if eps = 0, p < 2 and some g_c = 0."""
     _check_length(u, grid)
     p, eps = params.p, params.eps
-    a, b = grid.face_pairs
-    if p == 2:
-        # The cell weights (p/2) g^((p-2)/2) are all 1: the gradient is linear.
-        coef = 2.0 * _face_diffs(u, grid)
-    else:
-        w = _phi1(cell_gradient_sq(u, grid) + eps**2, p)
-        coef = w[a] + w[b]
-        coef *= _face_diffs(u, grid)
-    faces, weights = grid.cut_faces
-    coef[faces] *= weights
-    coef *= grid.h ** (grid.n - 1)
-    m = grid.inside_count
-    return np.bincount(b, weights=coef, minlength=m) - np.bincount(a, weights=coef, minlength=m)
+    # At p = 2 the cell weights (p/2) g^((p-2)/2) are all 1: the gradient is linear.
+    w = 2.0
+    if p != 2:
+        w = np.zeros(grid.cells)
+        w[grid.mask] = _phi1(cell_gradient_sq(u, grid) + eps**2, p)
+    lo_sum, hi_sum = _face_sums(u, grid, w)
+    return (hi_sum - lo_sum)[grid.mask]
 
 
 class FreeEnergy:
@@ -132,8 +141,8 @@ class FreeEnergy:
     cut face, 1 elsewhere).  The kept faces are found axis by axis, by
     shifted slices of a grid-shaped label array (``GridDomain.inside_faces``),
     and listed in ``face_pairs`` order, which is never built: their ends
-    come from ``inside_index`` on the slices, and their positions in that
-    order serve only to look up the ``cut_faces`` weights.
+    come from ``inside_index`` on the slices, and their flat indices serve
+    only to look up the axis's ``cut_faces`` weights.
 
     Three routes, one per job, on one pass over the kept faces, ``_diffs``,
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
@@ -159,21 +168,19 @@ class FreeEnergy:
         inner = (1 + 2 * base).astype(np.int8)
         inner[free] = 0
         label[grid.mask] = inner
-        a, b, sel = [], [], []
-        for lo, hi, both, offset in grid.inside_faces():
+        a, b, w = [], [], []
+        for (lo, hi, _), (flat, weights) in zip(grid.inside_faces(), grid.cut_faces):
             ends = label[lo] + label[hi]
             keep = (ends < 5) & (ends != 2)
             a.append(grid.inside_index[lo][keep])
             b.append(grid.inside_index[hi][keep])
-            sel.append(offset + face_ranks(both, np.flatnonzero(keep)))
-        a, b, sel = (np.concatenate(part) for part in (a, b, sel))
-        # sel, the kept faces' positions in face_pairs, serves only to look up the cut weights
-        self.w = np.ones(sel.size)
-        faces, weights = grid.cut_faces
-        pos = np.searchsorted(sel, faces)
-        hit = np.flatnonzero(pos < sel.size)
-        hit = hit[sel[pos[hit]] == faces[hit]]
-        self.w[pos[hit]] = weights[hit]
+            kept = np.flatnonzero(keep)
+            w.append(np.ones(kept.size))
+            pos = np.searchsorted(kept, flat)
+            hit = np.flatnonzero(pos < kept.size)
+            hit = hit[kept[pos[hit]] == flat[hit]]
+            w[-1][pos[hit]] = weights[hit]
+        a, b, self.w = (np.concatenate(part) for part in (a, b, w))
         near = np.zeros(m, dtype=bool)
         near[a] = True
         near[b] = True

@@ -28,11 +28,11 @@ one keeps theta = 1, the cell-center staircase.
 
 Cells are face-adjacent (4 neighbors in 2D, 6 in 3D), the stencil of the
 energy.  ``GridDomain.inside_faces`` gives each axis's faces as shifted
-slices of grid-shaped arrays.  The full face list, ``GridDomain.face_pairs``,
-is built from them on first use; the whole-grid ``energy_value`` and
-``energy_gradient`` sum over it and ``graph_distance`` searches it as a
-graph.  A solve never builds it: ``GridDomain.cut_faces`` and
-``FreeEnergy`` select their faces axis by axis on the slices.
+slices of grid-shaped arrays, and every face sweep of the package works on
+them: the whole-grid energy kernels, ``FreeEnergy``'s face selection,
+``graph_distance``'s edge lists and ``GridDomain.cut_faces``, which keys
+each cut face by its axis and its flat index in that axis's face array.
+The full face list, ``GridDomain.face_pairs``, is built only on request.
 ``connected`` labels components with the same face structuring element.
 """
 
@@ -99,13 +99,17 @@ def connected(cells: np.ndarray) -> bool:
 def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
     """Face-hop count (int32) from the inside cells in ``sources`` to every inside cell.
 
-    One multi-source search of the graph ``grid.face_pairs``; the result is
-    in inside enumeration.  The inside cells form one component, so every
-    count is finite once ``sources`` holds an inside cell.
+    One multi-source search of the face graph, built on int32 indices from
+    ``inside_faces``; the result is in inside enumeration.  The inside cells
+    form one component, so every count is finite once ``sources`` holds an
+    inside cell.
     """
     # csgraph searches int32 indices; it would copy a graph built on int64 ones
-    a, b = (x.astype(np.int32) for x in grid.face_pairs)
     m = grid.inside_count
+    idx = np.full(grid.cells, -1, dtype=np.int32)
+    idx[grid.mask] = np.arange(m, dtype=np.int32)
+    parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both in grid.inside_faces()]
+    a, b = (np.concatenate(side) for side in zip(*parts))
     faces = sp.csr_array((np.ones(a.size), (a, b)), shape=(m, m))
     starts = np.flatnonzero(sources[grid.mask])
     hops = dijkstra(faces, directed=False, indices=starts, unweighted=True, min_only=True)
@@ -444,11 +448,11 @@ class GridDomain:
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Inside-enumeration indices (a, b) of all face-adjacent inside pairs.
 
-        Faces are listed axis by axis in row-major order, so the order (and
-        with it every reduction over faces) is deterministic.
+        Faces are listed axis by axis in row-major order.  No face sweep of
+        the package builds this list: each works on ``inside_faces``.
         """
         idx = self.inside_index
-        parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both, _ in self.inside_faces()]
+        parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both in self.inside_faces()]
         a, b = (np.concatenate(side) for side in zip(*parts))
         a.setflags(write=False)
         b.setflags(write=False)
@@ -466,21 +470,20 @@ class GridDomain:
         return out
 
     @cached_property
-    def cut_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Faces cut by an embedded plate boundary, with their weights 1/theta.
+    def cut_faces(self) -> tuple:
+        """Faces cut by an embedded plate boundary, with their weights 1/theta, per axis.
 
-        Returns (faces, weights): positions in ``face_pairs`` of the faces
-        between a free cell and a plate cell whose theta is below 1, and
-        1/theta for each.  theta is the fraction of the segment from the
-        free cell's center to the plate cell's center that lies outside the
-        plate region.  It is 1 when the plate records no region or the
-        region does not separate the two centers.
+        Returns one (flat, weights) pair per axis, in ``inside_faces`` order:
+        the flat indices, in an array of the axis's ``both`` shape, of the
+        faces between a free cell and a plate cell whose theta is below 1,
+        ascending, and 1/theta for each.  theta is the fraction of the
+        segment from the free cell's center to the plate cell's center that
+        lies outside the plate region.  It is 1 when the plate records no
+        region or the region does not separate the two centers.
 
-        The faces are found axis by axis, by shifted slices of a grid-shaped
-        plate-owner array, and ``face_pairs`` is not built: a position is
-        the axis's offset plus the face's rank among the axis's inside
-        faces (``inside_faces``).  A segment runs along its face's axis, so
-        only that coordinate is bisected (``_cut_fraction``).
+        The faces are found by shifted slices of a grid-shaped plate-owner
+        array.  A segment runs along its face's axis, so only that
+        coordinate is bisected (``_cut_fraction``).
         """
         owner = np.full(self.cells, -1, dtype=np.int8)
         for k, (cells, _) in enumerate(self.plates):
@@ -488,8 +491,8 @@ class GridDomain:
         plate = owner >= 0
         free = self.mask & ~plate
         centers = [c.ravel() for c in self.axis_centers()]
-        faces, weights = [], []
-        for axis, (lo, hi, both, offset) in enumerate(self.inside_faces()):
+        out = []
+        for axis, (lo, hi, _) in enumerate(self.inside_faces()):
             a_plate = plate[lo] & free[hi]
             cut = a_plate | (free[lo] & plate[hi])
             flat = np.flatnonzero(cut)
@@ -505,27 +508,21 @@ class GridDomain:
                     xs = [c[i[sel]] for c, i in zip(centers, ijk)]
                     w[sel] = 1.0 / _cut_fraction(region, xs, axis, start[sel], stop[sel])
             keep = w != 1.0
-            faces.append(offset + face_ranks(both, flat[keep]))
-            weights.append(w[keep])
-        faces, weights = np.concatenate(faces), np.concatenate(weights)
-        faces.setflags(write=False)
-        weights.setflags(write=False)
-        return faces, weights
+            out.append((flat[keep], w[keep]))
+            for part in out[-1]:
+                part.setflags(write=False)
+        return tuple(out)
 
     def inside_faces(self):
-        """Each axis's faces as shifted slices: one (lo, hi, both, offset) per axis.
+        """Each axis's faces as shifted slices: one (lo, hi, both) per axis.
 
-        lo and hi are the axis's shift slices, ``both`` = mask[lo] & mask[hi]
-        flags its inside faces, and offset counts the inside faces of the
-        earlier axes.  The face at flat index i of an array of ``both``'s
-        shape is at position offset + ``face_ranks(both, i)`` of ``face_pairs``.
+        lo and hi are the axis's shift slices, and ``both`` = mask[lo] &
+        mask[hi] flags its inside faces: the face at index i of an array of
+        ``both``'s shape joins cell lo-slice i to cell hi-slice i.
         """
-        offset = 0
         for axis in range(self.n):
             lo, hi = _shift_slices(self.n, axis)
-            both = self.mask[lo] & self.mask[hi]
-            yield lo, hi, both, offset
-            offset += int(np.count_nonzero(both))
+            yield lo, hi, self.mask[lo] & self.mask[hi]
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to cell multi-indices.
@@ -555,16 +552,6 @@ def rasterize(region, grid: GridDomain) -> np.ndarray:
     The predicate runs on the grid's per-axis centers; no center array is built.
     """
     return region.contains_axes(grid.axis_centers()) & grid.mask
-
-
-def face_ranks(both: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Ranks among the faces ``both`` flags, in row-major order, of the flagged faces at the flat indices ``flat``.
-
-    On a full box every face is flagged and the rank is the flat index.
-    """
-    if both.all():
-        return flat
-    return np.cumsum(both)[flat] - 1
 
 
 def _cut_fraction(region, xs: list, axis: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:

@@ -181,17 +181,18 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
 
     The inside cells are walked in slabs of whole rows along axis 0, about
     ``SLAB_CELLS`` cells each.  Each slab's centers go through
-    ``m.jacobian``, and the quotients |Dphi|^p / |J| of its valid cells
-    fill the next part of one array of ``inside_count`` floats.  The max or
-    the sum is taken once over the filled part, so the result is that of a
-    single pass over ``dom.inside_centers``, bit for bit, in the memory of
-    one float per inside cell plus one slab.
+    ``m.jacobian``.  For q = p each slab keeps the max of the quotients
+    |Dphi|^p / |J| of its valid cells; for q < p they fill the next part of
+    one array of ``inside_count`` floats, summed once over the filled part.
+    So the result is that of a single pass over ``dom.inside_centers``, bit
+    for bit, in the memory of one slab (plus one float per cell for q < p).
 
     Raises DegenerateError when flagged cells (|J| ~ 0 with |Dphi| > 0)
     exceed 1% of the domain volume.
     """
     ExponentPair(dom.n, p, q)  # DomainError unless 1 < q <= p
-    quotient = np.empty(dom.inside_count)
+    maxima = []
+    quotient = None if q == p else np.empty(dom.inside_count)
     filled = n_flagged = 0
     rows = max(1, SLAB_CELLS // math.prod(dom.cells[1:]))
     for start in range(0, dom.cells[0], rows):
@@ -201,17 +202,21 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
         n_flagged += int(np.count_nonzero(jd.degenerate))
         valid = ~(det < J_MIN)  # flagged and 0/0 cells both have |J| < J_MIN
         part = op[valid] ** p / det[valid]
-        quotient[filled : filled + part.size] = part
-        filled += part.size
+        if quotient is None:
+            if part.size:
+                maxima.append(np.max(part))
+        else:
+            quotient[filled : filled + part.size] = part
+            filled += part.size
     if n_flagged > 0.01 * dom.inside_count:
         raise DegenerateError(
             f"{n_flagged} of {dom.inside_count} cells have degenerate Jacobian"
         )
-    quotient = quotient[:filled]
-    if q == p:
-        value = float(np.max(quotient) ** (1.0 / p)) if quotient.size else 0.0
+    if quotient is None:
+        # np.max, not max: a NaN quotient gives a NaN K, as one pass over every cell does
+        value = float(np.max(maxima) ** (1.0 / p)) if maxima else 0.0
         return DistortionCoefficient(value, None, "ess_sup", n_flagged)
-    integral = float(np.sum(quotient ** (q / (p - q))) * dom.h**dom.n)
+    integral = float(np.sum(quotient[:filled] ** (q / (p - q))) * dom.h**dom.n)
     return DistortionCoefficient(integral ** ((p - q) / (p * q)), integral, "integral", n_flagged)
 
 

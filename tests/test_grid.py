@@ -270,19 +270,20 @@ def test_cut_face_weights():
     f = np.zeros(g.cells, dtype=bool)
     f[-1, :] = True
     cond = Condenser(e, f, g, region_e, None)
-    faces, weights = cond.domain.cut_faces
-    a, b = g.face_pairs
-    column = np.argwhere(g.mask)[:, 0]
-    row = np.argwhere(g.mask)[:, 1]
-    want = np.flatnonzero((column[a] == 1) & (column[b] == 2) & (row[a] == row[b]))
+    (faces, weights), (across, _) = cond.domain.cut_faces
+    # the axis-0 faces from column 1 to column 2, at flat indices of the (7, 3) face array
+    want = np.ravel_multi_index((np.ones(3, dtype=int), np.arange(3)), (7, 3))
     np.testing.assert_array_equal(faces, want)
+    assert across.size == 0
     np.testing.assert_allclose(weights, 4.0, rtol=1e-12)
     # the swapped condenser cuts the same faces; a bare grid cuts none
-    np.testing.assert_array_equal(cond.swapped().domain.cut_faces[0], want)
-    assert g.cut_faces[0].size == 0
+    swapped = cond.swapped().domain.cut_faces
+    np.testing.assert_array_equal(swapped[0][0], want)
+    assert swapped[1][0].size == 0
+    assert not any(flat.size for flat, _ in g.cut_faces)
     # the energy weights exactly those faces: (4 - 1) * sum of their squares
     u = np.random.default_rng(4).uniform(0.0, 1.0, g.inside_count)
-    extra = 3.0 * np.sum((u[b[want]] - u[a[want]]) ** 2)
+    extra = 3.0 * np.sum((u[g.inside_index[2]] - u[g.inside_index[1]]) ** 2)
     params = EnergyParams(2.0)
     assert energy_value(u, cond.domain, params) - energy_value(u, g, params) == pytest.approx(extra, rel=1e-12)
 

@@ -1,11 +1,17 @@
-"""A solve's faces from per-axis slices against the full face list they replaced.
+"""Per-axis face sweeps against the full face list they replaced.
 
-``GridDomain.cut_faces`` and the face selection of ``FreeEnergy`` find their
-faces axis by axis on grid-shaped arrays and never build ``face_pairs``.
-The oracles below are the full-face-list versions: plate owners and labels
-gathered over ``face_pairs``, and each cut segment bisected as stacked
-(N, n) points through ``Region.contains``.  Every array must match exactly.
+``GridDomain.cut_faces``, the face selection of ``FreeEnergy``, the
+whole-grid kernels ``cell_gradient_sq``, ``energy_value`` and
+``energy_gradient``, and ``graph_distance`` work axis by axis on
+grid-shaped arrays and never build ``face_pairs``.  The oracles below are
+the full-face-list versions: plate owners and labels gathered over
+``face_pairs``, each cut segment bisected as stacked (N, n) points through
+``Region.contains``, and the kernels summed by ``bincount`` over the face
+list, with the cut weights at face-list positions.  Every array must match
+exactly.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +19,16 @@ import pytest
 from qcap import (
     Ball,
     Condenser,
+    DomainError,
     GridDomain,
     RadialPower,
+    SingularityError,
     make_ring_condenser,
     pullback_condenser,
     rasterize,
 )
-from qcap.energy import EnergyParams, FreeEnergy
-from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union
+from qcap.energy import EnergyParams, FreeEnergy, _check_length, _phi1, cell_gradient_sq, energy_gradient, energy_value
+from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union, graph_distance
 
 
 def oracle_cut_fraction(region, start, stop):
@@ -36,8 +44,8 @@ def oracle_cut_fraction(region, start, stop):
     return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
 
 
-def oracle_cut_faces(grid):
-    """(faces, weights) from plate owners gathered over the whole face list."""
+def oracle_cut_positions(grid):
+    """(faces, weights) from plate owners gathered over the whole face list; faces are ``face_pairs`` positions."""
     a, b = grid.face_pairs
     inside_flat = np.flatnonzero(grid.mask)
 
@@ -62,6 +70,62 @@ def oracle_cut_faces(grid):
     return faces[keep], weights[keep]
 
 
+def face_keys(grid):
+    """(axis, flat) of each ``face_pairs`` face: its axis, and its flat index in an array of that axis's face shape."""
+    a, b = grid.face_pairs
+    inside_flat = np.flatnonzero(grid.mask)
+    ia = np.stack(np.unravel_index(inside_flat[a], grid.cells))
+    ib = np.stack(np.unravel_index(inside_flat[b], grid.cells))
+    axis = np.argmax(ib - ia, axis=0)
+    flat = np.empty(a.size, dtype=np.int64)
+    for k in range(grid.n):
+        on = axis == k
+        shape = tuple(c - 1 if j == k else c for j, c in enumerate(grid.cells))
+        flat[on] = np.ravel_multi_index(tuple(ia[:, on]), shape)
+    return axis, flat
+
+
+def oracle_cut_faces(grid):
+    """``oracle_cut_positions`` keyed per axis: one (flat, weights) pair per axis."""
+    faces, weights = oracle_cut_positions(grid)
+    axis, flat = face_keys(grid)
+    return tuple((flat[faces[axis[faces] == k]], weights[axis[faces] == k]) for k in range(grid.n))
+
+
+def oracle_cell_gradient_sq(u, grid):
+    """``cell_gradient_sq`` by ``bincount`` over the face list."""
+    a, b = grid.face_pairs
+    d2 = ((u[b] - u[a]) / grid.h) ** 2
+    faces, weights = oracle_cut_positions(grid)
+    d2[faces] *= weights
+    m = grid.inside_count
+    return 0.5 * (np.bincount(a, weights=d2, minlength=m) + np.bincount(b, weights=d2, minlength=m))
+
+
+def oracle_energy_value(u, grid, params):
+    _check_length(u, grid)
+    g = oracle_cell_gradient_sq(u, grid)
+    return float(np.sum((g + params.eps**2) ** (params.p / 2)) * grid.h**grid.n)
+
+
+def oracle_energy_gradient(u, grid, params):
+    _check_length(u, grid)
+    p, eps = params.p, params.eps
+    a, b = grid.face_pairs
+    d = (u[b] - u[a]) / grid.h
+    if p == 2:
+        coef = 2.0 * d
+    else:
+        w = _phi1(oracle_cell_gradient_sq(u, grid) + eps**2, p)
+        coef = w[a] + w[b]
+        coef *= d
+    faces, weights = oracle_cut_positions(grid)
+    coef[faces] *= weights
+    coef *= grid.h ** (grid.n - 1)
+    m = grid.inside_count
+    return np.bincount(b, weights=coef, minlength=m) - np.bincount(a, weights=coef, minlength=m)
+
+
 def oracle_selection(grid, free, base):
     """(la, lb, w, cells) of ``FreeEnergy`` from labels gathered over the whole face list."""
     a, b = grid.face_pairs
@@ -72,7 +136,7 @@ def oracle_selection(grid, free, base):
     keep = (ends != 2) & (ends != 6)
     sel = np.flatnonzero(keep)
     w = np.ones(sel.size)
-    faces, weights = oracle_cut_faces(grid)
+    faces, weights = oracle_cut_positions(grid)
     hit = keep[faces]
     w[np.searchsorted(sel, faces[hit])] = weights[hit]
     near = np.zeros(m, dtype=bool)
@@ -168,13 +232,15 @@ def selection_cases():
 @pytest.mark.parametrize("name", list(CONDENSERS))
 def test_cut_faces_match_the_face_list_oracle(name):
     cond = CONDENSERS[name]()
-    faces, weights = cond.domain.cut_faces
+    got = cond.domain.cut_faces
     assert "face_pairs" not in cond.domain.__dict__
-    want_faces, want_weights = oracle_cut_faces(cond.domain)
-    assert faces.dtype == want_faces.dtype
-    np.testing.assert_array_equal(faces, want_faces)
-    np.testing.assert_array_equal(weights, want_weights)
-    assert (faces.size == 0) == (name == "no-regions")
+    want = oracle_cut_faces(cond.domain)
+    assert len(got) == len(want) == cond.domain.n
+    for (faces, weights), (want_faces, want_weights) in zip(got, want):
+        assert faces.dtype == want_faces.dtype
+        np.testing.assert_array_equal(faces, want_faces)
+        np.testing.assert_array_equal(weights, want_weights)
+    assert (sum(faces.size for faces, _ in got) == 0) == (name == "no-regions")
 
 
 @pytest.mark.parametrize("case", selection_cases())
@@ -195,3 +261,100 @@ def test_red_black_parity_is_the_index_sum_parity(case):
     *_, red = energy.red_black(np.zeros(free.size))
     index = np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells)
     np.testing.assert_array_equal(red, np.sum(index, axis=0) % 2 == 0)
+
+
+def masked_annulus():
+    """The ring (1, 2) on the 96² grid masked to the annulus 0.5 < |x| < 2.45: E is an annulus too."""
+    return ring(2, 96, Intersection((Ball((0.0, 0.0), 2.45), Complement(Ball((0.0, 0.0), 0.5)))))
+
+
+def one_cell_thick():
+    """A 3D grid one cell thick along axis 1, with box plates at both ends of axis 0 that cut their faces at theta = 0.1."""
+    g = GridDomain.box(3, (0.0, 0.0, 0.0), (12, 1, 9), 0.25)
+    e_region = Box((-1.0, -1.0, -1.0), (0.6, 1.0, 3.0))
+    f_region = Box((2.4, -1.0, -1.0), (4.0, 1.0, 3.0))
+    return Condenser(rasterize(e_region, g), rasterize(f_region, g), g, e_region, f_region)
+
+
+KERNEL_CONDENSERS = {
+    "ring-2d-256": lambda: ring(2, 256),
+    "ring-3d-32": lambda: ring(3, 32),
+    "masked-annulus": masked_annulus,
+    "one-cell-thick": one_cell_thick,
+    "holed-mask": holed_mask,
+}
+
+
+def kernel_fields(cond):
+    """A random field, and the same field constant on E, whose inner E cells have g = 0."""
+    u = np.random.default_rng(2).uniform(-1.0, 2.0, cond.domain.inside_count)
+    flat_e = u.copy()
+    flat_e[cond.e_indices] = 0.5
+    return u, flat_e
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", list(KERNEL_CONDENSERS))
+def test_kernels_match_the_face_list_oracle(name, p, eps):
+    cond = KERNEL_CONDENSERS[name]()
+    grid, params = cond.domain, EnergyParams(p, eps)
+    assert any(flat.size for flat, _ in grid.cut_faces)
+    for u in kernel_fields(cond):
+        g = cell_gradient_sq(u, grid)
+        value = energy_value(u, grid, params)
+        singular = p < 2 and eps == 0 and not g.all()
+        if singular:
+            with pytest.raises(SingularityError):
+                energy_gradient(u, grid, params)
+        else:
+            grad = energy_gradient(u, grid, params)
+        assert "face_pairs" not in grid.__dict__
+        want = oracle_cell_gradient_sq(u, grid)
+        assert g.dtype == want.dtype and np.array_equal(g, want)
+        assert value == oracle_energy_value(u, grid, params)
+        if singular:
+            with pytest.raises(SingularityError):
+                oracle_energy_gradient(u, grid, params)
+        else:
+            want = oracle_energy_gradient(u, grid, params)
+            assert grad.dtype == want.dtype and np.array_equal(grad, want)
+        grid.__dict__.pop("face_pairs")
+    # the constant-on-E field takes the singular path exactly at p < 2, eps = 0
+    assert singular == (p < 2 and eps == 0)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONDENSERS))
+def test_kernels_reject_a_field_of_another_length(name):
+    grid = KERNEL_CONDENSERS[name]().domain
+    for size in (grid.inside_count - 1, grid.inside_count + 1):
+        for kernel in (energy_value, energy_gradient, oracle_energy_value, oracle_energy_gradient):
+            with pytest.raises(DomainError):
+                kernel(np.zeros(size), grid, EnergyParams(1.5, 1e-3))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONDENSERS))
+def test_whole_grid_sweeps_build_no_face_list(name):
+    cond = KERNEL_CONDENSERS[name]()
+    grid = cond.domain
+    u, _ = kernel_fields(cond)
+    cell_gradient_sq(u, grid)
+    energy_value(u, grid, EnergyParams(1.5))
+    energy_gradient(u, grid, EnergyParams(2.0))
+    energy_gradient(u, grid, EnergyParams(3.0, 1e-3))
+    graph_distance(grid, cond.E)
+    assert "face_pairs" not in grid.__dict__
+
+
+def test_first_energy_gradient_memory():
+    # tracemalloc peak of a first p = 2 gradient on the criterion-2 ring (3D
+    # 64³), its cut faces included: 11.1 MB, 29.2 MB with the face list
+    cond = ring(3, 64)
+    u = np.random.default_rng(0).uniform(size=cond.domain.inside_count)
+    tracemalloc.start()
+    try:
+        energy_gradient(u, cond.domain, EnergyParams(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.0e6
