@@ -12,10 +12,13 @@ coordinates: n arrays that broadcast together, with no reduction over a
 short trailing axis.  ``contains`` passes it the views ``pts[..., k]`` of a
 point array of shape (..., n); ``rasterize`` and ``GridDomain.box`` pass the
 grid's n center vectors, shaped (c, 1[, 1]), (1, c[, 1]), ..., so the
-(*cells, n) center array is never built and a distance is the one
-full-size float array of a rasterization.  Every distance accumulates its
-squares in axis order, as ``radius`` does, which is bit for bit
-``np.linalg.norm(pts - center, axis=-1)``; a box ANDs its per-axis bounds.
+(*cells, n) center array is never built.  They run the predicate on slabs
+of whole rows along axis 0 (``row_slabs``, about ``SLAB_CELLS`` cells
+each, the slabs ``distortion_coefficient`` walks too), each written into
+one bool array, so a distance is one slab's size.  Every distance
+accumulates its squares in axis order, as ``radius`` does, which is bit
+for bit ``np.linalg.norm(pts - center, axis=-1)``; a box ANDs its
+per-axis bounds.
 Only ``MappedRegion`` stacks its coordinates into points.
 
 A condenser's domain embeds its plates: a face between a free cell and a
@@ -32,7 +35,10 @@ slices of grid-shaped arrays, and every face sweep of the package works on
 them: the whole-grid energy kernels, ``FreeEnergy``'s face selection,
 ``graph_distance``'s edge lists and ``GridDomain.cut_faces``, which keys
 each cut face by its axis and its flat index in that axis's face array.
-The full face list, ``GridDomain.face_pairs``, is built only on request.
+The full face list, ``GridDomain.face_pairs``, is built only on request,
+and so is the int64 map from cell to inside enumeration,
+``GridDomain.inside_index``: a condenser's plate indices and a solve's
+index arrays do without it.
 ``connected`` labels components with the same face structuring element.
 """
 
@@ -55,12 +61,33 @@ from .exceptions import DomainError, EmptySetError, GeometryError
 # which bounds the face weight at 1e6).
 CUT_BISECTIONS = 40
 THETA_MIN = 1e-6
+# Cells per slab of a walk over a grid in whole rows along axis 0
+# (rasterization, the distortion coefficient), rounded to whole rows.
+SLAB_CELLS = 2**16
 
 
 def _shift_slices(ndim: int, axis: int) -> tuple[tuple, tuple]:
     lo = tuple(slice(None, -1) if k == axis else slice(None) for k in range(ndim))
     hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(ndim))
     return lo, hi
+
+
+def row_slabs(cells: tuple) -> list:
+    """Slices of whole rows along axis 0 of a grid of shape ``cells``, about ``SLAB_CELLS`` cells (and one row at least) each."""
+    rows = max(1, SLAB_CELLS // math.prod(cells[1:]))
+    return [slice(start, start + rows) for start in range(0, cells[0], rows)]
+
+
+def _region_cells(region, axes: tuple, cells: tuple) -> np.ndarray:
+    """``region.contains_axes(axes)`` on the grid of shape ``cells``, run per ``row_slabs`` slab into one bool array.
+
+    The predicates are elementwise, so the result is bit for bit that of
+    one call on the whole grid, with temporaries of one slab's size.
+    """
+    out = np.empty(cells, dtype=bool)
+    for slab in row_slabs(cells):
+        out[slab] = region.contains_axes((axes[0][slab], *axes[1:]))
+    return out
 
 
 def dilate_faces(cells: np.ndarray) -> np.ndarray:
@@ -397,7 +424,7 @@ class GridDomain:
         if region is None:
             mask = np.ones(cells, dtype=bool)
         else:
-            mask = region.contains_axes(_axis_centers(origin, cells, h))
+            mask = _region_cells(region, _axis_centers(origin, cells, h), cells)
         return cls(n, tuple(origin), cells, h, mask)
 
     @property
@@ -549,9 +576,13 @@ class GridDomain:
 def rasterize(region, grid: GridDomain) -> np.ndarray:
     """Cell set of inside cells whose centers satisfy the region predicate.
 
-    The predicate runs on the grid's per-axis centers; no center array is built.
+    The predicate runs on the grid's per-axis centers, slab by slab of whole
+    rows along axis 0 (``row_slabs``); no center array is built, and a
+    distance is one slab's size.
     """
-    return region.contains_axes(grid.axis_centers()) & grid.mask
+    out = _region_cells(region, grid.axis_centers(), grid.cells)
+    out &= grid.mask
+    return out
 
 
 def _cut_fraction(region, xs: list, axis: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -623,11 +654,13 @@ class Condenser:
 
     @cached_property
     def e_indices(self) -> np.ndarray:
-        return self.domain.inside_index[self.E]
+        """Inside-enumeration indices of the cells of E, ascending (``inside_index[E]``, without building that map)."""
+        return np.flatnonzero(self.E[self.domain.mask])
 
     @cached_property
     def f_indices(self) -> np.ndarray:
-        return self.domain.inside_index[self.F]
+        """Inside-enumeration indices of the cells of F, as ``e_indices``."""
+        return np.flatnonzero(self.F[self.domain.mask])
 
     def swapped(self) -> "Condenser":
         return Condenser(self.F, self.E, self.domain, self.region_f, self.region_e)

@@ -25,17 +25,15 @@ the grid's whole center array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, GeometryError
 from .exponents import ExponentPair
-from .grid import Condenser, GridDomain, Region, radius, rasterize
+from .grid import Condenser, GridDomain, Region, radius, rasterize, row_slabs
 
 J_MIN = 1e-12  # below this |J| a cell counts as degenerate, not just small
-SLAB_CELLS = 2**16  # cells per slab of the distortion-coefficient walk, rounded to whole rows
 
 
 @dataclass
@@ -179,11 +177,12 @@ class MappedRegion(Region):
 def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> DistortionCoefficient:
     """K_{p,q}(m; dom) by midpoint quadrature (q < p) or cell-center maximum (q = p).
 
-    The inside cells are walked in slabs of whole rows along axis 0, about
-    ``SLAB_CELLS`` cells each.  Each slab's centers go through
-    ``m.jacobian``.  For q = p each slab keeps the max of the quotients
-    |Dphi|^p / |J| of its valid cells; for q < p they fill the next part of
-    one array of ``inside_count`` floats, summed once over the filled part.
+    The inside cells are walked in the slabs of whole rows along axis 0
+    that rasterization uses (``grid.row_slabs``, about ``SLAB_CELLS``
+    cells each).  Each slab's centers go through ``m.jacobian``.  For
+    q = p each slab keeps the max of the quotients |Dphi|^p / |J| of its
+    valid cells; for q < p they fill the next part of one array of
+    ``inside_count`` floats, summed once over the filled part.
     So the result is that of a single pass over ``dom.inside_centers``, bit
     for bit, in the memory of one slab (plus one float per cell for q < p).
 
@@ -194,9 +193,8 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
     maxima = []
     quotient = None if q == p else np.empty(dom.inside_count)
     filled = n_flagged = 0
-    rows = max(1, SLAB_CELLS // math.prod(dom.cells[1:]))
-    for start in range(0, dom.cells[0], rows):
-        jd = m.jacobian(dom.inside_centers_in((slice(start, start + rows),)), dom.n)
+    for slab in row_slabs(dom.cells):
+        jd = m.jacobian(dom.inside_centers_in((slab,)), dom.n)
         op = np.asarray(jd.op_norm, dtype=float)
         det = np.abs(np.asarray(jd.jac_det, dtype=float))
         n_flagged += int(np.count_nonzero(jd.degenerate))

@@ -1,6 +1,7 @@
-"""The paired verdicts of ``tools/bench.py`` on synthetic samples."""
+"""The paired verdicts of ``tools/bench.py`` on synthetic samples, and its runs on stub roots."""
 
 import importlib.util
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,38 @@ def test_flagged_lines_name_workload_and_metric():
     lines = bench.flagged({"ring-p2": {"metrics": {"wall_s": entry}}}, "beyond_bound")
     assert lines == ["ring-p2 wall_s: 1.045 -> 1.5675 (+50.0%), pairs won 0/10, parent spread 0.045"]
     assert bench.flagged({"ring-p2": {"metrics": {"wall_s": entry}}}, "gain") == []
+
+
+STUB_RUN = """
+import json
+import sys
+
+# touch {mb} MB, page by page, before printing the record and the result lines
+block = b"x" * ({mb} << 20)
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({{"record": {{"machine": {{"stub": {mb}}}}}}}))
+print(json.dumps({{"metrics": {{"wall_s": {{"value": 0.5 + seed}}}}, "failed": 0, "attempted": 2}}))
+"""
+
+
+def stub_root(path, mb):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(textwrap.dedent(STUB_RUN.format(mb=mb)), encoding="utf-8")
+    return path
+
+
+def test_runs_record_their_minor_page_faults(tmp_path):
+    # the change side's stub touches 32 MB more, about 8192 more 4 KiB pages per run
+    bench = _load_bench()
+    roots = {"change": stub_root(tmp_path / "change", 40), "parent": stub_root(tmp_path / "parent", 8)}
+    out = bench.bench_workload(roots, "ring-p2", 3, 5, 1.0, [LOWER])
+    assert out["seeds"] == [5, 6, 7]
+    assert out["metrics"]["wall_s"]["change"]["samples"] == [5.5, 6.5, 7.5]
+    assert out["fail_frac"] == {"change": 0.0, "parent": 0.0}
+    assert out["machine"] == {"change": {"stub": 40}, "parent": {"stub": 8}}
+    faults = out["minor_faults"]
+    assert set(faults) == {"change", "parent"}
+    for side in faults.values():
+        assert len(side["samples"]) == 3 and all(isinstance(x, int) and x > 0 for x in side["samples"])
+        assert set(side) == {"median", "q1", "q3", "samples"}
+    assert min(faults["change"]["samples"]) > max(faults["parent"]["samples"]) + 4000

@@ -745,14 +745,15 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
 
 @pytest.mark.parametrize(
     "n, p, cells, cap",
-    [(3, 2.0, 64, 23.7e6), (2, 1.5, 256, 10.3e6)],
+    [(3, 2.0, 64, 22.0e6), (2, 1.5, 256, 10.3e6)],
     ids=["criterion-2", "criterion-3"],
 )
 def test_solve_memory(n, p, cells, cap):
-    # tracemalloc peaks: criterion 2 22.5 MB, 36.1 with the full face list
-    # built before FreeEnergy selects its faces; criterion 3 9.4 MB, 11.5
-    # with the face list, 14.2 with each Newton step's Hessian kept until
-    # the next one is built
+    # tracemalloc peaks: criterion 2 17.6 MB, 22.5 with the int64 face ends
+    # and grid map of the set-up, 36.1 with the full face list built before
+    # FreeEnergy selects its faces; criterion 3 8.9 MB, 9.4 with the int64
+    # set-up, 11.5 with the face list, 14.2 with each Newton step's Hessian
+    # kept until the next one is built
     tracemalloc.start()
     try:
         solve_ring(n, p, 1.0, 2.0, 2.5, cells)

@@ -496,6 +496,18 @@ def test_ring_setup_memory():
     assert peak < 1.5e6
 
 
+def test_annulus_box_memory():
+    # the lab-cli kcoef grid, the 1024² annulus 0.5 < |x| < 1.9 in [-2, 2]²:
+    # 5.78 MB, 10.50 MB with the predicate run on the whole grid at once
+    tracemalloc.start()
+    try:
+        GridDomain.box(2, (-2.0, -2.0), (1024, 1024), 4.0 / 1024, Annulus((0.0, 0.0), 0.5, 1.9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.2e6
+
+
 @settings(max_examples=100, deadline=None)
 @given(point_arrays(st.floats(-1e3, 1e3) | st.just(math.nan)), st.data())
 def test_box_contains_is_the_all_reduction(case, data):
@@ -547,3 +559,14 @@ def test_cell_centers_are_the_meshgrid_centers(n, data):
     )
     rows = masked.inside_index[box]
     assert np.array_equal(masked.inside_centers_in(box), masked.inside_centers[rows[rows >= 0]])
+
+
+@pytest.mark.parametrize(
+    "n, origin, cells, h",
+    [(2, (-1.5, -1.25), (12, 12), 0.25), (3, (-1.23, -0.87, -1.01), (17, 19, 18), 1.0 / 7.0)],
+)
+def test_grid_masks_in_small_slabs_are_the_point_predicate(n, origin, cells, h, monkeypatch):
+    # 30 cells per slab: the predicate runs on one or two rows at a time
+    monkeypatch.setattr(qcap.grid, "SLAB_CELLS", 30)
+    assert len(qcap.grid.row_slabs(cells)) == (6 if n == 2 else 17)
+    test_grid_masks_are_the_point_predicate_bit_for_bit(n, origin, cells, h)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import qcap.grid
 import qcap.mappings
 
 from qcap import (
@@ -255,7 +256,7 @@ def test_slab_walk_matches_the_whole_array_formula(grid, mapping, pq):
 
 def test_slab_walk_one_row_per_slab(monkeypatch):
     # a slab smaller than a row still takes whole rows, one at a time
-    monkeypatch.setattr(qcap.mappings, "SLAB_CELLS", 100)
+    monkeypatch.setattr(qcap.grid, "SLAB_CELLS", 100)
     g = GridDomain.box(2, (-1.0, -1.0), (37, 130), 2.0 / 37, Annulus((0.0, 0.0), 0.2, 0.9))
     m = RadialPower(0.7, (0.013, -0.021))
     for pq in ((2.0, 2.0), (3.0, 1.5)):
@@ -294,7 +295,7 @@ class CellJacobian:
 def test_slab_maxima_keep_a_nan_and_an_empty_walk(monkeypatch, m, want):
     # ess sup over slabs of 4 rows (x = 9.25 is row 18, in the fifth): a NaN
     # quotient gives a NaN K, as one pass does, and no valid cell gives 0.0
-    monkeypatch.setattr(qcap.mappings, "SLAB_CELLS", 40)
+    monkeypatch.setattr(qcap.grid, "SLAB_CELLS", 40)
     g = GridDomain.box(2, (0.0, 0.0), (23, 10), 0.5)
     k = distortion_coefficient(m, g, 2.0, 2.0)
     assert k.value == want or math.isnan(k.value) and math.isnan(want)

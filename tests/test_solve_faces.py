@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qcap import (
     Ball,
@@ -26,6 +27,7 @@ from qcap import (
     make_ring_condenser,
     pullback_condenser,
     rasterize,
+    solve_capacity,
 )
 from qcap.energy import EnergyParams, FreeEnergy, _check_length, _phi1, cell_gradient_sq, energy_gradient, energy_value
 from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union, graph_distance
@@ -149,6 +151,37 @@ def oracle_selection(grid, free, base):
     return local[a[sel]], local[b[sel]], w, cells
 
 
+def oracle_pattern(energy):
+    """``FreeEnergy.pattern`` as a stable ``argsort`` of the concatenated slots by row."""
+    la, lb, nf, nface = energy.la, energy.lb, energy.nf, energy.la.size
+    slot_face = np.arange(nface, dtype=np.int32)
+    up, down = lb < nf, la < nf
+    diag = np.arange(nf, dtype=np.int32)
+    rows = np.concatenate([la[up], lb[down], diag])
+    cols = np.concatenate([lb[up], la[down], diag])
+    source = np.concatenate([slot_face[up], nface + slot_face[down], 2 * nface + diag])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(energy.cells.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=energy.cells.size), out=indptr[1:])
+    return indptr, cols[order], source[order]
+
+
+def oracle_coupling(energy, red):
+    """``red_black``'s coupling B through scipy's COO constructor, on the int64 positions of the faces with two free ends."""
+    grid, nf = energy.grid, energy.nf
+    k1 = grid.h ** (grid.n - 2) * energy.w * 2.0
+    order = np.empty(nf, dtype=np.int32)
+    nr = int(np.count_nonzero(red))
+    order[red] = np.arange(nr, dtype=np.int32)
+    order[~red] = np.arange(nf - nr, dtype=np.int32)
+    both = np.flatnonzero((energy.la < nf) & (energy.lb < nf))
+    la, lb = energy.la[both], energy.lb[both]
+    a_red = red[la]
+    rows = order[np.where(a_red, la, lb)]
+    cols = order[np.where(a_red, lb, la)]
+    return sp.csr_array((-k1[both], (rows, cols)), shape=(nr, nf - nr))
+
+
 def ring(n, cells, region=None):
     return make_ring_condenser(
         (0.0,) * n, 1.0, 2.0, GridDomain.box(n, (-2.5,) * n, (cells,) * n, 5.0 / cells, region)
@@ -261,6 +294,67 @@ def test_red_black_parity_is_the_index_sum_parity(case):
     *_, red = energy.red_black(np.zeros(free.size))
     index = np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells)
     np.testing.assert_array_equal(red, np.sum(index, axis=0) % 2 == 0)
+
+
+@pytest.mark.parametrize("case", selection_cases())
+def test_hessian_pattern_matches_the_sorted_slots(case):
+    # one scatter per slot group gives the stable argsort's slot order, dtypes included
+    grid, free, base = case()
+    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
+    for got, want in zip(energy.pattern, oracle_pattern(energy)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", selection_cases())
+def test_red_black_coupling_matches_the_coo_oracle(case):
+    grid, free, base = case()
+    energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
+    *_, coupling, red = energy.red_black(np.zeros(free.size))
+    want = oracle_coupling(energy, red)
+    assert coupling.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        got, expected = getattr(coupling, part), getattr(want, part)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", list(CONDENSERS))
+def test_plate_indices_are_the_inside_enumeration(name):
+    cond = CONDENSERS[name]()
+    for got, plate in ((cond.e_indices, cond.E), (cond.f_indices, cond.F)):
+        assert "inside_index" not in cond.domain.__dict__
+        want = cond.domain.inside_index[plate]
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        cond.domain.__dict__.pop("inside_index")
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("name", list(CONDENSERS))
+def test_solve_builds_no_inside_index(name, p):
+    # a solve numbers its cells through an int32 map of its own: the grid's
+    # int64 map from cell to inside enumeration is never built
+    cond = CONDENSERS[name]()
+    assert solve_capacity(cond, p).converged
+    assert "inside_index" not in cond.domain.__dict__
+
+
+def test_free_energy_setup_memory():
+    # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5:
+    # 10.95 MB, 25.8 MB with the int64 face ends, the concatenated slots and
+    # their argsort
+    cond = ring(3, 64)
+    free, base = plate_sets(cond)
+    cond.domain.cut_faces
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        FreeEnergy(cond.domain, free, base, EnergyParams(1.5, 1e-4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 13.7e6
 
 
 def masked_annulus():

@@ -17,7 +17,10 @@ The file lists, per workload and end-to-end metric, each side's samples,
 median and quartiles (sides ``change`` and ``parent``, or ``runs`` alone
 without a parent) and, with a parent, the number of pairs each side won
 (in the metric's ``better`` direction; ties count for neither side), plus
-each side's fail fraction and the machine facts of its first run.  With a
+each side's fail fraction, its minor page faults per run (``minor_faults``:
+the ``ru_minflt`` rise of ``RUSAGE_CHILDREN`` over the run's process, with
+no verdict, so that a shift in allocator state reads apart from a change
+in the work done) and the machine facts of its first run.  With a
 parent each metric also gets these verdicts, set by ``compare``:
 
 - ``change_rel``: the change median over the parent median minus 1 (null
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,18 +53,20 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced benchmark run in ``root``: (record, result)."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, int]:
+    """One untraced benchmark run in ``root``: (record, result, minor page faults of its process)."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root,
         capture_output=True,
         text=True,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {root} exited {proc.returncode}:\n{proc.stderr}")
     record_line, result_line = proc.stdout.splitlines()[-2:]
-    return json.loads(record_line)["record"], json.loads(result_line)
+    return json.loads(record_line)["record"], json.loads(result_line), faults
 
 
 def summary(samples: list) -> dict:
@@ -107,11 +113,13 @@ def flagged(workloads: dict, flag: str) -> list:
 def bench_workload(roots: dict, workload: str, runs: int, seed: int, seconds: float, metrics: list) -> dict:
     samples = {side: {m["name"]: [] for m in metrics} for side in roots}
     failed = {side: [0, 0] for side in roots}
+    faults = {side: [] for side in roots}
     machine = {}
     sides = list(roots)
     for i in range(runs):
         for side in sides if i % 2 == 0 else sides[::-1]:
-            record, result = run_once(roots[side], workload, seed + i, seconds)
+            record, result, run_faults = run_once(roots[side], workload, seed + i, seconds)
+            faults[side].append(run_faults)
             for name in samples[side]:
                 samples[side][name].append(result["metrics"][name]["value"])
             failed[side][0] += result["failed"]
@@ -126,6 +134,7 @@ def bench_workload(roots: dict, workload: str, runs: int, seed: int, seconds: fl
             compare(entry, metric)
         out["metrics"][name] = entry
     out["fail_frac"] = {side: f / a for side, (f, a) in failed.items()}
+    out["minor_faults"] = {side: summary(samples) for side, samples in faults.items()}
     out["machine"] = machine
     return out
 
