@@ -13,7 +13,6 @@ from .capacity import (
     CapacityResult,
     RingBenchmark,
     SolverOptions,
-    accessibility_lower_bound,
     calibrate_discretization,
     ring_capacity_exact,
     solve_capacity,
@@ -52,7 +51,6 @@ from .grid import (
     Intersection,
     SphereShell,
     Union,
-    diameter,
     make_ring_condenser,
     rasterize,
 )

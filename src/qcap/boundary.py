@@ -9,11 +9,7 @@ x0, samples finitely many crossing continua and reports
 
     delta_hat = min over sampled continua of cp_p(E, F; Omega),
 
-a one-sided empirical estimate, together with the diagnostic geometric
-bound min(diam E, diam F) / R^(1+p-n) for domains enclosed in a ball of
-radius R.  The bound holds up to a constant C that theory does not pin
-down; it is reported at C = 1 for comparison, never asserted, and is null
-outside n-1 < p <= n, where it does not apply.
+a one-sided empirical estimate, with each continuum's capacity beside it.
 
 The cluster set of an inverse mapping at an image boundary point b collects
 all limits of phi^{-1}(x_k) over sequences x_k -> b inside the image.  The
@@ -32,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .capacity import SolverOptions, accessibility_lower_bound, solve_capacity
+from .capacity import SolverOptions, solve_capacity
 from .exceptions import DomainError, GeometryError
 from .grid import (
-    Ball, Condenser, GridDomain, _as_point, connected, diameter, dilate_faces, directions, point_diameter, radius,
-    rasterize,
+    Ball, Condenser, GridDomain, _as_point, connected, dilate_faces, directions, point_diameter, radius, rasterize,
 )
 
 
@@ -157,8 +152,8 @@ def probe_strong_accessibility(
 
     Each F must pass the sampler's crossing test for the shell between
     radii r_v and r_u around the boundary point x0.  Reports the minimum
-    capacity delta_hat and the diagnostic geometric bound at C = 1, or None
-    for p outside (n-1, n].
+    capacity delta_hat, each continuum's capacity and whether every solve
+    converged.
     """
     check_shell_radii(r_v, r_u)
     x0 = _as_point(x0, grid.n)
@@ -167,26 +162,15 @@ def probe_strong_accessibility(
     if not continua:
         raise GeometryError("at least one sampled continuum is required")
     e_cells = e_cells.astype(bool)
-    diam_e = diameter(e_cells, grid)
-    centers = grid.inside_centers
-    centroid = centers.mean(axis=0)
-    R = float(radius(centers, centroid).max())
     per = []
     for cells in continua:
         cells = cells.astype(bool) & grid.mask
         if not crosses(cells):
             raise GeometryError("a sampled continuum does not cross the shell")
         res = solve_capacity(Condenser(e_cells, cells, grid), p, opts)
-        per.append({"capacity": res.value, "diameter": diameter(cells, grid), "converged": res.converged})
-    min_diam_f = min(item["diameter"] for item in per)
-    applies = grid.n - 1 < p <= grid.n
-    bound = accessibility_lower_bound(diam_e, min_diam_f, R, p, grid.n) if applies else None
+        per.append({"capacity": res.value, "converged": res.converged})
     return {
         "delta_hat": min(item["capacity"] for item in per),
-        "geometric_bound": bound,
-        "enclosing_radius": R,
-        "diam_e": diam_e,
-        "min_diam_f": min_diam_f,
         "per_continuum": per,
         "converged": all(item["converged"] for item in per),
     }

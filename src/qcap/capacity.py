@@ -54,11 +54,7 @@ Closed-form capacities of spherical rings A(x0, r1, r2) serve as oracles:
     p != n: omega_{n-1} * ((n-p) / ((p-1) (r1^t - r2^t)))^{p-1},
             t = (p-n)/(p-1),
 
-positive on both sides of p = n and continuous across it.  A separate
-diagnostic bound min(diam E, diam F) / R^{1+p-n} estimates capacities from
-the plate geometry alone.  It holds up to a constant C that theory does not
-pin down, so it is computed at C = 1 and reported for comparison, never
-asserted.
+positive on both sides of p = n and continuous across it.
 """
 
 from __future__ import annotations
@@ -97,8 +93,9 @@ class SolverOptions:
     stopping threshold: for p != 2 the solve ends once half the Newton
     decrement is at most rel_tol |E|, and the inner CG of that last step
     stops as soon as its drops show the test will hold; for p = 2 the solve
-    ends once the energy drops by at most rel_tol |E| over 10 steps.
-    ``eps`` is the smoothing of the regularized energy, positive and finite.
+    ends once the energy drops by at most rel_tol |E| over 10 steps;
+    rel_tol is positive and finite.  ``eps`` is the smoothing of the
+    regularized energy, positive and finite.
     """
 
     max_iterations: int = 40000
@@ -109,8 +106,8 @@ class SolverOptions:
         object.__setattr__(self, "eps", float(self.eps))
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be positive and finite")
         if not 0 < self.eps < math.inf:
             raise DomainError("eps must be positive and finite")
 
@@ -122,11 +119,13 @@ class CapacityResult:
     ``energy_history`` is the monotone energy trace of the solve: a start
     value plus one entry per Newton step (p != 2) or reduced CG step
     (p = 2), all at ``final_eps``, the smoothing eps of the solve;
-    ``history_eps`` lists that eps once per entry.  The start value is the
-    energy after the exact black elimination for p = 2, whose last entry is
-    within 1e-12 (relative) of ``value``, and for p != 2 the p-energy of the
-    p = 2 minimizer clipped to [0, 1].  ``iterations`` is the number of
-    those steps, ``cg_steps`` the total of CG steps, the start's included.
+    ``history_eps`` lists that eps once per entry; no report carries it,
+    and it stays only because the benchmark's span notes read it.  The
+    start value is the energy after the exact black elimination for p = 2,
+    whose last entry is within 1e-12 (relative) of ``value``, and for
+    p != 2 the p-energy of the p = 2 minimizer clipped to [0, 1].
+    ``iterations`` is the number of those steps, ``cg_steps`` the total of
+    CG steps, the start's included.
     ``decrement`` is the solver's own error estimate: for p != 2 half the
     last Newton decrement, -grad.s / 2, for p = 2 the energy drop over the
     last 10 CG steps.
@@ -370,20 +369,6 @@ def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
         return omega / ratio ** (n - 1)
     t = (p - n) / (p - 1)
     return omega * (t / (r1**t * math.expm1(t * ratio))) ** (p - 1)
-
-
-def accessibility_lower_bound(diam_e: float, diam_f: float, R: float, p: float, n: int) -> float:
-    """Diagnostic capacity lower bound min(diam E, diam F) / R^(1+p-n), for p in (n-1, n].
-
-    The bound holds up to a constant C that theory does not pin down; it is
-    given at C = 1, for comparison against computed capacities, not as
-    ground truth.  A one-cell plate has diameter 0 and gives 0.
-    """
-    if min(diam_e, diam_f) < 0 or R <= 0:
-        raise DomainError(f"need diameters >= 0 and R > 0, got {diam_e}, {diam_f}, {R}")
-    if not n - 1 < p <= n:
-        raise DomainError(f"the bound applies for p in (n-1, n], got p={p}, n={n}")
-    return min(diam_e, diam_f) / R ** (1 + p - n)
 
 
 # ---------------------------------------------------------------------------

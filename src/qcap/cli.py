@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -92,11 +93,8 @@ def _run_cap(cfg, rng):
     }
     csvs = []
     if cfg.get("csv"):
-        rows = [
-            (i, eps, energy)
-            for i, (eps, energy) in enumerate(zip(res.history_eps, res.energy_history))
-        ]
-        csvs.append(("cap_energy_history.csv", ("iteration", "eps", "energy"), rows))
+        rows = list(enumerate(res.energy_history))
+        csvs.append(("cap_energy_history.csv", ("iteration", "energy"), rows))
     return result, csvs, res.converged
 
 
@@ -119,7 +117,7 @@ def _run_kcoef(cfg, rng):
         "q": q,
         "grid": _grid_desc(grid),
     }
-    return result, [], True
+    return result, [], math.isfinite(k.value)
 
 
 def _run_inequality(cfg, rng):

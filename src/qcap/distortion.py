@@ -71,8 +71,10 @@ def verify_capacity_inequality(
     """Check the direct inequality for an image condenser and its pullback.
 
     The image grid is the condenser's own domain; ``source_grid`` hosts the
-    pulled-back condenser and the distortion quadrature.  Raises DomainError
-    unless 1 < q <= p, the grids share the dimension and 0 < tau < inf.
+    pulled-back condenser and the distortion quadrature.  ``converged``
+    also needs a finite K: an overflowing quotient gives an inf or NaN K,
+    and an inf one would pass any lhs.  Raises DomainError unless
+    1 < q <= p, the grids share the dimension and 0 < tau < inf.
     """
     ExponentPair(source_grid.n, p, q)  # DomainError unless 1 < q <= p
     if source_grid.n != c_image.domain.n:
@@ -94,7 +96,7 @@ def verify_capacity_inequality(
         slack=slack,
         passed=bool(slack >= -budget),
         discretization_budget=budget,
-        converged=lhs_res.converged and rhs_res.converged,
+        converged=lhs_res.converged and rhs_res.converged and math.isfinite(k.value),
     )
 
 

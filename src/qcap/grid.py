@@ -451,19 +451,13 @@ class GridDomain:
         idx.setflags(write=False)
         return idx
 
-    @cached_property
-    def inside_centers(self) -> np.ndarray:
-        """Centers of inside cells in enumeration order, shape (inside_count, n)."""
-        pts = self.inside_centers_in(())
-        pts.setflags(write=False)
-        return pts
-
     def inside_centers_in(self, box: tuple) -> np.ndarray:
         """Centers of the inside cells in ``box``, in enumeration order, shape (count, n).
 
         ``box`` holds one slice per leading axis (step 1); the axes after it
-        are taken whole.  The rows are the matching rows of
-        ``inside_centers``, bit for bit, without building that cache.
+        are taken whole, so ``inside_centers_in(())`` holds every inside
+        center, and the rows for ``box`` are the matching rows of it, bit
+        for bit.
         """
         axes = tuple(
             axis[(slice(None),) * k + (box[k],)] if k < len(box) else axis
@@ -718,8 +712,3 @@ def point_diameter(pts: np.ndarray) -> float:
     for i in range(0, len(pts), step):
         best = max(best, float(radius(pts[i : i + step, None, :], pts).max()))
     return best
-
-
-def diameter(cells: np.ndarray, grid: GridDomain) -> float:
-    """Largest distance between two cell centers of a cell set (``point_diameter``)."""
-    return point_diameter(_cell_centers(grid.axis_centers(), cells.astype(bool)))

@@ -183,8 +183,9 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
     q = p each slab keeps the max of the quotients |Dphi|^p / |J| of its
     valid cells; for q < p they fill the next part of one array of
     ``inside_count`` floats, summed once over the filled part.
-    So the result is that of a single pass over ``dom.inside_centers``, bit
-    for bit, in the memory of one slab (plus one float per cell for q < p).
+    So the result is that of a single pass over every inside center
+    (``dom.inside_centers_in(())``), bit for bit, in the memory of one slab
+    (plus one float per cell for q < p).
 
     Raises DegenerateError when flagged cells (|J| ~ 0 with |Dphi| > 0)
     exceed 1% of the domain volume.

@@ -18,7 +18,6 @@ from qcap import (
     GridDomain,
     RingBenchmark,
     SolverOptions,
-    accessibility_lower_bound,
     calibrate_discretization,
     make_ring_condenser,
     rasterize,
@@ -38,8 +37,10 @@ def test_solver_options_validation():
     SolverOptions()
     with pytest.raises(DomainError):
         SolverOptions(max_iterations=0)
-    with pytest.raises(DomainError):
-        SolverOptions(rel_tol=0.0)
+    # rel_tol = inf would stop a Newton solve after one step and call it converged
+    for rel_tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(DomainError, match="rel_tol must be positive and finite"):
+            SolverOptions(rel_tol=rel_tol)
     assert SolverOptions(eps=1).eps == 1.0
     for eps in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -101,18 +102,6 @@ def test_ring_capacity_domain_errors():
         ring_capacity_exact(2, 2.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         ring_capacity_exact(2, 2.0, 0.0, 1.0)
-
-
-def test_accessibility_lower_bound():
-    val = accessibility_lower_bound(0.4, 0.9, 2.0, 2.0, 2)
-    assert val == pytest.approx(0.4 / 2.0, rel=1e-14)
-    assert accessibility_lower_bound(0.0, 0.9, 2.0, 2.0, 2) == 0.0  # E is a point
-    with pytest.raises(DomainError):
-        accessibility_lower_bound(0.4, 0.9, 2.0, 2.5, 2)  # p outside (n-1, n]
-    with pytest.raises(DomainError):
-        accessibility_lower_bound(-0.1, 0.9, 2.0, 2.0, 2)
-    with pytest.raises(DomainError):
-        accessibility_lower_bound(0.4, 0.9, 0.0, 2.0, 2)
 
 
 def column_condenser(cells=9):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qcap.cli
 import qcap.modulus
 from qcap import (
     Annulus,
@@ -15,6 +16,7 @@ from qcap import (
     RadialPower,
     check_hesse_shlyk,
     ring_capacity_exact,
+    sample_shell_continua,
     verify_capacity_inequality,
     verify_dual_inequality,
 )
@@ -29,6 +31,7 @@ from qcap.config import (
     build_solver,
     validate,
 )
+from qcap.grid import point_diameter
 
 GRID2 = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [32, 32]}
 RING_COND = {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 2.0}
@@ -422,9 +425,9 @@ def test_cli_cap_csv_trace(tmp_path, capsys):
     code, _, path = run_cli(tmp_path, "cap", cfg)
     assert code == 0
     trace = (path.parent / "cap_energy_history.csv").read_text().splitlines()
-    assert trace[0] == "iteration,eps,energy"
+    assert trace[0] == "iteration,energy"
     assert len(trace) > 2
-    energies = [float(row.split(",")[2]) for row in trace[1:]]
+    energies = [float(row.split(",")[1]) for row in trace[1:]]
     assert all(math.isfinite(e) for e in energies)
     capsys.readouterr()
 
@@ -438,6 +441,21 @@ def test_cli_kcoef_exact_value(tmp_path, capsys):
     code, report, _ = run_cli(tmp_path, "kcoef", cfg)
     assert code == 0
     assert report["result"]["value"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    capsys.readouterr()
+
+
+def test_cli_kcoef_non_finite_value_exits_3(tmp_path, capsys):
+    # r^999 overflows the quotients |Dphi|^p / |J| to inf / inf = NaN
+    cfg = {
+        "grid": {"n": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]], "cells": [32, 32]},
+        "mapping": {"family": "radial_power", "alpha": 1000.0, "center": [0.0, 0.0]},
+        "exponents": {"p": 2.0, "q": 2.0},
+    }
+    with np.errstate(all="ignore"):
+        code, report, _ = run_cli(tmp_path, "kcoef", cfg)
+    assert code == 3
+    assert report["error"]["type"] == "non_convergence"
+    assert report["result"]["value"] is None
     capsys.readouterr()
 
 
@@ -532,7 +550,7 @@ def test_cli_access_runner(tmp_path, capsys):
 
 
 def test_cli_access_reports_no_bound_outside_its_window(tmp_path, capsys):
-    # the geometric bound is a diagnostic for n - 1 < p <= n; at p = 3 in 2D it is null
+    # p = 3 in 2D lies outside n - 1 < p <= n; the probe still reports its capacities
     b = 1.9 / math.sqrt(2)
     cfg = {
         "grid": {**box_spec(2, 2.2, 32), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}},
@@ -546,7 +564,6 @@ def test_cli_access_reports_no_bound_outside_its_window(tmp_path, capsys):
         },
     }
     res = run_cli_twice(tmp_path, "access", cfg)
-    assert res["geometric_bound"] is None
     assert res["converged"] and res["delta_hat"] > 0
     capsys.readouterr()
 
@@ -565,22 +582,31 @@ def access_config(grid, x0, e_center, e_r, p=2.0, count=8):
     }
 
 
-def test_cli_access_3d_tubes_cross_the_shell(tmp_path, capsys):
+def test_cli_access_3d_tubes_cross_the_shell(tmp_path, capsys, monkeypatch):
     # every tube must reach from the ball of radius r_v to the sphere of radius r_u
     grid = {**box_spec(3, 2.2, 24), "region": {"type": "ball", "center": [0.0] * 3, "r": 1.9}}
     cfg = access_config(grid, [1.9, 0.0, 0.0], [0.0] * 3, 0.5, p=2.5, count=3)
+    seen = {}
+
+    def sample(x0, r_u, r_v, e_cells, grid, count, rng):
+        seen["grid"] = grid
+        seen["tubes"] = sample_shell_continua(x0, r_u, r_v, e_cells, grid, count, rng)
+        return seen["tubes"]
+
+    monkeypatch.setattr(qcap.cli, "sample_shell_continua", sample)
     code, report, _ = run_cli(tmp_path, "access", cfg, "--seed", "1")
     assert code == 0, report.get("error")
-    assert report["result"]["min_diam_f"] >= 0.9 - 0.3 - 2 * 4.4 / 24
+    centers = seen["grid"].all_centers()
+    assert len(seen["tubes"]) == 3
+    assert min(point_diameter(centers[tube]) for tube in seen["tubes"]) >= 0.9 - 0.3 - 2 * 4.4 / 24
     capsys.readouterr()
 
 
 def test_cli_access_one_cell_plate(tmp_path, capsys):
-    # E is the single cell centred at (0.034375, 0.034375); a point has diameter 0
+    # E is the single cell centred at (0.034375, 0.034375)
     grid = {**box_spec(2, 2.2, 64), "region": {"type": "ball", "center": [0.0, 0.0], "r": 1.9}}
     b = 1.9 / math.sqrt(2)
     res = run_cli_twice(tmp_path, "access", access_config(grid, [b, b], [0.034375, 0.034375], 0.01))
-    assert res["diam_e"] == 0.0 and res["geometric_bound"] == 0.0
     assert res["converged"] and res["delta_hat"] > 0
     capsys.readouterr()
 

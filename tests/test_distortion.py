@@ -11,6 +11,7 @@ from qcap import (
     ExponentPair,
     GridDomain,
     Identity,
+    JacobianData,
     RadialPower,
     SolverOptions,
     WindowError,
@@ -83,6 +84,29 @@ def test_capacity_inequality_validation():
     g3 = grid3(2.0, 8)
     with pytest.raises(DomainError):
         verify_capacity_inequality(Identity(), c, 2.0, 2.0, g3, OPTS)
+
+
+@dataclasses.dataclass(frozen=True)
+class OverflowingJacobian(Identity):
+    """The identity with |Dphi| = 1e200, so |Dphi|^p overflows; ``det`` is its J."""
+
+    det: float = 1.0
+
+    def jacobian(self, pts, n):
+        shape = np.shape(pts)[:-1]
+        return JacobianData(np.full(shape, 1e200), np.full(shape, self.det))
+
+
+@pytest.mark.parametrize("det", [1.0, math.inf])
+def test_non_finite_coefficient_is_not_converged(det):
+    # J = 1 gives K = inf, where slack and budget are both inf and the check
+    # passes; J = inf gives inf / inf = NaN.  Neither K is a number to report.
+    g = grid2(2.0, 32)
+    c = make_ring_condenser((0.0, 0.0), 0.8, 1.6, g)
+    with np.errstate(all="ignore"):
+        rep = verify_capacity_inequality(OverflowingJacobian(det), c, 2.0, 2.0, g, OPTS)
+    assert not math.isfinite(rep.rhs_K)
+    assert not rep.converged
 
 
 @pytest.mark.parametrize("tau", [math.nan, -0.5, 0.0, math.inf])

@@ -84,7 +84,7 @@ def test_linear_field_has_constant_gradient_square():
 
     g = GridDomain.box(3, (0.0, 0.0, 0.0), (5, 5, 5), 0.2)
     slope = 0.7
-    u = slope * g.inside_centers[:, 0]
+    u = slope * g.inside_centers_in(())[:, 0]
     gsq = cell_gradient_sq(u, g).reshape(g.cells)
     # interior cells see both x-neighbours: g_c = slope^2; outer slabs see one
     np.testing.assert_allclose(gsq[1:-1, :, :], slope**2, rtol=1e-12)

@@ -23,7 +23,6 @@ from qcap import (
     Intersection,
     SphereShell,
     Union,
-    diameter,
     make_ring_condenser,
     rasterize,
 )
@@ -80,7 +79,7 @@ def test_masked_grid_connectivity():
 
 def test_cell_center_rule():
     g = square_grid(8, 1.0, Ball((0.0, 0.0), 0.8))
-    inside = g.inside_centers
+    inside = g.inside_centers_in(())
     assert (np.linalg.norm(inside, axis=1) < 0.8).all()
     # cells whose centers fall outside the ball are excluded
     assert g.inside_count < 64
@@ -293,7 +292,7 @@ def test_make_ring_condenser():
     c = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
     assert c.E.sum() > 0 and c.F.sum() > 0
     # E holds the closed inner ball, F the closed exterior of the open ball
-    r = np.linalg.norm(g.inside_centers, axis=1)
+    r = np.linalg.norm(g.inside_centers_in(()), axis=1)
     np.testing.assert_array_equal(c.E[g.mask], r <= 1.0)
     np.testing.assert_array_equal(c.F[g.mask], r >= 2.0)
     with pytest.raises(DomainError):
@@ -309,10 +308,10 @@ def test_make_ring_condenser():
 def test_diameter():
     g = square_grid(32, 2.0)
     cells = rasterize(Ball((0.0, 0.0), 1.0, closed=True), g)
-    d = diameter(cells, g)
+    d = point_diameter(g.all_centers()[cells])
     assert abs(d - 2.0) < 3 * g.h
     with pytest.raises(EmptySetError):
-        diameter(np.zeros_like(cells), g)
+        point_diameter(g.all_centers()[np.zeros_like(cells)])
 
 
 def test_diameter_matches_brute_force():
@@ -325,7 +324,7 @@ def test_diameter_matches_brute_force():
     brute = max(
         float(np.linalg.norm(p - q)) for p in centers for q in centers
     )
-    assert diameter(cells, g) == pytest.approx(brute, rel=1e-12)
+    assert point_diameter(g.all_centers()[cells]) == pytest.approx(brute, rel=1e-12)
 
 
 def brute_diameter(cells, g):
@@ -339,7 +338,7 @@ def test_diameter_of_a_large_box_is_its_center_diagonal():
     cells[2:22, 1:23, 3:20] = True
     assert cells.sum() > 4000
     corner_to_corner = 0.1 * np.sqrt(19.0**2 + 21.0**2 + 16.0**2)
-    assert diameter(cells, g) == pytest.approx(corner_to_corner, rel=1e-12)
+    assert point_diameter(g.all_centers()[cells]) == pytest.approx(corner_to_corner, rel=1e-12)
 
 
 def test_diameter_of_flat_cell_sets():
@@ -356,7 +355,7 @@ def test_diameter_of_flat_cell_sets():
     slab = np.zeros(g3.cells, dtype=bool)
     slab[:, 6, :] = True
     for cells, g in ((line2, g2), (diag2, g2), (line3, g3), (diag3, g3), (slab, g3)):
-        assert diameter(cells, g) == pytest.approx(brute_diameter(cells, g), rel=1e-12)
+        assert point_diameter(g.all_centers()[cells]) == pytest.approx(brute_diameter(cells, g), rel=1e-12)
 
 
 def test_point_diameter():
@@ -544,21 +543,21 @@ def test_cell_centers_are_the_meshgrid_centers(n, data):
     full = GridDomain.box(n, origin, cells, h)
     assert np.array_equal(full.all_centers(), want)
     assert np.array_equal(np.stack(np.broadcast_arrays(*full.axis_centers()), axis=-1), want)
-    assert np.array_equal(full.inside_centers, want.reshape(-1, n))
+    assert np.array_equal(full.inside_centers_in(()), want.reshape(-1, n))
     # a masked grid keeps the largest face-connected component of a random cell set
     raw = data.draw(arrays(bool, cells))
     labels, count = ndimage.label(raw, ndimage.generate_binary_structure(n, 1))
     mask = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:]) if count else np.ones(cells, dtype=bool)
     masked = GridDomain(n, origin, cells, h, mask)
-    assert np.array_equal(masked.inside_centers, want[mask])
-    assert np.array_equal(masked.inside_centers, masked.all_centers()[mask])
-    # a box of leading-axis slices gives its inside cells' rows of inside_centers
+    assert np.array_equal(masked.inside_centers_in(()), want[mask])
+    assert np.array_equal(masked.inside_centers_in(()), masked.all_centers()[mask])
+    # a box of leading-axis slices gives its inside cells' rows of all the inside centers
     box = tuple(
         slice(*sorted(data.draw(st.lists(st.integers(0, c), min_size=2, max_size=2))))
         for c in cells[: data.draw(st.integers(0, n))]
     )
     rows = masked.inside_index[box]
-    assert np.array_equal(masked.inside_centers_in(box), masked.inside_centers[rows[rows >= 0]])
+    assert np.array_equal(masked.inside_centers_in(box), masked.inside_centers_in(())[rows[rows >= 0]])
 
 
 @pytest.mark.parametrize(

@@ -179,7 +179,7 @@ def test_distortion_coefficient_integral_mode():
     k = distortion_coefficient(m, g, p, q)
     assert k.mode == "integral"
     # independent route: numerical jacobians per cell, then the quadrature
-    cells = g.inside_centers
+    cells = g.inside_centers_in(())
     vals = []
     for x in cells:
         d = fd_jacobian(m, x)
@@ -210,8 +210,8 @@ def test_distortion_degenerate_cells():
 
 
 def whole_array_coefficient(m, g, p, q):
-    """K_{p,q} by one pass over ``g.inside_centers``: the oracle for the slab walk."""
-    jd = m.jacobian(g.inside_centers, g.n)
+    """K_{p,q} by one pass over ``g.inside_centers_in(())``: the oracle for the slab walk."""
+    jd = m.jacobian(g.inside_centers_in(()), g.n)
     op = np.asarray(jd.op_norm, dtype=float)
     det = np.abs(np.asarray(jd.jac_det, dtype=float))
     flagged = jd.degenerate
