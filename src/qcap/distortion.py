@@ -17,9 +17,9 @@ The dual check is therefore the direct check of phi^{-1}, run after the
 window test.
 
 Both sides carry independent discretization error, so a verification passes
-when slack = rhs - lhs >= -budget with budget = tau * (lhs + rhs).  The
-default tau of 0.05 can be re-measured against the ring closed forms with
-``calibrate_discretization``.
+when lhs, K and rhs are finite and slack = rhs - lhs >= -budget with
+budget = tau * (lhs + rhs).  The default tau of 0.05 can be re-measured
+against the ring closed forms with ``calibrate_discretization``.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def verify_capacity_inequality(
 
     The image grid is the condenser's own domain; ``source_grid`` hosts the
     pulled-back condenser and the distortion quadrature.  ``converged``
-    also needs a finite K: an overflowing quotient gives an inf or NaN K,
-    and an inf one would pass any lhs.  Raises DomainError unless
+    also needs a finite K, and ``passed`` a finite K, lhs and rhs: an
+    overflowing quotient gives an inf or NaN K, and with K = inf slack and
+    budget are both inf, which would pass any lhs.  Raises DomainError unless
     1 < q <= p, the grids share the dimension and 0 < tau < inf.
     """
     ExponentPair(source_grid.n, p, q)  # DomainError unless 1 < q <= p
@@ -89,12 +90,13 @@ def verify_capacity_inequality(
     rhs = k.value * rhs_cap
     budget = tau * (lhs + rhs)
     slack = rhs - lhs
+    finite = all(math.isfinite(v) for v in (k.value, lhs, rhs))
     return DistortionReport(
         lhs=lhs,
         rhs_K=k.value,
         rhs_cap=rhs_cap,
         slack=slack,
-        passed=bool(slack >= -budget),
+        passed=finite and bool(slack >= -budget),
         discretization_budget=budget,
         converged=lhs_res.converged and rhs_res.converged and math.isfinite(k.value),
     )

@@ -39,7 +39,8 @@ The full face list, ``GridDomain.face_pairs``, is built only on request,
 and so is the int64 map from cell to inside enumeration,
 ``GridDomain.inside_index``: a condenser's plate indices and a solve's
 index arrays do without it.
-``connected`` labels components with the same face structuring element.
+``connected`` checks the same face adjacency on a graph of row runs,
+whose components ``scipy.sparse.csgraph`` counts.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import ndimage
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .exceptions import DomainError, EmptySetError, GeometryError
 
@@ -103,10 +103,21 @@ def dilate_faces(cells: np.ndarray) -> np.ndarray:
 def connected(cells: np.ndarray) -> bool:
     """True iff the cell set is empty or forms one face-connected component.
 
-    Only the bounding box of the set is labelled.  It comes from the
+    Only the bounding box of the set is searched.  It comes from the
     per-axis ``np.any`` projections, each axis's taken over the cells that
     the earlier axes' reductions left.  A box the set fills is
-    face-connected by construction and is not labelled.
+    face-connected by construction and builds no graph.
+
+    Otherwise the box's rows along the last axis are cut into runs of set
+    cells, and the runs are the nodes of a graph (He, Chao & Suzuki, IEEE
+    Trans. Image Process. 17, 2008).  One ``np.diff`` over the rows, each
+    padded by one empty cell, gives every run's start and end as flat keys
+    row * (L + 1) + column.  Along an earlier axis of row stride s, a run
+    in row r joins the runs of rows r + s and r - s whose [start, end)
+    overlaps its own; two ``searchsorted`` calls on the keys shifted by
+    +-s rows find them, and a row that is last (first) along that axis has
+    none in row r + s (r - s).  The set is connected iff the graph, one
+    CSR with every edge stored both ways, has at most one component.
     """
     box = []
     rest = cells
@@ -119,8 +130,31 @@ def connected(cells: np.ndarray) -> bool:
     cells = cells[tuple(box)]
     if cells.all():
         return True
-    _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
-    return count <= 1
+    shape = cells.shape
+    width = shape[-1] + 1
+    padded = np.zeros(cells.size // shape[-1] * width + 1, dtype=bool)
+    padded[1:].reshape(-1, width)[:, :-1] = cells.reshape(-1, shape[-1])
+    start, end = np.flatnonzero(np.diff(padded)).reshape(-1, 2).T
+    row = start // width
+    # lo[i, k]:hi[i, k] are the runs that run i touches in its k-th
+    # neighbouring row: the next and the previous one along each earlier axis
+    lo = np.empty((start.size, 2 * cells.ndim - 2), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for axis in range(cells.ndim - 1):
+        stride = math.prod(shape[axis + 1:-1])
+        index = row // stride % shape[axis]
+        for k, (step, edge) in enumerate([(stride, shape[axis] - 1), (-stride, 0)], 2 * axis):
+            lo[:, k] = np.searchsorted(end, start + step * width, side="right")
+            hi[:, k] = np.where(index == edge, lo[:, k], np.searchsorted(start, end + step * width))
+    count = hi - lo
+    indptr = np.zeros(start.size + 1, dtype=np.intp)
+    np.cumsum(count.sum(axis=1), out=indptr[1:])
+    count, lo = count.ravel(), lo.ravel()
+    indices = np.arange(indptr[-1]) - np.repeat(np.cumsum(count) - count - lo, count)
+    runs = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(start.size, start.size))
+    # each edge is stored both ways, so the strong components are the set's
+    # components, and their search builds no transpose as an undirected one does
+    return connected_components(runs, connection="strong", return_labels=False) <= 1
 
 
 def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:

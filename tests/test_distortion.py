@@ -100,13 +100,15 @@ class OverflowingJacobian(Identity):
 @pytest.mark.parametrize("det", [1.0, math.inf])
 def test_non_finite_coefficient_is_not_converged(det):
     # J = 1 gives K = inf, where slack and budget are both inf and the check
-    # passes; J = inf gives inf / inf = NaN.  Neither K is a number to report.
+    # would pass any lhs; J = inf gives inf / inf = NaN.  Neither K is a
+    # number to report, and neither passes.
     g = grid2(2.0, 32)
     c = make_ring_condenser((0.0, 0.0), 0.8, 1.6, g)
     with np.errstate(all="ignore"):
         rep = verify_capacity_inequality(OverflowingJacobian(det), c, 2.0, 2.0, g, OPTS)
     assert not math.isfinite(rep.rhs_K)
     assert not rep.converged
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("tau", [math.nan, -0.5, 0.0, math.inf])

@@ -148,13 +148,13 @@ def test_graph_distance_and_helpers():
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (3, 1, 5), (6, 6, 6)])
 def test_full_cell_array_is_connected_without_labelling(shape, monkeypatch):
-    # a box is face-connected by construction: no component labelling, and
+    # a box is face-connected by construction: no run graph is built, and
     # a full-box grid builds without one
-    labels = []
-    monkeypatch.setattr(qcap.grid.ndimage, "label", lambda *args: labels.append(args))
+    graphs = []
+    monkeypatch.setattr(qcap.grid, "connected_components", lambda *args, **kw: graphs.append(args))
     assert connected(np.ones(shape, dtype=bool))
     GridDomain.box(len(shape), (0.0,) * len(shape), shape, 1.0)
-    assert labels == []
+    assert graphs == []
 
 
 def reference_graph_distance(mask, sources):
@@ -225,19 +225,50 @@ def _embedded_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_embedded_sets())
+@example(_cells((2, 4), (0, slice(2, 4)), (1, slice(0, 2))))  # runs meet only at a corner: the lower one ends
+@example(_cells((2, 4), (0, slice(0, 2)), (1, slice(2, 4))))  # where the upper one starts, and the other way
+@example(_cells((2, 2, 3), (0, 1), (1, 0)))  # a plane's last row, then the next plane's first
+@example(_cells((7,), slice(1, 5)))  # 1D, one run
+@example(_cells((7,), slice(0, 2), slice(4, 7)))  # 1D, two runs
+@example(_cells((2, 2, 2), (0, 0), (1, 0, 1), (1, 1, 1)))  # 3D, joined only along axis 0
+@example(~_cells((3, 4, 5), (1, 2, 2)))  # a box missing one cell
+@example(~_cells((1, 5), (0, 2)))  # a row missing one cell
 def test_connected_matches_labelling_the_uncropped_array(cells):
     _, count = ndimage.label(cells, ndimage.generate_binary_structure(cells.ndim, 1))
     assert connected(cells) == (count <= 1)
 
 
 def test_connected_labels_only_the_bounding_box(monkeypatch):
-    shapes = []
-    label = ndimage.label
-    monkeypatch.setattr(qcap.grid.ndimage, "label", lambda cells, s: shapes.append(cells.shape) or label(cells, s))
+    # the rows cut into runs are the bounding box's, and the run graph that
+    # reaches connected_components holds one node per run
+    rows, graphs = [], []
+    diff, components = np.diff, qcap.grid.connected_components
+    monkeypatch.setattr(np, "diff", lambda a: rows.append(a.size) or diff(a))
+    monkeypatch.setattr(
+        qcap.grid, "connected_components", lambda g, **kw: graphs.append((g.shape, g.nnz)) or components(g, **kw)
+    )
     assert not connected(_cells((10, 10, 10), (2, 3, 4), (4, 3, 6)))
     assert connected(_cells((10, 10, 10), (2, 3, 4), (2, 3, 5), (2, 4, 5)))
-    assert connected(_cells((9, 7), (5, 1), (5, 2), (5, 3)))  # fills its box: not labelled
-    assert shapes == [(3, 1, 3), (1, 2, 2)]
+    assert connected(_cells((9, 7), (5, 1), (5, 2), (5, 3)))  # fills its box: no graph
+    # boxes (3, 1, 3) and (1, 2, 2): 3 rows of 3 + 1 and 2 rows of 2 + 1 padded cells, plus one
+    assert rows == [3 * 4 + 1, 2 * 3 + 1]
+    assert graphs == [((2, 2), 0), ((2, 2), 2)]  # each edge stored both ways
+
+
+def test_annulus_connected_memory():
+    # the lab-cli kcoef mask, the 1024² annulus 0.5 < |x| < 1.9 in [-2, 2]²:
+    # the run graph's peak is 1.92 MB, the bool padded rows and their
+    # differences; labelling it with ndimage.label peaks at 4.2-4.7 MB
+    # (its int32 label array)
+    g = square_grid(1024, 2.0)
+    cells = rasterize(Annulus((0.0, 0.0), 0.5, 1.9), g)
+    tracemalloc.start()
+    try:
+        assert connected(cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4e6
 
 
 def test_condenser_validation():
