@@ -7,7 +7,8 @@ calibrate.  Every run writes ``<command>_report.json`` into the output
 directory (and optional CSV series when the config sets "csv": true) and
 prints the report to stdout.  Exit status: 0 success, 2 validation error,
 3 numerical non-convergence, 4 geometry error; failures also produce a
-structured JSON error report.
+structured JSON error report.  A report that cannot be written exits 2,
+with the reason on stderr.
 """
 
 from __future__ import annotations
@@ -219,16 +220,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out_dir: str, command: str, report: dict) -> None:
-    path = write_json(Path(out_dir) / f"{command}_report.json", report)
+def _emit(out_dir: str, command: str, report: dict, code: int, csvs=()) -> int:
+    """Write the report and its CSV series, print the report, and return ``code``.
+
+    A file that cannot be written makes it a validation error: the reason
+    goes to stderr and the exit code is ``EXIT_VALIDATION``.
+    """
+    try:
+        path = write_json(Path(out_dir) / f"{command}_report.json", report)
+        for name, header, rows in csvs:
+            write_csv(Path(out_dir) / name, header, rows)
+    except OSError as exc:
+        sys.stderr.write(f"qcap: cannot write the report: {exc}\n")
+        return EXIT_VALIDATION
     sys.stdout.write(path.read_text(encoding="utf-8"))
+    return code
 
 
 def _fail(args, config, code: int, kind: str, **detail) -> int:
     """Emit an error report without a result and return its exit code."""
     report = make_report(args.command, config, error={"code": code, "type": kind, **detail})
-    _emit(args.out, args.command, report)
-    return code
+    return _emit(args.out, args.command, report, code)
 
 
 def main(argv=None) -> int:
@@ -236,7 +248,7 @@ def main(argv=None) -> int:
     command = args.command
     try:
         cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         config = {"config_path": str(args.config)}
         return _fail(args, config, EXIT_VALIDATION, type(exc).__name__, message=str(exc))
 
@@ -266,10 +278,7 @@ def main(argv=None) -> int:
             "message": "a numerical routine did not reach its convergence contract",
         }
     report = make_report(command, resolved, result=result, error=error)
-    _emit(args.out, command, report)
-    for name, header, rows in csvs:
-        write_csv(Path(args.out) / name, header, rows)
-    return code
+    return _emit(args.out, command, report, code, csvs)
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ whole grid and raise DomainError for a field of any other length.  They
 do not check finiteness: the Newton line search rejects a trial step by
 its non-finite energy.  They sweep the field axis by axis on the shifted
 slices of ``GridDomain.inside_faces``, and each cell adds its face terms
-in the order of a ``bincount`` over ``GridDomain.face_pairs``, a list they
-never build.  A solve moves only its free cells, and works on vectors x
+in the order of a ``bincount`` over the face list ``GridDomain.face_pairs``.
+A solve moves only its free cells, and works on vectors x
 with one value per free cell: ``FreeEnergy``, built once per solve, fills
 in the plate values itself and gives the values and derivatives of the
 field so made from one pass over the faces that can carry a difference,
@@ -142,13 +142,12 @@ class FreeEnergy:
     are the faces' ends in local numbering and their weights (1/theta on a
     cut face, 1 elsewhere).  The kept faces are found axis by axis, by
     shifted slices of a grid-shaped label array (``GridDomain.inside_faces``),
-    and listed in ``face_pairs`` order, which is never built.  The set-up
+    and listed in ``face_pairs`` order.  The set-up
     marks them, and their ends that are not free, on grid-shaped bool
     arrays, numbers the local cells through one int32 grid map, and writes
     each axis's ends from that map into the preallocated int32 ``la`` and
     ``lb``; the flat indices of an axis's kept faces serve only to look up
-    its ``cut_faces`` weights.  No int64 grid map (``inside_index``), sort
-    or concatenation of face arrays is made.
+    its ``cut_faces`` weights.
 
     Three routes, one per job, on one pass over the kept faces, ``_diffs``,
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``

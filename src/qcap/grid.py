@@ -31,14 +31,12 @@ one keeps theta = 1, the cell-center staircase.
 
 Cells are face-adjacent (4 neighbors in 2D, 6 in 3D), the stencil of the
 energy.  ``GridDomain.inside_faces`` gives each axis's faces as shifted
-slices of grid-shaped arrays, and every face sweep of the package works on
-them: the whole-grid energy kernels, ``FreeEnergy``'s face selection,
-``graph_distance``'s edge lists and ``GridDomain.cut_faces``, which keys
-each cut face by its axis and its flat index in that axis's face array.
-The full face list, ``GridDomain.face_pairs``, is built only on request,
-and so is the int64 map from cell to inside enumeration,
-``GridDomain.inside_index``: a condenser's plate indices and a solve's
-index arrays do without it.
+slices of grid-shaped arrays, and the whole-grid energy kernels,
+``FreeEnergy``'s face selection and ``GridDomain.cut_faces``, which keys
+each cut face by its axis and its flat index in that axis's face array,
+work on them.  The full face list, ``GridDomain.face_pairs``, is built
+from them on each access; ``graph_distance`` is its one reader.  A grid
+caches its cut faces and nothing else.
 ``connected`` checks the same face adjacency on a graph of row runs,
 whose components ``scipy.sparse.csgraph`` counts.
 """
@@ -160,17 +158,12 @@ def connected(cells: np.ndarray) -> bool:
 def graph_distance(grid: GridDomain, sources: np.ndarray) -> np.ndarray:
     """Face-hop count (int32) from the inside cells in ``sources`` to every inside cell.
 
-    One multi-source search of the face graph, built on int32 indices from
-    ``inside_faces``; the result is in inside enumeration.  The inside cells
-    form one component, so every count is finite once ``sources`` holds an
-    inside cell.
+    One multi-source search of the face graph on ``grid.face_pairs``; the
+    result is in inside enumeration.  The inside cells form one component,
+    so every count is finite once ``sources`` holds an inside cell.
     """
-    # csgraph searches int32 indices; it would copy a graph built on int64 ones
     m = grid.inside_count
-    idx = np.full(grid.cells, -1, dtype=np.int32)
-    idx[grid.mask] = np.arange(m, dtype=np.int32)
-    parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both in grid.inside_faces()]
-    a, b = (np.concatenate(side) for side in zip(*parts))
+    a, b = grid.face_pairs
     faces = sp.csr_array((np.ones(a.size), (a, b)), shape=(m, m))
     starts = np.flatnonzero(sources[grid.mask])
     hops = dijkstra(faces, directed=False, indices=starts, unweighted=True, min_only=True)
@@ -477,14 +470,6 @@ class GridDomain:
         """Cell-center coordinates per axis, broadcasting to the grid's shape (``_axis_centers``)."""
         return _axis_centers(self.origin, self.cells, self.h)
 
-    @cached_property
-    def inside_index(self) -> np.ndarray:
-        """Full-grid map from cell to inside enumeration; -1 outside."""
-        idx = np.full(self.cells, -1, dtype=np.int64)
-        idx[self.mask] = np.arange(self.inside_count)
-        idx.setflags(write=False)
-        return idx
-
     def inside_centers_in(self, box: tuple) -> np.ndarray:
         """Centers of the inside cells in ``box``, in enumeration order, shape (count, n).
 
@@ -499,25 +484,24 @@ class GridDomain:
         )
         return _cell_centers(axes, self.mask[box])
 
-    @cached_property
+    @property
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inside-enumeration indices (a, b) of all face-adjacent inside pairs.
+        """Inside-enumeration indices (a, b), int32, of all face-adjacent inside pairs.
 
-        Faces are listed axis by axis in row-major order.  No face sweep of
-        the package builds this list: each works on ``inside_faces``.
+        Faces are listed axis by axis in row-major order.  Built from
+        ``inside_faces`` through an int32 grid map on each access, and not
+        kept: csgraph searches int32 indices, and would copy int64 ones.
         """
-        idx = self.inside_index
+        idx = np.full(self.cells, -1, dtype=np.int32)
+        idx[self.mask] = np.arange(self.inside_count, dtype=np.int32)
         parts = [(idx[lo][both], idx[hi][both]) for lo, hi, both in self.inside_faces()]
         a, b = (np.concatenate(side) for side in zip(*parts))
-        a.setflags(write=False)
-        b.setflags(write=False)
         return a, b
 
     def with_plates(self, plates) -> "GridDomain":
         """The same grid with the (cells, region) pairs ``plates`` embedded.
 
-        A shallow copy: cached index arrays are shared, the cut faces are
-        recomputed for the new plates on first use.
+        A shallow copy whose cut faces are found for the new plates on first use.
         """
         out = copy.copy(self)
         object.__setattr__(out, "plates", tuple(plates))
@@ -682,7 +666,7 @@ class Condenser:
 
     @cached_property
     def e_indices(self) -> np.ndarray:
-        """Inside-enumeration indices of the cells of E, ascending (``inside_index[E]``, without building that map)."""
+        """Inside-enumeration indices of the cells of E, ascending."""
         return np.flatnonzero(self.E[self.domain.mask])
 
     @cached_property
@@ -728,21 +712,14 @@ def make_ring_condenser(x0, r1: float, r2: float, grid: GridDomain) -> Condenser
 def point_diameter(pts: np.ndarray) -> float:
     """Largest Euclidean distance between two rows of ``pts`` (EmptySetError for none).
 
-    The farthest pair are vertices of the convex hull, so beyond n + 1 points
-    the scan keeps only the vertices of ``ConvexHull(pts, qhull_options="QJ")``;
-    the joggle lets flat sets (lines, slabs) through, and distances are taken
-    between the original points.  The pairs are then scanned in chunks of
-    2048 rows.
+    Every pair is scanned, in chunks of rows holding about ``SLAB_CELLS``
+    distances each.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if len(pts) == 0:
         raise EmptySetError("diameter of an empty point set")
-    if len(pts) > pts.shape[1] + 1:
-        from scipy.spatial import ConvexHull
-
-        pts = pts[ConvexHull(pts, qhull_options="QJ").vertices]
     best = 0.0
-    step = 2048
+    step = max(1, SLAB_CELLS // len(pts))
     for i in range(0, len(pts), step):
         best = max(best, float(radius(pts[i : i + step, None, :], pts).max()))
     return best

@@ -135,10 +135,12 @@ def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
     keep = (ids[1:] == ids[:-1]) & (lens > 0)
     rows, mids, lens = ids[1:][keep], mids[keep], lens[keep]
     idx, valid = grid.locate(mids)
-    cells = grid.inside_index[tuple(np.moveaxis(idx, -1, 0))]
-    out = ~valid | (cells < 0)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.cells)
+    out = ~valid | ~grid.mask.reshape(-1)[flat]
     if out.any():
         raise GeometryError(f"curve {rows[out.argmax()]} leaves the domain")
+    # a midpoint cell's column is its rank among the inside cells
+    cells = np.searchsorted(np.flatnonzero(grid.mask), flat)
     return sp.coo_matrix((lens, (rows, cells)), shape=(len(fam), grid.inside_count)).tocsr()
 
 

@@ -369,6 +369,37 @@ def test_cli_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_undecodable_config(tmp_path, capsys):
+    # a byte that is not UTF-8 is reported as bad JSON is, not as a traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ring": \xff}')
+    code = main(["ring", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "ring_report.json").read_text())
+    assert report["error"]["type"] == "UnicodeDecodeError"
+    assert "0xff" in report["error"]["message"]
+    capsys.readouterr()
+
+
+def test_cli_unwritable_report_exits_2(tmp_path, capsys):
+    # a report, an error report or a CSV series that cannot be written exits 2, the reason on stderr
+    blocker = tmp_path / "afile"
+    blocker.write_text("x", encoding="utf-8")
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"ring": {"n": 2, "p": 2.0, "r1": 1.0, "r2": 2.0}}), encoding="utf-8")
+    for config in (ring, tmp_path / "absent.json"):
+        assert main(["ring", "--config", str(config), "--out", str(blocker / "sub")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot write the report" in err and "Not a directory" in err
+    cap = tmp_path / "cap.json"
+    cap.write_text(json.dumps(cap_config(csv=True)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    (out_dir / "cap_energy_history.csv").mkdir(parents=True)
+    assert main(["cap", "--config", str(cap), "--out", str(out_dir)]) == 2
+    assert "cap_energy_history.csv" in capsys.readouterr().err
+
+
 def test_cli_validation_diagnostics(tmp_path, capsys):
     cfg = cap_config()
     cfg["exponents"] = {"p": 0.5}

@@ -16,12 +16,14 @@ from qcap import (
 import qcap.energy
 from qcap.energy import FreeEnergy
 
+from grid_helpers import inside_index
+
 
 def loop_energy(u_flat, grid, p, eps):
     """Face-by-face reference implementation with explicit python loops."""
     full = np.full(grid.cells, np.nan)
     full[grid.mask] = u_flat
-    idx = grid.inside_index
+    idx = inside_index(grid)
     g = np.zeros(grid.inside_count)
     for cell in np.ndindex(*grid.cells):
         if not grid.mask[cell]:

@@ -2,8 +2,9 @@
 
 ``GridDomain.cut_faces``, the face selection of ``FreeEnergy``, the
 whole-grid kernels ``cell_gradient_sq``, ``energy_value`` and
-``energy_gradient``, and ``graph_distance`` work axis by axis on
-grid-shaped arrays and never build ``face_pairs``.  The oracles below are
+``energy_gradient``, and the solves work axis by axis on grid-shaped
+arrays and never build ``face_pairs``; a grid caches its cut faces and
+nothing else.  The oracles below are
 the full-face-list versions: plate owners and labels gathered over
 ``face_pairs``, each cut segment bisected as stacked (N, n) points through
 ``Region.contains``, and the kernels summed by ``bincount`` over the face
@@ -11,6 +12,7 @@ list, with the cut weights at face-list positions.  Every array must match
 exactly.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from qcap import (
     GridDomain,
     RadialPower,
     SingularityError,
+    check_hesse_shlyk,
     make_ring_condenser,
     pullback_condenser,
     rasterize,
@@ -31,6 +34,8 @@ from qcap import (
 )
 from qcap.energy import EnergyParams, FreeEnergy, _check_length, _phi1, cell_gradient_sq, energy_gradient, energy_value
 from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union, graph_distance
+
+from grid_helpers import forbid_face_list, inside_index
 
 
 def oracle_cut_fraction(region, start, stop):
@@ -57,7 +62,7 @@ def oracle_cut_positions(grid):
 
     owner = np.full(grid.inside_count, -1, dtype=np.int8)
     for k, (cells, _) in enumerate(grid.plates):
-        owner[grid.inside_index[cells]] = k
+        owner[inside_index(grid)[cells]] = k
     faces = np.flatnonzero((owner[a] < 0) != (owner[b] < 0))
     a_plate = owner[a[faces]] >= 0
     free_end = np.where(a_plate, b[faces], a[faces])
@@ -266,7 +271,6 @@ def selection_cases():
 def test_cut_faces_match_the_face_list_oracle(name):
     cond = CONDENSERS[name]()
     got = cond.domain.cut_faces
-    assert "face_pairs" not in cond.domain.__dict__
     want = oracle_cut_faces(cond.domain)
     assert len(got) == len(want) == cond.domain.n
     for (faces, weights), (want_faces, want_weights) in zip(got, want):
@@ -280,7 +284,6 @@ def test_cut_faces_match_the_face_list_oracle(name):
 def test_free_energy_faces_match_the_face_list_oracle(case):
     grid, free, base = case()
     energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
-    assert "face_pairs" not in grid.__dict__
     la, lb, w, cells = oracle_selection(grid, free, base)
     for got, want in ((energy.la, la), (energy.lb, lb), (energy.w, w), (energy.cells, cells)):
         assert got.dtype == want.dtype
@@ -322,22 +325,33 @@ def test_red_black_coupling_matches_the_coo_oracle(case):
 @pytest.mark.parametrize("name", list(CONDENSERS))
 def test_plate_indices_are_the_inside_enumeration(name):
     cond = CONDENSERS[name]()
+    idx = inside_index(cond.domain)
     for got, plate in ((cond.e_indices, cond.E), (cond.f_indices, cond.F)):
-        assert "inside_index" not in cond.domain.__dict__
-        want = cond.domain.inside_index[plate]
+        want = idx[plate]
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-        cond.domain.__dict__.pop("inside_index")
+
+
+def sweep_and_solve(cond, p):
+    """The cut faces, a ``FreeEnergy`` set-up, the whole-grid kernels and a solve, all at ``p``."""
+    grid = cond.domain
+    grid.cut_faces
+    FreeEnergy(grid, *plate_sets(cond), EnergyParams(p, 1e-4))
+    u, _ = kernel_fields(cond)
+    cell_gradient_sq(u, grid)
+    energy_value(u, grid, EnergyParams(p))
+    energy_gradient(u, grid, EnergyParams(p, 1e-3))
+    assert solve_capacity(cond, p).converged
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
 @pytest.mark.parametrize("name", list(CONDENSERS))
-def test_solve_builds_no_inside_index(name, p):
-    # a solve numbers its cells through an int32 map of its own: the grid's
-    # int64 map from cell to inside enumeration is never built
-    cond = CONDENSERS[name]()
-    assert solve_capacity(cond, p).converged
-    assert "inside_index" not in cond.domain.__dict__
+def test_solve_builds_no_inside_index(name, p, monkeypatch):
+    # the grid has no map from cell to inside enumeration: a solve numbers
+    # its cells through an int32 map of its own, and neither it nor any
+    # other face sweep reads the full face list
+    forbid_face_list(monkeypatch)
+    sweep_and_solve(CONDENSERS[name](), p)
 
 
 def test_free_energy_setup_memory():
@@ -403,7 +417,6 @@ def test_kernels_match_the_face_list_oracle(name, p, eps):
                 energy_gradient(u, grid, params)
         else:
             grad = energy_gradient(u, grid, params)
-        assert "face_pairs" not in grid.__dict__
         want = oracle_cell_gradient_sq(u, grid)
         assert g.dtype == want.dtype and np.array_equal(g, want)
         assert value == oracle_energy_value(u, grid, params)
@@ -413,7 +426,6 @@ def test_kernels_match_the_face_list_oracle(name, p, eps):
         else:
             want = oracle_energy_gradient(u, grid, params)
             assert grad.dtype == want.dtype and np.array_equal(grad, want)
-        grid.__dict__.pop("face_pairs")
     # the constant-on-E field takes the singular path exactly at p < 2, eps = 0
     assert singular == (p < 2 and eps == 0)
 
@@ -428,16 +440,23 @@ def test_kernels_reject_a_field_of_another_length(name):
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CONDENSERS))
-def test_whole_grid_sweeps_build_no_face_list(name):
-    cond = KERNEL_CONDENSERS[name]()
-    grid = cond.domain
-    u, _ = kernel_fields(cond)
-    cell_gradient_sq(u, grid)
-    energy_value(u, grid, EnergyParams(1.5))
-    energy_gradient(u, grid, EnergyParams(2.0))
-    energy_gradient(u, grid, EnergyParams(3.0, 1e-3))
-    graph_distance(grid, cond.E)
-    assert "face_pairs" not in grid.__dict__
+def test_whole_grid_sweeps_build_no_face_list(name, monkeypatch):
+    forbid_face_list(monkeypatch)
+    for p in (1.5, 2.0):
+        sweep_and_solve(KERNEL_CONDENSERS[name](), p)
+
+
+# ``GridDomain`` fields; anything else in a grid's ``__dict__`` is a cache
+GRID_FIELDS = {f.name for f in dataclasses.fields(GridDomain)}
+
+
+@pytest.mark.parametrize("name", ["ring-2d", "ring-3d", "masked-annulus"])
+def test_grid_caches_only_cut_faces(name):
+    cond = {**CONDENSERS, **KERNEL_CONDENSERS}[name]()
+    assert solve_capacity(cond, 1.5).converged
+    graph_distance(cond.domain, cond.E)
+    assert check_hesse_shlyk(cond, 2.0, 16)["converged"]
+    assert set(cond.domain.__dict__) == GRID_FIELDS | {"cut_faces"}
 
 
 def test_first_energy_gradient_memory():

@@ -5,8 +5,9 @@
 For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 (read from this checkout; ``modulus`` also sets ``"csv": true``, so that
 its density CSV is compared too, and ``kcoef`` takes the seed's
-``KCOEF_EXPONENTS``, so that seed 1 compares the q < p integral) and the
-seed's ``CAPS``, ``RINGS`` and
+``KCOEF_EXPONENTS``, so that seed 1 compares the q < p integral, and
+seed 1 takes ``SPREAD_CLUSTER`` for ``cluster``, so that a diameter of
+more than n + 1 points is compared) and the seed's ``CAPS``, ``RINGS`` and
 ``CALIBRATIONS`` configs, one config for each of the nine commands, are
 written once and run through ``python -m qcap.cli <command> --config ...
 --seed S`` in each checkout,
@@ -53,6 +54,20 @@ _BENCH = {"n": 2, "r1": 1.0, "r2": 2.0, "half": 2.5, "resolutions": [32, 48]}
 CALIBRATIONS = {seed: {"calibration": {"benchmarks": [{**_BENCH, "p": p}]}} for seed, p in ((0, 2.0), (1, 1.5))}
 # The ess-sup branch (q = p) as the benchmark runs it, and the integral branch (q < p).
 KCOEF_EXPONENTS = {0: {"p": 2.0, "q": 2.0}, 1: {"p": 2.0, "q": 1.5}}
+
+# lab-cli's cluster estimates are single points.  Here the inverse map
+# stretches by 50, so the tails stay apart: the estimates hold 12, 8 and 8
+# points, and the convex hull of the first has 7 vertices.
+SPREAD_CLUSTER = {
+    "image_grid": {
+        "n": 2,
+        "box": [[-1.0, 1.0], [-1.0, 1.0]],
+        "cells": [64, 64],
+        "region": {"type": "ball", "center": [0.0, 0.0], "r": 0.9},
+    },
+    "mapping": {"family": "affine", "matrix": [[0.02, 0.0], [0.0, 0.02]], "shift": [0.0, 0.0]},
+    "cluster": {"points": [[0.6364, 0.6364], [0.9, 0.0], [0.0, -0.9]], "sequences": 16, "depth": 4},
+}
 
 
 def write_configs(configs: dict, out: Path) -> None:
@@ -126,6 +141,8 @@ def main(argv=None) -> int:
             configs = {**lab_configs(seed), "cap": CAPS[seed], "ring": RINGS[seed], "calibrate": CALIBRATIONS[seed]}
             configs["modulus"] = {**configs["modulus"], "csv": True}
             configs["kcoef"] = {**configs["kcoef"], "exponents": KCOEF_EXPONENTS[seed]}
+            if seed == 1:
+                configs["cluster"] = SPREAD_CLUSTER
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
