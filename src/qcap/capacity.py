@@ -60,6 +60,7 @@ positive on both sides of p = n and continuous across it.
 from __future__ import annotations
 
 import math
+import numbers
 import dataclasses
 from dataclasses import dataclass
 
@@ -83,19 +84,24 @@ MIN_STEP = 1e-10
 NEWTON_CG_STEPS = 1000
 
 
+def _is_integer(x) -> bool:
+    """True for a value of an integer type, numpy's included, and False for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Budget, stopping threshold and smoothing of the capacity solve.
 
-    ``max_iterations`` caps the Newton steps for p != 2 (each one inner CG
-    solve, capped internally, like the p = 2 solve that starts them) and the
-    reduced CG steps on the red cells for p = 2.  ``rel_tol`` is the
-    stopping threshold: for p != 2 the solve ends once half the Newton
-    decrement is at most rel_tol |E|, and the inner CG of that last step
-    stops as soon as its drops show the test will hold; for p = 2 the solve
-    ends once the energy drops by at most rel_tol |E| over 10 steps;
-    rel_tol is positive and finite.  ``eps`` is the smoothing of the
-    regularized energy, positive and finite.
+    ``max_iterations``, an integer >= 1, caps the Newton steps for p != 2
+    (each one inner CG solve, capped internally, like the p = 2 solve that
+    starts them) and the reduced CG steps on the red cells for p = 2.
+    ``rel_tol`` is the stopping threshold: for p != 2 the solve ends once
+    half the Newton decrement is at most rel_tol |E|, and the inner CG of
+    that last step stops as soon as its drops show the test will hold; for
+    p = 2 the solve ends once the energy drops by at most rel_tol |E| over
+    10 steps; rel_tol is positive and finite.  ``eps`` is the smoothing of
+    the regularized energy, positive and finite.
     """
 
     max_iterations: int = 40000
@@ -104,6 +110,8 @@ class SolverOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", float(self.eps))
+        if not _is_integer(self.max_iterations):
+            raise DomainError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
         if not 0 < self.rel_tol < math.inf:
@@ -380,7 +388,8 @@ def ring_capacity_exact(n: int, p: float, r1: float, r2: float) -> float:
 class RingBenchmark:
     """One concentric-ring solve in [-half, half]^n per resolution.
 
-    n is 2 or 3, p > 1, 0 < r1 < r2 < half < inf and every resolution >= 2.
+    n is 2 or 3, p > 1, 0 < r1 < r2 < half < inf and every resolution an
+    integer >= 2.
     """
 
     n: int
@@ -391,7 +400,9 @@ class RingBenchmark:
     resolutions: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
+        if not all(map(_is_integer, self.resolutions)):
+            raise DomainError(f"benchmark resolutions must be integers, got {list(self.resolutions)}")
+        object.__setattr__(self, "resolutions", tuple(map(int, self.resolutions)))
         _check_ring(self.n, self.p, self.r1, self.r2)
         if not self.r2 < self.half < math.inf:
             raise DomainError("benchmark box must contain the outer sphere")

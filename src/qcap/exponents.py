@@ -8,6 +8,7 @@ the distortion of its inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,8 @@ class ExponentPair:
             raise DomainError(f"dimension must be an integer >= 2, got {self.n}")
         if not (1.0 < self.q <= self.p):
             raise DomainError(f"exponents must satisfy 1 < q <= p, got q={self.q}, p={self.p}")
+        if not self.p < math.inf:
+            raise DomainError(f"exponent p must be finite, got p={self.p}")
 
 
 def super_window_upper_bound(n: int) -> float | None:

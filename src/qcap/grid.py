@@ -19,7 +19,8 @@ one bool array, so a distance is one slab's size.  Every distance
 accumulates its squares in axis order, as ``radius`` does, which is bit
 for bit ``np.linalg.norm(pts - center, axis=-1)``; a box ANDs its
 per-axis bounds.
-Only ``MappedRegion`` stacks its coordinates into points.
+Only ``MappedRegion`` stacks its coordinates into points, a slab at a
+time; a ``GridDomain`` is a region on points too (``contains``).
 
 A condenser's domain embeds its plates: a face between a free cell and a
 plate cell is cut by the plate's boundary at the fraction theta in (0, 1]
@@ -387,22 +388,6 @@ def _axis_centers(origin, cells, h: float) -> tuple:
     )
 
 
-def _cell_centers(axes, where=None) -> np.ndarray:
-    """Centers of the cells of the grid whose per-axis center vectors are ``axes``.
-
-    ``axes`` are ``_axis_centers`` vectors, or slices of them, broadcasting
-    to the grid's shape.  All the centers, shape (*shape, n), or those of
-    the boolean cell array ``where`` in row-major order, shape (count, n).
-    Each coordinate is filled from its vector, without a meshgrid.
-    """
-    shape = np.broadcast_shapes(*(axis.shape for axis in axes))
-    n = len(axes)
-    out = np.empty((*shape, n) if where is None else (int(np.count_nonzero(where)), n))
-    for k, axis in enumerate(axes):
-        out[..., k] = axis if where is None else np.broadcast_to(axis, shape)[where]
-    return out
-
-
 @dataclass(frozen=True)
 class GridDomain:
     """Uniform grid over an axis-aligned box with an inside mask.
@@ -462,10 +447,6 @@ class GridDomain:
     def inside_count(self) -> int:
         return int(self.mask.sum())
 
-    def all_centers(self) -> np.ndarray:
-        """Centers of all cells, shape (*cells, n)."""
-        return _cell_centers(self.axis_centers())
-
     def axis_centers(self) -> tuple:
         """Cell-center coordinates per axis, broadcasting to the grid's shape (``_axis_centers``)."""
         return _axis_centers(self.origin, self.cells, self.h)
@@ -476,13 +457,16 @@ class GridDomain:
         ``box`` holds one slice per leading axis (step 1); the axes after it
         are taken whole, so ``inside_centers_in(())`` holds every inside
         center, and the rows for ``box`` are the matching rows of it, bit
-        for bit.
+        for bit.  Each coordinate is filled from its axis's center vector,
+        broadcast over the box, without a meshgrid.
         """
-        axes = tuple(
-            axis[(slice(None),) * k + (box[k],)] if k < len(box) else axis
-            for k, axis in enumerate(self.axis_centers())
-        )
-        return _cell_centers(axes, self.mask[box])
+        where = self.mask[box]
+        out = np.empty((int(np.count_nonzero(where)), self.n))
+        for k, axis in enumerate(self.axis_centers()):
+            if k < len(box):
+                axis = axis[(slice(None),) * k + (box[k],)]
+            out[:, k] = np.broadcast_to(axis, where.shape)[where]
+        return out
 
     @property
     def face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -577,12 +561,9 @@ class GridDomain:
         return np.clip(raw, 0, np.asarray(self.cells) - 1), valid
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """True where a point lies in an inside cell of the grid."""
+        """True where a point of ``pts`` (..., n) lies in an inside cell, shape (...): the grid as a region."""
         idx, valid = self.locate(pts)
-        out = np.zeros(np.shape(valid), dtype=bool)
-        inside = self.mask[tuple(np.moveaxis(idx, -1, 0))]
-        np.copyto(out, valid & inside)
-        return out
+        return valid & self.mask[tuple(np.moveaxis(idx, -1, 0))]
 
 
 def rasterize(region, grid: GridDomain) -> np.ndarray:

@@ -20,12 +20,13 @@ finite-distortion convention 0/0 = 0); otherwise they are flagged, excluded,
 and counted, and too many flagged cells fail the computation.  The cells
 are walked in slabs of whole rows along axis 0, so the computation holds
 one float per inside cell plus one slab's centers and Jacobian data, never
-the grid's whole center array.
+the grid's whole center array.  A condenser is pulled back the same way:
+each plate as a ``MappedRegion`` preimage, rasterized in those slabs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,8 +161,10 @@ class MappedRegion(Region):
     """Preimage region {x : region contains mapping(x)}: exact predicate
     transport, no inversion needed.
 
-    The one region that needs whole points: its kernel stacks the per-axis
-    coordinates into points, and ``contains`` maps its points as they are.
+    ``region`` has ``contains`` on points: a region, or a ``GridDomain``
+    (the union of its inside cells).  The one region that needs whole
+    points: its kernel stacks the per-axis coordinates into points, and
+    ``contains`` maps its points as they are.
     """
 
     region: object
@@ -220,29 +223,20 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
 
 
 def pullback_condenser(m, c_image: Condenser, source_grid: GridDomain) -> Condenser:
-    """Rasterize the plate preimages {x : m(x) in plate} on the source grid.
+    """Rasterize the plate preimages {x : m(x) in plate} on the source grid, slab by slab.
 
-    Uses the analytic plate regions when the image condenser records them;
-    otherwise falls back to membership of the forward-mapped cell centers in
-    the image cell sets.  On that fallback a source cell whose image center
-    leaves the image grid belongs to no plate, so the image grid must cover
-    the image of every source cell that should land in a plate.
+    A plate's region is the one the image condenser records, or else the
+    image grid restricted to the plate's cells (``GridDomain.contains``),
+    which keeps a source cell whose image center lands in a plate cell.
+    Such a plate records no region (theta = 1 on its cut faces), and the
+    image grid must cover the image of every source cell it should hold.
     """
-    plates = []
-    regions = []
+    plates, regions = [], []
     for cells, region in ((c_image.E, c_image.region_e), (c_image.F, c_image.region_f)):
-        if region is not None:
-            pre = MappedRegion(region, m)
-            plates.append(rasterize(pre, source_grid))
-            regions.append(pre)
-        else:
-            img = m.evaluate(source_grid.all_centers())
-            idx, valid = c_image.domain.locate(img)
-            hit = np.zeros(source_grid.cells, dtype=bool)
-            sel = tuple(np.moveaxis(idx, -1, 0))
-            hit[valid] = cells[sel][valid]
-            plates.append(hit & source_grid.mask)
-            regions.append(None)
+        image = replace(c_image.domain, mask=cells, plates=()) if region is None else region
+        pre = MappedRegion(image, m)
+        plates.append(rasterize(pre, source_grid))
+        regions.append(None if region is None else pre)
     if not plates[0].any() or not plates[1].any():
         raise GeometryError("a pulled-back plate rasterizes empty on the source grid")
     return Condenser(plates[0], plates[1], source_grid, regions[0], regions[1])

@@ -1,8 +1,13 @@
-"""Test helpers for what the package no longer builds: the cell-to-inside map, and the face list in a solve."""
+"""Test helpers for what the package no longer builds: the whole-grid center array, the cell-to-inside map, and the face list in a solve."""
 
 import numpy as np
 
 from qcap import GridDomain
+
+
+def all_centers(grid):
+    """Centers of all cells of the grid, shape (*cells, n), stacked from its ``axis_centers``."""
+    return np.stack(np.broadcast_arrays(*grid.axis_centers()), axis=-1)
 
 
 def inside_index(grid):

@@ -25,6 +25,8 @@ from qcap import (
 from qcap.boundary import _frame, _inward_direction, _merge_points, _shell_crossing
 from qcap.grid import connected, point_diameter
 
+from grid_helpers import all_centers
+
 
 def disk_grid(cells=64, half=2.0, r=1.9):
     return GridDomain.box(2, (-half, -half), (cells, cells), 2 * half / cells, Ball((0.0, 0.0), r))
@@ -43,7 +45,7 @@ def test_shell_crossing_is_relative_to_the_domain():
     # The access grid of the CLI benchmark: a 64^2 disc of radius 1.9 in [-2.2, 2.2]^2.
     g = GridDomain.box(2, (-2.2, -2.2), (64, 64), 4.4 / 64, Ball((0.0, 0.0), 1.9))
     x0 = np.array(boundary_point())
-    c = g.all_centers()
+    c = all_centers(g)
     dist = np.linalg.norm(c - x0, axis=-1)
     crosses = _shell_crossing(x0, 0.9, 0.3, g)
     # A band along the domain's boundary, inside U, touches the outside of
@@ -136,7 +138,7 @@ def test_sample_shell_continua_validation():
 
 
 def tube_centroids(tubes, g):
-    return np.array([g.all_centers()[tube].mean(axis=0) for tube in tubes])
+    return np.array([all_centers(g)[tube].mean(axis=0) for tube in tubes])
 
 
 def punctured_box(n, cells, half):
@@ -191,7 +193,7 @@ def test_probe_strong_accessibility():
     assert rep["delta_hat"] > 0
     # every tube spans the shell, so its diameter reaches the gap r_u - r_v
     tubes = args[-1]
-    assert min(point_diameter(g.all_centers()[tube]) for tube in tubes) >= 0.9 - 0.3 - 2 * g.h
+    assert min(point_diameter(all_centers(g)[tube]) for tube in tubes) >= 0.9 - 0.3 - 2 * g.h
 
 
 def test_probe_geometry_validation():
@@ -208,7 +210,7 @@ def test_probe_geometry_validation():
     with pytest.raises(GeometryError, match="face-connected"):
         probe_strong_accessibility(x0, r_u, r_v, e_cells, p, [torn], g)
     # a continuum that stops short of the sphere of radius r_u is rejected
-    short = tubes[0] & (np.linalg.norm(g.all_centers() - np.asarray(x0), axis=-1) < 0.7)
+    short = tubes[0] & (np.linalg.norm(all_centers(g) - np.asarray(x0), axis=-1) < 0.7)
     with pytest.raises(GeometryError, match="cross"):
         probe_strong_accessibility(x0, r_u, r_v, e_cells, p, [short], g)
 

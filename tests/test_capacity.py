@@ -39,6 +39,12 @@ def test_solver_options_validation():
     SolverOptions()
     with pytest.raises(DomainError):
         SolverOptions(max_iterations=0)
+    # an iteration budget is a whole count: 2.5 once gave a p = 2 solve 3 CG steps, and True 1
+    for count in (2.5, 2.0, True, np.float64(3.0), "3"):
+        with pytest.raises(DomainError, match="max_iterations must be an integer"):
+            SolverOptions(max_iterations=count)
+    for count in (1, np.int64(7), np.int32(7), np.uint8(7)):
+        assert SolverOptions(max_iterations=count).max_iterations == count
     # rel_tol = inf would stop a Newton solve after one step and call it converged
     for rel_tol in (0.0, -1e-9, math.inf, math.nan):
         with pytest.raises(DomainError, match="rel_tol must be positive and finite"):
@@ -378,6 +384,23 @@ def test_p2_ring_observed_order():
     errors = [abs(solve_ring(2, 2.0, 1.0, 2.0, 2.5, res).value - exact) / exact for res in (32, 48)]
     order = math.log(errors[0] / errors[1]) / math.log(48 / 32)
     assert order >= 1.8
+
+
+@pytest.mark.parametrize(
+    "p, err64, err128",
+    [(1.2, 4.23e-2, 2.19e-2), (1.5, 1.85e-2, 9.53e-3), (3.0, -3.31e-2, -1.72e-2)],
+    ids=["p1.2", "p1.5", "p3"],
+)
+def test_p_ne_2_ring_accuracy_below_256(p, err64, err128):
+    # the ring (1, 2) in [-2.5, 2.5]² against its closed form: first order in h
+    # for p != 2, the signed relative errors at 64² and 128² noted beside p
+    exact = ring_capacity_exact(2, p, 1.0, 2.0)
+    results = [solve_ring(2, p, 1.0, 2.0, 2.5, res) for res in (64, 128)]
+    assert all(r.converged for r in results)
+    errors = [r.value / exact - 1.0 for r in results]
+    for got, noted in zip(errors, (err64, err128)):
+        assert abs(got) <= 1.25 * abs(noted)
+    assert errors[0] / errors[1] >= 1.8
 
 
 def dense_hessian(grid, free, params):
@@ -893,3 +916,9 @@ def test_ring_benchmark_validation():
     for resolutions in [(), (1,), (16, 1)]:
         with pytest.raises(DomainError, match="resolutions"):
             RingBenchmark(2, 2.0, 1.0, 2.0, 2.5, resolutions)
+    # a resolution is a whole count: (32.7, 48.2) once became (32, 48)
+    for resolutions in [(32.7, 48.2), (32, 48.0), (True, 32), (np.float64(32.0),)]:
+        with pytest.raises(DomainError, match="resolutions must be integers"):
+            RingBenchmark(2, 1.5, 1.0, 2.0, 2.5, resolutions)
+    bench = RingBenchmark(2, 1.5, 1.0, 2.0, 2.5, [np.int64(32), np.int32(48)])
+    assert bench.resolutions == (32, 48) and all(type(r) is int for r in bench.resolutions)

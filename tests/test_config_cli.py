@@ -33,6 +33,8 @@ from qcap.config import (
 )
 from qcap.grid import point_diameter
 
+from grid_helpers import all_centers
+
 GRID2 = {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [32, 32]}
 RING_COND = {"type": "ring", "center": [0.0, 0.0], "r1": 1.0, "r2": 2.0}
 
@@ -627,7 +629,7 @@ def test_cli_access_3d_tubes_cross_the_shell(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qcap.cli, "sample_shell_continua", sample)
     code, report, _ = run_cli(tmp_path, "access", cfg, "--seed", "1")
     assert code == 0, report.get("error")
-    centers = seen["grid"].all_centers()
+    centers = all_centers(seen["grid"])
     assert len(seen["tubes"]) == 3
     assert min(point_diameter(centers[tube]) for tube in seen["tubes"]) >= 0.9 - 0.3 - 2 * 4.4 / 24
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Exponent windows and the dual-exponent map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,12 @@ def test_pair_validation():
         ExponentPair(1, 2.0, 2.0)
     with pytest.raises(DomainError):
         ExponentPair(2, 2.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^exponents must satisfy 1 < q <= p, got q=2.5, p=2.0$"):
         ExponentPair(2, 2.0, 2.5)
+    # 1 < q <= p < inf: an infinite p passed the ordering
+    for q in (1.5, math.inf):
+        with pytest.raises(DomainError, match="p must be finite"):
+            ExponentPair(2, math.inf, q)
 
 
 def test_super_window_upper_bound():

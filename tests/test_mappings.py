@@ -27,6 +27,8 @@ from qcap import (
     pullback_condenser,
 )
 
+from grid_helpers import all_centers
+
 
 def fd_jacobian(m, x, step=1e-7):
     """Numerical Jacobian matrix of a mapping at a single point."""
@@ -330,6 +332,9 @@ def test_exponent_validation():
         distortion_coefficient(Identity(), g, 2.0, 2.5)
     with pytest.raises(DomainError):
         distortion_coefficient(Identity(), g, 2.0, 1.0)
+    # an infinite p gave K = NaN in integral mode
+    with pytest.raises(DomainError, match="p must be finite"):
+        distortion_coefficient(Identity(), g, math.inf, 1.5)
 
 
 def test_pullback_condenser_ring():
@@ -374,7 +379,75 @@ def test_pullback_condenser_without_regions():
 
     # a source cell whose image leaves the image grid belongs to no plate
     wide = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
-    _, landed = image.locate(m.evaluate(wide.all_centers()))
+    _, landed = image.locate(m.evaluate(all_centers(wide)))
     cellwise = pullback_condenser(m, bare, wide)
     assert not (cellwise.E | cellwise.F)[~landed].any()
     assert (pullback_condenser(m, ring, wide).F & ~landed).any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["identity", "radial2", "radial07", "affine"])
+@pytest.mark.parametrize("half", [2.5, 6.0])  # a source box inside the image box, and one wider
+def test_regionless_pullback_is_the_cell_lookup(n, family, half):
+    # the plates are the source cells whose mapped centers land in a plate cell of the image grid
+    res = 48 if n == 2 else 20
+    image = GridDomain.box(n, (-4.5,) * n, (res,) * n, 9.0 / res)
+    ring = make_ring_condenser((0.0,) * n, 0.8, 1.5, image)
+    bare = Condenser(ring.E, ring.F, image)
+    a = 0.9 * np.eye(n)
+    a[0, 1] = 0.3
+    m = {
+        "identity": Identity(),
+        "radial2": RadialPower(2.0, (0.0,) * n),
+        "radial07": RadialPower(0.7, (0.0,) * n),
+        "affine": Affine(tuple(map(tuple, a)), (0.1,) * n),
+    }[family]
+    source = GridDomain.box(n, (-half,) * n, (res,) * n, 2 * half / res)
+    idx, landed = image.locate(m.evaluate(all_centers(source)))
+    pulled = pullback_condenser(m, bare, source)
+    for plate, got in ((bare.E, pulled.E), (bare.F, pulled.F)):
+        assert np.array_equal(got, landed & plate[tuple(np.moveaxis(idx, -1, 0))])
+    assert pulled.region_e is None and pulled.region_f is None
+    assert not any(flat.size for flat, _ in pulled.domain.cut_faces)
+
+
+class CountingMap:
+    """A mapping that records the number of points in each batch it maps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def evaluate(self, pts):
+        self.batches.append(math.prod(np.shape(pts)[:-1]))
+        return self.inner.evaluate(pts)
+
+
+def regionless_pullback_1024(m):
+    """A regionless (1, 4) ring on a 128² image grid, pulled back to a 1024² source grid."""
+    image = GridDomain.box(2, (-4.5, -4.5), (128, 128), 9.0 / 128)
+    ring = make_ring_condenser((0.0, 0.0), 1.0, 4.0, image)
+    bare = Condenser(ring.E, ring.F, image)
+    source = GridDomain.box(2, (-2.5, -2.5), (1024, 1024), 5.0 / 1024)
+    return source, lambda: pullback_condenser(m, bare, source)
+
+
+def test_regionless_pullback_maps_one_slab_at_a_time():
+    m = CountingMap(RadialPower(2.0, (0.0, 0.0)))
+    source, pull = regionless_pullback_1024(m)
+    pull()
+    slab = qcap.grid.row_slabs(source.cells)[0]
+    assert sum(m.batches) == 2 * 1024 * 1024  # every center, once per plate
+    assert max(m.batches) <= (slab.stop - slab.start) * 1024
+
+
+def test_regionless_pullback_memory():
+    # 7.5 MB; one (1024, 1024, 2) float center array alone is 16.8 MB
+    _, pull = regionless_pullback_1024(RadialPower(2.0, (0.0, 0.0)))
+    tracemalloc.start()
+    try:
+        pull()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -7,11 +7,12 @@ For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 its density CSV is compared too, and ``kcoef`` takes the seed's
 ``KCOEF_EXPONENTS``, so that seed 1 compares the q < p integral, and
 seed 1 takes ``SPREAD_CLUSTER`` for ``cluster``, so that a diameter of
-more than n + 1 points is compared) and the seed's ``CAPS``, ``RINGS`` and
-``CALIBRATIONS`` configs, one config for each of the nine commands, are
-written once and run through ``python -m qcap.cli <command> --config ...
---seed S`` in each checkout,
-with that checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
+more than n + 1 points is compared, and ``REGIONS_DISTORT`` for
+``distort``, so that a pullback of plates other than balls is compared) and
+the seed's ``CAPS``, ``RINGS`` and ``CALIBRATIONS`` configs, one config for
+each of the nine commands, are written once and run through ``python -m
+qcap.cli <command> --config ... --seed S`` in each checkout, with that
+checkout's ``src/`` on the path and ``OPENBLAS_NUM_THREADS=1``.
 Every report file whose bytes differ between the two sides, or that only
 one side wrote, is listed; the exit status is 1 if there is any, else 0.
 For a differing JSON report the listing also gives the largest relative
@@ -67,6 +68,26 @@ SPREAD_CLUSTER = {
     },
     "mapping": {"family": "affine", "matrix": [[0.02, 0.0], [0.0, 0.02]], "shift": [0.0, 0.0]},
     "cluster": {"points": [[0.6364, 0.6364], [0.9, 0.0], [0.0, -0.9]], "sequences": 16, "depth": 4},
+}
+
+# lab-cli's distort and dual pull back ring plates.  Seed 1 pulls back a
+# cross of two boxes (a union) and the complement of a ball instead.
+REGIONS_DISTORT = {
+    "grid": {"n": 2, "box": [[-2.5, 2.5], [-2.5, 2.5]], "cells": [64, 64]},
+    "image_grid": {"n": 2, "box": [[-4.5, 4.5], [-4.5, 4.5]], "cells": [64, 64]},
+    "condenser": {
+        "type": "regions",
+        "e": {
+            "type": "union",
+            "parts": [
+                {"type": "box", "lo": [-0.9, -0.3], "hi": [0.9, 0.3]},
+                {"type": "box", "lo": [-0.3, -0.9], "hi": [0.3, 0.9]},
+            ],
+        },
+        "f": {"type": "complement", "of": {"type": "ball", "center": [0.0, 0.0], "r": 4.0}},
+    },
+    "mapping": {"family": "radial_power", "alpha": 2.0, "center": [0.0, 0.0]},
+    "exponents": {"p": 2.0, "q": 2.0},
 }
 
 
@@ -143,6 +164,7 @@ def main(argv=None) -> int:
             configs["kcoef"] = {**configs["kcoef"], "exponents": KCOEF_EXPONENTS[seed]}
             if seed == 1:
                 configs["cluster"] = SPREAD_CLUSTER
+                configs["distort"] = REGIONS_DISTORT
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
