@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .capacity import SolverOptions, solve_capacity
-from .exceptions import DomainError, GeometryError
+from .exceptions import DomainError, GeometryError, _is_integer
 from .grid import (
     Ball, Condenser, GridDomain, _as_point, connected, dilate_faces, directions, point_diameter, radius, rasterize,
 )
@@ -115,11 +115,11 @@ def sample_shell_continua(
     unless it passes the probe's crossing test, is connected, misses the
     probe's plate E = ``e_cells`` and differs from every tube kept so far;
     the first ``count`` valid tubes are kept (GeometryError when there are
-    fewer).
+    fewer).  ``count`` is an integer >= 1 (DomainError otherwise).
     """
     check_shell_radii(r_v, r_u)
-    if count < 1:
-        raise DomainError("need at least one continuum")
+    if not _is_integer(count) or count < 1:
+        raise DomainError(f"need an integer count of at least one continuum, got count={count}")
     rng = rng or np.random.default_rng(0)
     x0 = _as_point(x0, grid.n)
     _check_boundary_point(x0, grid, "x0")
@@ -246,10 +246,11 @@ def estimate_cluster_set(
     candidates go through one ``grid.contains`` call.  A sequence's tail is
     its deepest step with an inside candidate, the first such candidate at
     that step; sequences without one are dropped.  The tails are mapped and
-    the images merged at radius 2h.
+    the images merged at radius 2h.  ``sequences`` and ``depth`` are
+    integers >= 1 (DomainError otherwise).
     """
-    if sequences < 1 or depth < 1:
-        raise DomainError("need at least one sequence and one depth step")
+    if not (_is_integer(sequences) and _is_integer(depth)) or sequences < 1 or depth < 1:
+        raise DomainError(f"sequences and depth must be integers >= 1, got {sequences} and {depth}")
     b = _as_point(b, grid.n)
     _check_boundary_point(b, grid, "b")
     e_in = _inward_direction(b, grid)

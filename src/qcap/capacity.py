@@ -60,7 +60,6 @@ positive on both sides of p = n and continuous across it.
 from __future__ import annotations
 
 import math
-import numbers
 import dataclasses
 from dataclasses import dataclass
 
@@ -71,7 +70,7 @@ from .descent import minimize_projected  # noqa: F401
 from .energy import energy_gradient, energy_value  # noqa: F401
 from .grid import graph_distance  # noqa: F401
 from .energy import EnergyParams, FreeEnergy
-from .exceptions import DomainError
+from .exceptions import DomainError, _is_integer
 from .grid import Condenser, GridDomain, check_ring_radii, make_ring_condenser
 
 SPHERE_MEASURE = {2: 2 * math.pi, 3: 4 * math.pi}
@@ -82,11 +81,6 @@ ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-10
 # Cap on the CG steps of each inner solve of a Newton solve, its p = 2 start included.
 NEWTON_CG_STEPS = 1000
-
-
-def _is_integer(x) -> bool:
-    """True for a value of an integer type, numpy's included, and False for a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -358,7 +352,7 @@ def _solve_newton(free_energy: FreeEnergy, opts: SolverOptions) -> CapacityResul
 
 def _check_ring(n: int, p: float, r1: float, r2: float) -> None:
     """DomainError unless n is 2 or 3, 0 < r1 < r2 and p > 1: the range of the closed form."""
-    if n not in SPHERE_MEASURE:
+    if not _is_integer(n) or n not in SPHERE_MEASURE:
         raise DomainError(f"only dimensions 2 and 3 are supported, got n={n}")
     check_ring_radii(r1, r2)
     EnergyParams(p)

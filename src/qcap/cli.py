@@ -227,13 +227,13 @@ def _emit(out_dir: str, command: str, report: dict, code: int, csvs=()) -> int:
     goes to stderr and the exit code is ``EXIT_VALIDATION``.
     """
     try:
-        path = write_json(Path(out_dir) / f"{command}_report.json", report)
+        text = write_json(Path(out_dir) / f"{command}_report.json", report)
         for name, header, rows in csvs:
             write_csv(Path(out_dir) / name, header, rows)
     except OSError as exc:
         sys.stderr.write(f"qcap: cannot write the report: {exc}\n")
         return EXIT_VALIDATION
-    sys.stdout.write(path.read_text(encoding="utf-8"))
+    sys.stdout.write(text)
     return code
 
 

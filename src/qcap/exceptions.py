@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule behind its DomainErrors."""
+
+import numbers
+
+
+def _is_integer(x) -> bool:
+    """True for a value of an integer type, numpy's included, and False for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class QcapError(Exception):

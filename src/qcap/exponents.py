@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import DomainError, WindowError
+from .exceptions import DomainError, WindowError, _is_integer
 
 
 class WindowClass(Enum):
@@ -39,7 +39,7 @@ class ExponentPair:
     q: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
+        if not _is_integer(self.n) or self.n < 2:
             raise DomainError(f"dimension must be an integer >= 2, got {self.n}")
         if not (1.0 < self.q <= self.p):
             raise DomainError(f"exponents must satisfy 1 < q <= p, got q={self.q}, p={self.p}")

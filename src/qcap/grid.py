@@ -53,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .exceptions import DomainError, EmptySetError, GeometryError
+from .exceptions import DomainError, EmptySetError, GeometryError, _is_integer
 
 # Bisection steps locating a plate boundary on a cut face, and the smallest
 # theta kept (a boundary closer to a free center is placed at this fraction,
@@ -374,6 +374,13 @@ class Intersection(Region):
 # ---------------------------------------------------------------------------
 
 
+def _cell_counts(cells) -> tuple:
+    """``cells`` as a tuple of ints: DomainError unless each is of an integer type."""
+    if not all(map(_is_integer, cells)):
+        raise DomainError(f"cells must be integers, got {tuple(cells)}")
+    return tuple(map(int, cells))
+
+
 def _axis_centers(origin, cells, h: float) -> tuple:
     """Per-axis cell-center coordinates of the grid with that origin, cells and h.
 
@@ -393,7 +400,8 @@ class GridDomain:
     """Uniform grid over an axis-aligned box with an inside mask.
 
     ``cells[k]`` cells of size ``h`` along axis k, so the box extent is
-    ``cells[k] * h`` per axis.  Cell (i, j, ...) has center
+    ``cells[k] * h`` per axis; n (2 or 3) and the cells are of integer
+    types (DomainError otherwise).  Cell (i, j, ...) has center
     ``origin + (i + 1/2, j + 1/2, ...) * h``.  The inside cells must form a
     single face-connected component.
 
@@ -409,10 +417,10 @@ class GridDomain:
     plates: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.n not in (2, 3):
+        if not _is_integer(self.n) or self.n not in (2, 3):
             raise DomainError(f"only dimensions 2 and 3 are supported, got n={self.n}")
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        object.__setattr__(self, "cells", _cell_counts(self.cells))
         if not 0 < self.h < math.inf or not all(map(math.isfinite, self.origin)):
             raise DomainError(f"need a finite h > 0 and a finite origin, got h={self.h}, origin={self.origin}")
         if len(self.origin) != self.n or len(self.cells) != self.n:
@@ -432,7 +440,7 @@ class GridDomain:
     @classmethod
     def box(cls, n: int, origin, cells, h: float, region=None) -> "GridDomain":
         """Full box domain, optionally masked to ``region`` (cell-center rule)."""
-        cells = tuple(int(c) for c in cells)
+        cells = _cell_counts(cells)
         if region is None:
             mask = np.ones(cells, dtype=bool)
         else:

@@ -17,7 +17,9 @@ holds exactly, is admissible, and its energy is a certified upper bound
 (Albin, Poggi-Corradini, J. Anal. 24 (2016)).  For the family of ALL
 curves joining condenser plates the modulus equals the capacity (Hesse,
 Shlyk), so a sampled subfamily gives a value sandwiched between 0 and the
-discrete capacity, approaching it as sampling and resolution grow.
+discrete capacity, approaching it as sampling and resolution grow.  The
+radial curves sampled for a ring condenser start in a cell of its plate E
+and end in a cell of F, looked up in the condenser's own cell sets.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import scipy.sparse as sp
 
 from .capacity import SolverOptions, solve_capacity
 from .descent import minimize_projected
-from .exceptions import DomainError, GeometryError
+from .exceptions import DomainError, GeometryError, _is_integer
 from .energy import EnergyParams
-from .grid import Annulus, Ball, Complement, Condenser, GridDomain, _as_point, directions, radius
+from .grid import Ball, Complement, Condenser, GridDomain, directions, radius
 
 # The largest relative gap between the admissible value and the dual bound
 # that counts as converged.
@@ -79,50 +81,51 @@ class ModulusResult:
     density: np.ndarray
 
 
-def _plate_reach(x0: np.ndarray, r_target: float, dirs: np.ndarray, grid: GridDomain, outward: bool) -> np.ndarray:
-    """Radius along each of ``dirs`` whose cell center lies on the plate side
-    of ``r_target`` (center-rule membership), nudged in quarter-cell steps."""
-    r = np.full(len(dirs), float(r_target))
+def _ring_radii(c: Condenser) -> tuple[np.ndarray, float, float]:
+    """Recover (center, r1, r2) from a ring condenser's recorded regions."""
+    e, f = c.region_e, c.region_f
+    if isinstance(e, Ball) and isinstance(f, Complement) and isinstance(f.region, Ball) and e.center == f.region.center:
+        return np.asarray(e.center), e.r, f.region.r
+    raise GeometryError("curve sampling needs a condenser built from concentric ring plates")
+
+
+def _plate_reach(x0, r0: float, dirs, grid: GridDomain, plate: np.ndarray, step: float) -> np.ndarray:
+    """Radius on each of ``dirs`` that lands in ``plate``: r0 plus at most five ``step``s, floored at h/4."""
+    r = np.full(len(dirs), float(r0))
     todo = np.arange(len(dirs))
-    step = grid.h / 4
-    for _ in range(5):
+    for _ in range(6):  # the start and five steps; the sixth step is never looked at
         idx, valid = grid.locate(x0 + r[todo, None] * dirs[todo])
-        off = np.asarray(grid.origin) + (idx + 0.5) * grid.h - x0
-        # Each (1, n) @ (n, 1) product is the dot product np.linalg.norm takes for one vector.
-        d = np.sqrt(off[:, None, :] @ off[:, :, None])[:, 0, 0]
-        todo = todo[~(valid & ((d >= r_target) if outward else (d <= r_target)))]
-        r[todo] = r[todo] + step if outward else np.maximum(r[todo] - step, step)
+        todo = todo[~(valid & plate[tuple(idx.T)])]
         if not todo.size:
-            break
-    return r
+            return r
+        r[todo] = np.maximum(r[todo] + step, grid.h / 4)
+    raise GeometryError(f"curve {todo[0]} does not reach its plate within five quarter-cell steps")
 
 
-def sample_radial_curves(ring: Annulus, count: int, grid: GridDomain) -> CurveFamily:
-    """Straight radial segments crossing the annulus at ``count`` directions.
+def sample_radial_curves(cond: Condenser, count: int) -> CurveFamily:
+    """Straight radial segments across the ring of ``cond``'s recorded plates
+    (GeometryError for other plates) at ``count`` >= 1 directions, on ``cond.domain``.
 
     Directions are equispaced angles in 2D and a Fibonacci-sphere set in 3D.
-    Each segment is discretized at step h/2 and its endpoints are nudged (at
-    most one cell) past the nominal radii until the endpoint cells satisfy
-    the plate membership rule of make_ring_condenser, so sampled curves join
-    the rasterized plates.
+    Each segment is discretized at step h/2; its ends move from r1 inward
+    and from r2 outward, in at most five quarter-cell steps, until they lie
+    in cells of ``cond.E`` and ``cond.F`` (GeometryError otherwise), so
+    every curve joins the condenser's own plates.
     """
-    if count < 1:
-        raise DomainError(f"need at least one curve, got count={count}")
-    x0 = _as_point(ring.center, grid.n)
+    if not _is_integer(count) or count < 1:
+        raise DomainError(f"need an integer count of at least one curve, got count={count}")
+    x0, r1, r2 = _ring_radii(cond)
+    grid = cond.domain
     lo = np.asarray(grid.origin)
     hi = lo + np.asarray(grid.extent)
     margin = 1.5 * grid.h
-    if np.any(x0 - ring.r2 - margin < lo) or np.any(x0 + ring.r2 + margin > hi):
-        raise GeometryError("annulus (plus a one-cell margin) exits the grid")
-    step = grid.h / 2
+    if np.any(x0 - r2 - margin < lo) or np.any(x0 + r2 + margin > hi):
+        raise GeometryError("ring (plus a one-cell margin) exits the grid")
     dirs = directions(grid.n, count)
-    r_in = _plate_reach(x0, ring.r1, dirs, grid, outward=False)
-    r_out = _plate_reach(x0, ring.r2, dirs, grid, outward=True)
-    curves = []
-    for direction, a, b in zip(dirs, r_in, r_out):
-        radii = np.append(np.arange(a, b, step), b)
-        curves.append(x0 + radii[:, None] * direction)
-    return CurveFamily(tuple(curves))
+    r_in = _plate_reach(x0, r1, dirs, grid, cond.E, -grid.h / 4)
+    r_out = _plate_reach(x0, r2, dirs, grid, cond.F, grid.h / 4)
+    radii = (np.append(np.arange(a, b, grid.h / 2), b) for a, b in zip(r_in, r_out))
+    return CurveFamily(tuple(x0 + r[:, None] * d for r, d in zip(radii, dirs)))
 
 
 def _constraint_matrix(fam: CurveFamily, grid: GridDomain) -> sp.csr_matrix:
@@ -192,19 +195,6 @@ def modulus_lower_bound(fam: CurveFamily, p: float, grid: GridDomain) -> Modulus
     return ModulusResult(value, lower, admissible, converged, res.iterations, rho)
 
 
-def _ring_radii(c: Condenser) -> tuple[np.ndarray, float, float]:
-    """Recover (center, r1, r2) from a ring condenser's recorded regions."""
-    e, f = c.region_e, c.region_f
-    if (
-        isinstance(e, Ball)
-        and isinstance(f, Complement)
-        and isinstance(f.region, Ball)
-        and e.center == f.region.center
-    ):
-        return np.asarray(e.center), e.r, f.region.r
-    raise GeometryError("curve sampling needs a condenser built from concentric ring plates")
-
-
 def check_hesse_shlyk(
     c: Condenser,
     p: float,
@@ -213,16 +203,15 @@ def check_hesse_shlyk(
 ) -> dict:
     """Compare the sampled-curve modulus against the condenser capacity.
 
-    ``curve_count`` radial segments cross the ring of the condenser's
-    recorded plates (GeometryError for other plates) on the condenser's own
-    grid ``c.domain``, which both the modulus program and the capacity use.
+    ``sample_radial_curves(c, curve_count)`` gives the curves, which join
+    the condenser's own plates on its grid ``c.domain``; the modulus
+    program and the capacity both use that grid.
     The continuum statement is equality; discretely the sampled modulus must
     stay in (0, capacity * (1 + tau)] and grow toward the capacity with the
     curve count.  ``lower`` and ``gap`` give the modulus bracket; ``converged``
     also requires that bracket to be certified.
     """
-    center, r1, r2 = _ring_radii(c)
-    fam = sample_radial_curves(Annulus(tuple(center), r1, r2), curve_count, c.domain)
+    fam = sample_radial_curves(c, curve_count)
     mod = modulus_lower_bound(fam, p, c.domain)
     cap = solve_capacity(c, p, opts)
     return {

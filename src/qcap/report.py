@@ -38,11 +38,11 @@ def sanitize(obj):
 
 
 def make_report(command: str, config: dict, result: dict | None = None, error: dict | None = None) -> dict:
-    report = {"version": __version__, "command": command, "config": sanitize(config)}
+    report = {"version": __version__, "command": command, "config": config}
     if result is not None:
-        report["result"] = sanitize(result)
+        report["result"] = result
     if error is not None:
-        report["error"] = sanitize(error)
+        report["error"] = error
     return report
 
 
@@ -50,11 +50,12 @@ def dump_json(report: dict) -> str:
     return json.dumps(sanitize(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_json(path, report: dict) -> Path:
+def write_json(path, report: dict) -> str:
+    text = dump_json(report)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(report), encoding="utf-8")
-    return path
+    path.write_text(text, encoding="utf-8")
+    return text
 
 
 def write_csv(path, header, rows) -> Path:

@@ -151,7 +151,7 @@ def test_criterion_6_modulus_capacity_sandwich():
     chk = check_hesse_shlyk(cond, 2.0, 720)
     moduli = []
     for count in (90, 180, 360):
-        fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, math.e), count, grid)
+        fam = sample_radial_curves(cond, count)
         moduli.append(modulus_lower_bound(fam, 2.0, grid).value)
     moduli.append(chk["modulus"])
     sandwich = 0.0 < chk["modulus"] <= chk["capacity"] * 1.05

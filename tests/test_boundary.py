@@ -137,6 +137,15 @@ def test_sample_shell_continua_validation():
         sample_shell_continua((40.0, 40.0), 0.9, 0.3, e_cells, g, 4)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+def test_sample_shell_continua_takes_an_integer_count(count):
+    # a count of 2.5 never equalled a tube count, so every candidate tube was kept
+    g = disk_grid()
+    with pytest.raises(DomainError, match="integer count"):
+        sample_shell_continua(boundary_point(), 0.9, 0.3, plate_e(g), g, count)
+    assert len(sample_shell_continua(boundary_point(), 0.9, 0.3, plate_e(g), g, np.int64(3))) == 3
+
+
 def tube_centroids(tubes, g):
     return np.array([all_centers(g)[tube].mean(axis=0) for tube in tubes])
 
@@ -224,6 +233,17 @@ def test_estimate_cluster_set_identity_singleton():
     assert est.diameter < 3 * g.h
     got = np.asarray(est.points[0])
     assert np.linalg.norm(got - np.asarray(b)) < 3 * g.h
+
+
+@pytest.mark.parametrize("sequences, depth", [(2.5, 10), (3.0, 10), (5, 2.5), (5, 3.0), (5, 0)])
+def test_estimate_cluster_set_takes_integer_counts(sequences, depth):
+    # 2.5 or 3.0 for either died with a TypeError
+    g = GridDomain.box(2, (-2.2, -2.2), (128, 128), 4.4 / 128, Annulus((0.0, 0.0), 0.5, 2.0))
+    b = (2.0 * np.cos(0.3), 2.0 * np.sin(0.3))
+    with pytest.raises(DomainError, match="integers >= 1"):
+        estimate_cluster_set(Identity(), b, sequences, depth, g)
+    want = estimate_cluster_set(Identity(), b, 5, 10, g)
+    assert estimate_cluster_set(Identity(), b, np.int64(5), np.int64(10), g) == want
 
 
 def test_estimate_cluster_set_radial_preimage():

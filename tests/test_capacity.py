@@ -110,6 +110,10 @@ def test_ring_capacity_domain_errors():
         ring_capacity_exact(2, 2.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         ring_capacity_exact(2, 2.0, 0.0, 1.0)
+    # 2.0 was taken for 2, and the closed form returned 9.06...
+    with pytest.raises(DomainError, match="only dimensions 2 and 3 are supported"):
+        ring_capacity_exact(2.0, 2.0, 1.0, 2.0)
+    assert ring_capacity_exact(np.int64(2), 2.0, 1.0, 2.0) == ring_capacity_exact(2, 2.0, 1.0, 2.0)
 
 
 def column_condenser(cells=9):
@@ -906,6 +910,10 @@ def test_ring_benchmark_validation():
     # the closed form has dimensions 2 and 3 only, and a NaN or infinite box
     # has no grid: each failed only later, in calibrate_discretization
     for n in [2.5, 4, 1]:
+        with pytest.raises(DomainError, match="dimensions"):
+            RingBenchmark(n, 2.0, 1.0, 2.0, 2.5, (8,))
+    # a float dimension was accepted
+    for n in [2.0, 3.0]:
         with pytest.raises(DomainError, match="dimensions"):
             RingBenchmark(n, 2.0, 1.0, 2.0, 2.5, (8,))
     for half in [math.nan, math.inf]:

@@ -21,6 +21,11 @@ def test_pair_validation():
     for q in (1.5, math.inf):
         with pytest.raises(DomainError, match="p must be finite"):
             ExponentPair(2, math.inf, q)
+    # n = 2.0 passed int(n) == n, although the message asks for an integer
+    for n in (2.0, 3.0, 2.5):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            ExponentPair(n, 2.0, 1.5)
+    assert ExponentPair(np.int64(3), 3.5, 3.2).n == 3
 
 
 def test_super_window_upper_bound():

@@ -62,6 +62,21 @@ def test_grid_validation():
         square_grid(8, 1.0, Ball((9.0, 9.0), 0.1))
 
 
+def test_grid_takes_integer_dimension_and_cells():
+    # n = 2.0 was kept, and solve_capacity on its ring died with a TypeError;
+    # cells (32.7, 32.9) were cut to a 32 x 32 grid
+    with pytest.raises(DomainError, match="only dimensions 2 and 3 are supported"):
+        GridDomain.box(2.0, (-2.5, -2.5), (32, 32), 5 / 32)
+    with pytest.raises(DomainError, match="cells must be integers"):
+        GridDomain.box(2, (-2.5, -2.5), (32.7, 32.9), 5 / 32)
+    with pytest.raises(DomainError, match="cells must be integers"):
+        GridDomain(2, (0.0, 0.0), (4.0, 4), 1.0, np.ones((4, 4), dtype=bool))
+    with pytest.raises(DomainError, match="cells must be integers"):
+        GridDomain.box(2, (0.0, 0.0), (True, 4), 1.0)
+    g = GridDomain.box(np.int64(2), (-2.5, -2.5), np.array([32, 32]), 5 / 32)
+    assert g.cells == (32, 32) and all(type(c) is int for c in g.cells)
+
+
 @pytest.mark.parametrize(
     "origin, h",
     [((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0), ((0.0, -math.inf), 1.0)],

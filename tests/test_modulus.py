@@ -7,6 +7,8 @@ import qcap.modulus
 from qcap import (
     Annulus,
     Ball,
+    Complement,
+    Condenser,
     CurveFamily,
     DomainError,
     GeometryError,
@@ -14,6 +16,7 @@ from qcap import (
     check_hesse_shlyk,
     make_ring_condenser,
     modulus_lower_bound,
+    rasterize,
     sample_radial_curves,
     solve_capacity,
 )
@@ -89,7 +92,7 @@ def test_modulus_matches_closed_form_on_disjoint_segments(p):
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_modulus_bracket_in_3d(p):
     g = GridDomain.box(3, (-2.5,) * 3, (40,) * 3, 5.0 / 40)
-    fam = sample_radial_curves(Annulus((0.0, 0.0, 0.0), 1.0, 2.0), 200, g)
+    fam = sample_radial_curves(make_ring_condenser((0.0, 0.0, 0.0), 1.0, 2.0, g), 200)
     res = modulus_lower_bound(fam, p, g)
     assert res.admissible_ok and res.converged
     assert 0.0 < res.lower <= res.value
@@ -100,7 +103,7 @@ def test_modulus_bracket_in_3d(p):
 def test_modulus_reproduces_recorded_lower(p, lower):
     # dual values recorded from the projected-BB descent that L-BFGS-B replaced
     g = GridDomain.box(2, (-2.5, -2.5), (128, 128), 5.0 / 128)
-    fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, 2.0), 360, g)
+    fam = sample_radial_curves(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), 360)
     res = modulus_lower_bound(fam, p, g)
     assert res.admissible_ok and res.converged
     assert res.lower == pytest.approx(lower, rel=1e-10)
@@ -123,7 +126,7 @@ def test_modulus_keeps_the_tightest_evaluated_bracket(monkeypatch, p, count):
 
     monkeypatch.setattr(qcap.modulus, "minimize_projected", recording)
     g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
-    fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, 2.0), count, g)
+    fam = sample_radial_curves(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), count)
     res = modulus_lower_bound(fam, p, g)
     mat = qcap.modulus._constraint_matrix(fam, g)
     hn = g.h**g.n
@@ -179,10 +182,9 @@ def test_curve_leaving_domain_raises():
 
 def test_sample_radial_curves_geometry():
     g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
-    ring = Annulus((0.0, 0.0), 1.0, 2.0)
-    fam = sample_radial_curves(ring, 8, g)
-    assert len(fam) == 8
     cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+    fam = sample_radial_curves(cond, 8)
+    assert len(fam) == 8
     for curve in fam.curves:
         radii = np.linalg.norm(curve, axis=1)
         assert radii[0] <= radii[-1]
@@ -191,34 +193,88 @@ def test_sample_radial_curves_geometry():
         last, _ = g.locate(curve[-1])
         assert cond.E[tuple(first)]
         assert cond.F[tuple(last)]
-    with pytest.raises(GeometryError):
-        sample_radial_curves(Annulus((0.0, 0.0), 1.0, 2.6), 8, g)
+    # the ball of radius 2.45 fits the box, but not with the 1.5 h margin
+    with pytest.raises(GeometryError, match="margin"):
+        sample_radial_curves(make_ring_condenser((0.0, 0.0), 1.0, 2.45, g), 8)
     with pytest.raises(DomainError):
-        sample_radial_curves(ring, 0, g)
-    with pytest.raises(DomainError, match="dimension 2"):
-        sample_radial_curves(Annulus((0.0, 0.0, 0.0), 1.0, 2.0), 8, g)
+        sample_radial_curves(cond, 0)
+    # the same plates without their recorded ring regions
+    with pytest.raises(GeometryError, match="concentric ring plates"):
+        sample_radial_curves(Condenser(cond.E, cond.F, g), 8)
 
 
-def loop_plate_reach(x0, r_target, direction, grid, outward):
-    """Reference: the nudge loop of ``_plate_reach`` for one direction."""
-    r = r_target
-    for _ in range(5):
+@pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(3.0)])
+def test_sample_radial_curves_takes_an_integer_count(count):
+    # a count of 2.5 once gave 3 curves
+    g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
+    cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, g)
+    with pytest.raises(DomainError, match="integer count"):
+        sample_radial_curves(cond, count)
+    with pytest.raises(DomainError, match="integer count"):
+        check_hesse_shlyk(cond, 2.0, count)
+    assert len(sample_radial_curves(cond, np.int64(3))) == 3
+
+
+def plate_ends(fam, cond):
+    """Per curve: does its first point lie in a cell of E, and its last in a cell of F?"""
+    first, ok_e = cond.domain.locate(np.array([c[0] for c in fam.curves]))
+    last, ok_f = cond.domain.locate(np.array([c[-1] for c in fam.curves]))
+    return ok_e & cond.E[tuple(first.T)], ok_f & cond.F[tuple(last.T)]
+
+
+def test_sampled_curves_join_the_plates_at_a_tie():
+    # the center of cell (9, 22, 22) is (-7, 6, 6) * 2/11, at distance
+    # exactly 2 = r2 (49 + 36 + 36 = 121); summed in axis order it is just
+    # below 2, so the cell is not in F.  Curve 1's outer end lies in it when
+    # a dot product decides membership.
+    g = GridDomain.box(3, (-3.0,) * 3, (33,) * 3, 6.0 / 33)
+    cond = make_ring_condenser((0.0, 0.0, 0.0), 1.0, 2.0, g)
+    assert not cond.F[9, 22, 22]
+    fam = sample_radial_curves(cond, 7)
+    in_e, in_f = plate_ends(fam, cond)
+    assert in_e.all() and in_f.all()
+    last, _ = g.locate(fam.curves[1][-1])
+    assert tuple(last) == (9, 22, 23)
+
+
+@pytest.mark.parametrize("n, cells", [(2, 64), (2, 132), (2, 190), (3, 16), (3, 33), (3, 47)])
+@pytest.mark.parametrize("half", [2.5, 3.0])
+def test_sampled_curves_join_the_plates(n, cells, half):
+    g = GridDomain.box(n, (-half,) * n, (cells,) * n, 2 * half / cells)
+    cond = make_ring_condenser((0.0,) * n, 1.0, 2.0, g)
+    for count in (7, 13, 50, 360):
+        in_e, in_f = plate_ends(sample_radial_curves(cond, count), cond)
+        assert in_e.all() and in_f.all()
+
+
+def test_unreachable_plate_raises():
+    # F holds only the cells beyond 2.4 while its recorded region says 2:
+    # five quarter-cell steps outward from 2 stop short of it
+    g = GridDomain.box(2, (-3.0, -3.0), (64, 64), 6.0 / 64)
+    region_e, region_f = Ball((0.0, 0.0), 1.0, closed=True), Complement(Ball((0.0, 0.0), 2.0))
+    far = rasterize(Complement(Ball((0.0, 0.0), 2.4)), g)
+    cond = Condenser(rasterize(region_e, g), far, g, region_e, region_f)
+    with pytest.raises(GeometryError, match="does not reach its plate"):
+        sample_radial_curves(cond, 8)
+
+
+def loop_plate_reach(x0, r0, direction, grid, plate, step):
+    """Reference: the nudge loop of ``_plate_reach`` for one direction; None where it never lands."""
+    r = r0
+    for _ in range(6):
         idx, valid = grid.locate(x0 + r * direction)
-        if valid:
-            center = np.asarray(grid.origin) + (np.asarray(idx) + 0.5) * grid.h
-            d = float(np.linalg.norm(center - x0))
-            if (d >= r_target) if outward else (d <= r_target):
-                return r
-        step = grid.h / 4
-        r = r + step if outward else max(r - step, grid.h / 4)
-    return r
+        if valid and plate[tuple(idx)]:
+            return r
+        r = max(r + step, grid.h / 4)
+    return None
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_plate_reach_matches_per_direction_loop(n):
     # all directions at once against one at a time, bit for bit, on seeded
     # rings where many endpoints need one or more nudges; coarse grids put
-    # inner radii below a cell (the h/4 floor) and outer radii past the box
+    # inner radii below a cell (the h/4 floor) and outer radii past the box,
+    # where a direction that never lands makes the batch raise
     rng = np.random.default_rng(30 + n)
     nudged = 0
     for _ in range(25):
@@ -228,9 +284,15 @@ def test_plate_reach_matches_per_direction_loop(n):
         r1 = rng.uniform(0.05, 1.0)
         r2 = rng.uniform(r1 + 0.2, 2.45)
         dirs = directions(n, int(rng.integers(1, 120)), phase=rng.uniform(0, 1))
-        for r, outward in ((r1, False), (r2, True)):
-            got = _plate_reach(x0, r, dirs, grid, outward)
-            want = np.array([loop_plate_reach(x0, r, d, grid, outward) for d in dirs])
+        e = rasterize(Ball(tuple(x0), r1, closed=True), grid)
+        f = rasterize(Complement(Ball(tuple(x0), r2)), grid)
+        for r, plate, step in ((r1, e, -grid.h / 4), (r2, f, grid.h / 4)):
+            want = [loop_plate_reach(x0, r, d, grid, plate, step) for d in dirs]
+            if None in want:
+                with pytest.raises(GeometryError, match="does not reach its plate"):
+                    _plate_reach(x0, r, dirs, grid, plate, step)
+                continue
+            got = _plate_reach(x0, r, dirs, grid, plate, step)
             assert np.array_equal(got, want)
             nudged += int((got != r).sum())
     assert nudged > 100
@@ -238,7 +300,7 @@ def test_plate_reach_matches_per_direction_loop(n):
 
 def test_four_curves_hit_the_axes():
     g = GridDomain.box(2, (-2.5, -2.5), (64, 64), 5.0 / 64)
-    fam = sample_radial_curves(Annulus((0.0, 0.0), 1.0, 2.0), 4, g)
+    fam = sample_radial_curves(make_ring_condenser((0.0, 0.0), 1.0, 2.0, g), 4)
     dirs = np.array([c[-1] / np.linalg.norm(c[-1]) for c in fam.curves])
     want = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
     np.testing.assert_allclose(dirs, want, atol=1e-12)

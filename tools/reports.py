@@ -7,8 +7,12 @@ For seeds 0 and 1, the six configs of ``perfbench/workloads.lab_configs``
 its density CSV is compared too, and ``kcoef`` takes the seed's
 ``KCOEF_EXPONENTS``, so that seed 1 compares the q < p integral, and
 seed 1 takes ``SPREAD_CLUSTER`` for ``cluster``, so that a diameter of
-more than n + 1 points is compared, and ``REGIONS_DISTORT`` for
-``distort``, so that a pullback of plates other than balls is compared) and
+more than n + 1 points is compared, ``REGIONS_DISTORT`` for
+``distort``, so that a pullback of plates other than balls is compared, and
+``MODULUS_3D`` for ``modulus``, so that 3D curve sampling is compared: a
+24^3 ring where every curve end lands in its plate both when the sampler
+looks the plates up and under the cell-center distance test it used before,
+so the two samplers tie there) and
 the seed's ``CAPS``, ``RINGS`` and ``CALIBRATIONS`` configs, one config for
 each of the nine commands, are written once and run through ``python -m
 qcap.cli <command> --config ... --seed S`` in each checkout, with that
@@ -68,6 +72,15 @@ SPREAD_CLUSTER = {
     },
     "mapping": {"family": "affine", "matrix": [[0.02, 0.0], [0.0, 0.02]], "shift": [0.0, 0.0]},
     "cluster": {"points": [[0.6364, 0.6364], [0.9, 0.0], [0.0, -0.9]], "sequences": 16, "depth": 4},
+}
+
+# lab-cli's modulus samples a 2D ring.  Seed 1 samples a 3D one (Fibonacci
+# directions); its 200 curves join the plates under either plate rule.
+MODULUS_3D = {
+    "grid": {"n": 3, "box": [[-2.5, 2.5]] * 3, "cells": [24, 24, 24]},
+    "condenser": {"type": "ring", "center": [0.0, 0.0, 0.0], "r1": 1.0, "r2": 2.0},
+    "exponents": {"p": 2.0},
+    "modulus": {"curve_count": 200},
 }
 
 # lab-cli's distort and dual pull back ring plates.  Seed 1 pulls back a
@@ -160,11 +173,12 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             work = Path(tmp) / f"seed{seed}"
             configs = {**lab_configs(seed), "cap": CAPS[seed], "ring": RINGS[seed], "calibrate": CALIBRATIONS[seed]}
-            configs["modulus"] = {**configs["modulus"], "csv": True}
-            configs["kcoef"] = {**configs["kcoef"], "exponents": KCOEF_EXPONENTS[seed]}
             if seed == 1:
                 configs["cluster"] = SPREAD_CLUSTER
                 configs["distort"] = REGIONS_DISTORT
+                configs["modulus"] = MODULUS_3D
+            configs["modulus"] = {**configs["modulus"], "csv": True}
+            configs["kcoef"] = {**configs["kcoef"], "exponents": KCOEF_EXPONENTS[seed]}
             write_configs(configs, work / "configs")
             for side, root in roots.items():
                 (work / side).mkdir()
