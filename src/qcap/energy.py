@@ -33,6 +33,10 @@ in the plate values itself and gives the values and derivatives of the
 field so made from one pass over the faces that can carry a difference,
 and never sweeps the whole grid; it too selects its faces axis by axis,
 and builds its index arrays in int32, straight into their final arrays.
+Its Newton matrices are written the same way, each slot value straight
+into the CSR data, with no concatenated, gathered or squared slot-sized
+copy, and it lays out its red-black coupling itself, with no COO
+constructor and no sort.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ import scipy.sparse as sp
 
 from .exceptions import DomainError, SingularityError
 from .grid import GridDomain
+
+# Slots per chunk of ``FreeEnergy._matrix``, and rows per chunk of
+# ``_square_sums`` (at most 7 * 2^12 slots, in 3D).
+TAKE_SLOTS = 1 << 14
+SQUARE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -127,27 +136,29 @@ class FreeEnergy:
     """Values, gradient and Hessian of ``energy_value`` on one solve's free cells.
 
     Built once per solve: the free set, and with it every index array,
-    stays the same for all the steps of one solve.  ``base`` is the plate
-    field, 0 on the plate E and 1 on the plate F.  Every route takes a
-    vector x of shape (nf,), one value per free cell in ``free`` order, and
-    works on the field that is x on ``free`` and ``base`` elsewhere;
-    ``field(x)`` returns that field on the inside cells.  So only two kinds
-    of faces can carry a difference, the faces with an end in ``free`` and
-    those where E meets F, and only those faces are kept.  An E-F face has
-    no free end, so it enters no derivative: it adds no slot to the Hessian
-    pattern and no entry to ``red_black``'s coupling, and leaves grad and
-    diagonal unchanged on the free cells.  Local cell numbering lists the
-    ``nf`` free cells first and then the other cells on the kept faces;
-    ``cells`` maps it to the inside enumeration.  ``la``, ``lb`` and ``w``
-    are the faces' ends in local numbering and their weights (1/theta on a
-    cut face, 1 elsewhere).  The kept faces are found axis by axis, by
-    shifted slices of a grid-shaped label array (``GridDomain.inside_faces``),
-    and listed in ``face_pairs`` order.  The set-up
-    marks them, and their ends that are not free, on grid-shaped bool
-    arrays, numbers the local cells through one int32 grid map, and writes
-    each axis's ends from that map into the preallocated int32 ``la`` and
-    ``lb``; the flat indices of an axis's kept faces serve only to look up
-    its ``cut_faces`` weights.
+    stays the same for all the steps of one solve.  ``free`` lists the
+    free cells in ascending inside enumeration, as a solve builds it;
+    ``base`` is the plate field, 0 on the plate E and 1 on the plate F.
+    Every route takes a vector x of shape (nf,), one value per free cell in
+    ``free`` order, and works on the field that is x on ``free`` and
+    ``base`` elsewhere; ``field(x)`` returns that field on the inside
+    cells.  So only two kinds of faces can carry a difference, the faces
+    with an end in ``free`` and those where E meets F, and only those
+    faces are kept.  An E-F face has no free end, so it enters no
+    derivative: it adds no slot to the Hessian pattern and no entry to
+    ``red_black``'s coupling, and leaves grad and diagonal unchanged on the
+    free cells.  Local cell numbering lists the ``nf`` free cells first and
+    then the other cells on the kept faces; ``cells`` maps it to the inside
+    enumeration.  ``la``, ``lb`` and ``w`` are the faces' ends in local
+    numbering and their weights (1/theta on a cut face, 1 elsewhere).  The
+    kept faces are found axis by axis, by shifted slices of a grid-shaped
+    label array (``GridDomain.inside_faces``), and listed in ``face_pairs``
+    order; axis k's are [start[k], start[k + 1]).  The set-up marks them,
+    and their ends that are not free, on grid-shaped bool arrays, numbers
+    the local cells through one int32 grid map, and writes each axis's ends
+    from that map into the preallocated int32 ``la`` and ``lb``; the flat
+    indices of an axis's kept faces serve only to look up its
+    ``cut_faces`` weights.
 
     Three routes, one per job, on one pass over the kept faces, ``_diffs``,
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
@@ -157,14 +168,17 @@ class FreeEnergy:
     builds for p != 2 only.  Its one row per local cell and one column per
     free cell hold one slot per free face end (row the face's other end,
     column the free end) plus one per free cell's diagonal; the first
-    ``nf`` rows are the free block.  Slot s takes its value from
-    [x | y | diagonal][source[s]], for a per-face array x read where the
-    column is the face's b end, one y read where it is the a end, and a
-    per-free-cell diagonal.  A row's slots are its up faces (column the b
-    end) axis by axis, then its down faces (column the a end) axis by
-    axis, each in face order, then its diagonal: the order of a stable
-    sort of the slots by row, which ``_pattern`` reaches by scattering one
-    group of slots at a time.
+    ``nf`` rows are the free block.  A row's slots are its up faces
+    (column the b end) axis by axis, then its down faces (column the a
+    end) axis by axis, each in face order, then its diagonal: the order of
+    a stable sort of the slots by row, which ``_pattern`` reaches by
+    scattering one group of slots at a time.  ``pattern`` keeps the face
+    each slot reads and its sign, and ``_matrix`` writes the slot values of
+    H1 and M straight into their CSR data from per-face values, then the
+    diagonal into the last slot of each free row: no [x | y | diagonal]
+    concatenation and no slot-sized gathered copy is made.  ``red_black``
+    lays its coupling's slots out itself, in the column order that scipy's
+    COO constructor would sort them into.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
@@ -197,7 +211,7 @@ class FreeEnergy:
         del label, inner, near, local
         # la, lb and w written axis by axis into their final arrays; axis k's
         # faces are [start[k], start[k + 1]).
-        start = np.cumsum([0] + [np.count_nonzero(keep) for keep in keeps])
+        start = self.start = np.cumsum([0] + [np.count_nonzero(keep) for keep in keeps])
         self.la, self.lb = np.empty(start[-1], dtype=np.int32), np.empty(start[-1], dtype=np.int32)
         self.w = np.ones(start[-1])
         for axis, ((lo, hi), (flat, weights)) in enumerate(zip(slices, grid.cut_faces)):
@@ -209,49 +223,55 @@ class FreeEnergy:
             keeps[axis] = None
         del index
         if params.p != 2:
-            # The (indptr, indices, source) CSR pattern.  Every Newton step
+            # The (indptr, indices, source, sign) CSR pattern.  Every Newton step
             # fills it; built before the solve's other arrays, it leaves the
             # peak RSS lowest.
-            self.pattern = self._pattern(start)
+            self.pattern = self._pattern()
 
-    def _slot_groups(self, start):
-        """(rows, cols, sources) of each group of pattern slots, in the slots' order within a row.
+    def _slot_groups(self):
+        """(rows, cols, side, faces) of each group of pattern slots, in the slots' order within a row.
 
-        The up slots (column the b end) axis by axis, then the down slots
-        (column the a end) axis by axis, then the diagonal.  A cell ends at
-        most one face of an axis on each side, so a group meets each row at
-        most once.
+        The up slots (side 0: column the b end) axis by axis, then the down
+        slots (side 1: column the a end) axis by axis, each one slot per
+        face of ``faces`` whose column end is free, then the diagonal (side
+        2, faces None).  A cell ends at most one face of an axis on each
+        side, so a group meets each row at most once.
         """
-        nface = self.la.size
-        for rows, cols, shift in ((self.la, self.lb, 0), (self.lb, self.la, nface)):
-            for a, b in zip(start[:-1], start[1:]):
-                free_end = cols[a:b] < self.nf
-                faces = np.flatnonzero(free_end)
-                faces += shift + a
-                yield rows[a:b][free_end], cols[a:b][free_end], faces
+        for side, (rows, cols) in enumerate(((self.la, self.lb), (self.lb, self.la))):
+            for a, b in zip(self.start[:-1], self.start[1:]):
+                faces = np.flatnonzero(cols[a:b] < self.nf)
+                faces += a
+                yield rows[faces], cols[faces], side, faces
         diag = np.arange(self.nf, dtype=np.int32)
-        yield diag, diag, 2 * nface + diag
+        yield diag, diag, 2, None
 
-    def _pattern(self, start):
-        """(indptr, indices, source), each slot group scattered in turn into its rows' next free slots.
+    def _pattern(self):
+        """(indptr, indices, source, sign), each slot group scattered in turn into its rows' next free slots.
 
         That is the slot order of a stable sort of the slots by row, with no
         sort; scipy's COO constructor would sort each row's columns instead.
+        Each row's diagonal slot is its last.  source[s] is the face whose
+        value slot s takes (0 on the diagonal), and sign[s] is -1 on a down
+        slot and 1 elsewhere.
         """
         indptr = np.zeros(self.cells.size + 1, dtype=np.int32)
         count = indptr[1:]
-        for rows, _, _ in self._slot_groups(start):
+        for rows, *_ in self._slot_groups():
             count[rows] += 1
         np.cumsum(indptr, out=indptr)
         indices = np.empty(indptr[-1], dtype=np.int32)
-        source = np.empty_like(indices)
+        source = np.zeros_like(indices)
+        sign = np.ones(indptr[-1], dtype=np.int8)
         fill = indptr[:-1].copy()
-        for rows, cols, sources in self._slot_groups(start):
-            slots = fill[rows]
-            indices[slots] = cols
-            source[slots] = sources
+        for rows, cols, side, faces in self._slot_groups():
+            at = fill[rows]
+            indices[at] = cols
+            if faces is not None:
+                source[at] = faces
+            if side == 1:
+                sign[at] = -1
             fill[rows] += 1
-        return indptr, indices, source
+        return indptr, indices, source, sign
 
     def field(self, x: np.ndarray) -> np.ndarray:
         """The inside-cell field: x on ``free`` and ``base`` elsewhere."""
@@ -266,7 +286,9 @@ class FreeEnergy:
         """
         uc = self.base[self.cells]
         uc[: self.nf] = x
-        return uc[self.lb] - uc[self.la]
+        d = uc[self.lb]
+        d -= uc[self.la]
+        return d
 
     def _g(self, d: np.ndarray) -> np.ndarray:
         """g summed in face order from the differences d of ``_diffs``, which it overwrites, plus one slot.
@@ -292,11 +314,24 @@ class FreeEnergy:
         every[self.cells] = terms[:-1]
         return float(np.sum(every) * self.grid.h**self.grid.n)
 
-    def _matrix(self, x: np.ndarray, y: np.ndarray, diag: np.ndarray, rows: int) -> sp.csr_array:
-        """The first ``rows`` rows of the pattern, filled from x, y and diag."""
-        indptr, indices, source = self.pattern
+    def _matrix(self, values: np.ndarray, diag: np.ndarray, rows: int, flip: bool = False) -> sp.csr_array:
+        """The first ``rows`` rows of the pattern, its data written in place.
+
+        Face f's up slot takes values[f], its down slot values[f], or
+        -values[f] with ``flip``, and free cell j's diagonal slot, the last
+        of row j, takes diag[j].  The slots are read from values
+        ``TAKE_SLOTS`` at a time, so no slot-sized index or value copy is made.
+        """
+        indptr, indices, source, sign = self.pattern
         end = indptr[rows]
-        data = np.concatenate([x, y, diag])[source[:end]]
+        source, data = source[:end], np.empty(end)
+        if values.size:
+            for a in range(0, end, TAKE_SLOTS):
+                part = slice(a, a + TAKE_SLOTS)
+                np.take(values, source[part], out=data[part])
+                if flip:
+                    data[part] *= sign[part]
+        data[indptr[1 : self.nf + 1] - 1] = diag
         return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, self.nf))
 
     def _first_order(self, diff: np.ndarray, s):
@@ -305,11 +340,14 @@ class FreeEnergy:
         """
         h, n = self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
-        coef = s * (diff / h)
+        coef = diff / h
+        coef *= s
         coef *= self.w
         coef *= h ** (n - 1)
         grad = np.bincount(lb, weights=coef, minlength=k)[:nf] - np.bincount(la, weights=coef, minlength=k)[:nf]
-        k1 = h ** (n - 2) * self.w * s
+        del coef
+        k1 = h ** (n - 2) * self.w
+        k1 *= s
         diag = np.bincount(la, weights=k1, minlength=k)[:nf]
         diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
         return grad, k1, diag
@@ -339,18 +377,22 @@ class FreeEnergy:
         diff = self._diffs(x)
         g = self._g(diff.copy())[:-1] + self.params.eps**2
         d1 = _phi1(g, p)
-        grad, k1, diag = self._first_order(diff, d1[la] + d1[lb])
-        h1 = self._matrix(-k1, -k1, diag, nf)
-        wdh = h ** (n - 2) * self.w * diff
-        # Freed before M is filled: criterion 3's tracemalloc peak is 11.83 MB, 12.23 with either kept.
-        del k1, diff
-        own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
-        own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
-        mv = self._matrix(wdh, -wdh, own, k)
+        s = d1[la]
+        s += d1[lb]
+        grad, k1, diag = self._first_order(diff, s)
+        del s
+        h1 = self._matrix(np.negative(k1, out=k1), diag, nf)
+        del k1  # H1 holds its slot values: freed before M is filled
+        # M's face values h^(n-2) w_f d_f, in place of d_f
+        diff *= h ** (n - 2) * self.w
+        own = np.bincount(lb, weights=diff, minlength=k)[:nf]
+        own -= np.bincount(la, weights=diff, minlength=k)[:nf]
+        mv = self._matrix(diff, own, k, flip=True)
+        del diff
         d2h = ((p - 2) / 2) * d1 / g / h**n
         mt = mv.T
         # diag_j = H1_jj + sum_c d2h_c M_cj^2
-        diag = diag + sp.csr_array((mv.data**2, mv.indices, mv.indptr), shape=mv.shape).T @ d2h
+        diag += _square_sums(mv, d2h)
 
         def apply(v: np.ndarray) -> np.ndarray:
             s = mv @ v
@@ -377,7 +419,8 @@ class FreeEnergy:
         column of its black end.
         """
         grad, k1, diag = self._first_order(self._diffs(x), 2.0)
-        grid, nf = self.grid, self.nf
+        np.negative(k1, out=k1)
+        grid, nf, la, lb = self.grid, self.nf, self.la, self.lb
         # the parity of i + j (+ k): the XOR of the per-axis index parities
         odd = np.zeros((), dtype=bool)
         for k, c in enumerate(grid.cells):
@@ -387,12 +430,51 @@ class FreeEnergy:
         nr = int(np.count_nonzero(red))
         order[red] = np.arange(nr, dtype=np.int32)
         order[~red] = np.arange(nf - nr, dtype=np.int32)
-        both = (self.la < nf) & (self.lb < nf)
-        la, lb = self.la[both], self.lb[both]
-        a_red = red[la]
-        rows = order[np.where(a_red, la, lb)]
-        cols = order[np.where(a_red, lb, la)]
-        # Freed before scipy builds B: criterion 2's tracemalloc peak is 17.6 MB, 19.2 with them kept.
-        del la, lb, a_red
-        coupling = sp.csr_array((-k1[both], (rows, cols)), shape=(nr, nf - nr))
+
+        # B's slots in place of scipy's COO constructor and its sort.  For an
+        # ascending ``free``, a red row's columns ascend as its black
+        # neighbours' indices do: those below it along axes 0, ..., n-1 (it
+        # is their faces' b end), then those above it along axes n-1, ..., 0
+        # (the a end).  So each face with two free ends takes place g of
+        # its red end's row in a table of 2n places per red cell, g = axis
+        # or 2n - 1 - axis, and the filled places, read row by row, are
+        # B's slots.
+        width = 2 * grid.n
+        cols = np.full(nr * width, -1, dtype=np.int32)
+        vals = np.empty(nr * width)
+        for axis, (a, b) in enumerate(zip(self.start[:-1], self.start[1:])):
+            both = la[a:b] < nf
+            both &= lb[a:b] < nf
+            fa, fb = la[a:b][both], lb[a:b][both]
+            b_red = red[fb]
+            place = order[np.where(b_red, fb, fa)].astype(np.intp)
+            place *= width
+            place += np.where(b_red, axis, width - 1 - axis)
+            cols[place] = order[np.where(b_red, fa, fb)]
+            vals[place] = k1[a:b][both]
+        del k1
+        filled = cols >= 0
+        indptr = np.zeros(nr + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(filled.reshape(nr, width), axis=1), out=indptr[1:])
+        indices, data = cols[filled], vals[filled]
+        coupling = sp.csr_array((data, indices, indptr), shape=(nr, nf - nr))
         return grad, diag, coupling, red
+
+
+def _square_sums(m: sp.csr_array, weights: np.ndarray) -> np.ndarray:
+    """sum_c weights_c m_cj^2 for each column j, with no squared copy of m.
+
+    Each column sums its terms from 0.0 in slot order, as the CSC product
+    of m's squared data with weights does (scipy's ``csc_matvec``); the
+    terms are formed in chunks of ``SQUARE_ROWS`` rows and added by the
+    unbuffered, in-order ``np.add.at``.
+    """
+    out = np.zeros(m.shape[1])
+    indptr = m.indptr
+    for lo in range(0, m.shape[0], SQUARE_ROWS):
+        hi = min(lo + SQUARE_ROWS, m.shape[0])
+        part = slice(indptr[lo], indptr[hi])
+        terms = np.square(m.data[part])
+        terms *= np.repeat(weights[lo:hi], np.diff(indptr[lo : hi + 1]))
+        np.add.at(out, m.indices[part], terms)
+    return out

@@ -198,8 +198,13 @@ def _axis_radius(xs, center) -> np.ndarray:
     for x, c in zip(xs, center):
         d = np.asarray(np.asarray(x, dtype=float) - c)
         d *= d
-        # asarray: a 0-d sum comes back a scalar, which the in-place sqrt cannot take
-        out = d if out is None else np.asarray(out + d)
+        if out is None:
+            out = d
+        elif out.shape == d.shape:
+            out += d
+        else:
+            # asarray: a 0-d sum comes back a scalar, which the in-place sqrt cannot take
+            out = np.asarray(out + d)
     np.sqrt(out, out=out)
     return out if out.ndim else out[()]
 
@@ -514,7 +519,9 @@ class GridDomain:
 
         The faces are found by shifted slices of a grid-shaped plate-owner
         array.  A segment runs along its face's axis, so only that
-        coordinate is bisected (``_cut_fraction``).
+        coordinate is bisected (``_cut_fraction``), and a plate's segments
+        of every axis are bisected together: one predicate call per step
+        for the plate, not one per axis.
         """
         owner = np.full(self.cells, -1, dtype=np.int8)
         for k, (cells, _) in enumerate(self.plates):
@@ -522,24 +529,38 @@ class GridDomain:
         plate = owner >= 0
         free = self.mask & ~plate
         centers = [c.ravel() for c in self.axis_centers()]
-        out = []
+        # every axis's cut faces, axis by axis: flat index, plate, lo cell center and segment ends
+        flats, owners, coords, ends = [], [], [], []
         for axis, (lo, hi, _) in enumerate(self.inside_faces()):
             a_plate = plate[lo] & free[hi]
             cut = a_plate | (free[lo] & plate[hi])
             flat = np.flatnonzero(cut)
             a_plate = a_plate[cut]
-            which = np.where(a_plate, owner[lo][cut], owner[hi][cut])
             ijk = np.unravel_index(flat, cut.shape)
-            a_x, b_x = centers[axis][ijk[axis]], centers[axis][ijk[axis] + 1]
-            start, stop = np.where(a_plate, b_x, a_x), np.where(a_plate, a_x, b_x)
-            w = np.ones(flat.size)
-            for k, (_, region) in enumerate(self.plates):
-                sel = np.flatnonzero(which == k)
-                if region is not None and sel.size:
-                    xs = [c[i[sel]] for c, i in zip(centers, ijk)]
-                    w[sel] = 1.0 / _cut_fraction(region, xs, axis, start[sel], stop[sel])
-            keep = w != 1.0
-            out.append((flat[keep], w[keep]))
+            xs = [c[i] for c, i in zip(centers, ijk)]
+            b_x = centers[axis][ijk[axis] + 1]
+            flats.append(flat)
+            owners.append(np.where(a_plate, owner[lo][cut], owner[hi][cut]))
+            coords.append(xs)
+            ends.append((np.where(a_plate, b_x, xs[axis]), np.where(a_plate, xs[axis], b_x)))
+        bounds = np.cumsum([0] + [flat.size for flat in flats])
+        owners = np.concatenate(owners)
+        coords = [np.concatenate(xs) for xs in zip(*coords)]
+        start, stop = (np.concatenate(side) for side in zip(*ends))
+        w = np.ones(bounds[-1])
+        for k, (_, region) in enumerate(self.plates):
+            sel = np.flatnonzero(owners == k)
+            if region is None or not sel.size:
+                continue
+            # plate k's segments of every axis, bisected together
+            at = np.searchsorted(sel, bounds)
+            moves = list(enumerate(map(slice, at[:-1], at[1:])))
+            xs = [c[sel] for c in coords]
+            w[sel] = 1.0 / _cut_fraction(region, xs, moves, start[sel], stop[sel])
+        out = []
+        for flat, a, b in zip(flats, bounds[:-1], bounds[1:]):
+            keep = w[a:b] != 1.0
+            out.append((flat[keep], w[a:b][keep]))
             for part in out[-1]:
                 part.setflags(write=False)
         return tuple(out)
@@ -586,27 +607,34 @@ def rasterize(region, grid: GridDomain) -> np.ndarray:
     return out
 
 
-def _cut_fraction(region, xs: list, axis: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Fraction theta in (0, 1] of each segment start -> stop along ``axis`` before it enters ``region``.
+def _cut_fraction(region, xs: list, moves: list, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Fraction theta in (0, 1] of each segment start -> stop before it enters ``region``.
 
-    ``xs`` holds the segments' per-axis coordinates as 1-D arrays; its
-    entry at ``axis`` is replaced by the points start + t (stop - start).
-    Bisection on the predicate; theta = 1 where ``start`` is not outside or
-    ``stop`` not inside the region.
+    ``xs`` holds the segments' per-axis coordinates as 1-D arrays, and
+    ``moves`` (axis, part) pairs: the segments in slice ``part`` run along
+    ``axis``, so that entry of xs is replaced on them by the points
+    start + t (stop - start).  Bisection on the predicate, one call per
+    step for every segment; theta = 1 where ``start`` is not outside or
+    ``stop`` not inside the region.  The bracket [lo, hi] is dyadic, so
+    its midpoint lo + half is exact.
     """
     lo = np.zeros(len(start))
     hi = np.ones(len(start))
     delta = stop - start
+
+    def contains(points):
+        for axis, part in moves:
+            xs[axis][part] = points[part]
+        return region.contains_axes(xs)
+
+    half = 1.0
     for _ in range(CUT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        xs[axis] = start + mid * delta
-        inside = region.contains_axes(xs)
+        half *= 0.5
+        mid = lo + half
+        inside = contains(start + mid * delta)
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
-    xs[axis] = start
-    separated = ~region.contains_axes(xs)
-    xs[axis] = stop
-    separated &= region.contains_axes(xs)
+    separated = ~contains(start) & contains(stop)
     return np.where(separated, np.maximum(hi, THETA_MIN), 1.0)
 
 

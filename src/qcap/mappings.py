@@ -20,7 +20,8 @@ finite-distortion convention 0/0 = 0); otherwise they are flagged, excluded,
 and counted, and too many flagged cells fail the computation.  The cells
 are walked in slabs of whole rows along axis 0, so the computation holds
 one float per inside cell plus one slab's centers and Jacobian data, never
-the grid's whole center array.  A condenser is pulled back the same way:
+the grid's whole center array; each slab's quotients are formed in place
+in one array, and ``RadialPower`` computes |Dphi| in place on its radii.  A condenser is pulled back the same way:
 each plate as a ``MappedRegion`` preimage, rasterized in those slabs.
 """
 
@@ -148,9 +149,13 @@ class RadialPower:
         return np.asarray(self.center) + rel * (r ** (self.alpha - 1.0))[..., None]
 
     def jacobian(self, pts: np.ndarray, n: int) -> JacobianData:
+        """|Dphi| and J at ``pts``; |Dphi| is computed in place on the radius array."""
         r = self._radii(pts)
-        stretch = r ** (self.alpha - 1.0)
-        return JacobianData(max(self.alpha, 1.0) * stretch, self.alpha * r ** (n * (self.alpha - 1.0)))
+        det = r ** (n * (self.alpha - 1.0))
+        det *= self.alpha
+        r **= self.alpha - 1.0
+        r *= max(self.alpha, 1.0)
+        return JacobianData(r, det)
 
     def inverse(self) -> "RadialPower":
         return RadialPower(1.0 / self.alpha, self.center)
@@ -182,7 +187,9 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
 
     The inside cells are walked in the slabs of whole rows along axis 0
     that rasterization uses (``grid.row_slabs``, about ``SLAB_CELLS``
-    cells each).  Each slab's centers go through ``m.jacobian``.  For
+    cells each).  Each slab's centers go through ``m.jacobian``; its
+    quotients are formed in place in one array, and each Jacobian array is
+    dropped once read, before the next slab's centers are built.  For
     q = p each slab keeps the max of the quotients |Dphi|^p / |J| of its
     valid cells; for q < p they fill the next part of one array of
     ``inside_count`` floats, summed once over the filled part.
@@ -199,17 +206,21 @@ def distortion_coefficient(m, dom: GridDomain, p: float, q: float) -> Distortion
     filled = n_flagged = 0
     for slab in row_slabs(dom.cells):
         jd = m.jacobian(dom.inside_centers_in((slab,)), dom.n)
-        op = np.asarray(jd.op_norm, dtype=float)
-        det = np.abs(np.asarray(jd.jac_det, dtype=float))
         n_flagged += int(np.count_nonzero(jd.degenerate))
+        det = np.abs(np.asarray(jd.jac_det, dtype=float))
+        part = np.asarray(jd.op_norm, dtype=float) ** p
+        del jd
         valid = ~(det < J_MIN)  # flagged and 0/0 cells both have |J| < J_MIN
-        part = op[valid] ** p / det[valid]
+        np.divide(part, det, out=part, where=valid)
+        del det
+        part = part[valid]
         if quotient is None:
             if part.size:
                 maxima.append(np.max(part))
         else:
             quotient[filled : filled + part.size] = part
             filled += part.size
+        del part, valid  # before the next slab's Jacobian
     if n_flagged > 0.01 * dom.inside_count:
         raise DegenerateError(
             f"{n_flagged} of {dom.inside_count} cells have degenerate Jacobian"

@@ -49,10 +49,20 @@ class CurveFamily:
 
     def __post_init__(self):
         curves = tuple(np.asarray(c, dtype=float) for c in self.curves)
-        for c in curves:
-            if c.ndim != 2 or len(c) < 2:
-                raise DomainError("each curve needs at least two points")
-            if float(radius(c[1:], c[:-1]).sum()) <= 0:
+        if any(c.ndim != 2 or len(c) < 2 for c in curves):
+            raise DomainError("each curve needs at least two points")
+        if len({c.shape[1] for c in curves}) > 1:
+            raise DomainError("every curve needs the same dimension")
+        if curves:
+            # One pass over the concatenated points: each curve's segments are
+            # summed with the joins to the next curve zeroed.  The segment
+            # lengths are >= 0 or NaN, so a sum is <= 0 exactly when every
+            # term is 0, as for each curve's own sum.
+            starts = np.cumsum([0] + [len(c) for c in curves[:-1]])
+            points = np.concatenate(curves)
+            segments = radius(points[1:], points[:-1])
+            segments[starts[1:] - 1] = 0.0
+            if np.any(np.add.reduceat(segments, starts) <= 0):
                 raise DomainError("each curve must have positive length")
         object.__setattr__(self, "curves", curves)
 

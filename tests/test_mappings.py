@@ -311,7 +311,9 @@ def test_slab_walk_rejects_a_center_on_a_cell_center():
 
 
 def test_distortion_coefficient_memory():
-    # tracemalloc peak on the lab-cli kcoef grid: 4.65 MB, 10.2 MB with one
+    # tracemalloc peak on the lab-cli kcoef grid: 1.89 MB, 4.65 MB with a
+    # slab's masked copies of |Dphi| and |J|, its radius temporaries and the
+    # last slab's quotients held across the next Jacobian, 10.2 MB with one
     # quotient per inside cell, 40.8 MB with the whole-array pass (its
     # center array, Jacobians and masked copies)
     g = GridDomain.box(*KCOEF_GRID)
@@ -323,7 +325,7 @@ def test_distortion_coefficient_memory():
     finally:
         tracemalloc.stop()
     assert k.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert peak < 5.8e6
+    assert peak < 2.2e6
 
 
 def test_exponent_validation():

@@ -56,6 +56,46 @@ def test_curve_family_validation():
     assert fam.lengths()[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def per_curve_decision(curves):
+    """The length check curve by curve: True where a curve's own sum of segment lengths is <= 0."""
+    return [float(np.linalg.norm(np.diff(c, axis=0), axis=-1).sum()) <= 0 for c in curves]
+
+
+def test_curve_family_checks_lengths_in_one_pass(monkeypatch):
+    # one radius call for the whole family, whose decision is each curve's
+    # own: zero-length curves raise wherever they sit, NaN coordinates make
+    # a sum NaN and pass, and a zero-length join between curves counts for
+    # neither of them
+    rng = np.random.default_rng(5)
+    calls = []
+    radius = qcap.modulus.radius
+    monkeypatch.setattr(qcap.modulus, "radius", lambda *a: calls.append(1) or radius(*a))
+    point = np.full((1, 2), 0.25)
+    cases = []
+    for n in (2, 3):
+        good = [rng.uniform(-1.0, 1.0, (k, n)) for k in (2, 3, 9, 200)]
+        flat = np.zeros((5, n))
+        nan = np.zeros((4, n))
+        nan[2, 0] = np.nan
+        cases += [good, good[:2] + [flat] + good[2:], [flat] + good, good + [flat], good[:1] + [nan] + good[1:]]
+    # a curve that ends where the next one starts, and a constant curve after it
+    cases.append([np.vstack([np.zeros((1, 2)), point]), np.vstack([point, point, point])])
+    for curves in cases:
+        calls.clear()
+        if any(per_curve_decision(curves)):
+            with pytest.raises(DomainError, match="positive length"):
+                CurveFamily(tuple(curves))
+        else:
+            assert len(CurveFamily(tuple(curves))) == len(curves)
+        assert len(calls) == 1
+    assert sum(any(per_curve_decision(c)) for c in cases) == 7
+
+
+def test_curve_family_needs_one_dimension():
+    with pytest.raises(DomainError, match="same dimension"):
+        CurveFamily((segment((0.0, 0.0), (1.0, 0.0)), segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))))
+
+
 def test_empty_family_has_zero_modulus():
     g = GridDomain.box(2, (0.0, 0.0), (8, 8), 0.125)
     res = modulus_lower_bound(CurveFamily(()), 2.0, g)

@@ -156,8 +156,12 @@ def oracle_selection(grid, free, base):
     return local[a[sel]], local[b[sel]], w, cells
 
 
-def oracle_pattern(energy):
-    """``FreeEnergy.pattern`` as a stable ``argsort`` of the concatenated slots by row."""
+def oracle_source_pattern(energy):
+    """(indptr, indices, source) of the slots concatenated as up, down and diagonal, stably sorted by row.
+
+    Slot s takes its value from [x | y | diagonal][source[s]]: x per face
+    in its up slot, y per face in its down slot, and one per free cell.
+    """
     la, lb, nf, nface = energy.la, energy.lb, energy.nf, energy.la.size
     slot_face = np.arange(nface, dtype=np.int32)
     up, down = lb < nf, la < nf
@@ -169,6 +173,52 @@ def oracle_pattern(energy):
     indptr = np.zeros(energy.cells.size + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=energy.cells.size), out=indptr[1:])
     return indptr, cols[order], source[order]
+
+
+def oracle_pattern(energy):
+    """``FreeEnergy.pattern``: ``oracle_source_pattern`` with each slot's face (0 on the diagonal) and sign."""
+    indptr, indices, source = oracle_source_pattern(energy)
+    nface = energy.la.size
+    down = (source >= nface) & (source < 2 * nface)
+    face = np.where(source < 2 * nface, source % max(nface, 1), 0).astype(np.int32)
+    return indptr, indices, face, np.where(down, -1, 1).astype(np.int8)
+
+
+def oracle_matrix(energy, x, y, diag, rows):
+    """The first ``rows`` rows of the pattern, gathered from the concatenation [x | y | diag]."""
+    indptr, indices, source = oracle_source_pattern(energy)
+    end = indptr[rows]
+    data = np.concatenate([x, y, diag])[source[:end]]
+    return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, energy.nf))
+
+
+def oracle_derivatives(energy, x):
+    """(grad, H1, M, phi''/h^n, diagonal) of ``FreeEnergy.derivatives``, each matrix gathered from a concatenation,
+    and the diagonal's M term a CSC product of M's squared data."""
+    p, eps, h, n = energy.params.p, energy.params.eps, energy.grid.h, energy.grid.n
+    la, lb, w, nf, k = energy.la, energy.lb, energy.w, energy.nf, energy.cells.size
+    uc = energy.base[energy.cells]
+    uc[:nf] = x
+    diff = uc[lb] - uc[la]
+    d2 = (diff / h) ** 2 * w
+    g = 0.5 * (np.bincount(la, weights=d2, minlength=k) + np.bincount(lb, weights=d2, minlength=k)) + eps**2
+    d1 = _phi1(g, p)
+    s = d1[la] + d1[lb]
+    coef = s * (diff / h)
+    coef *= w
+    coef *= h ** (n - 1)
+    grad = np.bincount(lb, weights=coef, minlength=k)[:nf] - np.bincount(la, weights=coef, minlength=k)[:nf]
+    k1 = h ** (n - 2) * w * s
+    diag = np.bincount(la, weights=k1, minlength=k)[:nf]
+    diag += np.bincount(lb, weights=k1, minlength=k)[:nf]
+    h1 = oracle_matrix(energy, -k1, -k1, diag, nf)
+    wdh = h ** (n - 2) * w * diff
+    own = np.bincount(lb, weights=wdh, minlength=k)[:nf]
+    own -= np.bincount(la, weights=wdh, minlength=k)[:nf]
+    mv = oracle_matrix(energy, wdh, -wdh, own, k)
+    d2h = ((p - 2) / 2) * d1 / g / h**n
+    diag = diag + sp.csr_array((mv.data**2, mv.indices, mv.indptr), shape=mv.shape).T @ d2h
+    return grad, h1, mv, d2h, diag
 
 
 def oracle_coupling(energy, red):
@@ -309,6 +359,43 @@ def test_hessian_pattern_matches_the_sorted_slots(case):
         np.testing.assert_array_equal(got, want)
 
 
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("case", selection_cases())
+def test_newton_fills_match_the_gathered_oracle(case, p):
+    # H1 and M written in place slot group by slot group, and the diagonal's
+    # M term summed in slot order, against the concatenate-and-gather fills
+    # and the CSC product of M's squared data, bit for bit
+    grid, free, base = case()
+    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.5, 1.5, free.size)
+    grad, apply, diag = energy.derivatives(x)
+    want_grad, h1, mv, d2h, want_diag = oracle_derivatives(energy, x)
+    np.testing.assert_array_equal(grad, want_grad)
+    np.testing.assert_array_equal(diag, want_diag)
+    for _ in range(3):
+        v = rng.uniform(-1.0, 1.0, free.size)
+        s = mv @ v
+        s *= d2h
+        want = h1 @ v
+        want += mv.T @ s
+        np.testing.assert_array_equal(apply(v), want)
+    # the fills themselves, on the values the oracle gathers
+    nface, nf = energy.la.size, energy.nf
+    values, diag = rng.uniform(-1.0, 1.0, nface), rng.uniform(-1.0, 1.0, nf)
+    assert_same_csr(energy._matrix(values.copy(), diag, nf), oracle_matrix(energy, values, values, diag, nf))
+    rows = energy.cells.size
+    want = oracle_matrix(energy, values, -values, diag, rows)
+    assert_same_csr(energy._matrix(values.copy(), diag, rows, flip=True), want)
+
+
 @pytest.mark.parametrize("case", selection_cases())
 def test_red_black_coupling_matches_the_coo_oracle(case):
     grid, free, base = case()
@@ -354,21 +441,46 @@ def test_solve_builds_no_inside_index(name, p, monkeypatch):
     sweep_and_solve(CONDENSERS[name](), p)
 
 
-def test_free_energy_setup_memory():
-    # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5:
-    # 10.95 MB, 25.8 MB with the int64 face ends, the concatenated slots and
-    # their argsort
-    cond = ring(3, 64)
-    free, base = plate_sets(cond)
-    cond.domain.cut_faces
+def traced_rise(call):
+    """The ``tracemalloc`` peak of ``call()`` above what was held before it, its result included."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        FreeEnergy(cond.domain, free, base, EnergyParams(1.5, 1e-4))
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start < 13.7e6
+    return peak - start
+
+
+def test_free_energy_setup_memory():
+    # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5:
+    # 11.07 MB (10.71 without the slots' signs), 25.8 MB with the int64 face
+    # ends, the concatenated slots and their argsort
+    cond = ring(3, 64)
+    free, base = plate_sets(cond)
+    cond.domain.cut_faces
+    assert traced_rise(lambda: FreeEnergy(cond.domain, free, base, EnergyParams(1.5, 1e-4))) < 13.7e6
+
+
+def test_derivatives_memory():
+    # tracemalloc rise of one Newton step's derivatives on the 3D 64³ ring at
+    # p = 1.5, H1 and M included: 11.37 MB, 16.24 MB with the [x | y | diag]
+    # concatenations gathered into each matrix and the squared copy of M
+    cond = ring(3, 64)
+    energy = FreeEnergy(cond.domain, *plate_sets(cond), EnergyParams(1.5, 1e-4))
+    x = np.random.default_rng(0).uniform(size=energy.nf)
+    assert traced_rise(lambda: energy.derivatives(x)) < 13.0e6
+
+
+def test_red_black_memory():
+    # tracemalloc rise of the p = 2 quantities on the criterion-2 ring (3D
+    # 64³) at the solve's start, B included: 7.34 MB, 8.44 MB with B built
+    # through scipy's COO constructor
+    cond = ring(3, 64)
+    energy = FreeEnergy(cond.domain, *plate_sets(cond), EnergyParams(2.0))
+    x = np.broadcast_to(0.0, (energy.nf,))
+    assert traced_rise(lambda: energy.red_black(x)) < 8.0e6
 
 
 def masked_annulus():
