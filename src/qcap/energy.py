@@ -35,8 +35,8 @@ and never sweeps the whole grid; it too selects its faces axis by axis,
 and builds its index arrays in int32, straight into their final arrays.
 Its Newton matrices are written the same way, each slot value straight
 into the CSR data, with no concatenated, gathered or squared slot-sized
-copy, and it lays out its red-black coupling itself, with no COO
-constructor and no sort.
+copy; its red-black coupling comes from scipy's COO constructor, given
+only the values and ends of the faces with two free ends.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ class FreeEnergy:
     H1 and M straight into their CSR data from per-face values, then the
     diagonal into the last slot of each free row: no [x | y | diagonal]
     concatenation and no slot-sized gathered copy is made.  ``red_black``
-    lays its coupling's slots out itself, in the column order that scipy's
-    COO constructor would sort them into.
+    builds its coupling with scipy's COO constructor once the face-sized
+    weights are dropped.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
@@ -419,8 +419,12 @@ class FreeEnergy:
         column of its black end.
         """
         grad, k1, diag = self._first_order(self._diffs(x), 2.0)
-        np.negative(k1, out=k1)
-        grid, nf, la, lb = self.grid, self.nf, self.la, self.lb
+        grid, nf = self.grid, self.nf
+        both = self.la < nf
+        both &= self.lb < nf
+        values = k1[both]
+        del k1
+        np.negative(values, out=values)
         # the parity of i + j (+ k): the XOR of the per-axis index parities
         odd = np.zeros((), dtype=bool)
         for k, c in enumerate(grid.cells):
@@ -430,34 +434,13 @@ class FreeEnergy:
         nr = int(np.count_nonzero(red))
         order[red] = np.arange(nr, dtype=np.int32)
         order[~red] = np.arange(nf - nr, dtype=np.int32)
-
-        # B's slots in place of scipy's COO constructor and its sort.  For an
-        # ascending ``free``, a red row's columns ascend as its black
-        # neighbours' indices do: those below it along axes 0, ..., n-1 (it
-        # is their faces' b end), then those above it along axes n-1, ..., 0
-        # (the a end).  So each face with two free ends takes place g of
-        # its red end's row in a table of 2n places per red cell, g = axis
-        # or 2n - 1 - axis, and the filled places, read row by row, are
-        # B's slots.
-        width = 2 * grid.n
-        cols = np.full(nr * width, -1, dtype=np.int32)
-        vals = np.empty(nr * width)
-        for axis, (a, b) in enumerate(zip(self.start[:-1], self.start[1:])):
-            both = la[a:b] < nf
-            both &= lb[a:b] < nf
-            fa, fb = la[a:b][both], lb[a:b][both]
-            b_red = red[fb]
-            place = order[np.where(b_red, fb, fa)].astype(np.intp)
-            place *= width
-            place += np.where(b_red, axis, width - 1 - axis)
-            cols[place] = order[np.where(b_red, fa, fb)]
-            vals[place] = k1[a:b][both]
-        del k1
-        filled = cols >= 0
-        indptr = np.zeros(nr + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(filled.reshape(nr, width), axis=1), out=indptr[1:])
-        indices, data = cols[filled], vals[filled]
-        coupling = sp.csr_array((data, indices, indptr), shape=(nr, nf - nr))
+        la, lb = self.la[both], self.lb[both]
+        del both
+        a_red = red[la]
+        rows = order[np.where(a_red, la, lb)]
+        cols = order[np.where(a_red, lb, la)]
+        del la, lb, a_red, order
+        coupling = sp.csr_array((values, (rows, cols)), shape=(nr, nf - nr))
         return grad, diag, coupling, red
 
 

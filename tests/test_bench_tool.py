@@ -1,12 +1,16 @@
-"""The paired verdicts of ``tools/bench.py`` on synthetic samples, and its runs on stub roots."""
+"""The paired verdicts of ``tools/bench.py`` on synthetic samples, and its workload and case runs on stub roots."""
 
 import importlib.util
+import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+REPO = Path(__file__).resolve().parents[1]
+BENCH = REPO / "tools" / "bench.py"
+BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 LOWER = {"name": "wall_s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "rate", "better": "higher", "bound": 0.25}
 
@@ -103,13 +107,15 @@ import sys
 block = b"x" * ({mb} << 20)
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 print(json.dumps({{"record": {{"machine": {{"stub": {mb}}}}}}}))
-print(json.dumps({{"metrics": {{"wall_s": {{"value": 0.5 + seed}}}}, "failed": 0, "attempted": 2}}))
+metrics = {{name: {{"value": 0.5 + seed}} for name in {names}}}
+print(json.dumps({{"metrics": metrics, "failed": 0, "attempted": 2}}))
 """
 
 
 def stub_root(path, mb):
     (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text(textwrap.dedent(STUB_RUN.format(mb=mb)), encoding="utf-8")
+    run = textwrap.dedent(STUB_RUN.format(mb=mb, names=list(BOUNDS)))
+    (path / "perfbench" / "run.py").write_text(run, encoding="utf-8")
     return path
 
 
@@ -128,3 +134,99 @@ def test_runs_record_their_minor_page_faults(tmp_path):
         assert len(side["samples"]) == 3 and all(isinstance(x, int) and x > 0 for x in side["samples"])
         assert set(side) == {"median", "q1", "q3", "samples"}
     assert min(faults["change"]["samples"]) > max(faults["parent"]["samples"]) + 4000
+
+
+STUB_CAPACITY = """
+from types import SimpleNamespace
+
+held = []
+
+
+def ring_capacity_exact(n, p, r1, r2):
+    return 4.0
+
+
+def solve_ring(n, p, r1, r2, half, cells):
+    # touch {mb} MB, page by page, and keep it until the process ends
+    held.append(b"x" * ({mb} << 20))
+    return SimpleNamespace(value={value}, iterations=n, cg_steps=cells, converged=True)
+"""
+
+
+def stub_solver_root(path, mb, value):
+    package = path / "src" / "qcap"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "capacity.py").write_text(textwrap.dedent(STUB_CAPACITY.format(mb=mb, value=value)), encoding="utf-8")
+    return path
+
+
+def test_fine_cases_are_the_measured_rings():
+    assert _load_bench().CASES == {
+        "3d-128-p1.5": (3, 1.5, 128),
+        "3d-128-p2": (3, 2.0, 128),
+        "2d-1024-p1.5": (2, 1.5, 1024),
+        "2d-256-p1.05": (2, 1.05, 256),
+    }
+
+
+def test_paired_runs_record_rss_faults_and_results(tmp_path):
+    # the change side's stub holds 48 MB more: every pair is a peak-RSS loss
+    bench = _load_bench()
+    roots = {
+        "change": stub_solver_root(tmp_path / "change", 56, 5.0),
+        "parent": stub_solver_root(tmp_path / "parent", 8, 5.0),
+    }
+    out = bench.bench_case(roots, (2, 1.5, 16), 3, BOUNDS)
+    assert out["case"] == [2, 1.5, 16]
+    want = {"value": "5.0", "rel_err": 0.25, "iterations": 2, "cg_steps": 16, "converged": True}
+    assert out["results"] == {"change": [want], "parent": [want]}
+    assert out["same_result"]
+    rss = out["metrics"]["peak_rss_mb"]
+    assert len(rss["change"]["samples"]) == len(rss["parent"]["samples"]) == 3
+    assert min(rss["change"]["samples"]) > max(rss["parent"]["samples"]) + 30
+    assert (rss["change_wins"], rss["parent_wins"]) == (0, 3) and rss["beyond_bound"] and not rss["gain"]
+    assert "change_wins" in out["metrics"]["wall_s"]
+    faults = out["metrics"]["minor_faults"]
+    assert set(faults) == {"change", "parent"}
+    assert min(faults["change"]["samples"]) > max(faults["parent"]["samples"]) + 8000
+
+
+def test_differing_results_are_flagged(tmp_path):
+    bench = _load_bench()
+    roots = {
+        "change": stub_solver_root(tmp_path / "change", 1, 5.0),
+        "parent": stub_solver_root(tmp_path / "parent", 1, 5.5),
+    }
+    out = bench.bench_case(roots, (3, 2.0, 8), 1, BOUNDS)
+    assert not out["same_result"]
+    assert out["results"]["parent"][0]["value"] == "5.5"
+
+
+def test_unpaired_runs_have_no_verdicts(tmp_path):
+    bench = _load_bench()
+    out = bench.bench_case({"runs": stub_solver_root(tmp_path / "root", 1, 3.0)}, (2, 2.0, 8), 2, BOUNDS)
+    assert "same_result" not in out
+    assert set(out["metrics"]["wall_s"]) == {"runs"}
+    assert out["results"]["runs"][0]["rel_err"] == 0.25
+
+
+def test_cases_run_only_when_named_and_workloads_unless_only_cases_are(tmp_path, monkeypatch):
+    # the report goes to the harness's root, here a copy holding only BENCHMARK.json
+    bench = _load_bench()
+    harness = tmp_path / "harness"
+    harness.mkdir()
+    (harness / "BENCHMARK.json").write_text(json.dumps(BENCHMARK), encoding="utf-8")
+    monkeypatch.setattr(bench, "ROOT", harness)
+    root = stub_solver_root(stub_root(tmp_path / "root", 1), 1, 3.0)
+
+    def report(*picks):
+        assert bench.main(["--label", "pick", "--root", str(root), "--runs", "1", *picks]) == 0
+        out = json.loads((harness / "BENCH_pick.json").read_text(encoding="utf-8"))
+        return set(out["workloads"]), set(out["cases"])
+
+    assert report() == ({w["name"] for w in BENCHMARK["workloads"]}, set())
+    assert report("--case", "3d-128-p2") == (set(), {"3d-128-p2"})
+    assert report("--workload", "lab-cli") == ({"lab-cli"}, set())
+    picks = ("--case", "2d-256-p1.05", "--workload", "ring-p2", "--case", "3d-128-p2")
+    assert report(*picks) == ({"ring-p2"}, {"3d-128-p2", "2d-256-p1.05"})

@@ -475,12 +475,14 @@ def test_derivatives_memory():
 
 def test_red_black_memory():
     # tracemalloc rise of the p = 2 quantities on the criterion-2 ring (3D
-    # 64³) at the solve's start, B included: 7.34 MB, 8.44 MB with B built
-    # through scipy's COO constructor
+    # 64³) at the solve's start, B included: 6.83 MB with B built by scipy's
+    # COO constructor from the two-free-end faces' values alone, 7.34 MB with
+    # B laid out by hand in a table of 2n places per red cell, and 8.44 MB
+    # with the COO constructor called while the face-sized k1 was still held
     cond = ring(3, 64)
     energy = FreeEnergy(cond.domain, *plate_sets(cond), EnergyParams(2.0))
     x = np.broadcast_to(0.0, (energy.nf,))
-    assert traced_rise(lambda: energy.red_black(x)) < 8.0e6
+    assert traced_rise(lambda: energy.red_black(x)) < 7.2e6
 
 
 def masked_annulus():
