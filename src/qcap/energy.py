@@ -34,9 +34,10 @@ field so made from one pass over the faces that can carry a difference,
 and never sweeps the whole grid; it too selects its faces axis by axis,
 and builds its index arrays in int32, straight into their final arrays.
 Its Newton matrices are written the same way, each slot value straight
-into the CSR data, with no concatenated, gathered or squared slot-sized
-copy; its red-black coupling comes from scipy's COO constructor, given
-only the values and ends of the faces with two free ends.
+into the CSR data, with no concatenated or gathered slot-sized copy (M's
+squares, for the diagonal, take M's own data first); its red-black
+coupling comes from scipy's COO constructor, given only the values and
+ends of the faces with two free ends.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ import scipy.sparse as sp
 from .exceptions import DomainError, SingularityError
 from .grid import GridDomain
 
-# Slots per chunk of ``FreeEnergy._matrix``, and rows per chunk of
-# ``_square_sums`` (at most 7 * 2^12 slots, in 3D).
+# Slots per chunk of ``FreeEnergy._matrix``.
 TAKE_SLOTS = 1 << 14
-SQUARE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,8 @@ class FreeEnergy:
     each slot reads and its sign, and ``_matrix`` writes the slot values of
     H1 and M straight into their CSR data from per-face values, then the
     diagonal into the last slot of each free row: no [x | y | diagonal]
-    concatenation and no slot-sized gathered copy is made.  ``red_black``
+    concatenation and no slot-sized gathered copy is made; M's data first
+    holds its squares, for the diagonal's CSC product.  ``red_black``
     builds its coupling with scipy's COO constructor once the face-sized
     weights are dropped.
     """
@@ -314,17 +314,18 @@ class FreeEnergy:
         every[self.cells] = terms[:-1]
         return float(np.sum(every) * self.grid.h**self.grid.n)
 
-    def _matrix(self, values: np.ndarray, diag: np.ndarray, rows: int, flip: bool = False) -> sp.csr_array:
+    def _matrix(self, values: np.ndarray, diag: np.ndarray, rows: int, flip: bool = False, data=None) -> sp.csr_array:
         """The first ``rows`` rows of the pattern, its data written in place.
 
         Face f's up slot takes values[f], its down slot values[f], or
         -values[f] with ``flip``, and free cell j's diagonal slot, the last
         of row j, takes diag[j].  The slots are read from values
-        ``TAKE_SLOTS`` at a time, so no slot-sized index or value copy is made.
+        ``TAKE_SLOTS`` at a time, so no slot-sized index or value copy is
+        made; they are written into data, a new array if it is None.
         """
         indptr, indices, source, sign = self.pattern
         end = indptr[rows]
-        source, data = source[:end], np.empty(end)
+        source, data = source[:end], np.empty(end) if data is None else data
         if values.size:
             for a in range(0, end, TAKE_SLOTS):
                 part = slice(a, a + TAKE_SLOTS)
@@ -370,7 +371,8 @@ class FreeEnergy:
         map from v to the sums s_c (scaled by h^(n-1)) on every local cell,
         so that H v = H1 v + M^T ((phi'' / h^n) M v).  The energy is convex
         for p > 1, so H is positive semidefinite even where phi'' < 0
-        (p < 2).
+        (p < 2).  diagonal adds sum_c (phi''_c / h^n) M_cj^2 to H1's by scipy's
+        CSC product on M's squared data, which M's values then overwrite.
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
@@ -381,18 +383,24 @@ class FreeEnergy:
         s += d1[lb]
         grad, k1, diag = self._first_order(diff, s)
         del s
+        # phi'' / h^n in d1's place; g is freed before any slot-sized fill
+        d2h = np.multiply(d1, (p - 2) / 2, out=d1)
+        d2h /= g
+        d2h /= h**n
+        del g
         h1 = self._matrix(np.negative(k1, out=k1), diag, nf)
         del k1  # H1 holds its slot values: freed before M is filled
         # M's face values h^(n-2) w_f d_f, in place of d_f
         diff *= h ** (n - 2) * self.w
         own = np.bincount(lb, weights=diff, minlength=k)[:nf]
         own -= np.bincount(la, weights=diff, minlength=k)[:nf]
-        mv = self._matrix(diff, own, k, flip=True)
-        del diff
-        d2h = ((p - 2) / 2) * d1 / g / h**n
+        # diag_j += sum_c d2h_c M_cj^2 on M's squared slots (the signs square away)
+        mv = self._matrix(diff, own, k)
+        np.square(mv.data, out=mv.data)
         mt = mv.T
-        # diag_j = H1_jj + sum_c d2h_c M_cj^2
-        diag += _square_sums(mv, d2h)
+        diag += mt @ d2h
+        self._matrix(diff, own, k, flip=True, data=mv.data)
+        del diff
 
         def apply(v: np.ndarray) -> np.ndarray:
             s = mv @ v
@@ -442,22 +450,3 @@ class FreeEnergy:
         del la, lb, a_red, order
         coupling = sp.csr_array((values, (rows, cols)), shape=(nr, nf - nr))
         return grad, diag, coupling, red
-
-
-def _square_sums(m: sp.csr_array, weights: np.ndarray) -> np.ndarray:
-    """sum_c weights_c m_cj^2 for each column j, with no squared copy of m.
-
-    Each column sums its terms from 0.0 in slot order, as the CSC product
-    of m's squared data with weights does (scipy's ``csc_matvec``); the
-    terms are formed in chunks of ``SQUARE_ROWS`` rows and added by the
-    unbuffered, in-order ``np.add.at``.
-    """
-    out = np.zeros(m.shape[1])
-    indptr = m.indptr
-    for lo in range(0, m.shape[0], SQUARE_ROWS):
-        hi = min(lo + SQUARE_ROWS, m.shape[0])
-        part = slice(indptr[lo], indptr[hi])
-        terms = np.square(m.data[part])
-        terms *= np.repeat(weights[lo:hi], np.diff(indptr[lo : hi + 1]))
-        np.add.at(out, m.indices[part], terms)
-    return out

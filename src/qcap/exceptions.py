@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer rule behind its DomainErrors."""
+"""Exception types shared across the package, and the integer and finiteness rules behind its DomainErrors."""
 
+import math
 import numbers
 
 
@@ -34,3 +35,11 @@ class DegenerateError(QcapError):
 
 class WindowError(QcapError):
     """Exponents fall outside the validity window of the requested check."""
+
+
+def _finite(values, what: str) -> tuple:
+    """``values`` as a tuple of floats; DomainError unless every one is finite."""
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{what} must be finite, got {out}")
+    return out

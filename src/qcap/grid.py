@@ -53,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .exceptions import DomainError, EmptySetError, GeometryError, _is_integer
+from .exceptions import DomainError, EmptySetError, GeometryError, _finite, _is_integer
 
 # Bisection steps locating a plate boundary on a cut face, and the smallest
 # theta kept (a boundary closer to a free center is placed at this fraction,
@@ -270,9 +270,9 @@ class Ball(Region):
     closed: bool = False
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise DomainError(f"ball radius must be >= 0, got {self.r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", _finite(self.center, "ball center"))
 
     def contains_axes(self, xs) -> np.ndarray:
         d = _axis_radius(xs, self.center)
@@ -288,9 +288,9 @@ class SphereShell(Region):
     thickness: float
 
     def __post_init__(self):
-        if self.r < 0 or self.thickness < 0:
+        if not (self.r >= 0 and self.thickness >= 0):
             raise DomainError("sphere shell requires r >= 0 and thickness >= 0")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", _finite(self.center, "sphere shell center"))
 
     def contains_axes(self, xs) -> np.ndarray:
         d = _axis_radius(xs, self.center)
@@ -308,7 +308,7 @@ class Annulus(Region):
     def __post_init__(self):
         if not (0 <= self.r1 < self.r2):
             raise DomainError(f"annulus requires 0 <= r1 < r2, got r1={self.r1}, r2={self.r2}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", _finite(self.center, "annulus center"))
 
     def contains_axes(self, xs) -> np.ndarray:
         d = _axis_radius(xs, self.center)
@@ -323,8 +323,8 @@ class Box(Region):
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(c) for c in self.lo))
-        object.__setattr__(self, "hi", tuple(float(c) for c in self.hi))
+        object.__setattr__(self, "lo", _finite(self.lo, "box corner lo"))
+        object.__setattr__(self, "hi", _finite(self.hi, "box corner hi"))
         if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
             raise DomainError("box requires lo <= hi componentwise")
 
@@ -424,10 +424,10 @@ class GridDomain:
     def __post_init__(self):
         if not _is_integer(self.n) or self.n not in (2, 3):
             raise DomainError(f"only dimensions 2 and 3 are supported, got n={self.n}")
-        object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
+        object.__setattr__(self, "origin", _finite(self.origin, "grid origin"))
         object.__setattr__(self, "cells", _cell_counts(self.cells))
-        if not 0 < self.h < math.inf or not all(map(math.isfinite, self.origin)):
-            raise DomainError(f"need a finite h > 0 and a finite origin, got h={self.h}, origin={self.origin}")
+        if not 0 < self.h < math.inf:
+            raise DomainError(f"need a finite h > 0, got h={self.h}")
         if len(self.origin) != self.n or len(self.cells) != self.n:
             raise DomainError("origin and cells must have length n")
         if any(c < 1 for c in self.cells):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DegenerateError, DomainError, GeometryError
+from .exceptions import DegenerateError, DomainError, GeometryError, _finite
 from .exponents import ExponentPair
 from .grid import Condenser, GridDomain, Region, radius, rasterize, row_slabs
 
@@ -89,6 +89,8 @@ class Affine:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (a.shape[0],):
             raise DomainError("affine shift length must match the matrix")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise DomainError("affine matrix and shift must be finite")
         if abs(np.linalg.det(a)) < J_MIN:
             raise DomainError("affine matrix must be nonsingular")
         object.__setattr__(self, "a", tuple(map(tuple, a.tolist())))
@@ -133,9 +135,9 @@ class RadialPower:
     center: tuple
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"radial power exponent must be positive, got {self.alpha}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"radial power exponent must be positive and finite, got {self.alpha}")
+        object.__setattr__(self, "center", _finite(self.center, "radial power center"))
 
     def _radii(self, pts: np.ndarray) -> np.ndarray:
         r = radius(pts, self.center)

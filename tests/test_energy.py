@@ -274,11 +274,19 @@ def test_hessian_is_symmetric(case, p):
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_hessian_diagonal_is_every_unit_product(p):
-    # the whole returned Jacobi diagonal, not a sample of it, against H e_j
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        pytest.param(name, p, id=str(p) if name == "masked" else f"{name}-{p}")
+        for name in ("masked", "3d")
+        for p in (1.05, 1.5, 2.0, 3.0)
+    ],
+)
+def test_hessian_diagonal_is_every_unit_product(name, p):
+    # the whole returned Jacobi diagonal, not a sample of it, against H e_j,
+    # on the 5- and 7-point stencils and near p = 1
     rng = np.random.default_rng(13)
-    grid, free, base = hessian_case("masked", rng)
+    grid, free, base = hessian_case(name, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     _, apply, diag = free_derivatives(FreeEnergy(grid, free, base, EnergyParams(p, 1e-2)), u[free])
     columns = np.array([apply(unit) for unit in np.eye(free.size)])

@@ -87,6 +87,48 @@ def test_grid_rejects_non_finite_geometry(origin, h):
         GridDomain.box(2, origin, (4, 4), h)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ball((math.nan, 0.0), 1.0),
+        lambda: Ball((0.0, math.inf), 1.0),
+        lambda: Ball((0.0, 0.0), math.nan),
+        lambda: SphereShell((math.nan, 0.0), 1.0, 0.2),
+        lambda: SphereShell((0.0, 0.0), math.nan, 0.2),
+        lambda: SphereShell((0.0, 0.0), 1.0, math.nan),
+        lambda: Annulus((0.0, math.nan), 0.5, 1.0),
+        lambda: Annulus((0.0, 0.0), math.nan, 1.0),
+        lambda: Annulus((0.0, 0.0), 0.5, math.nan),
+        lambda: Box((math.nan, 0.0), (1.0, 1.0)),
+        lambda: Box((0.0, 0.0), (1.0, math.nan)),
+        lambda: Box((-math.inf, 0.0), (1.0, 1.0)),
+    ],
+    ids=[
+        "ball-center-nan",
+        "ball-center-inf",
+        "ball-r-nan",
+        "shell-center-nan",
+        "shell-r-nan",
+        "shell-thickness-nan",
+        "annulus-center-nan",
+        "annulus-r1-nan",
+        "annulus-r2-nan",
+        "box-lo-nan",
+        "box-hi-nan",
+        "box-lo-inf",
+    ],
+)
+def test_regions_reject_non_finite_parameters(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_regions_keep_an_infinite_radius():
+    pts = np.array([[0.0, 0.0], [1e100, 0.0]])
+    np.testing.assert_array_equal(Ball((0.0, 0.0), math.inf).contains(pts), [True, True])
+    np.testing.assert_array_equal(Annulus((0.0, 0.0), 0.5, math.inf).contains(pts), [False, True])
+
+
 def test_masked_grid_connectivity():
     # two disjoint balls produce a disconnected inside region
     blob = Union((Ball((-1.5, -1.5), 0.3), Ball((1.5, 1.5), 0.3)))
@@ -562,6 +604,11 @@ def test_annulus_box_memory():
 def test_box_contains_is_the_all_reduction(case, data):
     pts, corner = case
     size = data.draw(arrays(np.float64, corner.shape, elements=st.floats(0.0, 1e3)))
+    if np.isnan(corner).any():
+        # a NaN corner is refused, as every non-finite region parameter is
+        with pytest.raises(DomainError, match="finite"):
+            Box(tuple(corner), tuple(corner + size))
+        return
     box = Box(tuple(corner), tuple(corner + size))
     want = np.all((pts >= np.asarray(box.lo)) & (pts <= np.asarray(box.hi)), axis=-1)
     assert np.array_equal(box.contains(pts), want)

@@ -65,6 +65,26 @@ def test_affine_validation():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Affine(((math.nan, 0.0), (0.0, 1.0)), (0.0, 0.0)),
+        lambda: Affine(((1.0, math.inf), (0.0, 1.0)), (0.0, 0.0)),
+        lambda: Affine(((1.0, 0.0), (0.0, 1.0)), (0.0, math.nan)),
+        lambda: Affine(((1.0, 0.0), (0.0, 1.0)), (-math.inf, 0.0)),
+        lambda: RadialPower(math.inf, (0.0, 0.0)),
+        lambda: RadialPower(math.nan, (0.0, 0.0)),
+        lambda: RadialPower(2.0, (math.nan, 0.0)),
+        lambda: RadialPower(2.0, (0.0, math.inf)),
+    ],
+    ids=["affine-nan", "affine-inf", "shift-nan", "shift-inf", "alpha-inf", "alpha-nan", "center-nan", "center-inf"],
+)
+def test_mappings_reject_non_finite_parameters(make):
+    # the finiteness check comes before the determinant, which would warn on a NaN
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
     "mat, shift",
     [
         (((2.0, 0.0), (0.0, 1.0)), (0.5, -1.0)),

@@ -465,12 +465,14 @@ def test_free_energy_setup_memory():
 
 def test_derivatives_memory():
     # tracemalloc rise of one Newton step's derivatives on the 3D 64³ ring at
-    # p = 1.5, H1 and M included: 11.37 MB, 16.24 MB with the [x | y | diag]
-    # concatenations gathered into each matrix and the squared copy of M
+    # p = 1.5, H1 and M included: 10.99 MB with M's squares formed in M's own
+    # data, 11.37 MB with g held through the fills and the squares summed in
+    # row chunks, 16.24 MB with the [x | y | diag] concatenations gathered
+    # into each matrix and the squared copy of M
     cond = ring(3, 64)
     energy = FreeEnergy(cond.domain, *plate_sets(cond), EnergyParams(1.5, 1e-4))
     x = np.random.default_rng(0).uniform(size=energy.nf)
-    assert traced_rise(lambda: energy.derivatives(x)) < 13.0e6
+    assert traced_rise(lambda: energy.derivatives(x)) < 11.2e6
 
 
 def test_red_black_memory():
