@@ -33,11 +33,13 @@ in the plate values itself and gives the values and derivatives of the
 field so made from one pass over the faces that can carry a difference,
 and never sweeps the whole grid; it too selects its faces axis by axis,
 and builds its index arrays in int32, straight into their final arrays.
-Its Newton matrices are written the same way, each slot value straight
-into the CSR data, with no concatenated or gathered slot-sized copy (M's
-squares, for the diagonal, take M's own data first); its red-black
-coupling comes from scipy's COO constructor, given only the values and
-ends of the faces with two free ends.
+Its Newton matrix M is written the same way, each slot value straight
+into the CSR data, with no concatenated or gathered slot-sized copy, and
+the diagonal's M term is summed per face.
+A solve numbers its free cells red first (``red_first``), so that H1's
+red-black coupling B is one block of it, whose CSR pattern scipy's COO
+constructor builds once per solve with the face each slot reads; each
+set of derivatives gathers B's values from its face weights.
 """
 
 from __future__ import annotations
@@ -131,13 +133,37 @@ def energy_gradient(u: np.ndarray, grid: GridDomain, params: EnergyParams) -> np
     return hi_sum[grid.mask]
 
 
+def _red_cells(grid: GridDomain) -> np.ndarray:
+    """Flags the inside cells whose index sum i + j (+ k) is even, the red ones; a face joins a red and a black cell.
+
+    The parity is the XOR of the per-axis index parities, broadcast on the grid.
+    """
+    odd = np.zeros((), dtype=bool)
+    for k, c in enumerate(grid.cells):
+        odd = odd ^ (np.arange(c) % 2 == 1).reshape([c if j == k else 1 for j in range(grid.n)])
+    return ~odd[grid.mask]
+
+
+def red_first(grid: GridDomain, free: np.ndarray) -> np.ndarray:
+    """The inside cells that the bool array ``free`` flags, red first, each colour in ascending inside enumeration.
+
+    This is the order in which ``FreeEnergy`` takes a solve's free cells.
+    """
+    red = _red_cells(grid)
+    black = free & ~red
+    red &= free
+    return np.concatenate((np.flatnonzero(red), np.flatnonzero(black)))
+
+
 class FreeEnergy:
     """Values, gradient and Hessian of ``energy_value`` on one solve's free cells.
 
     Built once per solve: the free set, and with it every index array,
     stays the same for all the steps of one solve.  ``free`` lists the
-    free cells in ascending inside enumeration, as a solve builds it;
-    ``base`` is the plate field, 0 on the plate E and 1 on the plate F.
+    free cells red first, each colour in ascending inside enumeration
+    (``red_first``, as a solve builds it), so that the ``nr`` red cells
+    are x[:nr] and the black ones x[nr:]; ``base`` is the plate field, 0
+    on the plate E and 1 on the plate F.
     Every route takes a vector x of shape (nf,), one value per free cell in
     ``free`` order, and works on the field that is x on ``free`` and
     ``base`` elsewhere; ``field(x)`` returns that field on the inside
@@ -163,26 +189,31 @@ class FreeEnergy:
     and ``_g``, which sums g from it.  ``value`` gives the energy.  ``red_black``
     gives every p = 2 quantity, at any ``params.p``: the p = 2 solve that
     starts every solve runs on it.  ``derivatives`` gives the Newton steps
-    of a p != 2 solve, on the CSR pattern ``pattern`` that the constructor
-    builds for p != 2 only.  Its one row per local cell and one column per
-    free cell hold one slot per free face end (row the face's other end,
-    column the free end) plus one per free cell's diagonal; the first
-    ``nf`` rows are the free block.  A row's slots are its up faces
+    of a p != 2 solve, on the CSR pattern ``pattern`` of M that the
+    constructor builds for p != 2 only.  Its one row per local cell and one
+    column per free cell hold one slot per free face end (row the face's
+    other end, column the free end) plus one per free cell's diagonal; the
+    first ``nf`` rows are the free block.  A row's slots are its up faces
     (column the b end) axis by axis, then its down faces (column the a
     end) axis by axis, each in face order, then its diagonal: the order of
     a stable sort of the slots by row, which ``_pattern`` reaches by
     scattering one group of slots at a time.  ``pattern`` keeps the face
-    each slot reads and its sign, and ``_matrix`` writes the slot values of
-    H1 and M straight into their CSR data from per-face values, then the
-    diagonal into the last slot of each free row: no [x | y | diagonal]
-    concatenation and no slot-sized gathered copy is made; M's data first
-    holds its squares, for the diagonal's CSC product.  ``red_black``
-    builds its coupling with scipy's COO constructor once the face-sized
-    weights are dropped.
+    each slot reads and its sign, and ``_matrix`` writes M's slot values
+    straight into its CSR data from per-face values, then the diagonal into
+    the last slot of each free row: no [x | y | diagonal] concatenation and
+    no slot-sized gathered copy is made.  ``red_black`` and
+    ``derivatives`` both give H1's red-by-black block B, one entry per face
+    with two free ends, in the row of its red end and the column of its
+    black end, on the pattern ``coupling_pattern`` (indptr, indices and the
+    face each slot reads) that the constructor builds for every p with
+    scipy's COO constructor, given the int32 face ids as values.  Each call
+    gathers B's values from its face weights into a new data array: B is
+    bit for bit the matrix that constructor builds from the values.
     """
 
     def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
         self.grid, self.free, self.base, self.params = grid, free, base, params
+        self.nr = int(np.count_nonzero(_red_cells(grid)[free]))
         # 0 on a free cell, 1 on E, 3 on F and 5 outside: a face's label sum is
         # 2 on E-E, 6 on F-F and at least 5 with an outside end, so the kept
         # faces (a free end, or E-F) are those summing below 5, 2 excepted.
@@ -227,6 +258,34 @@ class FreeEnergy:
             # fills it; built before the solve's other arrays, it leaves the
             # peak RSS lowest.
             self.pattern = self._pattern()
+        self.coupling_pattern = self._coupling_pattern()
+
+    def _coupling_pattern(self):
+        """(indptr, indices, faces) of B: the CSR layout scipy's COO constructor gives the faces with two free ends.
+
+        Red cells are local cells [0, nr) and black ones [nr, nf), so a face
+        with two free ends joins row ``min(la, lb)`` and column
+        ``max(la, lb) - nr``; faces[s] is the face whose value slot s takes.
+        """
+        nf, nr = self.nf, self.nr
+        both = self.la < nf
+        both &= self.lb < nf
+        faces = np.flatnonzero(both).astype(np.int32)
+        del both
+        la, lb = self.la[faces], self.lb[faces]
+        rows = np.minimum(la, lb)
+        np.maximum(la, lb, out=la)
+        la -= nr
+        del lb
+        b = sp.csr_array((faces, (rows, la)), shape=(nr, nf - nr))
+        return b.indptr, b.indices, b.data
+
+    def _coupling(self, k1: np.ndarray) -> sp.csr_array:
+        """B with the value -k1[f] in face f's slot, in a new data array."""
+        indptr, indices, faces = self.coupling_pattern
+        data = np.take(k1, faces)
+        np.negative(data, out=data)
+        return sp.csr_array((data, indices, indptr), shape=(self.nr, self.nf - self.nr))
 
     def _slot_groups(self):
         """(rows, cols, side, faces) of each group of pattern slots, in the slots' order within a row.
@@ -314,26 +373,23 @@ class FreeEnergy:
         every[self.cells] = terms[:-1]
         return float(np.sum(every) * self.grid.h**self.grid.n)
 
-    def _matrix(self, values: np.ndarray, diag: np.ndarray, rows: int, flip: bool = False, data=None) -> sp.csr_array:
-        """The first ``rows`` rows of the pattern, its data written in place.
+    def _matrix(self, values: np.ndarray, diag: np.ndarray) -> sp.csr_array:
+        """M on the pattern, its data written in place.
 
-        Face f's up slot takes values[f], its down slot values[f], or
-        -values[f] with ``flip``, and free cell j's diagonal slot, the last
-        of row j, takes diag[j].  The slots are read from values
-        ``TAKE_SLOTS`` at a time, so no slot-sized index or value copy is
-        made; they are written into data, a new array if it is None.
+        Face f's up slot takes values[f], its down slot -values[f], and free
+        cell j's diagonal slot, the last of row j, takes diag[j].  The slots
+        are read from values ``TAKE_SLOTS`` at a time, so no slot-sized index
+        or value copy is made.
         """
         indptr, indices, source, sign = self.pattern
-        end = indptr[rows]
-        source, data = source[:end], np.empty(end) if data is None else data
+        data = np.empty(indptr[-1])
         if values.size:
-            for a in range(0, end, TAKE_SLOTS):
+            for a in range(0, data.size, TAKE_SLOTS):
                 part = slice(a, a + TAKE_SLOTS)
                 np.take(values, source[part], out=data[part])
-                if flip:
-                    data[part] *= sign[part]
+                data[part] *= sign[part]
         data[indptr[1 : self.nf + 1] - 1] = diag
-        return sp.csr_array((data, indices[:end], indptr[: rows + 1]), shape=(rows, self.nf))
+        return sp.csr_array((data, indices, indptr), shape=(self.cells.size, self.nf))
 
     def _first_order(self, diff: np.ndarray, s):
         """(grad, k1, diag) from ``_diffs`` and the per-face sum s = phi'_a + phi'_b (2.0 at p = 2):
@@ -354,7 +410,7 @@ class FreeEnergy:
         return grad, k1, diag
 
     def derivatives(self, x: np.ndarray):
-        """(grad, apply, diagonal) of ``energy_value`` at u = ``field(x)`` on the free cells, for p != 2.
+        """(grad, apply, diagonal, coupling) of ``energy_value`` at u = ``field(x)`` on the free cells, for p != 2.
 
         grad is ``energy_gradient(u)[free]`` bit for bit: the same face
         terms, scattered in the same order.  apply(v) is (H v)[free] for a
@@ -365,88 +421,81 @@ class FreeEnergy:
 
             H v = h^(n-1) scatter_f[ w_f ((phi'_a + phi'_b) dv_f + (phi''_a s_a + phi''_b s_b) d_f) ]
 
-        with the b-minus-a scatter of ``energy_gradient``.  Both terms are
-        sparse matrices on the pattern: H1, the graph Laplacian with face
-        weights h^(n-2) w_f (phi'_a + phi'_b), on the free block, and M, the
-        map from v to the sums s_c (scaled by h^(n-1)) on every local cell,
-        so that H v = H1 v + M^T ((phi'' / h^n) M v).  The energy is convex
-        for p > 1, so H is positive semidefinite even where phi'' < 0
-        (p < 2).  diagonal adds sum_c (phi''_c / h^n) M_cj^2 to H1's by scipy's
-        CSC product on M's squared data, which M's values then overwrite.
+        with the b-minus-a scatter of ``energy_gradient``.  The first term
+        is H1, the graph Laplacian with face weights
+        k1_f = h^(n-2) w_f (phi'_a + phi'_b) on the free block; a face joins
+        a red and a black cell, so H1 = [[D1_r, B], [B^T, D1_b]] with its
+        diagonal D1 and coupling B (entries -k1_f), and H1 v is
+        [D1_r v_r + B v_b; B^T v_r + D1_b v_b].  The second is M^T ((phi'' /
+        h^n) M v), with M the sparse map from v to the sums s_c (scaled by
+        h^(n-1)) on every local cell.  The energy is convex for p > 1, so H
+        is positive semidefinite even where phi'' < 0 (p < 2).  diagonal
+        adds sum_c (phi''_c / h^n) M_cj^2 to D1, summed per face: each face's
+        squared M value times phi''/h^n of its other end, scattered by
+        ``bincount`` to its free end, plus phi''_j/h^n own_j^2 for M's
+        diagonal entry own_j.
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
-        la, lb, nf, k = self.la, self.lb, self.nf, self.cells.size
+        la, lb, nf, nr, k = self.la, self.lb, self.nf, self.nr, self.cells.size
         diff = self._diffs(x)
         g = self._g(diff.copy())[:-1] + self.params.eps**2
         d1 = _phi1(g, p)
         s = d1[la]
         s += d1[lb]
-        grad, k1, diag = self._first_order(diff, s)
+        grad, k1, h1_diag = self._first_order(diff, s)
         del s
+        coupling = self._coupling(k1)
+        del k1
         # phi'' / h^n in d1's place; g is freed before any slot-sized fill
         d2h = np.multiply(d1, (p - 2) / 2, out=d1)
         d2h /= g
         d2h /= h**n
         del g
-        h1 = self._matrix(np.negative(k1, out=k1), diag, nf)
-        del k1  # H1 holds its slot values: freed before M is filled
         # M's face values h^(n-2) w_f d_f, in place of d_f
         diff *= h ** (n - 2) * self.w
         own = np.bincount(lb, weights=diff, minlength=k)[:nf]
         own -= np.bincount(la, weights=diff, minlength=k)[:nf]
-        # diag_j += sum_c d2h_c M_cj^2 on M's squared slots (the signs square away)
-        mv = self._matrix(diff, own, k)
-        np.square(mv.data, out=mv.data)
-        mt = mv.T
-        diag += mt @ d2h
-        self._matrix(diff, own, k, flip=True, data=mv.data)
-        del diff
+        # diag_j = D1_j + sum_c d2h_c M_cj^2: M's diagonal entry own_j, then each
+        # face's value at its b end's column (row a) and at its a end's (row b)
+        diag = np.square(own)
+        diag *= d2h[:nf]
+        diag += h1_diag
+        term = d2h[la]
+        term *= diff
+        term *= diff
+        diag += np.bincount(lb, weights=term, minlength=k)[:nf]
+        np.take(d2h, lb, out=term)
+        term *= diff
+        term *= diff
+        diag += np.bincount(la, weights=term, minlength=k)[:nf]
+        del term
+        mv = self._matrix(diff, own)
+        del diff, own
+        mt, coupling_t = mv.T, coupling.T
 
         def apply(v: np.ndarray) -> np.ndarray:
             s = mv @ v
             s *= d2h
-            out = h1 @ v
+            out = h1_diag * v
+            out[:nr] += coupling @ v[nr:]
+            out[nr:] += coupling_t @ v[:nr]
             out += mt @ s
             return out
 
-        return grad, apply, diag
+        return grad, apply, diag, coupling
 
     def red_black(self, x: np.ndarray):
-        """(grad, diagonal, coupling, red) of the p = 2 energy at u = ``field(x)`` on the free cells, at any p.
+        """(grad, diagonal, coupling) of the p = 2 energy at u = ``field(x)`` on the free cells, at any p.
 
         grad is ``energy_gradient(u)[free]`` at p = 2 bit for bit, and
         diagonal is that of H1, the Hessian at p = 2: the weighted graph
         Laplacian with face weights h^(n-2) 2 w_f, which neither eps nor u
-        changes.  No ``cell_gradient_sq`` sweep is made.  red flags the
-        free cells whose index sum i + j (+ k) is even.  A face joins cells
+        changes.  No ``cell_gradient_sq`` sweep is made.  A face joins cells
         whose index sums differ by one, so H1 couples only red cells with
-        black ones: with the free cells split into red and black, each in
-        free order, H1 is the block matrix [[D_r, B], [B^T, D_b]] with
-        diagonal D_r and D_b, and coupling is B: one entry -h^(n-2) 2 w_f
-        per face with two free ends, in the row of its red end and the
-        column of its black end.
+        black ones: with the free cells red first, H1 is the block matrix
+        [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, and coupling is
+        B: one entry -h^(n-2) 2 w_f per face with two free ends, in the row
+        of its red end and the column of its black end.
         """
         grad, k1, diag = self._first_order(self._diffs(x), 2.0)
-        grid, nf = self.grid, self.nf
-        both = self.la < nf
-        both &= self.lb < nf
-        values = k1[both]
-        del k1
-        np.negative(values, out=values)
-        # the parity of i + j (+ k): the XOR of the per-axis index parities
-        odd = np.zeros((), dtype=bool)
-        for k, c in enumerate(grid.cells):
-            odd = odd ^ (np.arange(c) % 2 == 1).reshape([c if j == k else 1 for j in range(grid.n)])
-        red = ~odd[grid.mask][self.free]
-        order = np.empty(nf, dtype=np.int32)
-        nr = int(np.count_nonzero(red))
-        order[red] = np.arange(nr, dtype=np.int32)
-        order[~red] = np.arange(nf - nr, dtype=np.int32)
-        la, lb = self.la[both], self.lb[both]
-        del both
-        a_red = red[la]
-        rows = order[np.where(a_red, la, lb)]
-        cols = order[np.where(a_red, lb, la)]
-        del la, lb, a_red, order
-        coupling = sp.csr_array((values, (rows, cols)), shape=(nr, nf - nr))
-        return grad, diag, coupling, red
+        return grad, diag, self._coupling(k1)

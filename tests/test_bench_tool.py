@@ -167,6 +167,7 @@ def test_fine_cases_are_the_measured_rings():
         "3d-128-p2": (3, 2.0, 128),
         "2d-1024-p1.5": (2, 1.5, 1024),
         "2d-256-p1.05": (2, 1.05, 256),
+        "2d-256-p3": (2, 3.0, 256),
     }
 
 

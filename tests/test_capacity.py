@@ -27,7 +27,7 @@ from qcap import (
 )
 import qcap.capacity
 import qcap.energy
-from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
+from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value, red_first
 from qcap.grid import Box, Complement, Intersection, dilate_faces, graph_distance
 
 from grid_helpers import forbid_face_list
@@ -273,7 +273,7 @@ def test_free_energy_value_is_energy_value(name, p, eps):
     cond = VALUE_CONDENSERS[name]()
     grid = cond.domain
     base, fixed = plate_field(cond)
-    free = np.flatnonzero(~fixed)
+    free = red_first(grid, ~fixed)
     params = EnergyParams(p, eps)
     energy = FreeEnergy(grid, free, base, params)
     rng = np.random.default_rng(21)
@@ -503,7 +503,7 @@ def masked_grids_with_free_cells(draw):
     grid = GridDomain(n, (0.0,) * n, cells, 0.5, mask)
     plate = Ball(tuple(rng.uniform(0.0, 0.5 * c) for c in cells), float(rng.uniform(0.3, 1.5)))
     grid = grid.with_plates(((rasterize(plate, grid), plate),))
-    free = np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.75)
+    free = red_first(grid, rng.uniform(size=grid.inside_count) < 0.75)
     assume(free.size > 0)
     return grid, free
 
@@ -517,7 +517,9 @@ def test_red_black_split_is_the_dense_schur_complement(case):
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     # the rounded field labels the fixed cells E or F, so E-F faces are kept too
     energy = FreeEnergy(grid, free, np.round(u), params)
-    grad, diag, coupling, red = energy.red_black(u[free])
+    grad, diag, coupling = energy.red_black(u[free])
+    # the red cells come first (test_red_black_parity_is_the_index_sum_parity)
+    red = np.arange(free.size) < energy.nr
     black = ~red
     # every face with two free ends joins a red and a black cell
     a, b = grid.face_pairs
@@ -674,11 +676,13 @@ START_CONDENSERS = {
 }
 # Newton steps from the p = 2 start, and from the face-hop ratio
 # d_E / (d_E + d_F) that it replaced.  At p = 1.05 the masked and the
-# shared-face condensers take more steps from the p = 2 start.
+# shared-face condensers take more steps from the p = 2 start.  With
+# Jacobi-preconditioned Newton CG the masked condenser took 9 and 13 steps
+# at p = 6 and 10, and the shared-face one 19 and 10 at p = 1.05 and 10.
 START_STEPS = {
     "ring-48": {1.05: (10, 16), 1.2: (9, 10), 1.5: (5, 7), 3.0: (5, 8), 6.0: (7, 14), 10.0: (8, 21)},
-    "masked-hole": {1.05: (11, 10), 1.2: (9, 9), 1.5: (6, 8), 3.0: (5, 7), 6.0: (9, 11), 10.0: (13, 16)},
-    "sharing-faces": {1.05: (19, 13), 1.2: (9, 9), 1.5: (5, 7), 3.0: (5, 7), 6.0: (7, 10), 10.0: (10, 12)},
+    "masked-hole": {1.05: (11, 10), 1.2: (9, 9), 1.5: (6, 8), 3.0: (5, 7), 6.0: (10, 11), 10.0: (14, 16)},
+    "sharing-faces": {1.05: (20, 13), 1.2: (9, 9), 1.5: (5, 7), 3.0: (5, 7), 6.0: (7, 10), 10.0: (9, 12)},
 }
 
 
@@ -811,28 +815,41 @@ def test_newton_reproduces_recorded_values(n, p, cells, value, steps):
 def test_certifying_newton_step_stops_early():
     # criterion 3: the same value with the last inner CG stopped by its
     # decrement estimate (733 CG steps at the forcing tolerance); 6 Newton
-    # steps from the p = 2 start against 8 from the hop ratio
+    # steps from the p = 2 start against 8 from the hop ratio.  215 CG steps
+    # with the red-black symmetric Gauss-Seidel sweep, 340 with Jacobi
     res = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 256)
     assert res.converged
     assert res.iterations == 6
     assert res.value == pytest.approx(8.929512318680647, rel=1e-12)
-    assert res.cg_steps <= 480
+    assert res.cg_steps <= 240
     assert 0 <= res.decrement <= SolverOptions().rel_tol * res.value
 
 
-@pytest.mark.parametrize("n, p, cells", [(2, 1.5, 64), (2, 3.0, 48), (3, 2.5, 16)])
-def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
+@pytest.mark.parametrize(
+    "n, p, cells, fires",
+    [
+        pytest.param(2, 1.5, 64, True, id="2-1.5-64"),
+        pytest.param(2, 3.0, 48, True, id="2-3.0-48"),
+        pytest.param(3, 2.5, 16, False, id="3-2.5-16"),
+        pytest.param(3, 2.5, 24, True, id="3-2.5-24"),
+    ],
+)
+def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, fires, monkeypatch):
     # each inner CG of a Newton step is run again to the forcing tolerance
     # alone: every step but the last takes exactly as many CG steps, the
     # last one fewer.  One CG on the red cells, the p = 2 start, comes first.
+    # The exit needs STALL_WINDOW drops, so it cannot fire on a last step
+    # that meets its forcing tolerance sooner: on the 3D 16^3 ring at
+    # p = 2.5 the last step does so in 8 CG steps (11 with Jacobi), and on
+    # the 24^3 ring the exit fires after 10 of 14
     pcg = qcap.capacity._pcg
     calls = []
 
-    def recording(apply, rhs, inv_diag, max_steps, stop):
-        out = pcg(apply, rhs, inv_diag, max_steps, stop)
+    def recording(apply, rhs, precondition, max_steps, stop):
+        out = pcg(apply, rhs, precondition, max_steps, stop)
         norm = float(np.linalg.norm(rhs))
         tol = min(0.1, norm) * norm
-        forcing = pcg(apply, rhs, inv_diag, max_steps, lambda _a, _rz, r: qcap.capacity._dot(r, r) <= tol * tol)
+        forcing = pcg(apply, rhs, precondition, max_steps, lambda _a, _rz, r: qcap.capacity._dot(r, r) <= tol * tol)
         calls.append((rhs.size, out[1], forcing[1]))
         return out
 
@@ -844,7 +861,10 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
     assert all(size == newton[0][0] > red for size, _, _ in newton)
     counts = [(used, forcing) for _, used, forcing in newton]
     assert all(used == forcing for used, forcing in counts[:-1])
-    assert counts[-1][0] < counts[-1][1]
+    if fires:
+        assert counts[-1][0] < counts[-1][1]
+    else:
+        assert counts[-1][0] == counts[-1][1] < qcap.capacity.STALL_WINDOW
     assert res.cg_steps == start + sum(used for used, _ in counts)
 
 
@@ -853,7 +873,7 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
     [
         (2, 1.05, 64, 8.12614487912372, 10),
         (2, 1.2, 64, 8.75361471019053, 9),
-        (2, 3.0, 64, 8.85266477685342, 5),
+        (2, 3.0, 64, 8.85266477685342, 4),
         (2, 6.0, 64, 8.144443125370726, 7),
         (3, 2.5, 24, 24.62791850365102, 4),
     ],
@@ -862,7 +882,7 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, monkeypatch):
 def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
     # values recorded with every inner CG run to the forcing tolerance; the
     # step counts are from the p = 2 start (from the hop ratio: 10, 9, 7,
-    # 11 and 6)
+    # 11 and 6; 2d-64-p3 took 5 with Jacobi-preconditioned Newton CG)
     res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
     assert res.converged
     assert res.iterations == steps

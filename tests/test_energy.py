@@ -13,8 +13,9 @@ from qcap import (
     energy_value,
     make_ring_condenser,
 )
+import qcap.capacity
 import qcap.energy
-from qcap.energy import FreeEnergy
+from qcap.energy import FreeEnergy, red_first
 
 from grid_helpers import inside_index
 
@@ -154,29 +155,29 @@ def hessian_case(name, rng):
         plates[cond.f_indices] = True
         base = np.zeros(grid.inside_count)
         base[cond.f_indices] = 1.0
-        return grid, np.flatnonzero(~plates), base
+        return grid, red_first(grid, ~plates), base
     if name == "masked":
         grid = GridDomain.box(2, (-1.0, -1.0), (12, 12), 2.0 / 12, Ball((0.0, 0.0), 0.95))
     else:
         grid = GridDomain.box(3, (0.0, 0.0, 0.0), (6, 5, 4), 0.2)
     # every third cell on F, so that many faces join E and F
     base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
-    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7), base
+    return grid, red_first(grid, rng.uniform(size=grid.inside_count) < 0.7), base
 
 
 def free_derivatives(energy, x):
     """(grad, apply, diagonal) on the free cells along the route a solve takes:
     ``derivatives`` for p != 2, and ``red_black`` for p = 2, with
-    H1 v = [D_r v_r + B v_b; B^T v_r + D_b v_b] in free order."""
+    H1 v = [D_r v_r + B v_b; B^T v_r + D_b v_b], the red cells first."""
     if energy.params.p != 2:
-        return energy.derivatives(x)
-    grad, diag, coupling, red = energy.red_black(x)
-    black = ~red
+        return energy.derivatives(x)[:3]
+    grad, diag, coupling = energy.red_black(x)
+    nr = energy.nr
 
     def apply(v):
         out = diag * v
-        out[red] += coupling @ v[black]
-        out[black] += coupling.T @ v[red]
+        out[:nr] += coupling @ v[nr:]
+        out[nr:] += coupling.T @ v[:nr]
         return out
 
     return grad, apply, diag
@@ -294,6 +295,34 @@ def test_hessian_diagonal_is_every_unit_product(name, p):
     assert (diag > 0).all()
 
 
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_red_black_sweep_inverts_the_symmetric_gauss_seidel_split(case, p):
+    # the Newton CG's preconditioner, on the diagonal and coupling a solve
+    # hands it, is the inverse of P = (D + L) D^-1 (D + L)^T with L the
+    # black-by-red block B^T, the red cells first, and P^-1 is symmetric
+    # positive definite
+    rng = np.random.default_rng(17)
+    grid, free, base = hessian_case(case, rng)
+    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
+    x = rng.uniform(0.0, 1.0, grid.inside_count)[free]
+    if p == 2:
+        _, diag, coupling = energy.red_black(x)
+    else:
+        _, _, diag, coupling = energy.derivatives(x)
+    nr, nf = energy.nr, free.size
+    assert coupling.shape == (nr, nf - nr)
+    lower = np.diag(diag)
+    lower[nr:, :nr] = coupling.toarray().T
+    split = lower @ np.diag(1.0 / diag) @ lower.T
+    want = np.linalg.inv(split)
+    sweep = qcap.capacity._red_black_sweep(diag, coupling)
+    got = np.column_stack([sweep(unit) for unit in np.eye(nf)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12 * np.abs(got).max())
+    assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0
+
+
 def test_quadratic_gradient_is_scaled_laplacian():
     # for p = 2, eps = 0 the gradient is 2 h^n times the negative
     # five-point Laplacian (with one-sided terms at the boundary)
@@ -317,7 +346,8 @@ def test_singular_gradient_raises(masked_grid):
     with pytest.raises(SingularityError):
         energy_gradient(flat, masked_grid, EnergyParams(1.5, 0.0))
     with pytest.raises(SingularityError):
-        FreeEnergy(masked_grid, np.arange(flat.size), np.zeros(flat.size), EnergyParams(1.5, 0.0)).derivatives(flat)
+        everywhere = red_first(masked_grid, np.ones(flat.size, dtype=bool))
+        FreeEnergy(masked_grid, everywhere, np.zeros(flat.size), EnergyParams(1.5, 0.0)).derivatives(flat)
     # positive smoothing removes the singularity
     out = energy_gradient(flat, masked_grid, EnergyParams(1.5, 1e-3))
     np.testing.assert_allclose(out, 0.0, atol=1e-15)

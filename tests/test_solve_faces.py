@@ -32,7 +32,16 @@ from qcap import (
     rasterize,
     solve_capacity,
 )
-from qcap.energy import EnergyParams, FreeEnergy, _check_length, _phi1, cell_gradient_sq, energy_gradient, energy_value
+from qcap.energy import (
+    EnergyParams,
+    FreeEnergy,
+    _check_length,
+    _phi1,
+    cell_gradient_sq,
+    energy_gradient,
+    energy_value,
+    red_first,
+)
 from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union, graph_distance
 
 from grid_helpers import forbid_face_list, inside_index
@@ -193,8 +202,8 @@ def oracle_matrix(energy, x, y, diag, rows):
 
 
 def oracle_derivatives(energy, x):
-    """(grad, H1, M, phi''/h^n, diagonal) of ``FreeEnergy.derivatives``, each matrix gathered from a concatenation,
-    and the diagonal's M term a CSC product of M's squared data."""
+    """(grad, H1, M, phi''/h^n, diagonal, k1) of ``FreeEnergy.derivatives``, each matrix gathered from a
+    concatenation, the diagonal's M term a CSC product of M's squared data, and k1 H1's face weights."""
     p, eps, h, n = energy.params.p, energy.params.eps, energy.grid.h, energy.grid.n
     la, lb, w, nf, k = energy.la, energy.lb, energy.w, energy.nf, energy.cells.size
     uc = energy.base[energy.cells]
@@ -218,13 +227,14 @@ def oracle_derivatives(energy, x):
     mv = oracle_matrix(energy, wdh, -wdh, own, k)
     d2h = ((p - 2) / 2) * d1 / g / h**n
     diag = diag + sp.csr_array((mv.data**2, mv.indices, mv.indptr), shape=mv.shape).T @ d2h
-    return grad, h1, mv, d2h, diag
+    return grad, h1, mv, d2h, diag, k1
 
 
-def oracle_coupling(energy, red):
-    """``red_black``'s coupling B through scipy's COO constructor, on the int64 positions of the faces with two free ends."""
+def oracle_coupling(energy, k1):
+    """H1's red-by-black block B, entries -k1 on the faces with two free ends, through scipy's COO constructor
+    on their int64 positions, the red cells told by their index sums and each colour numbered in free order."""
     grid, nf = energy.grid, energy.nf
-    k1 = grid.h ** (grid.n - 2) * energy.w * 2.0
+    red = np.sum(np.unravel_index(np.flatnonzero(grid.mask)[energy.free], grid.cells), axis=0) % 2 == 0
     order = np.empty(nf, dtype=np.int32)
     nr = int(np.count_nonzero(red))
     order[red] = np.arange(nr, dtype=np.int32)
@@ -293,7 +303,7 @@ def plate_sets(cond):
     fixed = np.zeros(cond.domain.inside_count, dtype=bool)
     fixed[cond.e_indices] = True
     fixed[cond.f_indices] = True
-    return np.flatnonzero(~fixed), base
+    return red_first(cond.domain, ~fixed), base
 
 
 def arbitrary_sets(name):
@@ -307,7 +317,7 @@ def arbitrary_sets(name):
         # a plate-embedding grid whose cut faces the free set need not keep
         grid = ring(2, 24).domain
     base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
-    return grid, np.flatnonzero(rng.uniform(size=grid.inside_count) < 0.7), base
+    return grid, red_first(grid, rng.uniform(size=grid.inside_count) < 0.7), base
 
 
 def selection_cases():
@@ -342,11 +352,15 @@ def test_free_energy_faces_match_the_face_list_oracle(case):
 
 @pytest.mark.parametrize("case", selection_cases())
 def test_red_black_parity_is_the_index_sum_parity(case):
+    # the free cells of even index sum come first, the nr red cells, and
+    # each colour is in ascending inside enumeration
     grid, free, base = case()
     energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
-    *_, red = energy.red_black(np.zeros(free.size))
     index = np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells)
-    np.testing.assert_array_equal(red, np.sum(index, axis=0) % 2 == 0)
+    red = np.sum(index, axis=0) % 2 == 0
+    np.testing.assert_array_equal(red, np.arange(free.size) < energy.nr)
+    assert (np.diff(free[red]) > 0).all() and (np.diff(free[~red]) > 0).all()
+    assert energy.red_black(np.zeros(free.size))[2].shape == (energy.nr, free.size - energy.nr)
 
 
 @pytest.mark.parametrize("case", selection_cases())
@@ -369,44 +383,40 @@ def assert_same_csr(got, want):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", selection_cases())
 def test_newton_fills_match_the_gathered_oracle(case, p):
-    # H1 and M written in place slot group by slot group, and the diagonal's
-    # M term summed in slot order, against the concatenate-and-gather fills
-    # and the CSC product of M's squared data, bit for bit
+    # M written in place slot group by slot group, and B gathered from its
+    # pattern, against the concatenate-and-gather fill and the COO
+    # constructor, bit for bit; the diagonal's M term summed per face, and
+    # H1 v taken through B, against the CSC product of M's squared data and
+    # the gathered H1, to rounding
     grid, free, base = case()
     energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
     rng = np.random.default_rng(7)
     x = rng.uniform(-0.5, 1.5, free.size)
-    grad, apply, diag = energy.derivatives(x)
-    want_grad, h1, mv, d2h, want_diag = oracle_derivatives(energy, x)
+    grad, apply, diag, coupling = energy.derivatives(x)
+    want_grad, h1, mv, d2h, want_diag, k1 = oracle_derivatives(energy, x)
     np.testing.assert_array_equal(grad, want_grad)
-    np.testing.assert_array_equal(diag, want_diag)
+    assert_same_csr(coupling, oracle_coupling(energy, k1))
+    np.testing.assert_allclose(diag, want_diag, rtol=1e-12)
     for _ in range(3):
         v = rng.uniform(-1.0, 1.0, free.size)
         s = mv @ v
         s *= d2h
         want = h1 @ v
         want += mv.T @ s
-        np.testing.assert_array_equal(apply(v), want)
-    # the fills themselves, on the values the oracle gathers
+        assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+    # the fill itself, on the values the oracle gathers
     nface, nf = energy.la.size, energy.nf
     values, diag = rng.uniform(-1.0, 1.0, nface), rng.uniform(-1.0, 1.0, nf)
-    assert_same_csr(energy._matrix(values.copy(), diag, nf), oracle_matrix(energy, values, values, diag, nf))
-    rows = energy.cells.size
-    want = oracle_matrix(energy, values, -values, diag, rows)
-    assert_same_csr(energy._matrix(values.copy(), diag, rows, flip=True), want)
+    want = oracle_matrix(energy, values, -values, diag, energy.cells.size)
+    assert_same_csr(energy._matrix(values.copy(), diag), want)
 
 
 @pytest.mark.parametrize("case", selection_cases())
 def test_red_black_coupling_matches_the_coo_oracle(case):
     grid, free, base = case()
     energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
-    *_, coupling, red = energy.red_black(np.zeros(free.size))
-    want = oracle_coupling(energy, red)
-    assert coupling.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        got, expected = getattr(coupling, part), getattr(want, part)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+    _, _, coupling = energy.red_black(np.zeros(free.size))
+    assert_same_csr(coupling, oracle_coupling(energy, grid.h ** (grid.n - 2) * energy.w * 2.0))
 
 
 @pytest.mark.parametrize("name", list(CONDENSERS))
@@ -455,8 +465,9 @@ def traced_rise(call):
 
 def test_free_energy_setup_memory():
     # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5:
-    # 11.07 MB (10.71 without the slots' signs), 25.8 MB with the int64 face
-    # ends, the concatenated slots and their argsort
+    # 11.99 MB with the red-black coupling's pattern and face map, 11.07
+    # without (10.71 without the slots' signs either), 25.8 MB with the
+    # int64 face ends, the concatenated slots and their argsort
     cond = ring(3, 64)
     free, base = plate_sets(cond)
     cond.domain.cut_faces
@@ -465,10 +476,12 @@ def test_free_energy_setup_memory():
 
 def test_derivatives_memory():
     # tracemalloc rise of one Newton step's derivatives on the 3D 64³ ring at
-    # p = 1.5, H1 and M included: 10.99 MB with M's squares formed in M's own
-    # data, 11.37 MB with g held through the fills and the squares summed in
-    # row chunks, 16.24 MB with the [x | y | diag] concatenations gathered
-    # into each matrix and the squared copy of M
+    # p = 1.5, M and the coupling B included: 10.25 MB with H1 taken through
+    # B and the diagonal's M term summed per face, 10.99 MB with H1 filled on
+    # the pattern and M's squares formed in M's own data, 11.37 MB with g
+    # held through the fills and the squares summed in row chunks, 16.24 MB
+    # with the [x | y | diag] concatenations gathered into each matrix and
+    # the squared copy of M
     cond = ring(3, 64)
     energy = FreeEnergy(cond.domain, *plate_sets(cond), EnergyParams(1.5, 1e-4))
     x = np.random.default_rng(0).uniform(size=energy.nf)
@@ -477,7 +490,8 @@ def test_derivatives_memory():
 
 def test_red_black_memory():
     # tracemalloc rise of the p = 2 quantities on the criterion-2 ring (3D
-    # 64³) at the solve's start, B included: 6.83 MB with B built by scipy's
+    # 64³) at the solve's start, B included: 6.24 MB with B's values gathered
+    # on the pattern the set-up built, 6.83 MB with B built by scipy's
     # COO constructor from the two-free-end faces' values alone, 7.34 MB with
     # B laid out by hand in a table of 2n places per red cell, and 8.44 MB
     # with the COO constructor called while the face-sized k1 was still held

@@ -19,12 +19,12 @@ record and the result.  For each workload, run i uses seed S + i.
 
 A case is one ``solve_ring`` of the ring (1, 2) on the box [-2.5, 2.5]^n
 (3D 128³ at p = 1.5 and p = 2, 2D 1024² at p = 1.5 and 2D 256² at
-p = 1.05), in a Python process with the checkout's ``src`` first on the
-path.  The process prints one JSON line: the solve's wall time (set-up
-included), its own peak RSS and minor page faults, the Newton steps
-(``iterations``; for p = 2 the reduced CG steps) and the CG steps of the
-solve, the ``repr`` of the value and its relative error against
-``ring_capacity_exact``.  The peak RSS is ``VmHWM`` of
+p = 1.05 and p = 3), in a Python process with the checkout's ``src``
+first on the path.  The process prints one JSON line: the solve's wall
+time (set-up included), its own peak RSS and minor page faults, the
+Newton steps (``iterations``; for p = 2 the reduced CG steps) and the CG
+steps of the solve, the ``repr`` of the value and its relative error
+against ``ring_capacity_exact``.  The peak RSS is ``VmHWM`` of
 ``/proc/self/status``, the high-water mark of the process's own memory;
 ``ru_maxrss``, used where that file is missing, also counts the peak of
 a parent that started the process by vfork.
@@ -80,6 +80,7 @@ CASES = {
     "3d-128-p2": (3, 2.0, 128),
     "2d-1024-p1.5": (2, 1.5, 1024),
     "2d-256-p1.05": (2, 1.05, 256),
+    "2d-256-p3": (2, 3.0, 256),
 }
 CASE_METRICS = ("wall_s", "peak_rss_mb", "minor_faults")
 
