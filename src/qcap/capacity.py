@@ -47,11 +47,12 @@ Iterative Methods, 1981, ch. 9).  There ``iterations`` counts those
 reduced CG steps, and ``energy_history`` holds the energy after the black
 elimination and after each step, which CG decreases monotonically; the
 stopping rule is the relative decrease over a 10-step window.  A solve
-numbers its free cells red first, each colour in ascending order
-(``energy.red_first``), so that each colour is a slice of a free-cell
-vector, for the p = 2 elimination and the Newton sweep alike.  Every
-result carries its CG step total and its last decrement (-grad.s / 2, or
-the last 10-step drop for p = 2), the solver's share of the error.
+hands ``FreeEnergy`` the condenser's plate masks, and it numbers the free
+cells red first, each colour in ascending order, so that each colour is
+a slice of a free-cell vector, for the p = 2 elimination and the Newton
+sweep alike.  Every result carries its CG step total and its last
+decrement (-grad.s / 2, or the last 10-step drop for p = 2), the
+solver's share of the error.
 
 Closed-form capacities of spherical rings A(x0, r1, r2) serve as oracles:
 
@@ -74,7 +75,7 @@ import numpy as np
 from .descent import minimize_projected  # noqa: F401
 from .energy import energy_gradient, energy_value  # noqa: F401
 from .grid import graph_distance  # noqa: F401
-from .energy import EnergyParams, FreeEnergy, red_first
+from .energy import EnergyParams, FreeEnergy
 from .exceptions import DomainError, _is_integer
 from .grid import Condenser, GridDomain, check_ring_radii, make_ring_condenser
 
@@ -169,14 +170,7 @@ def solve_capacity(cond: Condenser, p: float, opts: SolverOptions | None = None)
     """
     opts = opts or SolverOptions()
     params = EnergyParams(p, opts.eps)  # DomainError unless p > 1
-    m = cond.domain.inside_count
-    fixed = np.zeros(m, dtype=bool)
-    fixed[cond.e_indices] = True
-    fixed[cond.f_indices] = True
-    free = red_first(cond.domain, ~fixed)
-    base = np.zeros(m)
-    base[cond.f_indices] = 1.0
-    free_energy = FreeEnergy(cond.domain, free, base, params)
+    free_energy = FreeEnergy(cond.domain, cond.E, cond.F, params)
     if p != 2:
         return _solve_newton(free_energy, opts)
     x, it, converged, history = _solve_quadratic(free_energy, opts, opts.max_iterations)
@@ -276,12 +270,12 @@ def _solve_quadratic(free_energy: FreeEnergy, opts: SolverOptions, max_steps: in
 
     The energy is quadratic, so ``field(s)`` minimizes it for the s solving
     H1 s = b, b = -grad, with H1 the constant weighted graph Laplacian on
-    the free cells.  With the free cells red first (``FreeEnergy.red_black``),
-    H1 = [[D_r, B], [B^T, D_b]] with diagonal D_r and D_b, so the black
-    cells are eliminated exactly.  CG, preconditioned by D_r, solves
-    S s_r = c with S = D_r - B D_b^-1 B^T (``_reduced_operator``) and
-    c = b_r - B D_b^-1 b_b, and s_b = D_b^-1 (b_b - B^T s_r).  With s_b
-    so chosen, the energy of ``field(s)`` is
+    the free cells.  ``FreeEnergy`` numbers the free cells red first, so
+    ``red_black`` gives H1 = [[D_r, B], [B^T, D_b]] with diagonal D_r and
+    D_b, and the black cells are eliminated exactly.  CG, preconditioned
+    by D_r, solves S s_r = c with S = D_r - B D_b^-1 B^T
+    (``_reduced_operator``) and c = b_r - B D_b^-1 b_b, and
+    s_b = D_b^-1 (b_b - B^T s_r).  With s_b so chosen, the energy of ``field(s)`` is
     E0 - b_b.D_b^-1 b_b / 2 - c.s_r + s_r.S s_r / 2: the history starts at
     the first two terms, and each CG step lowers it by alpha (r.z)/2.  The
     CG runs until that drop stalls, or for at most ``max_steps`` steps.

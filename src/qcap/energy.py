@@ -28,18 +28,19 @@ its non-finite energy.  They sweep the field axis by axis on the shifted
 slices of ``GridDomain.inside_faces``, and each cell adds its face terms
 in the order of a ``bincount`` over the face list ``GridDomain.face_pairs``.
 A solve moves only its free cells, and works on vectors x
-with one value per free cell: ``FreeEnergy``, built once per solve, fills
-in the plate values itself and gives the values and derivatives of the
+with one value per free cell: ``FreeEnergy``, built once per solve from
+the grid-shaped plate masks E and F, finds the free cells and fills in
+the plate values itself, and gives the values and derivatives of the
 field so made from one pass over the faces that can carry a difference,
 and never sweeps the whole grid; it too selects its faces axis by axis,
 and builds its index arrays in int32, straight into their final arrays.
 Its Newton matrix M is written the same way, each slot value straight
 into the CSR data, with no concatenated or gathered slot-sized copy, and
-the diagonal's M term is summed per face.
-A solve numbers its free cells red first (``red_first``), so that H1's
-red-black coupling B is one block of it, whose CSR pattern scipy's COO
-constructor builds once per solve with the face each slot reads; each
-set of derivatives gathers B's values from its face weights.
+the diagonal's M term is summed per face.  It numbers the free cells red
+first, so that H1's red-black coupling B is one block of it, whose CSR
+pattern scipy's COO constructor builds once per solve with the face each
+slot reads; each set of derivatives gathers B's values from its face
+weights.
 """
 
 from __future__ import annotations
@@ -144,37 +145,28 @@ def _red_cells(grid: GridDomain) -> np.ndarray:
     return ~odd[grid.mask]
 
 
-def red_first(grid: GridDomain, free: np.ndarray) -> np.ndarray:
-    """The inside cells that the bool array ``free`` flags, red first, each colour in ascending inside enumeration.
-
-    This is the order in which ``FreeEnergy`` takes a solve's free cells.
-    """
-    red = _red_cells(grid)
-    black = free & ~red
-    red &= free
-    return np.concatenate((np.flatnonzero(red), np.flatnonzero(black)))
-
-
 class FreeEnergy:
     """Values, gradient and Hessian of ``energy_value`` on one solve's free cells.
 
-    Built once per solve: the free set, and with it every index array,
-    stays the same for all the steps of one solve.  ``free`` lists the
-    free cells red first, each colour in ascending inside enumeration
-    (``red_first``, as a solve builds it), so that the ``nr`` red cells
-    are x[:nr] and the black ones x[nr:]; ``base`` is the plate field, 0
-    on the plate E and 1 on the plate F.
+    Built once per solve from the grid-shaped plate masks E and F, disjoint
+    sets of inside cells like a ``Condenser``'s: the free cells are the
+    inside cells on neither, and they and every index array stay the same
+    for all the steps of one solve.  ``free`` lists them red first, each
+    colour in ascending inside enumeration (one ``_red_cells`` call), so
+    that the ``nr`` red cells are x[:nr] and the black ones x[nr:].
     Every route takes a vector x of shape (nf,), one value per free cell in
-    ``free`` order, and works on the field that is x on ``free`` and
-    ``base`` elsewhere; ``field(x)`` returns that field on the inside
-    cells.  So only two kinds of faces can carry a difference, the faces
-    with an end in ``free`` and those where E meets F, and only those
-    faces are kept.  An E-F face has no free end, so it enters no
+    ``free`` order, and works on the field that is x on ``free``, 0 on E
+    and 1 on F; ``field(x)`` returns that field on the inside cells.  So
+    only two kinds of faces can carry a difference, the faces with an end
+    in ``free`` and those where E meets F, and only those faces are kept.
+    An E-F face has no free end, so it enters no
     derivative: it adds no slot to the Hessian pattern and no entry to
     ``red_black``'s coupling, and leaves grad and diagonal unchanged on the
     free cells.  Local cell numbering lists the ``nf`` free cells first and
     then the other cells on the kept faces; ``cells`` maps it to the inside
-    enumeration.  ``la``, ``lb`` and ``w`` are the faces' ends in local
+    enumeration, ``free`` is its view ``cells[:nf]``, and ``plate`` holds
+    their plate values (1 on F, 0 elsewhere): no inside-length array is
+    kept.  ``la``, ``lb`` and ``w`` are the faces' ends in local
     numbering and their weights (1/theta on a cut face, 1 elsewhere).  The
     kept faces are found axis by axis, by shifted slices of a grid-shaped
     label array (``GridDomain.inside_faces``), and listed in ``face_pairs``
@@ -211,16 +203,16 @@ class FreeEnergy:
     bit for bit the matrix that constructor builds from the values.
     """
 
-    def __init__(self, grid: GridDomain, free: np.ndarray, base: np.ndarray, params: EnergyParams):
-        self.grid, self.free, self.base, self.params = grid, free, base, params
-        self.nr = int(np.count_nonzero(_red_cells(grid)[free]))
+    def __init__(self, grid: GridDomain, E: np.ndarray, F: np.ndarray, params: EnergyParams):
+        self.grid, self.F, self.params = grid, F, params
+        self.inside_count = grid.inside_count
         # 0 on a free cell, 1 on E, 3 on F and 5 outside: a face's label sum is
         # 2 on E-E, 6 on F-F and at least 5 with an outside end, so the kept
         # faces (a free end, or E-F) are those summing below 5, 2 excepted.
-        label = np.full(grid.cells, 5, dtype=np.int8)
-        inner = (1 + 2 * base).astype(np.int8)
-        inner[free] = 0
-        label[grid.mask] = inner
+        label = np.zeros(grid.cells, dtype=np.int8)
+        label[E] = 1
+        label[F] = 3
+        label[~grid.mask] = 5
         slices = [(lo, hi) for lo, hi, _ in grid.inside_faces()]
         keeps, near = [], np.zeros(grid.cells, dtype=bool)
         for lo, hi in slices:
@@ -230,16 +222,27 @@ class FreeEnergy:
             near[hi] |= keeps[-1]
         near &= label != 0
         near = near[grid.mask]
-        nf = self.nf = free.size
+        inner = label[grid.mask]
+        del label
+        # The free cells red first, each colour in ascending inside enumeration.
+        red, black = _red_cells(grid), inner == 0
+        red &= black
+        black ^= red
+        nr = self.nr = int(np.count_nonzero(red))
+        nf = self.nf = nr + int(np.count_nonzero(black))
         self.cells = np.empty(nf + np.count_nonzero(near), dtype=np.intp)
-        self.cells[:nf] = free
+        self.cells[:nr] = np.flatnonzero(red)
+        self.cells[nr:nf] = np.flatnonzero(black)
         self.cells[nf:] = np.flatnonzero(near)
-        local = np.empty(grid.inside_count, dtype=np.int32)
+        self.free = self.cells[:nf]
+        self.plate = (inner[self.cells] == 3).astype(float)
+        # Each grid-sized array is freed as soon as it is used: the set-up's peak is lowest.
+        del red, black, near, inner
+        local = np.empty(self.inside_count, dtype=np.int32)
         local[self.cells] = np.arange(self.cells.size, dtype=np.int32)
         index = np.empty(grid.cells, dtype=np.int32)
         index[grid.mask] = local
-        # Each grid-sized array is freed as soon as it is used: the set-up's peak is lowest.
-        del label, inner, near, local
+        del local
         # la, lb and w written axis by axis into their final arrays; axis k's
         # faces are [start[k], start[k + 1]).
         start = self.start = np.cumsum([0] + [np.count_nonzero(keep) for keep in keeps])
@@ -333,8 +336,8 @@ class FreeEnergy:
         return indptr, indices, source, sign
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """The inside-cell field: x on ``free`` and ``base`` elsewhere."""
-        u = self.base.copy()
+        """The inside-cell field: x on ``free``, 1 on F and 0 on E."""
+        u = self.F[self.grid.mask].astype(float)
         u[self.free] = x
         return u
 
@@ -343,7 +346,7 @@ class FreeEnergy:
 
         An x that does not broadcast to the nf free cells, an inside-cell field among them, raises ValueError.
         """
-        uc = self.base[self.cells]
+        uc = self.plate.copy()
         uc[: self.nf] = x
         d = uc[self.lb]
         d -= uc[self.la]
@@ -369,7 +372,7 @@ class FreeEnergy:
         """
         p = self.params.p if p is None else p
         terms = (self._g(self._diffs(x)) + self.params.eps**2) ** (p / 2)
-        every = np.full(self.grid.inside_count, terms[-1])
+        every = np.full(self.inside_count, terms[-1])
         every[self.cells] = terms[:-1]
         return float(np.sum(every) * self.grid.h**self.grid.n)
 

@@ -27,10 +27,10 @@ from qcap import (
 )
 import qcap.capacity
 import qcap.energy
-from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value, red_first
+from qcap.energy import EnergyParams, FreeEnergy, energy_gradient, energy_value
 from qcap.grid import Box, Complement, Intersection, dilate_faces, graph_distance
 
-from grid_helpers import forbid_face_list
+from grid_helpers import forbid_face_list, plate_masks
 
 TIGHT = SolverOptions(rel_tol=1e-13)
 
@@ -273,9 +273,10 @@ def test_free_energy_value_is_energy_value(name, p, eps):
     cond = VALUE_CONDENSERS[name]()
     grid = cond.domain
     base, fixed = plate_field(cond)
-    free = red_first(grid, ~fixed)
     params = EnergyParams(p, eps)
-    energy = FreeEnergy(grid, free, base, params)
+    energy = FreeEnergy(grid, cond.E, cond.F, params)
+    free = energy.free
+    np.testing.assert_array_equal(np.sort(free), np.flatnonzero(~fixed))
     rng = np.random.default_rng(21)
     fields = [base]
     for _ in range(3):
@@ -503,20 +504,21 @@ def masked_grids_with_free_cells(draw):
     grid = GridDomain(n, (0.0,) * n, cells, 0.5, mask)
     plate = Ball(tuple(rng.uniform(0.0, 0.5 * c) for c in cells), float(rng.uniform(0.3, 1.5)))
     grid = grid.with_plates(((rasterize(plate, grid), plate),))
-    free = red_first(grid, rng.uniform(size=grid.inside_count) < 0.75)
-    assume(free.size > 0)
-    return grid, free
+    flags = rng.uniform(size=grid.inside_count) < 0.75
+    assume(flags.any())
+    return grid, flags
 
 
 @settings(max_examples=60, deadline=None)
 @given(masked_grids_with_free_cells())
 def test_red_black_split_is_the_dense_schur_complement(case):
-    grid, free = case
+    grid, flags = case
     params = EnergyParams(2.0, 1e-3)
-    rng = np.random.default_rng(free.size)
+    rng = np.random.default_rng(np.count_nonzero(flags))
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     # the rounded field labels the fixed cells E or F, so E-F faces are kept too
-    energy = FreeEnergy(grid, free, np.round(u), params)
+    energy = FreeEnergy(grid, *plate_masks(grid, flags, np.round(u)), params)
+    free = energy.free
     grad, diag, coupling = energy.red_black(u[free])
     # the red cells come first (test_red_black_parity_is_the_index_sum_parity)
     red = np.arange(free.size) < energy.nr
@@ -750,13 +752,30 @@ def test_solve_passes_plate_fields_off_free(name, p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
+def test_solve_numbers_its_cells_once(p, monkeypatch):
+    # the free cells and their colours come from one parity pass per solve,
+    # inside FreeEnergy
+    calls = []
+    red_cells = qcap.energy._red_cells
+
+    def counting(grid):
+        calls.append(grid)
+        return red_cells(grid)
+
+    monkeypatch.setattr(qcap.energy, "_red_cells", counting)
+    res = solve_capacity(masked_ring_condenser(), p)
+    assert res.converged
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
 def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
     # every Hessian of one solve is filled on the same free-cell pattern
     calls = []
 
-    def counting(grid, free, base, params):
-        calls.append(free.size)
-        return FreeEnergy(grid, free, base, params)
+    def counting(grid, E, F, params):
+        calls.append(grid)
+        return FreeEnergy(grid, E, F, params)
 
     monkeypatch.setattr(qcap.capacity, "FreeEnergy", counting)
     g = GridDomain.box(2, (-2.5, -2.5), (32, 32), 5.0 / 32)
@@ -767,13 +786,15 @@ def test_hessian_pattern_built_once_per_solve(p, monkeypatch):
 
 @pytest.mark.parametrize(
     "n, p, cells, cap",
-    [(3, 2.0, 64, 22.0e6), (2, 1.5, 256, 10.3e6)],
+    [(3, 2.0, 64, 15.6e6), (2, 1.5, 256, 10.3e6)],
     ids=["criterion-2", "criterion-3"],
 )
 def test_solve_memory(n, p, cells, cap):
-    # tracemalloc peaks: criterion 2 17.6 MB, 22.5 with the int64 face ends
-    # and grid map of the set-up, 36.1 with the full face list built before
-    # FreeEnergy selects its faces; criterion 3 8.9 MB, 9.4 with the int64
+    # tracemalloc peaks: criterion 2 13.58 MB, 17.47 with the free list,
+    # the plate field and the plate flags built outside FreeEnergy, 22.5
+    # with the int64 face ends and grid map of the set-up, 36.1 with the
+    # full face list built before FreeEnergy selects its faces; criterion 3
+    # 7.46 MB, 8.37 with the plate field built outside, 9.4 with the int64
     # set-up, 11.5 with the face list, 14.2 with each Newton step's Hessian
     # kept until the next one is built
     tracemalloc.start()

@@ -15,9 +15,9 @@ from qcap import (
 )
 import qcap.capacity
 import qcap.energy
-from qcap.energy import FreeEnergy, red_first
+from qcap.energy import FreeEnergy
 
-from grid_helpers import inside_index
+from grid_helpers import inside_index, plate_masks
 
 
 def loop_energy(u_flat, grid, p, eps):
@@ -144,25 +144,18 @@ def test_gradient_matches_finite_differences(masked_grid, p):
 
 
 def hessian_case(name, rng):
-    """A grid, the cells the Hessian is restricted to, and a plate field:
-    0 on the E cells and 1 on the F cells among the others."""
+    """A grid and its plate masks E and F: the Hessian is restricted to the cells on neither."""
     if name == "ring":
         cond = make_ring_condenser((0.0, 0.0), 1.0, 2.0, GridDomain.box(2, (-2.5, -2.5), (24, 24), 5.0 / 24))
-        grid = cond.domain
-        assert any(flat.size for flat, _ in grid.cut_faces)
-        plates = np.zeros(grid.inside_count, dtype=bool)
-        plates[cond.e_indices] = True
-        plates[cond.f_indices] = True
-        base = np.zeros(grid.inside_count)
-        base[cond.f_indices] = 1.0
-        return grid, red_first(grid, ~plates), base
+        assert any(flat.size for flat, _ in cond.domain.cut_faces)
+        return cond.domain, cond.E, cond.F
     if name == "masked":
         grid = GridDomain.box(2, (-1.0, -1.0), (12, 12), 2.0 / 12, Ball((0.0, 0.0), 0.95))
     else:
         grid = GridDomain.box(3, (0.0, 0.0, 0.0), (6, 5, 4), 0.2)
     # every third cell on F, so that many faces join E and F
     base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
-    return grid, red_first(grid, rng.uniform(size=grid.inside_count) < 0.7), base
+    return grid, *plate_masks(grid, rng.uniform(size=grid.inside_count) < 0.7, base)
 
 
 def free_derivatives(energy, x):
@@ -191,13 +184,14 @@ def test_hessian_matches_gradient_differences(case, p, eps):
     # H v on the restricted cells against central differences of the
     # gradient along v, and the returned diagonal against H e_j
     rng = np.random.default_rng(11)
-    grid, free, base = hessian_case(case, rng)
+    grid, E, F = hessian_case(case, rng)
     params = EnergyParams(p, eps)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
         # flat on the first half of the cells, so g = 0 on many of them
         u[: u.size // 2] = 0.5
-    energy = FreeEnergy(grid, free, base, params)
+    energy = FreeEnergy(grid, E, F, params)
+    free = energy.free
     x = u[free]
     u = energy.field(x)
     v = np.zeros(grid.inside_count)
@@ -221,12 +215,13 @@ def test_hessian_matches_gradient_differences(case, p, eps):
 def test_free_gradient_is_the_full_gradient_on_free_cells(case, p, eps):
     # the same face terms scattered in the same order: equal bit for bit
     rng = np.random.default_rng(14)
-    grid, free, base = hessian_case(case, rng)
+    grid, E, F = hessian_case(case, rng)
     params = EnergyParams(p, eps)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
     if eps == 0:
         u[: u.size // 2] = 0.5
-    energy = FreeEnergy(grid, free, base, params)
+    energy = FreeEnergy(grid, E, F, params)
+    free = energy.free
     x = u[free]
     grad, _, _ = free_derivatives(energy, x)
     assert np.array_equal(grad, energy_gradient(energy.field(x), grid, params)[free])
@@ -244,9 +239,9 @@ def test_derivatives_sweep_the_grid_at_most_once(p, monkeypatch):
 
     monkeypatch.setattr(qcap.energy, "cell_gradient_sq", counting)
     rng = np.random.default_rng(15)
-    grid, free, base = hessian_case("ring", rng)
-    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
-    free_derivatives(energy, rng.uniform(0.0, 1.0, grid.inside_count)[free])
+    grid, E, F = hessian_case("ring", rng)
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
+    free_derivatives(energy, rng.uniform(0.0, 1.0, grid.inside_count)[energy.free])
     assert len(calls) == 0
 
 
@@ -255,9 +250,9 @@ def test_free_energy_rejects_inside_length_fields(case):
     # every route takes one value per free cell: a field on all the inside
     # cells, which could leave the plate field off the free cells, raises
     rng = np.random.default_rng(16)
-    grid, free, base = hessian_case(case, rng)
-    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
-    u = energy.field(rng.uniform(0.0, 1.0, free.size))
+    grid, E, F = hessian_case(case, rng)
+    energy = FreeEnergy(grid, E, F, EnergyParams(1.5, 1e-2))
+    u = energy.field(rng.uniform(0.0, 1.0, energy.nf))
     for route in (energy.value, energy.derivatives, energy.red_black):
         with pytest.raises(ValueError):
             route(u)
@@ -268,9 +263,11 @@ def test_free_energy_rejects_inside_length_fields(case):
 def test_hessian_is_symmetric(case, p):
     # w.Hv = v.Hw for the assembled H1 + M^T D M product
     rng = np.random.default_rng(12)
-    grid, free, base = hessian_case(case, rng)
+    grid, E, F = hessian_case(case, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, _ = free_derivatives(FreeEnergy(grid, free, base, EnergyParams(p, 1e-2)), u[free])
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
+    free = energy.free
+    _, apply, _ = free_derivatives(energy, u[free])
     v, w = rng.normal(size=(2, free.size))
     assert w @ apply(v) == pytest.approx(v @ apply(w), rel=1e-12)
 
@@ -287,9 +284,11 @@ def test_hessian_diagonal_is_every_unit_product(name, p):
     # the whole returned Jacobi diagonal, not a sample of it, against H e_j,
     # on the 5- and 7-point stencils and near p = 1
     rng = np.random.default_rng(13)
-    grid, free, base = hessian_case(name, rng)
+    grid, E, F = hessian_case(name, rng)
     u = rng.uniform(0.0, 1.0, grid.inside_count)
-    _, apply, diag = free_derivatives(FreeEnergy(grid, free, base, EnergyParams(p, 1e-2)), u[free])
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
+    free = energy.free
+    _, apply, diag = free_derivatives(energy, u[free])
     columns = np.array([apply(unit) for unit in np.eye(free.size)])
     np.testing.assert_allclose(diag, np.diag(columns), rtol=1e-12)
     assert (diag > 0).all()
@@ -303,8 +302,9 @@ def test_red_black_sweep_inverts_the_symmetric_gauss_seidel_split(case, p):
     # black-by-red block B^T, the red cells first, and P^-1 is symmetric
     # positive definite
     rng = np.random.default_rng(17)
-    grid, free, base = hessian_case(case, rng)
-    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
+    grid, E, F = hessian_case(case, rng)
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
+    free = energy.free
     x = rng.uniform(0.0, 1.0, grid.inside_count)[free]
     if p == 2:
         _, diag, coupling = energy.red_black(x)
@@ -346,8 +346,8 @@ def test_singular_gradient_raises(masked_grid):
     with pytest.raises(SingularityError):
         energy_gradient(flat, masked_grid, EnergyParams(1.5, 0.0))
     with pytest.raises(SingularityError):
-        everywhere = red_first(masked_grid, np.ones(flat.size, dtype=bool))
-        FreeEnergy(masked_grid, everywhere, np.zeros(flat.size), EnergyParams(1.5, 0.0)).derivatives(flat)
+        no_plate = np.zeros(masked_grid.cells, dtype=bool)
+        FreeEnergy(masked_grid, no_plate, no_plate, EnergyParams(1.5, 0.0)).derivatives(flat)
     # positive smoothing removes the singularity
     out = energy_gradient(flat, masked_grid, EnergyParams(1.5, 1e-3))
     np.testing.assert_allclose(out, 0.0, atol=1e-15)

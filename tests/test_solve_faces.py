@@ -40,11 +40,10 @@ from qcap.energy import (
     cell_gradient_sq,
     energy_gradient,
     energy_value,
-    red_first,
 )
 from qcap.grid import CUT_BISECTIONS, THETA_MIN, Box, Complement, Intersection, Union, graph_distance
 
-from grid_helpers import forbid_face_list, inside_index
+from grid_helpers import forbid_face_list, inside_index, plate_masks
 
 
 def oracle_cut_fraction(region, start, stop):
@@ -142,10 +141,18 @@ def oracle_energy_gradient(u, grid, params):
     return np.bincount(b, weights=coef, minlength=m) - np.bincount(a, weights=coef, minlength=m)
 
 
-def oracle_selection(grid, free, base):
+def oracle_free(grid, E, F):
+    """The inside cells on neither plate, those of even index sum (red) first, each colour ascending."""
+    free = np.flatnonzero(~(E | F)[grid.mask])
+    odd = np.sum(np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells), axis=0) % 2
+    return free[np.argsort(odd, kind="stable")]
+
+
+def oracle_selection(grid, E, F):
     """(la, lb, w, cells) of ``FreeEnergy`` from labels gathered over the whole face list."""
     a, b = grid.face_pairs
     m = grid.inside_count
+    free, base = oracle_free(grid, E, F), F[grid.mask].astype(float)
     label = (1 + 2 * base).astype(np.int8)
     label[free] = 0
     ends = label[a] + label[b]
@@ -206,7 +213,7 @@ def oracle_derivatives(energy, x):
     concatenation, the diagonal's M term a CSC product of M's squared data, and k1 H1's face weights."""
     p, eps, h, n = energy.params.p, energy.params.eps, energy.grid.h, energy.grid.n
     la, lb, w, nf, k = energy.la, energy.lb, energy.w, energy.nf, energy.cells.size
-    uc = energy.base[energy.cells]
+    uc = energy.F[energy.grid.mask][energy.cells].astype(float)
     uc[:nf] = x
     diff = uc[lb] - uc[la]
     d2 = (diff / h) ** 2 * w
@@ -297,13 +304,8 @@ CONDENSERS = {
 
 
 def plate_sets(cond):
-    """(free, base) as ``solve_capacity`` builds them."""
-    base = np.zeros(cond.domain.inside_count)
-    base[cond.f_indices] = 1.0
-    fixed = np.zeros(cond.domain.inside_count, dtype=bool)
-    fixed[cond.e_indices] = True
-    fixed[cond.f_indices] = True
-    return red_first(cond.domain, ~fixed), base
+    """(E, F) as ``solve_capacity`` passes them."""
+    return cond.E, cond.F
 
 
 def arbitrary_sets(name):
@@ -317,7 +319,7 @@ def arbitrary_sets(name):
         # a plate-embedding grid whose cut faces the free set need not keep
         grid = ring(2, 24).domain
     base = (np.arange(grid.inside_count) % 3 == 0).astype(float)
-    return grid, red_first(grid, rng.uniform(size=grid.inside_count) < 0.7), base
+    return grid, *plate_masks(grid, rng.uniform(size=grid.inside_count) < 0.7, base)
 
 
 def selection_cases():
@@ -342,9 +344,9 @@ def test_cut_faces_match_the_face_list_oracle(name):
 
 @pytest.mark.parametrize("case", selection_cases())
 def test_free_energy_faces_match_the_face_list_oracle(case):
-    grid, free, base = case()
-    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
-    la, lb, w, cells = oracle_selection(grid, free, base)
+    grid, E, F = case()
+    energy = FreeEnergy(grid, E, F, EnergyParams(1.5, 1e-2))
+    la, lb, w, cells = oracle_selection(grid, E, F)
     for got, want in ((energy.la, la), (energy.lb, lb), (energy.w, w), (energy.cells, cells)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -352,10 +354,12 @@ def test_free_energy_faces_match_the_face_list_oracle(case):
 
 @pytest.mark.parametrize("case", selection_cases())
 def test_red_black_parity_is_the_index_sum_parity(case):
-    # the free cells of even index sum come first, the nr red cells, and
-    # each colour is in ascending inside enumeration
-    grid, free, base = case()
-    energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
+    # the free cells, those on neither plate, of even index sum come first,
+    # the nr red cells, and each colour is in ascending inside enumeration
+    grid, E, F = case()
+    energy = FreeEnergy(grid, E, F, EnergyParams(2.0))
+    free = energy.free
+    np.testing.assert_array_equal(np.sort(free), np.flatnonzero(~(E | F)[grid.mask]))
     index = np.unravel_index(np.flatnonzero(grid.mask)[free], grid.cells)
     red = np.sum(index, axis=0) % 2 == 0
     np.testing.assert_array_equal(red, np.arange(free.size) < energy.nr)
@@ -366,8 +370,8 @@ def test_red_black_parity_is_the_index_sum_parity(case):
 @pytest.mark.parametrize("case", selection_cases())
 def test_hessian_pattern_matches_the_sorted_slots(case):
     # one scatter per slot group gives the stable argsort's slot order, dtypes included
-    grid, free, base = case()
-    energy = FreeEnergy(grid, free, base, EnergyParams(1.5, 1e-2))
+    grid, E, F = case()
+    energy = FreeEnergy(grid, E, F, EnergyParams(1.5, 1e-2))
     for got, want in zip(energy.pattern, oracle_pattern(energy)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -388,17 +392,17 @@ def test_newton_fills_match_the_gathered_oracle(case, p):
     # constructor, bit for bit; the diagonal's M term summed per face, and
     # H1 v taken through B, against the CSC product of M's squared data and
     # the gathered H1, to rounding
-    grid, free, base = case()
-    energy = FreeEnergy(grid, free, base, EnergyParams(p, 1e-2))
+    grid, E, F = case()
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
     rng = np.random.default_rng(7)
-    x = rng.uniform(-0.5, 1.5, free.size)
+    x = rng.uniform(-0.5, 1.5, energy.nf)
     grad, apply, diag, coupling = energy.derivatives(x)
     want_grad, h1, mv, d2h, want_diag, k1 = oracle_derivatives(energy, x)
     np.testing.assert_array_equal(grad, want_grad)
     assert_same_csr(coupling, oracle_coupling(energy, k1))
     np.testing.assert_allclose(diag, want_diag, rtol=1e-12)
     for _ in range(3):
-        v = rng.uniform(-1.0, 1.0, free.size)
+        v = rng.uniform(-1.0, 1.0, energy.nf)
         s = mv @ v
         s *= d2h
         want = h1 @ v
@@ -413,9 +417,9 @@ def test_newton_fills_match_the_gathered_oracle(case, p):
 
 @pytest.mark.parametrize("case", selection_cases())
 def test_red_black_coupling_matches_the_coo_oracle(case):
-    grid, free, base = case()
-    energy = FreeEnergy(grid, free, base, EnergyParams(2.0))
-    _, _, coupling = energy.red_black(np.zeros(free.size))
+    grid, E, F = case()
+    energy = FreeEnergy(grid, E, F, EnergyParams(2.0))
+    _, _, coupling = energy.red_black(np.zeros(energy.nf))
     assert_same_csr(coupling, oracle_coupling(energy, grid.h ** (grid.n - 2) * energy.w * 2.0))
 
 
@@ -464,14 +468,28 @@ def traced_rise(call):
 
 
 def test_free_energy_setup_memory():
-    # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5:
-    # 11.99 MB with the red-black coupling's pattern and face map, 11.07
-    # without (10.71 without the slots' signs either), 25.8 MB with the
-    # int64 face ends, the concatenated slots and their argsort
+    # tracemalloc rise of FreeEnergy.__init__ on the 3D 64³ ring at p = 1.5,
+    # the red-first numbering of the free cells included: 12.55 MB.  Before
+    # the set-up numbered its own cells it measured 11.99 MB on a free list
+    # and plate field built outside it (14.84 MB with that numbering), 11.07
+    # without the red-black coupling's pattern and face map (10.71 without
+    # the slots' signs either), and 25.8 MB with the int64 face ends, the
+    # concatenated slots and their argsort
     cond = ring(3, 64)
-    free, base = plate_sets(cond)
     cond.domain.cut_faces
-    assert traced_rise(lambda: FreeEnergy(cond.domain, free, base, EnergyParams(1.5, 1e-4))) < 13.7e6
+    assert traced_rise(lambda: FreeEnergy(cond.domain, cond.E, cond.F, EnergyParams(1.5, 1e-4))) < 13.7e6
+
+
+def test_free_energy_keeps_no_inside_length_array():
+    # on the criterion-3 ring every array a FreeEnergy holds, its patterns'
+    # included, is sized by its local cells, faces or slots: it derives the
+    # plate values from the masks and keeps them per local cell
+    cond = ring(2, 256)
+    energy = FreeEnergy(cond.domain, cond.E, cond.F, EnergyParams(1.5, 1e-4))
+    held = [value for value in vars(energy).values() if isinstance(value, np.ndarray)]
+    held += [part for value in vars(energy).values() if isinstance(value, tuple) for part in value]
+    assert len(held) > 10
+    assert all(part.shape != (cond.domain.inside_count,) for part in held)
 
 
 def test_derivatives_memory():
