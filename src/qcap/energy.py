@@ -40,21 +40,35 @@ the diagonal's M term is summed per face.  It numbers the free cells red
 first, so that H1's red-black coupling B is one block of it, whose CSR
 pattern scipy's COO constructor builds once per solve with the face each
 slot reads; each set of derivatives gathers B's values from its face
-weights.
+weights.  For p != 2 it also puts each free cell in an aggregate, its
+block of ``AGGREGATE`` cells per axis, and each set of derivatives gives
+the Galerkin product E = Z^T H1 Z of H1 with that aggregation Z, filled
+by one ``bincount`` on a CSC pattern laid out once per solve: the coarse
+operator of the Newton CG's two-level preconditioner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .exceptions import DomainError, SingularityError
 from .grid import GridDomain
 
 # Slots per chunk of ``FreeEnergy._matrix``.
 TAKE_SLOTS = 1 << 14
+# Grid cells per axis of a Newton coarse-correction aggregate.
+AGGREGATE = 8
+
+
+def add_product(out: np.ndarray, matrix, x: np.ndarray) -> np.ndarray:
+    """out += matrix @ x in place, for a CSR or CSC matrix: the kernel scipy's own product calls, with no new array."""
+    getattr(_sparsetools, matrix.format + "_matvec")(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,6 +215,16 @@ class FreeEnergy:
     scipy's COO constructor, given the int32 face ids as values.  Each call
     gathers B's values from its face weights into a new data array: B is
     bit for bit the matrix that constructor builds from the values.
+
+    For p != 2 the constructor also numbers each free cell's aggregate
+    once, after B's pattern: ``aggregate`` (intp, one entry per free cell)
+    is the index of the cell's block of ``AGGREGATE`` grid cells per axis
+    among the blocks that hold a free cell, in block order.
+    ``coarse_pattern`` is the CSC layout of E = Z^T H1 Z, with Z the 0/1
+    matrix of that aggregation, and lists the faces that reach E: those
+    whose two free ends lie in different aggregates, and those with one
+    free end.  ``derivatives`` fills E from its face weights with one
+    ``bincount``.  A p = 2 solve builds neither.
     """
 
     def __init__(self, grid: GridDomain, E: np.ndarray, F: np.ndarray, params: EnergyParams):
@@ -262,6 +286,109 @@ class FreeEnergy:
             # peak RSS lowest.
             self.pattern = self._pattern()
         self.coupling_pattern = self._coupling_pattern()
+        if params.p != 2:
+            # Each free cell's aggregate and E's pattern, after B's: the set-up's
+            # tracemalloc peak is lowest.
+            self.aggregate = self._aggregates()
+            self.coarse_pattern = self._coarse_pattern()
+
+    def _aggregates(self) -> np.ndarray:
+        """Each free cell's aggregate: its block of ``AGGREGATE`` grid cells per axis, numbered 0..na-1 in block order.
+
+        The block index is summed axis by axis from each free cell's block
+        coordinate, read off a broadcast view of the grid, so the largest
+        temporary is one inside-length int32 array.  The blocks that hold a
+        free cell are compacted by the ``cumsum`` of a seen-mask over all
+        blocks, with no sort; the result is intp, which numpy gathers
+        faster with than int32.
+        """
+        grid = self.grid
+        counts = [-(-c // AGGREGATE) for c in grid.cells]
+        block = np.zeros(self.nf, dtype=np.intp)
+        for k, c in enumerate(grid.cells):
+            axis = (np.arange(c, dtype=np.int32) // AGGREGATE).reshape([c if j == k else 1 for j in range(grid.n)])
+            block *= counts[k]
+            block += np.broadcast_to(axis, grid.cells)[grid.mask][self.free]
+        seen = np.zeros(math.prod(counts), dtype=bool)
+        seen[block] = True
+        number = np.cumsum(seen)
+        number -= 1
+        return np.take(number, block, out=block)
+
+    def _coarse_pattern(self):
+        """(indptr, indices, faces, index, pairs, diagonal): E = Z^T H1 Z's CSC layout, Z the aggregation.
+
+        A face joins cells one apart along its axis, so an aggregate meets
+        E's off-diagonal only in the at most 2n aggregates one block away,
+        and a column's rows, in ascending order, are its down neighbours
+        axis by axis, itself, then its up neighbours from the last axis to
+        the first.  ``faces`` lists the faces that reach E: those whose two
+        free ends lie in different aggregates, then those with one free
+        end; H1's other faces lie inside one aggregate and add nothing to
+        E.  index[f] is the slot of E's data where face f's k1 is summed: a
+        crossing face's up slot (row its hi end's aggregate, column its lo
+        end's), a one-free-end face's aggregate J as slot nnz + J.  Each
+        column of ``pairs`` is one up slot, its mirrored down slot and its
+        lo and hi aggregates, and ``diagonal`` lists each column's diagonal
+        slot.
+        """
+        n, nf = self.grid.n, self.nf
+        na = int(self.aggregate.max()) + 1 if nf else 0
+        # The aggregate of each local cell, -1 off the free ones.
+        ends = np.full(self.cells.size, -1, dtype=np.int32)
+        ends[:nf] = self.aggregate
+        present = np.zeros((na, 2 * n + 1), dtype=bool)
+        present[:, n] = True
+        cross, bound, lo, hi, own = [], [], [], [], []
+        for k, (a, b) in enumerate(zip(self.start[:-1], self.start[1:])):
+            ea, eb = ends[self.la[a:b]], ends[self.lb[a:b]]
+            faces = np.flatnonzero((ea != eb) & (ea >= 0) & (eb >= 0))
+            cross.append(faces + a)
+            lo.append(ea[faces])
+            hi.append(eb[faces])
+            present[lo[k], 2 * n - k] = True
+            present[hi[k], k] = True
+            faces = np.flatnonzero((ea < 0) != (eb < 0))
+            bound.append(faces + a)
+            own.append(np.maximum(ea[faces], eb[faces]))
+        del ends, ea, eb, faces
+        where = np.cumsum(present.reshape(-1)).reshape(present.shape)
+        where -= 1
+        indptr = np.zeros(na + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices = np.empty(nnz, dtype=np.int32)
+        indices[where[:, n]] = np.arange(na)
+        ups = [where[lo[k], 2 * n - k] for k in range(n)]
+        for k in range(n):
+            indices[ups[k]] = hi[k]
+            indices[where[hi[k], k]] = lo[k]
+        index = np.concatenate(ups + [np.concatenate(own) + nnz])
+        # Position n + 1 + c of a column is the up slot of axis n - 1 - c.
+        column, c = np.nonzero(present[:, n + 1 :])
+        up = where[column, n + 1 + c]
+        row = indices[up].astype(np.intp)
+        pairs = np.stack((up, where[row, n - 1 - c], column, row))
+        return indptr, indices, np.concatenate(cross + bound), index, pairs, where[:, n]
+
+    def _coarse(self, k1: np.ndarray) -> sp.csc_array:
+        """E = Z^T H1 Z on ``coarse_pattern``, for H1's face weights k1.
+
+        One ``bincount`` sums each face's k1 into its slot: the sum P over a
+        pair of aggregates lands in its up slot, and a bound face's in its
+        aggregate's place after the nnz slots.  The rest takes E-sized
+        steps: -P goes to both slots of the pair, and each aggregate's
+        diagonal is its bound faces' sum plus P of every pair it is in.
+        """
+        indptr, indices, faces, index, (up, down, lo, hi), diagonal = self.coarse_pattern
+        na, nnz = indptr.size - 1, indices.size
+        sums = np.bincount(index, weights=np.take(k1, faces), minlength=nnz + na)
+        data, pair = sums[:nnz], sums[up]
+        data[diagonal] = sums[nnz:] + np.bincount(lo, pair, na) + np.bincount(hi, pair, na)
+        np.negative(pair, out=pair)
+        data[up] = pair
+        data[down] = pair
+        return sp.csc_array((data, indices, indptr), shape=(na, na))
 
     def _coupling_pattern(self):
         """(indptr, indices, faces) of B: the CSR layout scipy's COO constructor gives the faces with two free ends.
@@ -413,7 +540,7 @@ class FreeEnergy:
         return grad, k1, diag
 
     def derivatives(self, x: np.ndarray):
-        """(grad, apply, diagonal, coupling) of ``energy_value`` at u = ``field(x)`` on the free cells, for p != 2.
+        """(grad, apply, diagonal, coupling, coarse) of ``energy_value`` at u = ``field(x)`` on the free cells, for p != 2.
 
         grad is ``energy_gradient(u)[free]`` bit for bit: the same face
         terms, scattered in the same order.  apply(v) is (H v)[free] for a
@@ -436,7 +563,10 @@ class FreeEnergy:
         adds sum_c (phi''_c / h^n) M_cj^2 to D1, summed per face: each face's
         squared M value times phi''/h^n of its other end, scattered by
         ``bincount`` to its free end, plus phi''_j/h^n own_j^2 for M's
-        diagonal entry own_j.
+        diagonal entry own_j.  coarse is E = Z^T H1 Z, a CSC matrix with
+        one row and column per aggregate (``_coarse``).  apply returns a
+        new array, into which B, B^T and M^T add their products in place
+        (``add_product``); M v goes into a buffer every call reuses.
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, nr, k = self.la, self.lb, self.nf, self.nr, self.cells.size
@@ -448,6 +578,7 @@ class FreeEnergy:
         grad, k1, h1_diag = self._first_order(diff, s)
         del s
         coupling = self._coupling(k1)
+        coarse = self._coarse(k1)
         del k1
         # phi'' / h^n in d1's place; g is freed before any slot-sized fill
         d2h = np.multiply(d1, (p - 2) / 2, out=d1)
@@ -475,17 +606,17 @@ class FreeEnergy:
         mv = self._matrix(diff, own)
         del diff, own
         mt, coupling_t = mv.T, coupling.T
+        sums = np.empty(k)
 
         def apply(v: np.ndarray) -> np.ndarray:
-            s = mv @ v
-            s *= d2h
+            sums.fill(0.0)
+            np.multiply(add_product(sums, mv, v), d2h, out=sums)
             out = h1_diag * v
-            out[:nr] += coupling @ v[nr:]
-            out[nr:] += coupling_t @ v[:nr]
-            out += mt @ s
-            return out
+            add_product(out[:nr], coupling, v[nr:])
+            add_product(out[nr:], coupling_t, v[:nr])
+            return add_product(out, mt, sums)
 
-        return grad, apply, diag, coupling
+        return grad, apply, diag, coupling, coarse
 
     def red_black(self, x: np.ndarray):
         """(grad, diagonal, coupling) of the p = 2 energy at u = ``field(x)`` on the free cells, at any p.

@@ -677,14 +677,17 @@ START_CONDENSERS = {
     "sharing-faces": sharing_faces_condenser,
 }
 # Newton steps from the p = 2 start, and from the face-hop ratio
-# d_E / (d_E + d_F) that it replaced.  At p = 1.05 the masked and the
-# shared-face condensers take more steps from the p = 2 start.  With
-# Jacobi-preconditioned Newton CG the masked condenser took 9 and 13 steps
-# at p = 6 and 10, and the shared-face one 19 and 10 at p = 1.05 and 10.
+# d_E / (d_E + d_F) that it replaced.  At p = 1.05 the shared-face
+# condenser takes more steps from the p = 2 start.  With Jacobi-preconditioned
+# Newton CG the masked condenser took 9 and 13 steps at p = 6 and 10, and
+# the shared-face one 19 and 10 at p = 1.05 and 10.  With the red-black
+# sweep alone, before its coarse correction: ring-48 5 at p = 3, masked-hole
+# 11, 6 and 10 at p = 1.05, 1.5 and 6, and sharing-faces 20, 5, 5 and 9 at
+# p = 1.05, 1.5, 3 and 10.
 START_STEPS = {
-    "ring-48": {1.05: (10, 16), 1.2: (9, 10), 1.5: (5, 7), 3.0: (5, 8), 6.0: (7, 14), 10.0: (8, 21)},
-    "masked-hole": {1.05: (11, 10), 1.2: (9, 9), 1.5: (6, 8), 3.0: (5, 7), 6.0: (10, 11), 10.0: (14, 16)},
-    "sharing-faces": {1.05: (20, 13), 1.2: (9, 9), 1.5: (5, 7), 3.0: (5, 7), 6.0: (7, 10), 10.0: (9, 12)},
+    "ring-48": {1.05: (10, 16), 1.2: (9, 10), 1.5: (5, 7), 3.0: (4, 8), 6.0: (7, 14), 10.0: (8, 21)},
+    "masked-hole": {1.05: (10, 10), 1.2: (9, 9), 1.5: (5, 8), 3.0: (5, 7), 6.0: (7, 11), 10.0: (14, 16)},
+    "sharing-faces": {1.05: (17, 13), 1.2: (9, 9), 1.5: (4, 7), 3.0: (4, 7), 6.0: (7, 10), 10.0: (11, 12)},
 }
 
 
@@ -836,14 +839,47 @@ def test_newton_reproduces_recorded_values(n, p, cells, value, steps):
 def test_certifying_newton_step_stops_early():
     # criterion 3: the same value with the last inner CG stopped by its
     # decrement estimate (733 CG steps at the forcing tolerance); 6 Newton
-    # steps from the p = 2 start against 8 from the hop ratio.  215 CG steps
-    # with the red-black symmetric Gauss-Seidel sweep, 340 with Jacobi
+    # steps from the p = 2 start against 8 from the hop ratio.  145 CG steps
+    # with the coarse correction added to the red-black symmetric
+    # Gauss-Seidel sweep, 215 with the sweep alone, 340 with Jacobi
     res = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 256)
     assert res.converged
     assert res.iterations == 6
     assert res.value == pytest.approx(8.929512318680647, rel=1e-12)
-    assert res.cg_steps <= 240
+    assert res.cg_steps <= 160
     assert 0 <= res.decrement <= SolverOptions().rel_tol * res.value
+
+
+def test_newton_cg_steps_barely_grow_with_the_grid():
+    # the criterion-3 ring at 128² and 512²: with 16 times the cells the CG
+    # step total at most doubles (121 and 169 steps; 148 and 408 with the
+    # red-black sweep alone, without the coarse correction)
+    coarse = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 128)
+    fine = solve_ring(2, 1.5, 1.0, 2.0, 2.5, 512)
+    assert coarse.converged and fine.converged
+    assert fine.cg_steps <= 2 * coarse.cg_steps
+
+
+def test_p2_solve_builds_no_aggregates(monkeypatch):
+    # only the Newton route numbers aggregates and lays out E's pattern, once
+    # per solve
+    calls = []
+    aggregates = FreeEnergy._aggregates
+
+    def counting(self):
+        calls.append(self.params.p)
+        return aggregates(self)
+
+    monkeypatch.setattr(FreeEnergy, "_aggregates", counting)
+    cond = masked_ring_condenser()
+    assert solve_capacity(cond, 2.0).converged
+    assert calls == []
+    energy = FreeEnergy(cond.domain, cond.E, cond.F, EnergyParams(2.0))
+    assert not hasattr(energy, "aggregate") and not hasattr(energy, "coarse_pattern")
+    assert calls == []
+    res = solve_capacity(cond, 1.5)
+    assert res.converged and res.iterations > 1
+    assert calls == [1.5]
 
 
 @pytest.mark.parametrize(
@@ -894,7 +930,7 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, fires, monkeypa
     [
         (2, 1.05, 64, 8.12614487912372, 10),
         (2, 1.2, 64, 8.75361471019053, 9),
-        (2, 3.0, 64, 8.85266477685342, 4),
+        (2, 3.0, 64, 8.85266477685342, 5),
         (2, 6.0, 64, 8.144443125370726, 7),
         (3, 2.5, 24, 24.62791850365102, 4),
     ],
@@ -903,7 +939,8 @@ def test_decrement_exit_fires_only_on_the_last_step(n, p, cells, fires, monkeypa
 def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
     # values recorded with every inner CG run to the forcing tolerance; the
     # step counts are from the p = 2 start (from the hop ratio: 10, 9, 7,
-    # 11 and 6; 2d-64-p3 took 5 with Jacobi-preconditioned Newton CG)
+    # 11 and 6; 2d-64-p3 took 5 with Jacobi-preconditioned Newton CG and 4
+    # with the red-black sweep alone)
     res = solve_ring(n, p, 1.0, 2.0, 2.5, cells)
     assert res.converged
     assert res.iterations == steps
@@ -912,7 +949,7 @@ def test_newton_keeps_forcing_tolerance_values(n, p, cells, value, steps):
 
 @pytest.mark.parametrize(
     "p, value, steps",
-    [(1.5, 6.210049319717511, 5), (2.0, 21.26007194694121, 79), (3.0, 289.15905463491237, 5)],
+    [(1.5, 6.210049319717511, 4), (2.0, 21.26007194694121, 79), (3.0, 289.15905463491237, 4)],
     ids=["p1.5", "p2", "p3"],
 )
 def test_plates_sharing_faces(p, value, steps):
@@ -920,7 +957,8 @@ def test_plates_sharing_faces(p, value, steps):
     # them out; values and step counts (Newton for p != 2; reduced CG on the
     # red cells for p = 2).  p = 1.5 was recorded from full-grid gradients;
     # p = 3 from the p = 2 start, 1.6e-13 from a rel_tol 1e-15 re-solve
-    # where the hop-ratio start's 289.15905463583204 was 3.3e-12 away
+    # where the hop-ratio start's 289.15905463583204 was 3.3e-12 away; p = 1.5
+    # and 3 took 5 Newton steps each before the coarse correction
     res = solve_capacity(sharing_faces_condenser(), p)
     assert res.converged
     assert res.iterations == steps

@@ -309,7 +309,7 @@ def test_red_black_sweep_inverts_the_symmetric_gauss_seidel_split(case, p):
     if p == 2:
         _, diag, coupling = energy.red_black(x)
     else:
-        _, _, diag, coupling = energy.derivatives(x)
+        _, _, diag, coupling, _ = energy.derivatives(x)
     nr, nf = energy.nr, free.size
     assert coupling.shape == (nr, nf - nr)
     lower = np.diag(diag)
@@ -317,7 +317,64 @@ def test_red_black_sweep_inverts_the_symmetric_gauss_seidel_split(case, p):
     split = lower @ np.diag(1.0 / diag) @ lower.T
     want = np.linalg.inv(split)
     sweep = qcap.capacity._red_black_sweep(diag, coupling)
-    got = np.column_stack([sweep(unit) for unit in np.eye(nf)])
+    got = np.column_stack([sweep(unit).copy() for unit in np.eye(nf)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12 * np.abs(got).max())
+    assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0
+
+
+def dense_h1(energy, x):
+    """H1 on the free block, dense: every kept face adds k1_f = h^(n-2) w_f (phi'_a + phi'_b), with phi' from the
+    whole-grid g, to the diagonal at its free ends and -k1_f to the entries joining two free ends."""
+    grid, p, eps = energy.grid, energy.params.p, energy.params.eps
+    phi1 = qcap.energy._phi1(qcap.energy.cell_gradient_sq(energy.field(x), grid) + eps**2, p)[energy.cells]
+    k1 = grid.h ** (grid.n - 2) * energy.w * (phi1[energy.la] + phi1[energy.lb])
+    nf = energy.nf
+    h1 = np.zeros((nf, nf))
+    for a, b, k in zip(energy.la, energy.lb, k1):
+        for i, j in ((a, b), (b, a)):
+            if i < nf:
+                h1[i, i] += k
+                if j < nf:
+                    h1[i, j] -= k
+    return h1
+
+
+def dense_aggregation(energy):
+    """Z with Z_ij = 1 when free cell i lies in the j-th of the occupied AGGREGATE^n blocks in block order."""
+    grid = energy.grid
+    corner = np.unravel_index(np.flatnonzero(grid.mask)[energy.free], grid.cells)
+    counts = [-(-c // qcap.energy.AGGREGATE) for c in grid.cells]
+    blocks = np.ravel_multi_index(tuple(ijk // qcap.energy.AGGREGATE for ijk in corner), counts)
+    _, number = np.unique(blocks, return_inverse=True)
+    np.testing.assert_array_equal(energy.aggregate, number)
+    assert energy.aggregate.dtype == np.intp
+    z = np.zeros((energy.nf, number.max() + 1))
+    z[np.arange(energy.nf), number] = 1.0
+    return z
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 3.0])
+@pytest.mark.parametrize("case", ["ring", "masked", "3d"])
+def test_two_level_preconditioner_adds_the_galerkin_correction(case, p):
+    # E is Z^T H1 Z on a canonical CSC pattern, and the Newton CG's
+    # preconditioner is the sweep's inverse plus Z E^-1 Z^T, symmetric
+    # positive definite
+    rng = np.random.default_rng(19)
+    grid, E, F = hessian_case(case, rng)
+    energy = FreeEnergy(grid, E, F, EnergyParams(p, 1e-2))
+    x = rng.uniform(0.0, 1.0, grid.inside_count)[energy.free]
+    _, _, diag, coupling, coarse = energy.derivatives(x)
+    z = dense_aggregation(energy)
+    want = z.T @ dense_h1(energy, x) @ z
+    assert coarse.format == "csc" and coarse.has_canonical_format
+    np.testing.assert_allclose(coarse.toarray(), want, rtol=0, atol=1e-12 * np.abs(want).max())
+    nr, nf = energy.nr, energy.nf
+    lower = np.diag(diag)
+    lower[nr:, :nr] = coupling.toarray().T
+    want = np.linalg.inv(lower @ np.diag(1.0 / diag) @ lower.T) + z @ np.linalg.inv(coarse.toarray()) @ z.T
+    precondition = qcap.capacity._two_level(diag, coupling, energy.aggregate, coarse)
+    got = np.column_stack([precondition(unit).copy() for unit in np.eye(nf)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12 * np.abs(got).max())
     assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0

@@ -18,8 +18,8 @@ length that ``BENCHMARK.json`` sets; its last two stdout lines are the
 record and the result.  For each workload, run i uses seed S + i.
 
 A case is one ``solve_ring`` of the ring (1, 2) on the box [-2.5, 2.5]^n
-(3D 128³ at p = 1.5 and p = 2, 2D 1024² at p = 1.5 and 2D 256² at
-p = 1.05 and p = 3), in a Python process with the checkout's ``src``
+(3D 128³ at p = 1.5 and p = 2, 2D 1024² at p = 1.5, 2D 256² at p = 1.05
+and p = 3, and 3D 64³ at p = 1.5), in a Python process with the checkout's ``src``
 first on the path.  The process prints one JSON line: the solve's wall
 time (set-up included), its own peak RSS and minor page faults, the
 Newton steps (``iterations``; for p = 2 the reduced CG steps) and the CG
@@ -81,6 +81,7 @@ CASES = {
     "2d-1024-p1.5": (2, 1.5, 1024),
     "2d-256-p1.05": (2, 1.05, 256),
     "2d-256-p3": (2, 3.0, 256),
+    "3d-64-p1.5": (3, 1.5, 64),
 }
 CASE_METRICS = ("wall_s", "peak_rss_mb", "minor_faults")
 
