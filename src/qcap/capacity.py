@@ -235,7 +235,7 @@ def _pcg(apply, rhs: np.ndarray, precondition, max_steps: int, stop):
     return x, it, False
 
 
-def _red_black_sweep(diag: np.ndarray, coupling, work: np.ndarray | None = None):
+def _red_black_sweep(diag: np.ndarray, coupling, work: np.ndarray):
     """r -> P^-1 r for the red-black symmetric Gauss-Seidel P = (D + L) D^-1 (D + L)^T.
 
     D = diag(diag), and L is the black-by-red block B^T of a matrix whose
@@ -244,12 +244,12 @@ def _red_black_sweep(diag: np.ndarray, coupling, work: np.ndarray | None = None)
     z_r = D_r^-1 r_r, z_b = D_b^-1 (r_b - B^T z_r), then z_r -= D_r^-1 B z_b
     (Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 10.2).
     Every call writes z into work[0] and the B products into work[1], of
-    a (2, diag.size) array (a new one if work is None), and returns work[0].
+    a (2, diag.size) array, and returns work[0].
     """
     nr = coupling.shape[0]
     inv = 1.0 / diag
     coupling_t = coupling.T
-    z, t = np.empty((2, diag.size)) if work is None else work
+    z, t = work
     z_r, z_b, t_r, t_b = z[:nr], z[nr:], t[:nr], t[nr:]
     inv_r, inv_b = inv[:nr], inv[nr:]
 
@@ -269,13 +269,14 @@ def _red_black_sweep(diag: np.ndarray, coupling, work: np.ndarray | None = None)
 def _two_level(diag: np.ndarray, coupling, aggregate: np.ndarray, coarse):
     """r -> SGS(r) + Z E^-1 Z^T r: ``_red_black_sweep`` plus a Galerkin coarse correction on aggregates.
 
-    Z is the 0/1 aggregation (Z_ij = 1 when free cell i lies in aggregate
-    j, ``aggregate[i] = j``) and coarse is E = Z^T H1 Z, factored once
-    here.  Z^T r is one ``bincount`` and Z y one gather, into the
-    sweep's second buffer once the sweep is done with it.  The sweep is
-    symmetric positive definite and the correction positive semidefinite,
-    so their sum is too (Vanek, Mandel and Brezina, Computing 56, 1996;
-    Notay, ETNA 37, 2010).  Every call returns the sweep's z buffer.
+    Z is the 0/1 aggregation (Z_ij = 1 when free cell i lies in block j,
+    ``aggregate[i] = j``) and coarse is E = Z^T H1 Z on the block grid,
+    factored once here.  Z^T r is one ``bincount`` and Z y one gather,
+    into the sweep's second buffer once the sweep is done with it.  The
+    sweep is symmetric positive definite and the correction positive
+    semidefinite, so their sum is too (Vanek, Mandel and Brezina,
+    Computing 56, 1996; Notay, ETNA 37, 2010).  Every call returns the
+    sweep's z buffer.
     """
     work = np.empty((2, diag.size))
     sweep = _red_black_sweep(diag, coupling, work)
@@ -365,7 +366,7 @@ def _solve_newton(free_energy: FreeEnergy, opts: SolverOptions) -> CapacityResul
     |grad|, which keeps the local convergence quadratic, by CG
     preconditioned with ``_two_level``: ``_red_black_sweep`` on H's
     diagonal and H1's red-by-black block B, plus the coarse correction
-    with E = Z^T H1 Z, all from ``derivatives``, on the aggregates
+    with E = Z^T H1 Z, all from ``derivatives``, on the 8^n-cell blocks
     ``FreeEnergy`` numbered once per solve.  It is the Newton route's one
     preconditioner, at every size and dimension, and every CG step of a
     Newton step reuses its two buffers.  That preconditioner is symmetric

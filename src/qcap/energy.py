@@ -42,9 +42,9 @@ pattern scipy's COO constructor builds once per solve with the face each
 slot reads; each set of derivatives gathers B's values from its face
 weights.  For p != 2 it also puts each free cell in an aggregate, its
 block of ``AGGREGATE`` cells per axis, and each set of derivatives gives
-the Galerkin product E = Z^T H1 Z of H1 with that aggregation Z, filled
-by one ``bincount`` on a CSC pattern laid out once per solve: the coarse
-operator of the Newton CG's two-level preconditioner.
+the coarse operator of the Newton CG's two-level preconditioner, the
+Galerkin product E = Z^T H1 Z of H1 with that aggregation Z: a
+(2n+1)-point stencil on the block grid, built by scipy's ``diags_array``.
 """
 
 from __future__ import annotations
@@ -218,13 +218,11 @@ class FreeEnergy:
 
     For p != 2 the constructor also numbers each free cell's aggregate
     once, after B's pattern: ``aggregate`` (intp, one entry per free cell)
-    is the index of the cell's block of ``AGGREGATE`` grid cells per axis
-    among the blocks that hold a free cell, in block order.
-    ``coarse_pattern`` is the CSC layout of E = Z^T H1 Z, with Z the 0/1
-    matrix of that aggregation, and lists the faces that reach E: those
-    whose two free ends lie in different aggregates, and those with one
-    free end.  ``derivatives`` fills E from its face weights with one
-    ``bincount``.  A p = 2 solve builds neither.
+    is the row-major index of its block of ``AGGREGATE`` grid cells per
+    axis, on the grid of all blocks.  ``coarse_pattern`` lists the faces
+    that reach E = Z^T H1 Z, Z the 0/1 matrix of that aggregation, and
+    ``derivatives`` fills E from their weights.  A p = 2 solve builds
+    neither.
     """
 
     def __init__(self, grid: GridDomain, E: np.ndarray, F: np.ndarray, params: EnergyParams):
@@ -287,108 +285,76 @@ class FreeEnergy:
             self.pattern = self._pattern()
         self.coupling_pattern = self._coupling_pattern()
         if params.p != 2:
-            # Each free cell's aggregate and E's pattern, after B's: the set-up's
-            # tracemalloc peak is lowest.
+            # Each free cell's aggregate and E's face lists, after B's: the
+            # set-up's tracemalloc peak is lowest.
             self.aggregate = self._aggregates()
             self.coarse_pattern = self._coarse_pattern()
 
     def _aggregates(self) -> np.ndarray:
-        """Each free cell's aggregate: its block of ``AGGREGATE`` grid cells per axis, numbered 0..na-1 in block order.
+        """Each free cell's aggregate: the row-major index of its block of ``AGGREGATE`` grid cells per axis.
 
-        The block index is summed axis by axis from each free cell's block
-        coordinate, read off a broadcast view of the grid, so the largest
-        temporary is one inside-length int32 array.  The blocks that hold a
-        free cell are compacted by the ``cumsum`` of a seen-mask over all
-        blocks, with no sort; the result is intp, which numpy gathers
-        faster with than int32.
+        Summed axis by axis from broadcast views of the grid, so the largest
+        temporary is one inside-length int32 array.  The result is intp,
+        which numpy gathers faster with than int32.
         """
         grid = self.grid
-        counts = [-(-c // AGGREGATE) for c in grid.cells]
         block = np.zeros(self.nf, dtype=np.intp)
         for k, c in enumerate(grid.cells):
             axis = (np.arange(c, dtype=np.int32) // AGGREGATE).reshape([c if j == k else 1 for j in range(grid.n)])
-            block *= counts[k]
+            block *= -(-c // AGGREGATE)
             block += np.broadcast_to(axis, grid.cells)[grid.mask][self.free]
-        seen = np.zeros(math.prod(counts), dtype=bool)
-        seen[block] = True
-        number = np.cumsum(seen)
-        number -= 1
-        return np.take(number, block, out=block)
+        return block
 
     def _coarse_pattern(self):
-        """(indptr, indices, faces, index, pairs, diagonal): E = Z^T H1 Z's CSC layout, Z the aggregation.
+        """(na, empty, bound, own, axes): the int32 face lists of E = Z^T H1 Z on the grid of na blocks.
 
-        A face joins cells one apart along its axis, so an aggregate meets
-        E's off-diagonal only in the at most 2n aggregates one block away,
-        and a column's rows, in ascending order, are its down neighbours
-        axis by axis, itself, then its up neighbours from the last axis to
-        the first.  ``faces`` lists the faces that reach E: those whose two
-        free ends lie in different aggregates, then those with one free
-        end; H1's other faces lie inside one aggregate and add nothing to
-        E.  index[f] is the slot of E's data where face f's k1 is summed: a
-        crossing face's up slot (row its hi end's aggregate, column its lo
-        end's), a one-free-end face's aggregate J as slot nnz + J.  Each
-        column of ``pairs`` is one up slot, its mirrored down slot and its
-        lo and hi aggregates, and ``diagonal`` lists each column's diagonal
-        slot.
+        ``empty`` lists the blocks with no free cell, ``bound`` the faces
+        with one free end and ``own`` that end's block.  ``axes`` holds, per
+        axis with more than one block, its block stride, the faces whose
+        two free ends lie in different blocks and the block of their lo
+        end; the hi end's is one stride on.  H1's other faces add nothing.
         """
-        n, nf = self.grid.n, self.nf
-        na = int(self.aggregate.max()) + 1 if nf else 0
-        # The aggregate of each local cell, -1 off the free ones.
+        counts = [-(-c // AGGREGATE) for c in self.grid.cells]
+        na = math.prod(counts)
+        # The block of each local cell, -1 off the free ones.
         ends = np.full(self.cells.size, -1, dtype=np.int32)
-        ends[:nf] = self.aggregate
-        present = np.zeros((na, 2 * n + 1), dtype=bool)
-        present[:, n] = True
-        cross, bound, lo, hi, own = [], [], [], [], []
+        ends[: self.nf] = self.aggregate
+        bound, own, axes = [], [], []
         for k, (a, b) in enumerate(zip(self.start[:-1], self.start[1:])):
             ea, eb = ends[self.la[a:b]], ends[self.lb[a:b]]
-            faces = np.flatnonzero((ea != eb) & (ea >= 0) & (eb >= 0))
-            cross.append(faces + a)
-            lo.append(ea[faces])
-            hi.append(eb[faces])
-            present[lo[k], 2 * n - k] = True
-            present[hi[k], k] = True
             faces = np.flatnonzero((ea < 0) != (eb < 0))
-            bound.append(faces + a)
+            bound.append((faces + a).astype(np.int32))
             own.append(np.maximum(ea[faces], eb[faces]))
-        del ends, ea, eb, faces
-        where = np.cumsum(present.reshape(-1)).reshape(present.shape)
-        where -= 1
-        indptr = np.zeros(na + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int32)
-        indices[where[:, n]] = np.arange(na)
-        ups = [where[lo[k], 2 * n - k] for k in range(n)]
-        for k in range(n):
-            indices[ups[k]] = hi[k]
-            indices[where[hi[k], k]] = lo[k]
-        index = np.concatenate(ups + [np.concatenate(own) + nnz])
-        # Position n + 1 + c of a column is the up slot of axis n - 1 - c.
-        column, c = np.nonzero(present[:, n + 1 :])
-        up = where[column, n + 1 + c]
-        row = indices[up].astype(np.intp)
-        pairs = np.stack((up, where[row, n - 1 - c], column, row))
-        return indptr, indices, np.concatenate(cross + bound), index, pairs, where[:, n]
+            if counts[k] > 1:
+                faces = np.flatnonzero((ea != eb) & (ea >= 0) & (eb >= 0))
+                axes.append((math.prod(counts[k + 1 :]), (faces + a).astype(np.int32), ea[faces]))
+        empty = np.flatnonzero(np.bincount(self.aggregate, minlength=na) == 0)
+        return na, empty, np.concatenate(bound), np.concatenate(own), axes
 
     def _coarse(self, k1: np.ndarray) -> sp.csc_array:
-        """E = Z^T H1 Z on ``coarse_pattern``, for H1's face weights k1.
+        """E = Z^T H1 Z for H1's face weights k1: a (2n+1)-point stencil on the block grid.
 
-        One ``bincount`` sums each face's k1 into its slot: the sum P over a
-        pair of aggregates lands in its up slot, and a bound face's in its
-        aggregate's place after the nnz slots.  The rest takes E-sized
-        steps: -P goes to both slots of the pair, and each aggregate's
-        diagonal is its bound faces' sum plus P of every pair it is in.
+        One ``bincount`` per axis sums k1 over the faces joining each pair
+        of blocks into s_k, at the lo block.  E holds -s_k at offsets
+        +-stride_k and, on its diagonal, the bound faces' k1 at their block
+        plus each s_k at both its blocks; a block with no free cell gets 1,
+        as Z^T r is 0 there.  scipy refuses repeated offsets, so axes with
+        one block are left out.  E is symmetric: its CSC form is the
+        transpose of its CSR form, which ``diags_array`` gives without zeros.
         """
-        indptr, indices, faces, index, (up, down, lo, hi), diagonal = self.coarse_pattern
-        na, nnz = indptr.size - 1, indices.size
-        sums = np.bincount(index, weights=np.take(k1, faces), minlength=nnz + na)
-        data, pair = sums[:nnz], sums[up]
-        data[diagonal] = sums[nnz:] + np.bincount(lo, pair, na) + np.bincount(hi, pair, na)
-        np.negative(pair, out=pair)
-        data[up] = pair
-        data[down] = pair
-        return sp.csc_array((data, indices, indptr), shape=(na, na))
+        na, empty, bound, own, axes = self.coarse_pattern
+        # float even with no bound face, where bincount gives int64
+        diag = np.bincount(own, weights=np.take(k1, bound), minlength=na).astype(float, copy=False)
+        diag[empty] = 1.0
+        diagonals, offsets = [diag], [0]
+        for stride, faces, lo in axes:
+            pair = np.bincount(lo, weights=np.take(k1, faces), minlength=na - stride)
+            diag[:-stride] += pair
+            diag[stride:] += pair
+            np.negative(pair, out=pair)
+            diagonals += [pair, pair]
+            offsets += [stride, -stride]
+        return sp.diags_array(diagonals, offsets=offsets, format="csr").T
 
     def _coupling_pattern(self):
         """(indptr, indices, faces) of B: the CSR layout scipy's COO constructor gives the faces with two free ends.
@@ -564,9 +530,10 @@ class FreeEnergy:
         squared M value times phi''/h^n of its other end, scattered by
         ``bincount`` to its free end, plus phi''_j/h^n own_j^2 for M's
         diagonal entry own_j.  coarse is E = Z^T H1 Z, a CSC matrix with
-        one row and column per aggregate (``_coarse``).  apply returns a
-        new array, into which B, B^T and M^T add their products in place
-        (``add_product``); M v goes into a buffer every call reuses.
+        one row and column per block of the block grid (``_coarse``).
+        apply returns a new array, into which B, B^T and M^T add their
+        products in place (``add_product``); M v goes into a buffer every
+        call reuses.
         """
         p, h, n = self.params.p, self.grid.h, self.grid.n
         la, lb, nf, nr, k = self.la, self.lb, self.nf, self.nr, self.cells.size

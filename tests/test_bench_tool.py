@@ -169,6 +169,7 @@ def test_fine_cases_are_the_measured_rings():
         "2d-256-p1.05": (2, 1.05, 256),
         "2d-256-p3": (2, 3.0, 256),
         "3d-64-p1.5": (3, 1.5, 64),
+        "3d-20-p3.5": (3, 3.5, 20),
     }
 
 

@@ -482,12 +482,20 @@ def test_free_energy_setup_memory():
 
 def test_free_energy_keeps_no_inside_length_array():
     # on the criterion-3 ring every array a FreeEnergy holds, its patterns'
-    # included, is sized by its local cells, faces or slots: it derives the
-    # plate values from the masks and keeps them per local cell
+    # included at any depth, is sized by its local cells, faces, slots or
+    # blocks: it derives the plate values from the masks and keeps them per
+    # local cell
     cond = ring(2, 256)
     energy = FreeEnergy(cond.domain, cond.E, cond.F, EnergyParams(1.5, 1e-4))
-    held = [value for value in vars(energy).values() if isinstance(value, np.ndarray)]
-    held += [part for value in vars(energy).values() if isinstance(value, tuple) for part in value]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [array for part in value for array in arrays(part)]
+        return []
+
+    held = arrays(list(vars(energy).values()))
     assert len(held) > 10
     assert all(part.shape != (cond.domain.inside_count,) for part in held)
 

@@ -19,8 +19,9 @@ record and the result.  For each workload, run i uses seed S + i.
 
 A case is one ``solve_ring`` of the ring (1, 2) on the box [-2.5, 2.5]^n
 (3D 128³ at p = 1.5 and p = 2, 2D 1024² at p = 1.5, 2D 256² at p = 1.05
-and p = 3, and 3D 64³ at p = 1.5), in a Python process with the checkout's ``src``
-first on the path.  The process prints one JSON line: the solve's wall
+and p = 3, 3D 64³ at p = 1.5, and 3D 20³ at p = 3.5, the grid size of the
+``lab-cli`` workload's ``dual`` command), in a Python process with the
+checkout's ``src`` first on the path.  The process prints one JSON line: the solve's wall
 time (set-up included), its own peak RSS and minor page faults, the
 Newton steps (``iterations``; for p = 2 the reduced CG steps) and the CG
 steps of the solve, the ``repr`` of the value and its relative error
@@ -82,6 +83,7 @@ CASES = {
     "2d-256-p1.05": (2, 1.05, 256),
     "2d-256-p3": (2, 3.0, 256),
     "3d-64-p1.5": (3, 1.5, 64),
+    "3d-20-p3.5": (3, 3.5, 20),
 }
 CASE_METRICS = ("wall_s", "peak_rss_mb", "minor_faults")
 
